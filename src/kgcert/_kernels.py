@@ -5,7 +5,7 @@ Two implementations of each hot kernel: plain vectorised numpy, and numba
 is importable, unless the environment variable ``KGCERT_BACKEND`` forces one
 of ``numba`` / ``numpy``.  Everything downstream only uses the ``fan_cube``
 and ``assoc_violation`` aliases, so the two paths stay interchangeable; the
-test suite and ``benchmarks/engine_bench.py`` exercise both.
+test suite compares them when numba is installed.
 
 Data conventions: grids are uint8 bitmasks of shape (channels, nx, ny) with
 bit 0 marking the identity and bit d+1 a degree-d arrow.  Region rows are

@@ -27,6 +27,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import functors, model, regions
 from .engine import WindowEngine, get_engine
 from .errors import (
@@ -243,6 +245,7 @@ class _Session:
         self.eng: WindowEngine = get_engine(t, window.box)
         self.records: list = []
         self._tower_cache: dict = {}
+        self._tower_step_cache: dict = {}
         self._finite1_cache: dict = {}
 
     def record(self, lemma: str, params: dict, passed: bool, detail: str = "") -> bool:
@@ -318,28 +321,38 @@ class _Session:
     def _tower_sequences(self, inst: Simple1Instance, length: int) -> bool:
         """Exact sequences 0 -> inst@(coord+(l+1)s) -> inst@(coord+l s) -> A -> 0."""
         sx, sy = _kind_geometry(inst.kind)
-        t = self.t
+        a, b = inst.coord
+        # Towers at neighbouring coordinates share all but one of their steps.
+        memo = self._tower_step_cache
         for step in range(length + 1):
-            a, b = inst.coord[0] + step * sx, inst.coord[1] + step * sy
-            here = Simple1Instance(inst.kind, inst.orbit, (a, b), inst.aux)
-            nxt_coord = (a + sx, b + sy)
-            sub = instance_functor(t, Simple1Instance(inst.kind, inst.orbit, nxt_coord, inst.aux))
-            mid = instance_functor(t, here)
-            top = mid.top
-            u = self._arrow(top, top.family, top.orbit, nxt_coord, 0)
-            if isinstance(u, ZeroMorphism):
-                return False  # tower shift must stay inside the index set
-            quot = build_simple0(t, top)
-            if not self.eng.ses_foreign(
-                top,
-                u,
-                sub.top,
-                sub.denominators.generators,
-                mid.denominators.generators,
-                quot.denominators.generators,
-            ):
+            here = Simple1Instance(inst.kind, inst.orbit, (a + step * sx, b + step * sy), inst.aux)
+            ok = memo.get(here)
+            if ok is None:
+                ok = memo[here] = self._tower_step(here)
+            if not ok:
                 return False
         return True
+
+    def _tower_step(self, here: Simple1Instance) -> bool:
+        """The exact sequence 0 -> here@(coord+s) -> here -> A -> 0."""
+        t = self.t
+        sx, sy = _kind_geometry(here.kind)
+        nxt_coord = (here.coord[0] + sx, here.coord[1] + sy)
+        sub = instance_functor(t, Simple1Instance(here.kind, here.orbit, nxt_coord, here.aux))
+        mid = instance_functor(t, here)
+        top = mid.top
+        u = self._arrow(top, top.family, top.orbit, nxt_coord, 0)
+        if isinstance(u, ZeroMorphism):
+            return False  # tower shift must stay inside the index set
+        quot = build_simple0(t, top)
+        return self.eng.ses_foreign(
+            top,
+            u,
+            sub.top,
+            sub.denominators.generators,
+            mid.denominators.generators,
+            quot.denominators.generators,
+        )
 
     def _case_analysis(self, inst: Simple1Instance, chain_cap=None) -> bool:
         """Every arrow out of the top is either absorbed (factors through a
@@ -532,15 +545,16 @@ class _Session:
     def simple0_check(self, v: VertexId) -> tuple:
         """dim A_v = 1 at v and 0 elsewhere in the window; returns
         (passed, skipped_top)."""
+        eng = self.eng
         A = build_simple0(self.t, v)
-        dims = self.eng.dims_cube(v, A.denominators.generators)
-        got = self.eng.dims_at_vertices(dims)
+        dims = eng.dims_cube(v, A.denominators.generators)
+        want = np.zeros_like(dims)
         skipped = not self.window.contains(v.coord)
-        for w, d in got.items():
-            want = 1 if w == v else 0
-            if d != want:
-                return (False, skipped)
-        return (True, skipped)
+        if not skipped:
+            ix, iy = eng.point_index(v.coord)
+            want[eng.chan_index[(v.family, v.orbit)], ix, iy] = 1
+        valid = eng.valid_masks()
+        return (bool(np.array_equal(dims[valid], want[valid])), skipped)
 
     # -- finite-length chains ---------------------------------------------------
 

@@ -78,14 +78,12 @@ class WindowEngine:
     def valid_masks(self):
         """Boolean grid per channel marking coordinates that are vertices."""
         if self._valid_cache is None:
-            rows = []
-            for (fam, orb) in self.channels:
-                reg = model.index_region(self.t, fam, orb)
-                rows.append((self.chan_index[(fam, orb)], reg))
+            table = model.index_regions(self.t)
             out = np.zeros((self.nchan, self.xs.size, self.ys.size), dtype=bool)
             X = self.xs[:, None]
             Y = self.ys[None, :]
-            for c, reg in rows:
+            for c, chan in enumerate(self.channels):
+                reg = table[chan]
                 out[c] = (
                     (X >= _clip(reg.lo_x))
                     & (X <= _clip(reg.hi_x))

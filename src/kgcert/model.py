@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from . import regions
 from .errors import InvalidVertex, NotComposable
@@ -110,12 +111,22 @@ def index_region(t: GentleTriple, family: str, orbit: int) -> Region:
     raise InvalidVertex(f"unknown family {family!r}")
 
 
+@lru_cache(maxsize=64)
+def index_regions(t: GentleTriple) -> MappingProxyType:
+    """Read-only {(family, orbit): index_region} over every channel of the
+    model, in family-then-orbit order; built once per triple."""
+    return MappingProxyType(
+        {
+            (family, orbit): index_region(t, family, orbit)
+            for family in families(t)
+            for orbit in range(t.orbit_count)
+        }
+    )
+
+
 def vertex_valid(t: GentleTriple, v: VertexId) -> bool:
-    if v.family not in families(t):
-        return False
-    if not 0 <= v.orbit < t.orbit_count:
-        return False
-    return regions.member(index_region(t, v.family, v.orbit), v.coord)
+    reg = index_regions(t).get((v.family, v.orbit))
+    return reg is not None and regions.member(reg, v.coord)
 
 
 @lru_cache(maxsize=65536)
@@ -256,11 +267,9 @@ def ar_sink_maps(t: GentleTriple, v: VertexId):
 def vertices_in_box(t: GentleTriple, x0: int, x1: int, y0: int, y1: int) -> list:
     """All valid vertices with coordinates in [x0,x1] x [y0,y1], ordered."""
     out = []
-    for family in families(t):
-        for orbit in range(t.orbit_count):
-            reg = index_region(t, family, orbit)
-            for x in range(x0, x1 + 1):
-                for y in range(y0, y1 + 1):
-                    if regions.member(reg, (x, y)):
-                        out.append(VertexId(family, orbit, (x, y)))
+    for (family, orbit), reg in index_regions(t).items():
+        for x in range(x0, x1 + 1):
+            for y in range(y0, y1 + 1):
+                if regions.member(reg, (x, y)):
+                    out.append(VertexId(family, orbit, (x, y)))
     return out

@@ -275,20 +275,22 @@ def regionset_contains(inner: RegionSet, outer: RegionSet) -> bool:
 
 
 def enumerate_points(r, window) -> list:
-    """Sorted list of all points of r inside the (finite) window region."""
+    """Sorted list of all points of r inside the (finite) window region.
+
+    The closed meet of r and the window has finite bounds on x, y and x - y.
+    Its points with first coordinate x are exactly the y in
+    [max(lo_y, x - hi_d), min(hi_y, x - lo_d)], so each row is emitted as an
+    integer range without testing any point.
+    """
     if not is_finite(window):
         raise InfiniteWindow(f"window is not finite: {window!r}")
-    if r is EMPTY or window is EMPTY:
+    c = intersect(r, window)
+    if c is EMPTY:
         return []
-    w = close(window)
-    if w is EMPTY:
-        return []
+    lo_y, hi_y, lo_d, hi_d = int(c.lo_y), int(c.hi_y), int(c.lo_d), int(c.hi_d)
     pts = []
-    for x in range(int(w.lo_x), int(w.hi_x) + 1):
-        for y in range(int(w.lo_y), int(w.hi_y) + 1):
-            p = (x, y)
-            if member(w, p) and member(r, p):
-                pts.append(p)
+    for x in range(int(c.lo_x), int(c.hi_x) + 1):
+        pts.extend((x, y) for y in range(max(lo_y, x - hi_d), min(hi_y, x - lo_d) + 1))
     return pts
 
 

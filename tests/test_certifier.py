@@ -316,18 +316,25 @@ def _perturb_chain_layer_replaced_by_sink_simple(t):
     return eng.kernel_matches(v, u, (nxt,), wrong.denominators.generators)
 
 
-def _perturb_simple0_non_sink_pair(t):
-    v = V("Z", 0, 0, 0)
-    fake = FpFunctor(
+def _non_sink_pair_quotient(t, v):
+    """Hom(v, -) modulo the shifts by (2,0) and (0,1): the first skips the
+    sink map to (1,0), so the quotient is not simple."""
+    a, b = v.coord
+    return FpFunctor(
         v,
         Subfunctor(
             v,
             (
-                M.arrow_or_zero(t, v, V("Z", 0, 2, 0), 0),
-                M.arrow_or_zero(t, v, V("Z", 0, 0, 1), 0),
+                M.arrow_or_zero(t, v, V(v.family, v.orbit, a + 2, b), 0),
+                M.arrow_or_zero(t, v, V(v.family, v.orbit, a, b + 1), 0),
             ),
         ),
     )
+
+
+def _perturb_simple0_non_sink_pair(t):
+    v = V("Z", 0, 0, 0)
+    fake = _non_sink_pair_quotient(t, v)
     eng = WindowEngine(t, (-4, 4, -4, 4))
     dims = eng.dims_at_vertices(eng.dims_cube(v, fake.denominators.generators))
     return all(d == (1 if w == v else 0) for w, d in dims.items())
@@ -345,6 +352,74 @@ PERTURBATION_TABLE = [
 @pytest.mark.parametrize("name,broken", PERTURBATION_TABLE, ids=[n for n, _ in PERTURBATION_TABLE])
 def test_perturbation_rejected(t120, name, broken):
     assert broken(t120) is False
+
+
+def _simple0_by_vertex_loop(eng, A, v):
+    """Reference for the simple0 check: dim 1 at v, 0 at every other window
+    vertex, read off vertex by vertex."""
+    dims = eng.dims_at_vertices(eng.dims_cube(v, A.denominators.generators))
+    return all(d == (1 if w == v else 0) for w, d in dims.items())
+
+
+def test_simple0_check_session_path_rejects_non_sink_pair(t120, monkeypatch):
+    """The session's simple0 check, not only the engine's dims, rejects a
+    quotient by a non-sink pair, and still reports out-of-window tops as
+    skipped."""
+    monkeypatch.setattr(C, "build_simple0", _non_sink_pair_quotient)
+    assert check_simple0(t120, V("Z", 0, 0, 0), W6) is False
+    s = C._Session(t120, W6, 1)
+    assert s.simple0_check(V("Z", 0, 0, 0)) == (False, False)
+    assert s.simple0_check(V("Z", 0, 40, 40)) == (True, True)
+
+
+@pytest.mark.parametrize("fake", [False, True], ids=["sink pair", "non-sink pair"])
+def test_simple0_check_matches_vertex_loop(t120, monkeypatch, fake):
+    if fake:
+        monkeypatch.setattr(C, "build_simple0", _non_sink_pair_quotient)
+    s = C._Session(t120, W5, 1)
+    verdicts = []
+    for v in s.eng.vertices():
+        passed, skipped = s.simple0_check(v)
+        assert passed == _simple0_by_vertex_loop(s.eng, C.build_simple0(t120, v), v)
+        assert skipped is False
+        verdicts.append(passed)
+    assert all(verdicts) != fake
+
+
+def test_tower_step_memo_cannot_leak_a_pass(t231, monkeypatch):
+    """One failing tower step fails every tower through it, in any order of
+    calls within one session, and no tower that avoids it; instances that
+    differ from it only in aux or only in orbit keep their own results."""
+    bad = build_simple1(t231, KIND_BP, 0, (0, 3), 0)
+    real = WindowEngine.ses_foreign
+    bad_calls = []
+
+    def ses_foreign(self, top, u, sub_top, sub_gens, mid_gens, quot_gens):
+        if top == bad.top and tuple(mid_gens) == bad.denominators.generators:
+            bad_calls.append(top)
+            return False
+        return real(self, top, u, sub_top, sub_gens, mid_gens, quot_gens)
+
+    monkeypatch.setattr(WindowEngine, "ses_foreign", ses_foreign)
+    towers = {
+        Simple1Instance(KIND_BP, 0, (0, 1), 0): False,
+        Simple1Instance(KIND_BP, 0, (0, 2), 0): False,
+        Simple1Instance(KIND_BP, 0, (0, 3), 0): False,
+        Simple1Instance(KIND_BP, 0, (0, 0), 0): True,  # stops below (0, 3)
+        Simple1Instance(KIND_BP, 0, (0, 4), 0): True,  # starts above it
+        Simple1Instance(KIND_BP, 0, (0, 1), 1): True,  # other aux
+        Simple1Instance(KIND_BP, 1, (0, 1), 0): True,  # other orbit
+    }
+    orders = [list(towers), list(reversed(towers))]
+    rng = random.Random(7)
+    for _ in range(3):
+        orders.append(rng.sample(list(towers), len(towers)))
+    for order in orders:
+        bad_calls.clear()
+        s = C._Session(t231, W6, 2)
+        got = {inst: s.tower_check(inst, 2) for inst in order}
+        assert got == towers, order
+        assert len(bad_calls) == 1  # the failing step ran once, then came from the memo
 
 
 # -- certificates ------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Region algebra: worked examples plus randomized brute-force oracles."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgcert import regions as R
@@ -221,3 +221,55 @@ def test_is_finite_growth_oracle(reg):
     fin = R.is_finite(reg)
     grew = len(bf_points(reg, 25)) > len(bf_points(reg, 18))
     assert fin == (not grew)
+
+
+def scan_points(r, window):
+    """The window scan enumerate_points used to run: every point of the
+    closed window's bounding box, tested against both regions."""
+    if r is EMPTY or window is EMPTY:
+        return []
+    w = R.close(window)
+    if w is EMPTY:
+        return []
+    return [
+        (x, y)
+        for x in range(int(w.lo_x), int(w.hi_x) + 1)
+        for y in range(int(w.lo_y), int(w.hi_y) + 1)
+        if R.member(w, (x, y)) and R.member(r, (x, y))
+    ]
+
+
+# Finite windows: boxes (possibly empty) with optional diff bounds, and
+# strips whose y-extent is finite only through the diff bounds.
+window_boxes = st.builds(
+    lambda x0, dx, y0, dy, lo_d, hi_d: Region(
+        lo_x=x0, hi_x=x0 + dx, lo_y=y0, hi_y=y0 + dy, lo_d=lo_d, hi_d=hi_d
+    ),
+    st.integers(-8, 8),
+    st.integers(-2, 10),
+    st.integers(-8, 8),
+    st.integers(-2, 10),
+    lowers,
+    uppers,
+)
+window_strips = st.builds(
+    lambda x0, dx, d0, dd: Region(lo_x=x0, hi_x=x0 + dx, lo_d=d0, hi_d=d0 + dd),
+    st.integers(-8, 8),
+    st.integers(-2, 10),
+    st.integers(-8, 8),
+    st.integers(-2, 10),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(random_regions, st.just(EMPTY)),
+    st.one_of(window_boxes, window_strips, st.just(EMPTY)),
+)
+@example(Region(lo_d=3), R.box(0, 4, 0, 4))  # rows x < 3 have no points
+@example(Region(lo_x=2, hi_x=1), R.box(0, 4, 0, 4))  # empty only after closure
+@example(Region(hi_d=0, lo_y=NEG_INF), Region(lo_x=-3, hi_x=3, lo_d=-1, hi_d=1))
+@example(R.FULL, EMPTY)
+def test_enumerate_points_matches_window_scan(reg, window):
+    assert R.is_finite(window)
+    assert R.enumerate_points(reg, window) == scan_points(reg, window)
