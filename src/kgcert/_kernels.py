@@ -11,7 +11,8 @@ Data conventions: grids are uint8 bitmasks of shape (channels, nx, ny) with
 bit 0 marking the identity and bit d+1 a degree-d arrow.  Region rows are
 int64 ``(channel, bit, lo_x, hi_x, lo_y, hi_y, has_exclusion, ex, ey)`` with
 infinities clipped to +-2**62 (window coordinates are tiny so the clipped
-bounds are equivalent).
+bounds are equivalent).  The engine converts each ``fan_cube`` grid to one
+Python int, once per source vertex, and does all further bit algebra on ints.
 """
 
 from __future__ import annotations

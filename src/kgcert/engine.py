@@ -1,9 +1,9 @@
 """Bitmask window-sweep engine.
 
 Window-quantified checks (dimension counts, kernels of precomposition,
-exact-sequence replays) all reduce to bit algebra on small uint8 grids:
-per (family, orbit) channel, the grid entry at a target coordinate V holds
-one bit per basis morphism from a fixed source vertex to V (bit 0 identity,
+exact-sequence replays) all reduce to bit algebra on small grids: per
+(family, orbit) channel, the grid cell at a target coordinate V holds one
+bit per basis morphism from a fixed source vertex to V (bit 0 identity,
 bit d+1 a degree-d arrow).  Monomial composition shifts degree bits:
 
 * image of a generator f: top -> T of degree p at V is
@@ -11,10 +11,28 @@ bit d+1 a degree-d arrow).  Monomial composition shifts degree bits:
 * kernel of (- o f) against a modulus M is
   ``cube(T) & ~((cube(top) & ~M) >> p)`` plus an identity-bit test at T.
 
+A cube is one Python int.  Byte ``(ci*nx + ix)*ny + iy`` of its
+little-endian form holds the cell of channel ci at window point (ix, iy),
+so the cell sits at bit offset ``8*((ci*nx + ix)*ny + iy)``: the layout of
+a C-ordered uint8 array of shape (nchan, nx, ny).  Masks, shifts and
+equality are then single int operations, several times cheaper than numpy
+calls on grids this small.  No shift can move a bit into a neighbouring
+cell's low bits: cell bits are at most bit ``max_degree + 1 <= 3`` and shifts
+are at most ``max_degree <= 2`` places, so a left shift stays below bit 6 of
+its own cell, and a right shift can only push bits into bits 6-7 of the cell
+below, which the AND with a cube (bits 0-3 only) that follows every right
+shift clears.  Generators and arrows of any other degree are rejected before
+they are shifted.  ``a AND NOT b`` is written ``a ^ (a & b)``: on
+non-negative ints it equals ``a & ~b`` without forming the negative ``~b``,
+whose AND costs several times more.
+
+Only :meth:`WindowEngine.dims_cube`, :meth:`WindowEngine.ses_dimension_check`
+and :meth:`WindowEngine.associativity_scan` need per-cell arithmetic or
+indexing; they read cubes as uint8 arrays through :meth:`WindowEngine.grid`.
+
 Cubes are cached per source vertex, so a certification run touching the same
 tops repeatedly costs one region rasterisation per vertex (the hot kernel,
-see :mod:`kgcert._kernels`) plus a handful of elementwise operations per
-check.
+see :mod:`kgcert._kernels`) plus a handful of int operations per check.
 """
 
 from __future__ import annotations
@@ -61,8 +79,12 @@ class WindowEngine:
         self.chan_index = {c: i for i, c in enumerate(self.channels)}
         self.nchan = len(self.channels)
         self.max_degree = t.max_degree
-        self._cube_cache: dict = {}
-        self._basis_cache: dict = {}
+        self._shape = (self.nchan, self.xs.size, self.ys.size)
+        self._nbytes = self.nchan * self.xs.size * self.ys.size
+        # (family, orbit, coord) of a vertex -> (cube, bit offset of the
+        # vertex's own cell or None); a plain tuple key hashes in C, where
+        # VertexId's dataclass __hash__ and __eq__ run as Python code.
+        self._entries: dict = {}
         self._valid_cache = None
 
     # -- grid plumbing ----------------------------------------------------
@@ -75,11 +97,17 @@ class WindowEngine:
         x, y = coord
         return (x - self.x0, y - self.y0)
 
+    def grid(self, bits: int):
+        """The cube ``bits`` as a read-only uint8 array of shape (nchan, nx, ny)."""
+        return np.frombuffer(
+            bits.to_bytes(self._nbytes, "little"), dtype=np.uint8
+        ).reshape(self._shape)
+
     def valid_masks(self):
         """Boolean grid per channel marking coordinates that are vertices."""
         if self._valid_cache is None:
             table = model.index_regions(self.t)
-            out = np.zeros((self.nchan, self.xs.size, self.ys.size), dtype=bool)
+            out = np.zeros(self._shape, dtype=bool)
             X = self.xs[:, None]
             Y = self.ys[None, :]
             for c, chan in enumerate(self.channels):
@@ -97,10 +125,12 @@ class WindowEngine:
 
     # -- cubes -------------------------------------------------------------
 
-    def cube(self, v: VertexId):
-        """Arrow-existence bitmask grid for all arrows out of v (no identity)."""
-        c = self._cube_cache.get(v)
-        if c is None:
+    def _entry(self, v: VertexId) -> tuple:
+        """(cube(v), bit offset of v's cell, or None when v is outside the
+        window), built on first use."""
+        key = (v.family, v.orbit, v.coord)
+        entry = self._entries.get(key)
+        if entry is None:
             rows = []
             for e in model.arrow_fan(self.t, v).entries:
                 reg = e.region
@@ -118,25 +148,35 @@ class WindowEngine:
                     )
                 )
             rows_arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), 9)
-            c = _kernels.fan_cube(self.xs, self.ys, rows_arr, self.nchan)
-            self._cube_cache[v] = c
-        return c
-
-    def basis_cube(self, v: VertexId):
-        """cube(v) plus the identity bit at the point of v (when in window)."""
-        c = self._basis_cache.get(v)
-        if c is None:
-            c = self.cube(v).copy()
+            arr = _kernels.fan_cube(self.xs, self.ys, rows_arr, self.nchan)
+            offset = None
             if self.in_window(v.coord):
                 ix, iy = self.point_index(v.coord)
-                c[self.chan_index[(v.family, v.orbit)], ix, iy] |= ID_BIT
-            c.flags.writeable = False
-            self._basis_cache[v] = c
-        return c
+                ci = self.chan_index[(v.family, v.orbit)]
+                offset = 8 * ((ci * self._shape[1] + ix) * self._shape[2] + iy)
+            entry = self._entries[key] = (int.from_bytes(arr.tobytes(), "little"), offset)
+        return entry
 
-    def image_cube(self, top: VertexId, gens):
-        """Bitmask grid of eval_sub(<gens>, V) for every window vertex V."""
-        out = np.zeros((self.nchan, self.xs.size, self.ys.size), dtype=np.uint8)
+    def cube(self, v: VertexId) -> int:
+        """Arrow-existence bitmask for all arrows out of v (no identity)."""
+        return self._entry(v)[0]
+
+    def basis_cube(self, v: VertexId) -> int:
+        """cube(v) plus the identity bit at the point of v (when in window)."""
+        c, off = self._entry(v)
+        return c if off is None else c | ID_BIT << off
+
+    def _degree(self, f) -> int:
+        p = f.degree
+        if not 0 <= p <= self.max_degree:
+            raise ValueError(
+                f"{f} has degree {p}; degrees of {self.t} lie in 0..{self.max_degree}"
+            )
+        return p
+
+    def image_cube(self, top: VertexId, gens) -> int:
+        """Bitmask of eval_sub(<gens>, V) for every window vertex V."""
+        out = 0
         ctop = None
         for f in gens:
             if isinstance(f, ZeroMorphism):
@@ -144,23 +184,24 @@ class WindowEngine:
             if isinstance(f, IdentityMorphism):
                 out |= self.basis_cube(top)
                 continue
+            p = self._degree(f)
             if ctop is None:
-                ctop = self.cube(top)
-            T, p = f.dst, f.degree
-            out |= (self.cube(T) << np.uint8(p)) & ctop
-            if self.in_window(T.coord):
-                ix, iy = self.point_index(T.coord)
-                out[self.chan_index[(T.family, T.orbit)], ix, iy] |= 1 << (p + 1)
+                ctop = self._entry(top)[0]
+            cT, offT = self._entry(f.dst)
+            out |= ((cT << p) if p else cT) & ctop
+            if offT is not None:
+                out |= 2 << (offT + p)  # bit p + 1 of T's cell: f itself
         return out
 
     def dims_cube(self, top: VertexId, denom_gens):
         """Pointwise dimension grid of Hom(top, -)/<denom_gens>."""
-        alive = self.basis_cube(top) & ~self.image_cube(top, denom_gens)
-        return _POPCOUNT[alive].astype(np.int32)
+        basis = self.basis_cube(top)
+        alive = basis ^ (basis & self.image_cube(top, denom_gens))
+        return _POPCOUNT[self.grid(alive)].astype(np.int32)
 
     # -- kernels and exactness checks ---------------------------------------
 
-    def kernel_cube(self, top: VertexId, u, modulo):
+    def kernel_cube(self, top: VertexId, u, modulo: int) -> int:
         """Bitmask of {h in basis(S, V) : h o u in <modulo> or h o u = 0}.
 
         u is a basis morphism top -> S (arrow or identity); modulo is an
@@ -168,14 +209,15 @@ class WindowEngine:
         """
         if isinstance(u, IdentityMorphism):
             return self.basis_cube(top) & modulo
-        S, p = u.dst, u.degree
-        alive = self.cube(top) & ~modulo
-        kern = self.cube(S) & ~(alive >> np.uint8(p))
-        if self.in_window(S.coord):
-            ix, iy = self.point_index(S.coord)
-            ci = self.chan_index[(S.family, S.orbit)]
-            if modulo[ci, ix, iy] & (1 << (p + 1)):
-                kern[ci, ix, iy] |= ID_BIT
+        p = self._degree(u)
+        cS, offS = self._entry(u.dst)
+        ctop = self._entry(top)[0]
+        alive = ctop ^ (ctop & modulo)
+        if p:
+            alive >>= p
+        kern = cS ^ (cS & alive)
+        if offS is not None and (modulo >> (offS + p + 1)) & 1:
+            kern |= ID_BIT << offS
         return kern
 
     def kernel_matches(self, top: VertexId, u, mid_gens, expected_gens) -> bool:
@@ -186,8 +228,7 @@ class WindowEngine:
         S = model.target_of(u)
         mod = self.image_cube(top, mid_gens)
         kern = self.kernel_cube(top, u, mod)
-        expected = self.image_cube(S, expected_gens)
-        return np.array_equal(kern, expected)
+        return kern == self.image_cube(S, expected_gens)
 
     def ses_foreign(self, top: VertexId, u, sub_top, sub_gens, mid_gens, quot_gens) -> bool:
         """Exactness of 0 -> (H_S/<sub_gens>) -> H_top/<mid_gens> -> H_top/<quot_gens> -> 0
@@ -203,14 +244,12 @@ class WindowEngine:
             raise ValueError(f"u targets {S} but the sub lives at {sub_top}")
         mod = self.image_cube(top, mid_gens)
         kern = self.kernel_cube(top, u, mod)
-        expected = self.image_cube(S, sub_gens)
-        if not np.array_equal(kern, expected):
+        if kern != self.image_cube(S, sub_gens):
             return False
         quot = self.image_cube(top, quot_gens)
-        if (mod & ~quot).any():
+        if mod & quot != mod:
             return False
-        u_img = self.image_cube(top, (u,))
-        return np.array_equal(quot, mod | u_img)
+        return quot == mod | self.image_cube(top, (u,))
 
     def ses_dimension_check(self, top: VertexId, sub_gens, mid_gens, quot_gens) -> bool:
         """dim(mid) == dim(sub image in mid) + dim(quot) everywhere, and the
@@ -218,19 +257,13 @@ class WindowEngine:
         sub = self.image_cube(top, sub_gens)
         mid = self.image_cube(top, mid_gens)
         quot = self.image_cube(top, quot_gens)
-        if (sub & ~quot).any():
+        if sub & quot != sub:
             return False
         basis = self.basis_cube(top)
-        dim_mid = _POPCOUNT[basis & ~mid].astype(np.int32)
-        dim_quot = _POPCOUNT[basis & ~quot].astype(np.int32)
-        sub_in_mid = _POPCOUNT[sub & ~mid].astype(np.int32)
+        dim_mid = _POPCOUNT[self.grid(basis ^ (basis & mid))].astype(np.int32)
+        dim_quot = _POPCOUNT[self.grid(basis ^ (basis & quot))].astype(np.int32)
+        sub_in_mid = _POPCOUNT[self.grid(sub ^ (sub & mid))].astype(np.int32)
         return bool(np.array_equal(dim_mid, sub_in_mid + dim_quot))
-
-    def contained(self, top: VertexId, inner_gens, outer_gens) -> bool:
-        """eval_sub(<inner>) subset of eval_sub(<outer>) at every window V."""
-        inner = self.image_cube(top, inner_gens)
-        outer = self.image_cube(top, outer_gens)
-        return not (inner & ~outer).any()
 
     # -- whole-window enumeration -------------------------------------------
 
@@ -276,7 +309,7 @@ class WindowEngine:
             coords[ci] = members
         ebits = np.zeros((nv, nv), dtype=np.uint8)
         for i, v in enumerate(verts):
-            cube = self.cube(v)
+            cube = self.grid(self.cube(v))
             for ci, members in coords.items():
                 for j, w in members:
                     ix, iy = self.point_index(w.coord)

@@ -6,12 +6,13 @@ is a zone / difference-bound-matrix shape restricted to two variables, which
 is exactly the shape of every index set and arrow-target set the model uses.
 
 All arithmetic is exact: coordinates are Python integers (arbitrary
-precision) and the infinities are ``float('inf')`` sentinels that are never
-combined with each other (shortest-path closure only ever adds a finite
-weight to a finite-or-plus-infinite weight).
+precision) and the infinities are ``float('inf')`` sentinels, -inf only in
+lower bounds and +inf only in upper bounds, so closure never forms inf - inf.
 
 Emptiness, tightest bounds and finiteness are decided by shortest-path
 closure over the three-node constraint graph {0, x, y}, never by enumeration.
+On three nodes a shortest path has at most two edges, so one relaxation of
+each bound through the third node is the exact closure (see :func:`close`).
 """
 
 from __future__ import annotations
@@ -119,40 +120,29 @@ def member(r, p: tuple) -> bool:
 def close(r):
     """Tightest equivalent bounds, or EMPTY if the denotation is empty.
 
-    Shortest-path (Floyd-Warshall) closure of the constraint graph on the
-    nodes (0, x, y), where an edge u -> v of weight c encodes u - v <= c.
+    The bounds are the edges of a difference-bound graph on the three nodes
+    0, x and y (u - v <= c for each bound).  Without a negative cycle, a
+    shortest path visits each node at most once, so on three nodes it has at
+    most two edges: every bound is tightened by one relaxation through the
+    third node, computed from the original bounds.  A negative cycle (a
+    two-cycle lo > hi, or a three-cycle such as hi_x - lo_y < lo_d) shows up
+    as a tightened lower bound above its tightened upper bound.  This is the
+    Floyd-Warshall closure of the graph in closed form.  No inf - inf
+    arises: lower bounds are never +inf and upper bounds never -inf.
     """
     if r is EMPTY:
         return EMPTY
-    # d[i][j]: tightest known upper bound on var_i - var_j; var_0 == 0.
-    d = [
-        [0, -r.lo_x, -r.lo_y],
-        [r.hi_x, 0, r.hi_d],
-        [r.hi_y, -r.lo_d, 0],
-    ]
-    for k in range(3):
-        for i in range(3):
-            dik = d[i][k]
-            if dik == POS_INF:
-                continue
-            for j in range(3):
-                w = dik + d[k][j]
-                if w < d[i][j]:
-                    d[i][j] = w
-    if d[0][0] < 0 or d[1][1] < 0 or d[2][2] < 0:
+    lo_x, hi_x, lo_y, hi_y, lo_d, hi_d = r.lo_x, r.hi_x, r.lo_y, r.hi_y, r.lo_d, r.hi_d
+    # each bound through the third node, with d = x - y: x = y + d, y = x - d
+    nlo_x = max(lo_x, lo_y + lo_d)
+    nhi_x = min(hi_x, hi_y + hi_d)
+    nlo_y = max(lo_y, lo_x - hi_d)
+    nhi_y = min(hi_y, hi_x - lo_d)
+    nlo_d = max(lo_d, lo_x - hi_y)
+    nhi_d = min(hi_d, hi_x - lo_y)
+    if nlo_x > nhi_x or nlo_y > nhi_y or nlo_d > nhi_d:
         return EMPTY
-
-    def neg(v):
-        return POS_INF if v == NEG_INF else (NEG_INF if v == POS_INF else -v)
-
-    return Region(
-        lo_x=neg(d[0][1]),
-        hi_x=d[1][0],
-        lo_y=neg(d[0][2]),
-        hi_y=d[2][0],
-        lo_d=neg(d[2][1]),
-        hi_d=d[1][2],
-    )
+    return Region(nlo_x, nhi_x, nlo_y, nhi_y, nlo_d, nhi_d)
 
 
 def is_finite(r) -> bool:

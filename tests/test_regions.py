@@ -196,6 +196,74 @@ def test_close_idempotent_and_membership_invariant(reg):
         assert R.member(reg, p) == R.member(c, p)
 
 
+def floyd_warshall_close(r):
+    """The closure close() used to run: Floyd-Warshall over the constraint
+    graph on (0, x, y), an edge u -> v of weight c encoding u - v <= c."""
+    d = [
+        [0, -r.lo_x, -r.lo_y],
+        [r.hi_x, 0, r.hi_d],
+        [r.hi_y, -r.lo_d, 0],
+    ]
+    for k in range(3):
+        for i in range(3):
+            if d[i][k] == POS_INF:
+                continue
+            for j in range(3):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    if d[0][0] < 0 or d[1][1] < 0 or d[2][2] < 0:
+        return EMPTY
+
+    def neg(v):
+        return -v if v not in (POS_INF, NEG_INF) else (NEG_INF if v == POS_INF else POS_INF)
+
+    return Region(
+        lo_x=neg(d[0][1]),
+        hi_x=d[1][0],
+        lo_y=neg(d[0][2]),
+        hi_y=d[2][0],
+        lo_d=neg(d[2][1]),
+        hi_d=d[1][2],
+    )
+
+
+# Regions whose x, y and diff intervals are each non-empty, so that any
+# emptiness comes from a three-cycle such as hi_x - lo_y < lo_d.
+consistent_regions = st.builds(
+    lambda lx, wx, ly, wy, ld, wd: Region(
+        lo_x=lx, hi_x=lx + wx, lo_y=ly, hi_y=ly + wy, lo_d=ld, hi_d=ld + wd
+    ),
+    st.integers(-8, 8),
+    st.one_of(st.integers(0, 6), st.just(POS_INF)),
+    st.integers(-8, 8),
+    st.one_of(st.integers(0, 6), st.just(POS_INF)),
+    st.integers(-8, 8),
+    st.one_of(st.integers(0, 6), st.just(POS_INF)),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(random_regions, consistent_regions))
+@example(Region(lo_x=0, hi_x=1, lo_y=0, hi_y=1, lo_d=3))  # hi_x - lo_y < lo_d
+@example(Region(lo_x=5, hi_y=0, hi_d=4))  # lo_x > hi_y + hi_d
+@example(Region(hi_x=0, lo_y=0, lo_d=1))  # hi_x < lo_y + lo_d
+@example(Region(lo_d=2, hi_d=1))  # diff two-cycle with x, y unbounded
+@example(R.FULL)
+def test_close_matches_floyd_warshall(reg):
+    got = R.close(reg)
+    assert got == floyd_warshall_close(reg)
+    if got is EMPTY:
+        assert bf_points(reg, 12) == []
+
+
+def test_close_three_cycle_emptiness():
+    """Each pair of bounds is satisfiable, but x - y <= hi_x - lo_y = 1 < 3."""
+    reg = Region(lo_x=0, hi_x=1, lo_y=0, hi_y=1, lo_d=3)
+    assert R.close(Region(lo_x=0, hi_x=1, lo_y=0, hi_y=1)) is not EMPTY
+    assert R.close(Region(lo_x=0, hi_x=1, lo_d=3)) is not EMPTY
+    assert R.close(Region(lo_y=0, hi_y=1, lo_d=3)) is not EMPTY
+    assert R.close(reg) is EMPTY
+
+
 @settings(max_examples=150, deadline=None)
 @given(random_regions, random_regions)
 def test_intersect_member_oracle(a, b):
