@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,9 +58,10 @@ KIND_B_INF = "B"
 _FINITE_KINDS = (KIND_BP, KIND_BPP, KIND_CP, KIND_CPP)
 
 
-@dataclass(frozen=True)
-class Simple1Instance:
-    """One instance of a simple-modulo-finite quotient lemma."""
+class Simple1Instance(NamedTuple):
+    """One instance of a simple-modulo-finite quotient lemma; a NamedTuple
+    value like those of :mod:`kgcert.model`, since the tower memo is keyed
+    by it."""
 
     kind: str
     orbit: int
@@ -277,6 +279,10 @@ class _Session:
         split region must be contained in the matching fan region of the
         target (plus the target point itself, reached through the identity).
         Monomial uniqueness then forces the composite to equal the arrow.
+        Decided by one closed-form containment in the fan region.  Only when
+        that fails and the target point is allowed too (degree 0 into T's own
+        channel) is the residual computed by subtraction, because the fan
+        region plus that point is not one region.
         """
         if regions.close(split_region) is regions.EMPTY:
             return True
@@ -291,10 +297,13 @@ class _Session:
             if (eT.family, eT.orbit, eT.degree) == (entry.family, entry.orbit, phi_deg):
                 allowed = eT.region
                 break
-        leftover = regions.subtract(split_region, allowed)
+        if regions.contains(allowed, split_region):
+            return True
         if phi_deg == 0 and (entry.family, entry.orbit) == (T.family, T.orbit):
+            leftover = regions.subtract(split_region, allowed)
             leftover = regions.regionset_subtract(leftover, regions.point(*T.coord))
-        return leftover.is_empty()
+            return leftover.is_empty()
+        return False
 
     def _chain_targets(self, line_region, window_region, cap_anchor=None, cap=None):
         """Window points of a one-dimensional chain region, optionally capped
@@ -1026,8 +1035,11 @@ def certify(
     """Run the full replay for t and assemble the certificate.
 
     The claimed dimension is 2 in finite mode and 1 in infinite mode; the
-    verdict is "pass" only if every recorded check passed.
+    verdict is "pass" only if every recorded check passed.  A depth below 1
+    would check no tower step or chain point, so it is rejected.
     """
+    if depth < 1:
+        raise ParameterRange(f"depth must be >= 1, got {depth}")
     s = _Session(t, window, depth)
     if t.is_finite_mode:
         ok = _certify_finite(s)

@@ -98,6 +98,13 @@ def export_dot(t: GentleTriple, window) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _window(box) -> Window:
+    try:
+        return Window(*box)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _add_triple_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -242,7 +249,7 @@ def _run(args) -> int:
         print(json.dumps([str(m1), str(m2)]))
         return 0
     if args.command == "ar-export":
-        win = Window(*args.window)
+        win = _window(args.window)
         dot = export_dot(t, win)
         if args.dot:
             with open(args.dot, "w") as fh:
@@ -251,7 +258,7 @@ def _run(args) -> int:
             sys.stdout.write(dot)
         return 0
     if args.command == "certify":
-        win = Window(*args.window) if args.window else Window(-8, 8, -8, 8)
+        win = _window(args.window) if args.window else Window(-8, 8, -8, 8)
         cert = certify(t, win, args.depth)
         text = cert.to_json_text()
         print(text)

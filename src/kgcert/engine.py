@@ -32,7 +32,9 @@ indexing; they read cubes as uint8 arrays through :meth:`WindowEngine.grid`.
 
 Cubes are cached per source vertex, so a certification run touching the same
 tops repeatedly costs one region rasterisation per vertex (the hot kernel,
-see :mod:`kgcert._kernels`) plus a handful of int operations per check.
+see :mod:`kgcert._kernels`) plus a handful of int operations per check.  The
+cache ``_entries`` is keyed by the :class:`~kgcert.model.VertexId` itself,
+a NamedTuple that hashes and compares in C.
 """
 
 from __future__ import annotations
@@ -81,9 +83,7 @@ class WindowEngine:
         self.max_degree = t.max_degree
         self._shape = (self.nchan, self.xs.size, self.ys.size)
         self._nbytes = self.nchan * self.xs.size * self.ys.size
-        # (family, orbit, coord) of a vertex -> (cube, bit offset of the
-        # vertex's own cell or None); a plain tuple key hashes in C, where
-        # VertexId's dataclass __hash__ and __eq__ run as Python code.
+        # VertexId -> (cube, bit offset of the vertex's own cell or None)
         self._entries: dict = {}
         self._valid_cache = None
 
@@ -128,8 +128,7 @@ class WindowEngine:
     def _entry(self, v: VertexId) -> tuple:
         """(cube(v), bit offset of v's cell, or None when v is outside the
         window), built on first use."""
-        key = (v.family, v.orbit, v.coord)
-        entry = self._entries.get(key)
+        entry = self._entries.get(v)
         if entry is None:
             rows = []
             for e in model.arrow_fan(self.t, v).entries:
@@ -154,7 +153,7 @@ class WindowEngine:
                 ix, iy = self.point_index(v.coord)
                 ci = self.chan_index[(v.family, v.orbit)]
                 offset = 8 * ((ci * self._shape[1] + ix) * self._shape[2] + iy)
-            entry = self._entries[key] = (int.from_bytes(arr.tobytes(), "little"), offset)
+            entry = self._entries[v] = (int.from_bytes(arr.tobytes(), "little"), offset)
         return entry
 
     def cube(self, v: VertexId) -> int:

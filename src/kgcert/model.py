@@ -14,6 +14,17 @@ Two modes share this module.  When r < n there are three families and degrees
 out of Z and all degree-2 arrows raise the orbit by one (mod r).  When r == n
 only the X family exists, with degrees {0, 1}, and degree-1 arrows raise the
 orbit (mod n).
+
+Vertices, identities, arrows and fan entries are ``typing.NamedTuple``
+values: building, hashing and comparing them runs in C, where a frozen
+dataclass runs generated Python code, and these values are built and used as
+dictionary and ``lru_cache`` keys millions of times per certificate.  The
+trade-off: a NamedTuple equals a plain tuple with the same fields (and any
+other NamedTuple with them), so code must not compare these values with
+plain tuples.  Values of two different classes among these, ``GentleTriple``
+and ``certifier.Simple1Instance`` never compare equal, because their field
+counts or field types differ.  The zero morphism stays a dataclass, so it
+equals no tuple.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import regions
 from .errors import InvalidVertex, NotComposable
@@ -39,8 +51,7 @@ def families(t: GentleTriple) -> tuple:
     return _FINITE_FAMILIES if t.is_finite_mode else _INFINITE_FAMILIES
 
 
-@dataclass(frozen=True)
-class VertexId:
+class VertexId(NamedTuple):
     family: str
     orbit: int
     coord: tuple
@@ -59,16 +70,14 @@ class ZeroMorphism:
 ZERO = ZeroMorphism()
 
 
-@dataclass(frozen=True)
-class IdentityMorphism:
+class IdentityMorphism(NamedTuple):
     vertex: VertexId
 
     def __str__(self) -> str:
         return f"id@{self.vertex}"
 
 
-@dataclass(frozen=True)
-class ArrowMorphism:
+class ArrowMorphism(NamedTuple):
     src: VertexId
     dst: VertexId
     degree: int
@@ -80,8 +89,7 @@ class ArrowMorphism:
 # MorphismKey = ZeroMorphism | IdentityMorphism | ArrowMorphism
 
 
-@dataclass(frozen=True)
-class FanEntry:
+class FanEntry(NamedTuple):
     family: str
     orbit: int
     degree: int

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OmegaViolation
 
@@ -25,8 +26,10 @@ class ModelMode(enum.Enum):
     INFINITE_GLDIM = "infinite"
 
 
-@dataclass(frozen=True)
-class GentleTriple:
+class GentleTriple(NamedTuple):
+    """An admissible parameter triple; a NamedTuple, because every
+    per-triple ``lru_cache`` lookup hashes it (see :mod:`kgcert.model`)."""
+
     r: int
     n: int
     m: int

@@ -13,6 +13,16 @@ Emptiness, tightest bounds and finiteness are decided by shortest-path
 closure over the three-node constraint graph {0, x, y}, never by enumeration.
 On three nodes a shortest path has at most two edges, so one relaxation of
 each bound through the third node is the exact closure (see :func:`close`).
+
+Containment is decided in closed form as well (:func:`contains`): every
+bound of a closed region with integer constants is attained by an integer
+point, so ``inner`` lies in ``outer`` exactly when each closed bound of
+``inner`` lies within the matching bound of ``outer``.
+
+``Region(...)`` validates its six bounds.  The results of :func:`close` and
+:func:`intersect` skip that check (see :func:`_unchecked`): each of their
+bounds is a max, min, sum or difference of already validated bounds of the
+same kind, so it is again an int or the matching infinity.
 """
 
 from __future__ import annotations
@@ -72,6 +82,17 @@ class Region:
     hi_d: object = POS_INF
 
     def __post_init__(self):
+        # Fast path for plain ints and this module's sentinels; anything else
+        # goes through the full checks, which alone decide what is rejected.
+        if (
+            (type(self.lo_x) is int or self.lo_x is NEG_INF)
+            and (type(self.lo_y) is int or self.lo_y is NEG_INF)
+            and (type(self.lo_d) is int or self.lo_d is NEG_INF)
+            and (type(self.hi_x) is int or self.hi_x is POS_INF)
+            and (type(self.hi_y) is int or self.hi_y is POS_INF)
+            and (type(self.hi_d) is int or self.hi_d is POS_INF)
+        ):
+            return
         _check_lower(self.lo_x, "lo_x")
         _check_lower(self.lo_y, "lo_y")
         _check_lower(self.lo_d, "lo_d")
@@ -94,6 +115,31 @@ class Region:
 RegionLike = "Region | _EmptyRegion"
 
 FULL = Region()
+
+_new_object = object.__new__
+
+
+def _unchecked(lo_x, hi_x, lo_y, hi_y, lo_d, hi_d) -> Region:
+    """A Region built without ``__post_init__``; only for :func:`close` and
+    :func:`intersect`.
+
+    Safe because every bound they pass is a max, min, sum or difference of
+    bounds of validated regions, of the matching kind: a max or min of two
+    lower (upper) bounds, or a lower (upper) bound plus another lower (upper)
+    bound, or minus an upper (lower) one.  Ints stay ints, and an infinity
+    can only come from an infinity of the same sign, so lower bounds stay an
+    int or -inf and upper bounds an int or +inf.  The result equals, and
+    hashes like, ``Region(*bounds)``.
+    """
+    r = _new_object(Region)
+    d = r.__dict__
+    d["lo_x"] = lo_x
+    d["hi_x"] = hi_x
+    d["lo_y"] = lo_y
+    d["hi_y"] = hi_y
+    d["lo_d"] = lo_d
+    d["hi_d"] = hi_d
+    return r
 
 
 def box(lo_x, hi_x, lo_y, hi_y) -> Region:
@@ -142,7 +188,7 @@ def close(r):
     nhi_d = min(hi_d, hi_x - lo_y)
     if nlo_x > nhi_x or nlo_y > nhi_y or nlo_d > nhi_d:
         return EMPTY
-    return Region(nlo_x, nhi_x, nlo_y, nhi_y, nlo_d, nhi_d)
+    return _unchecked(nlo_x, nhi_x, nlo_y, nhi_y, nlo_d, nhi_d)
 
 
 def is_finite(r) -> bool:
@@ -165,14 +211,38 @@ def intersect(a, b):
     if a is EMPTY or b is EMPTY:
         return EMPTY
     return close(
-        Region(
-            lo_x=max(a.lo_x, b.lo_x),
-            hi_x=min(a.hi_x, b.hi_x),
-            lo_y=max(a.lo_y, b.lo_y),
-            hi_y=min(a.hi_y, b.hi_y),
-            lo_d=max(a.lo_d, b.lo_d),
-            hi_d=min(a.hi_d, b.hi_d),
+        _unchecked(
+            max(a.lo_x, b.lo_x),
+            min(a.hi_x, b.hi_x),
+            max(a.lo_y, b.lo_y),
+            min(a.hi_y, b.hi_y),
+            max(a.lo_d, b.lo_d),
+            min(a.hi_d, b.hi_d),
         )
+    )
+
+
+def contains(outer, inner) -> bool:
+    """True iff the denotation of inner is a subset of that of outer.
+
+    Closes inner once and compares its six bounds with outer's.  Exact: each
+    bound of a closed integer difference-bound region is attained by an
+    integer point of it, so a closed bound beyond outer's names a point of
+    inner outside outer.  An EMPTY inner is contained in everything; an EMPTY
+    outer contains only an empty inner.
+    """
+    c = close(inner)
+    if c is EMPTY:
+        return True
+    if outer is EMPTY:
+        return False
+    return (
+        outer.lo_x <= c.lo_x
+        and c.hi_x <= outer.hi_x
+        and outer.lo_y <= c.lo_y
+        and c.hi_y <= outer.hi_y
+        and outer.lo_d <= c.lo_d
+        and c.hi_d <= outer.hi_d
     )
 
 

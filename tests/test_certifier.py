@@ -7,6 +7,7 @@ import pytest
 
 from kgcert import functors as F
 from kgcert import model as M
+from kgcert import regions as R
 from kgcert import certifier as C
 from kgcert.certifier import (
     KIND_B_INF,
@@ -33,10 +34,10 @@ from kgcert.errors import (
     WrongFamily,
 )
 from kgcert.functors import FpFunctor, Subfunctor, Window
-from kgcert.model import ArrowMorphism, VertexId, ZERO
+from kgcert.model import ArrowMorphism, VertexId, ZERO, ZeroMorphism
 from kgcert.presentation import validate_triple
 
-from conftest import INFINITE_TRIPLES
+from conftest import ACCEPTANCE_TRIPLES, INFINITE_TRIPLES
 
 
 def V(fam, orbit, a, b):
@@ -422,6 +423,132 @@ def test_tower_step_memo_cannot_leak_a_pass(t231, monkeypatch):
         assert len(bad_calls) == 1  # the failing step ran once, then came from the memo
 
 
+# -- factorisation through a generator -----------------------------------------------
+
+
+def factors_region_by_subtraction(s, split_region, gen, entry):
+    """The factorisation check as it was before the closed-form containment:
+    the split region minus the allowed fan region of the generator's target
+    (and minus the target point, reached through its identity) is empty."""
+    if R.close(split_region) is R.EMPTY:
+        return True
+    if isinstance(gen, ZeroMorphism):
+        return False
+    T = gen.dst
+    phi_deg = entry.degree - gen.degree
+    if phi_deg < 0:
+        return False
+    allowed = R.EMPTY
+    for eT in M.arrow_fan(s.t, T).entries:
+        if (eT.family, eT.orbit, eT.degree) == (entry.family, entry.orbit, phi_deg):
+            allowed = eT.region
+            break
+    leftover = R.subtract(split_region, allowed)
+    if phi_deg == 0 and (entry.family, entry.orbit) == (T.family, T.orbit):
+        leftover = R.regionset_subtract(leftover, R.point(*T.coord))
+    return leftover.is_empty()
+
+
+def _random_split(rng, entry, top, aux):
+    """A split region near the top: one the case analysis uses, or a random
+    meet of the fan region with bounds around the top, closed or not."""
+    a, b = top.coord
+    real = [
+        R.Region(lo_x=a + 1),
+        R.Region(lo_y=a + 1),
+        R.Region(lo_y=b + 1),
+        R.Region(lo_x=a, hi_x=a, lo_y=aux),
+        R.Region(lo_y=a, hi_y=a, lo_x=aux),
+        R.Region(lo_y=b, hi_y=b, lo_x=aux),
+        R.FULL,
+    ]
+    if rng.random() < 0.4:
+        return R.intersect(entry.region, rng.choice(real))
+
+    def near(c):
+        return c + rng.randint(-3, 3) if rng.random() < 0.5 else None
+
+    bounds = {}
+    for slot, centre in (("x", a), ("y", b), ("d", a - b)):
+        lo, hi = near(centre), near(centre)
+        if lo is not None:
+            bounds["lo_" + slot] = lo
+        if hi is not None:
+            bounds["hi_" + slot] = hi
+    split = R.Region(**bounds)
+    if rng.random() < 0.5:
+        e = entry.region
+        split = R.Region(
+            lo_x=max(split.lo_x, e.lo_x),
+            hi_x=min(split.hi_x, e.hi_x),
+            lo_y=max(split.lo_y, e.lo_y),
+            hi_y=min(split.hi_y, e.hi_y),
+            lo_d=max(split.lo_d, e.lo_d),
+            hi_d=min(split.hi_d, e.hi_d),
+        )
+    return split
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+def test_factors_region_matches_subtraction(r, n, m):
+    """The closed-form factorisation check agrees with the subtract-only one
+    on random split regions, real fan entries and real generators, plus the
+    zero morphism."""
+    t = validate_triple(r, n, m)
+    s = C._Session(t, W5, 2)
+    rng = random.Random(f"factors-{r}-{n}-{m}")
+    kinds = C._FINITE_KINDS if t.is_finite_mode else (KIND_B_INF,)
+    verts = s.eng.vertices()
+    seen = set()
+    for _ in range(1500):
+        kind = rng.choice(kinds)
+        v = rng.choice([v for v in verts if v.family == C._kind_family(kind)])
+        aux = rng.choice(C._sample_aux(kind, t, v.orbit, v.coord))
+        fp = C.instance_functor(t, Simple1Instance(kind, v.orbit, v.coord, aux))
+        gen = rng.choice(fp.denominators.generators + (ZERO,))
+        entry = rng.choice(M.arrow_fan(t, fp.top).entries)
+        split = _random_split(rng, entry, fp.top, aux)
+        got = s._factors_region(split, gen, entry)
+        assert got == factors_region_by_subtraction(s, split, gen, entry), (split, gen, entry)
+        point_case = (
+            not isinstance(gen, ZeroMorphism)
+            and entry.degree == gen.degree
+            and (entry.family, entry.orbit) == (gen.dst.family, gen.dst.orbit)
+        )
+        seen.add((got, point_case, isinstance(gen, ZeroMorphism)))
+    assert {(True, True, False), (False, True, False)} <= seen  # identity-point case
+    assert {(True, False, False), (False, False, False)} <= seen
+    assert (False, False, True) in seen  # a zero generator absorbs nothing
+
+
+def test_factors_region_point_case_reaches_target_through_identity(t120, monkeypatch):
+    """When the target's own point is not in its degree-0 fan region, an
+    arrow onto that point still factors: through the target's identity."""
+    s = C._Session(t120, W5, 2)
+    top = V("X", 0, 0, 1)
+    gen = ArrowMorphism(top, V("X", 0, 1, 1), 0)
+    entry = next(e for e in M.arrow_fan(t120, top).entries if e.degree == 0)
+    real_fan = M.arrow_fan
+
+    def fan_without_source_column(t, v):
+        fan = real_fan(t, v)
+        if v != gen.dst:
+            return fan
+        entries = tuple(
+            e._replace(region=R.intersect(e.region, R.Region(lo_x=v.coord[0] + 1)))
+            if (e.family, e.orbit, e.degree) == (v.family, v.orbit, 0)
+            else e
+            for e in fan.entries
+        )
+        return M.ArrowFan(v, entries)
+
+    monkeypatch.setattr(M, "arrow_fan", fan_without_source_column)
+    cases = [(R.point(1, 1), True), (R.box(1, 1, 1, 2), False), (R.box(1, 2, 1, 1), False)]
+    for split, want in cases:
+        assert s._factors_region(split, gen, entry) is want
+        assert factors_region_by_subtraction(s, split, gen, entry) is want
+
+
 # -- certificates ------------------------------------------------------------------------
 
 
@@ -436,6 +563,15 @@ def test_certify_two_orbits_with_tail():
     # r > 1 and m > 0 together: tail-shifted index sets on the zeroth orbit
     cert = certify(validate_triple(2, 3, 1), W6, 4)
     assert cert.kg == 2 and cert.verdict == "pass"
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_certify_rejects_depth_below_one(depth):
+    """No tower step or chain point is checked below depth 1, so no
+    certificate may be issued."""
+    for triple in [(1, 1, 0), (1, 2, 0)]:
+        with pytest.raises(ParameterRange, match="depth"):
+            certify(validate_triple(*triple), Window(-2, 2, -2, 2), depth)
 
 
 def test_certificate_schema_and_determinism():

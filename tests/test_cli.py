@@ -232,3 +232,25 @@ def test_certify_command_json_roundtrip(tmp_path, capsys):
     disk = out_path.read_text().strip()
     assert json.dumps(json.loads(disk), indent=2, sort_keys=True) == disk
     assert json.loads(disk) == data
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_certify_depth_below_one_usage_error(capsys, depth):
+    for triple in (["1", "1", "0"], ["1", "2", "0"]):
+        r, n, m = triple
+        code, out, err = run(
+            capsys,
+            "certify", "--r", r, "--n", n, "--m", m,
+            "--depth", depth, "--window", "-2", "2", "-2", "2",
+        )
+        assert code == 2 and out == ""
+        assert "depth must be >= 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["certify", "ar-export"])
+def test_degenerate_window_usage_error(capsys, command):
+    code, out, err = run(
+        capsys, command, "--r", "1", "--n", "1", "--m", "0", "--window", "1", "0", "0", "0"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "degenerate window" in err

@@ -1,5 +1,5 @@
-"""Engine-vs-pointwise equivalence, the uint8 reference engine, degree
-checks and backend parity."""
+"""Engine-vs-pointwise equivalence, the uint8 reference engine and degree
+checks."""
 
 import random
 
@@ -92,7 +92,7 @@ def ref_cube(eng, v):
         for e in M.arrow_fan(eng.t, v).entries
     ]
     rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), 9)
-    return _kernels.fan_cube_numpy(eng.xs, eng.ys, rows, eng.nchan)
+    return _kernels.fan_cube(eng.xs, eng.ys, rows, eng.nchan)
 
 
 def ref_basis_cube(eng, v):
@@ -210,73 +210,3 @@ def test_out_of_range_degree_is_rejected(triple, degree):
         F.ses_check(t, Subfunctor(top, (good,)), Subfunctor(top, (bad,)), rep, W)
     with pytest.raises(ValueError, match="degree"):
         F.image_presentation_check(t, bad, F.representable(t, bad.dst), W)
-
-
-def test_backends_agree_on_fan_cube():
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba backend not available")
-    rng = np.random.default_rng(0)
-    xs = np.arange(-6, 7, dtype=np.int64)
-    ys = np.arange(-5, 8, dtype=np.int64)
-    rows = []
-    for _ in range(40):
-        lo_x, hi_x = sorted(rng.integers(-8, 8, 2).tolist())
-        lo_y, hi_y = sorted(rng.integers(-8, 8, 2).tolist())
-        rows.append(
-            (
-                int(rng.integers(0, 5)),
-                1 << int(rng.integers(1, 4)),
-                lo_x,
-                hi_x,
-                lo_y,
-                hi_y,
-                int(rng.integers(0, 2)),
-                int(rng.integers(-6, 6)),
-                int(rng.integers(-6, 6)),
-            )
-        )
-    rows = np.asarray(rows, dtype=np.int64)
-    a = _kernels.fan_cube_numpy(xs, ys, rows, 5)
-    b = _kernels.fan_cube_numba(xs, ys, rows, 5)
-    assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("r,n,m", [(1, 2, 0), (1, 1, 0)])
-def test_backends_agree_on_associativity(r, n, m):
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba backend not available")
-    t = validate_triple(r, n, m)
-    eng = WindowEngine(t, (-2, 2, -2, 2))
-    verts = eng.vertices()
-    nv = len(verts)
-    ebits = np.zeros((nv, nv), dtype=np.uint8)
-    for i, v in enumerate(verts):
-        for j, w in enumerate(verts):
-            for d in range(t.max_degree + 1):
-                if M.arrow_exists(t, v, w, d):
-                    ebits[i, j] |= 1 << (d + 1)
-    srcs, dsts, degs = [], [], []
-    for i in range(nv):
-        for j in range(nv):
-            for d in range(t.max_degree + 1):
-                if ebits[i, j] & (1 << (d + 1)):
-                    srcs.append(i)
-                    dsts.append(j)
-                    degs.append(d)
-    srcs = np.asarray(srcs, dtype=np.int64)
-    dsts = np.asarray(dsts, dtype=np.int64)
-    degs = np.asarray(degs, dtype=np.int64)
-    indptr = np.zeros(nv + 1, dtype=np.int64)
-    np.add.at(indptr, srcs + 1, 1)
-    indptr = np.cumsum(indptr)
-    a = _kernels.assoc_violation_numpy(ebits, srcs, dsts, degs, indptr, t.max_degree)
-    b = _kernels.assoc_violation_numba(ebits, srcs, dsts, degs, indptr, t.max_degree)
-    assert a is None and b is None
-
-
-def test_backend_flag_is_reported():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    if _kernels.BACKEND == "numba":
-        assert _kernels.fan_cube is _kernels.fan_cube_numba
-    else:
-        assert _kernels.fan_cube is _kernels.fan_cube_numpy

@@ -5,9 +5,10 @@ import pytest
 from kgcert import model as M
 from kgcert import regions as R
 from kgcert.engine import WindowEngine
+from kgcert.certifier import Simple1Instance
 from kgcert.errors import InvalidVertex, NotComposable
-from kgcert.model import ArrowMorphism, IdentityMorphism, VertexId, ZERO
-from kgcert.presentation import validate_triple
+from kgcert.model import ArrowMorphism, FanEntry, IdentityMorphism, VertexId, ZERO
+from kgcert.presentation import GentleTriple, validate_triple
 
 from conftest import ACCEPTANCE_TRIPLES
 
@@ -185,3 +186,92 @@ def test_associativity_multi_orbit(r, n, m):
     t = validate_triple(r, n, m)
     eng = WindowEngine(t, (-3, 3, -3, 3))
     assert eng.associativity_scan() is None
+
+
+# -- value types -----------------------------------------------------------------------
+
+_X12 = VertexId("X", 0, (1, 2))
+_Z15 = VertexId("Z", 0, (1, 5))
+
+# (value, a second value built from equal fields, field names, repr, str)
+VALUE_CASES = [
+    (
+        _X12,
+        VertexId("X", 0, (1, 2)),
+        ("family", "orbit", "coord"),
+        "VertexId(family='X', orbit=0, coord=(1, 2))",
+        "X:0:(1,2)",
+    ),
+    (
+        IdentityMorphism(_X12),
+        IdentityMorphism(VertexId("X", 0, (1, 2))),
+        ("vertex",),
+        "IdentityMorphism(vertex=VertexId(family='X', orbit=0, coord=(1, 2)))",
+        "id@X:0:(1,2)",
+    ),
+    (
+        ArrowMorphism(_X12, _Z15, 1),
+        ArrowMorphism(VertexId("X", 0, (1, 2)), VertexId("Z", 0, (1, 5)), 1),
+        ("src", "dst", "degree"),
+        "ArrowMorphism(src=VertexId(family='X', orbit=0, coord=(1, 2)),"
+        " dst=VertexId(family='Z', orbit=0, coord=(1, 5)), degree=1)",
+        "X:0:(1,2)->Z:0:(1,5)@1",
+    ),
+    (
+        FanEntry("Z", 0, 1, R.box(0, 1, R.NEG_INF, R.POS_INF)),
+        FanEntry("Z", 0, 1, R.box(0, 1, R.NEG_INF, R.POS_INF), False),
+        ("family", "orbit", "degree", "region", "excludes_src"),
+        "FanEntry(family='Z', orbit=0, degree=1,"
+        " region=Region(x=[0,1], y=[-inf,inf], d=[-inf,inf]), excludes_src=False)",
+        "FanEntry(family='Z', orbit=0, degree=1,"
+        " region=Region(x=[0,1], y=[-inf,inf], d=[-inf,inf]), excludes_src=False)",
+    ),
+    (
+        Simple1Instance("B'", 0, (1, 2), 0),
+        Simple1Instance("B'", 0, (1, 2), 0),
+        ("kind", "orbit", "coord", "aux"),
+        "Simple1Instance(kind=\"B'\", orbit=0, coord=(1, 2), aux=0)",
+        "Simple1Instance(kind=\"B'\", orbit=0, coord=(1, 2), aux=0)",
+    ),
+    (
+        GentleTriple(1, 2, 0),
+        validate_triple(1, 2, 0),
+        ("r", "n", "m"),
+        "GentleTriple(r=1, n=2, m=0)",
+        "(1,2,0)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "value,twin,fields,rep,text", VALUE_CASES, ids=[type(c[0]).__name__ for c in VALUE_CASES]
+)
+def test_value_type_contract(value, twin, fields, rep, text):
+    """Field names and order, immutability, equality with equal hashes, and
+    the printed forms."""
+    assert type(value)._fields == fields
+    assert [getattr(value, f) for f in fields] == list(value)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, f, None)
+    assert value == twin and hash(value) == hash(twin) and value is not twin
+    assert repr(value) == rep
+    assert str(value) == text
+
+
+def test_fan_entry_default_keeps_source():
+    e = FanEntry("X", 0, 0, R.FULL)
+    assert e.excludes_src is False
+    assert e != FanEntry("X", 0, 0, R.FULL, True)
+
+
+def test_values_of_different_model_classes_never_compare_equal():
+    ident = IdentityMorphism(_X12)
+    loop = ArrowMorphism(_X12, _X12, 0)
+    inst = Simple1Instance("X", 0, (1, 2), 0)
+    values = [_X12, ident, loop, ZERO, inst, GentleTriple(1, 2, 0)]
+    for i, a in enumerate(values):
+        for b in values[i + 1:]:
+            assert a != b and b != a, (a, b)
+    assert len(set(values)) == len(values)
+    assert ZERO != ()

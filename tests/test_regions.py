@@ -1,5 +1,8 @@
 """Region algebra: worked examples plus randomized brute-force oracles."""
 
+import math
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -262,6 +265,115 @@ def test_close_three_cycle_emptiness():
     assert R.close(Region(lo_x=0, hi_x=1, lo_d=3)) is not EMPTY
     assert R.close(Region(lo_y=0, hi_y=1, lo_d=3)) is not EMPTY
     assert R.close(reg) is EMPTY
+
+
+# -- validation, unchecked results and containment ---------------------------------
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"lo_x": True}, "lo_x must be an integer or -inf, got True"),
+        ({"hi_y": 1.0}, "hi_y must be an integer or +inf, got 1.0"),
+        ({"lo_d": POS_INF}, "lo_d must be an integer or -inf, got inf"),
+        ({"hi_x": NEG_INF}, "hi_x must be an integer or +inf, got -inf"),
+        ({"lo_y": "0"}, "lo_y must be an integer or -inf, got '0'"),
+        ({"hi_d": None}, "hi_d must be an integer or +inf, got None"),
+    ],
+)
+def test_region_rejects_bad_bounds(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Region(**kwargs)
+
+
+def test_region_accepts_other_infinities_and_int_subclasses():
+    r = Region(lo_x=-math.inf, hi_x=_Int(3), lo_y=_Int(-2), hi_y=math.inf, hi_d=0)
+    assert r == Region(hi_x=3, lo_y=-2, hi_d=0)
+
+
+any_regions = st.one_of(random_regions, consistent_regions)
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_regions, any_regions)
+def test_close_and_intersect_results_revalidate(a, b):
+    """close and intersect build their results unchecked; each must equal,
+    and hash like, the validated Region with the same bounds."""
+    for got in (R.close(a), R.intersect(a, b)):
+        if got is EMPTY:
+            continue
+        bounds = (got.lo_x, got.hi_x, got.lo_y, got.hi_y, got.lo_d, got.hi_d)
+        again = Region(*bounds)
+        assert type(got) is Region
+        assert again == got and hash(again) == hash(got)
+
+
+def _subtract_contains(outer, inner):
+    return R.subtract(inner, outer).is_empty()
+
+
+THREE_CYCLE_EMPTY = Region(lo_x=0, hi_x=1, lo_y=0, hi_y=1, lo_d=3)
+
+
+_SLOTS = ("lo_x", "hi_x", "lo_y", "hi_y", "lo_d", "hi_d")
+
+
+def _inner_region(outer, other, mode):
+    """other itself ("free"); its closed meet with outer ("nested"); or, for
+    a slot name, the unclosed bound-wise meet with that one bound of outer
+    left out, so that only closure can show whether the bound still holds."""
+    if mode == "free":
+        return other
+    if mode == "nested":
+        return R.intersect(outer, other)
+    if outer is EMPTY or other is EMPTY:
+        return other
+    bounds = {}
+    for slot in _SLOTS:
+        pick = max if slot.startswith("lo") else min
+        bounds[slot] = pick(getattr(outer, slot), getattr(other, slot))
+    bounds[mode] = getattr(other, mode)
+    return Region(**bounds)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.one_of(any_regions, st.just(EMPTY)),
+    st.one_of(any_regions, st.just(EMPTY)),
+    st.sampled_from(("free", "nested") + _SLOTS),
+)
+@example(EMPTY, EMPTY, "free")
+@example(EMPTY, THREE_CYCLE_EMPTY, "free")
+@example(EMPTY, R.point(0, 0), "free")
+@example(R.point(0, 0), THREE_CYCLE_EMPTY, "free")
+@example(R.FULL, EMPTY, "free")
+@example(Region(hi_d=2), R.box(0, 2, 0, POS_INF), "free")  # closed hi_d is 2
+@example(Region(hi_d=1), R.box(0, 2, 0, POS_INF), "free")  # (2, 0) is outside
+@example(R.box(NEG_INF, 2, NEG_INF, 2), Region(lo_x=0, hi_y=2, hi_d=0), "free")  # x <= y <= 2
+@example(Region(lo_d=0), Region(lo_x=5, hi_y=5), "free")
+@example(R.box(0, POS_INF, NEG_INF, 5), Region(lo_x=1, hi_y=5, lo_d=2), "nested")
+def test_contains_matches_subtract(outer, other, mode):
+    """contains(o, i) is subtract(i, o).is_empty(), with infinite bounds,
+    EMPTY on either side and regions empty only through a three-cycle."""
+    inner = _inner_region(outer, other, mode)
+    got = R.contains(outer, inner)
+    assert got == _subtract_contains(outer, inner)
+    if mode == "nested":
+        assert got
+
+
+def test_contains_cases():
+    assert R.contains(EMPTY, EMPTY)
+    assert R.contains(EMPTY, THREE_CYCLE_EMPTY)
+    assert not R.contains(EMPTY, R.FULL)
+    assert R.contains(R.FULL, R.FULL)
+    assert not R.contains(R.box(0, 5, 0, 5), R.FULL)
+    # inner's raw x bound is 10, its closed one 2
+    assert R.contains(R.box(0, 2, NEG_INF, 2), Region(lo_x=0, hi_x=10, hi_y=2, hi_d=0))
 
 
 @settings(max_examples=150, deadline=None)
