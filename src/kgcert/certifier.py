@@ -275,35 +275,25 @@ class _Session:
         """True iff every basis arrow from the top into split_region (within
         the fan entry's channel and degree) factors through gen.
 
-        Symbolic: the residual arrow out of gen's target must exist, i.e. the
-        split region must be contained in the matching fan region of the
-        target (plus the target point itself, reached through the identity).
+        Symbolic: the residual arrow out of gen's target T must exist, i.e.
+        the split region must be contained in the matching fan region of T.
+        T's own point is reached through its identity rather than a basis
+        arrow, and it always lies in T's own degree-0 fan region (T is a
+        valid vertex), so one closed-form containment decides the check.
         Monomial uniqueness then forces the composite to equal the arrow.
-        Decided by one closed-form containment in the fan region.  Only when
-        that fails and the target point is allowed too (degree 0 into T's own
-        channel) is the residual computed by subtraction, because the fan
-        region plus that point is not one region.
         """
-        if regions.close(split_region) is regions.EMPTY:
-            return True
         if isinstance(gen, ZeroMorphism):
-            return False
+            return regions.close(split_region) is regions.EMPTY
         T = gen.dst
         phi_deg = entry.degree - gen.degree
         if phi_deg < 0:
-            return False
+            return regions.close(split_region) is regions.EMPTY
         allowed = regions.EMPTY
         for eT in model.arrow_fan(self.t, T).entries:
             if (eT.family, eT.orbit, eT.degree) == (entry.family, entry.orbit, phi_deg):
                 allowed = eT.region
                 break
-        if regions.contains(allowed, split_region):
-            return True
-        if phi_deg == 0 and (entry.family, entry.orbit) == (T.family, T.orbit):
-            leftover = regions.subtract(split_region, allowed)
-            leftover = regions.regionset_subtract(leftover, regions.point(*T.coord))
-            return leftover.is_empty()
-        return False
+        return regions.contains(allowed, split_region)
 
     def _chain_targets(self, line_region, window_region, cap_anchor=None, cap=None):
         """Window points of a one-dimensional chain region, optionally capped

@@ -82,17 +82,6 @@ class Region:
     hi_d: object = POS_INF
 
     def __post_init__(self):
-        # Fast path for plain ints and this module's sentinels; anything else
-        # goes through the full checks, which alone decide what is rejected.
-        if (
-            (type(self.lo_x) is int or self.lo_x is NEG_INF)
-            and (type(self.lo_y) is int or self.lo_y is NEG_INF)
-            and (type(self.lo_d) is int or self.lo_d is NEG_INF)
-            and (type(self.hi_x) is int or self.hi_x is POS_INF)
-            and (type(self.hi_y) is int or self.hi_y is POS_INF)
-            and (type(self.hi_d) is int or self.hi_d is POS_INF)
-        ):
-            return
         _check_lower(self.lo_x, "lo_x")
         _check_lower(self.lo_y, "lo_y")
         _check_lower(self.lo_d, "lo_d")

@@ -521,34 +521,6 @@ def test_factors_region_matches_subtraction(r, n, m):
     assert (False, False, True) in seen  # a zero generator absorbs nothing
 
 
-def test_factors_region_point_case_reaches_target_through_identity(t120, monkeypatch):
-    """When the target's own point is not in its degree-0 fan region, an
-    arrow onto that point still factors: through the target's identity."""
-    s = C._Session(t120, W5, 2)
-    top = V("X", 0, 0, 1)
-    gen = ArrowMorphism(top, V("X", 0, 1, 1), 0)
-    entry = next(e for e in M.arrow_fan(t120, top).entries if e.degree == 0)
-    real_fan = M.arrow_fan
-
-    def fan_without_source_column(t, v):
-        fan = real_fan(t, v)
-        if v != gen.dst:
-            return fan
-        entries = tuple(
-            e._replace(region=R.intersect(e.region, R.Region(lo_x=v.coord[0] + 1)))
-            if (e.family, e.orbit, e.degree) == (v.family, v.orbit, 0)
-            else e
-            for e in fan.entries
-        )
-        return M.ArrowFan(v, entries)
-
-    monkeypatch.setattr(M, "arrow_fan", fan_without_source_column)
-    cases = [(R.point(1, 1), True), (R.box(1, 1, 1, 2), False), (R.box(1, 2, 1, 1), False)]
-    for split, want in cases:
-        assert s._factors_region(split, gen, entry) is want
-        assert factors_region_by_subtraction(s, split, gen, entry) is want
-
-
 # -- certificates ------------------------------------------------------------------------
 
 

@@ -73,6 +73,22 @@ def test_fan_channels_unique(r, n, m):
         assert len(keys) == len(set(keys))
 
 
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+def test_source_point_lies_in_own_degree0_fan_region(r, n, m):
+    """Every vertex has a degree-0 entry into its own channel, marked
+    excludes_src, whose region holds the vertex's own point: the region plus
+    the identity is that one region, which the certifier's factorisation
+    check relies on."""
+    t = validate_triple(r, n, m)
+    for v in M.vertices_in_box(t, -4, 4, -4, 4):
+        own = [
+            e for e in M.arrow_fan(t, v).entries
+            if (e.family, e.orbit, e.degree) == (v.family, v.orbit, 0)
+        ]
+        assert len(own) == 1 and own[0].excludes_src
+        assert R.member(own[0].region, v.coord)
+
+
 # -- arrow existence and hom bases -------------------------------------------------
 
 
