@@ -288,12 +288,8 @@ class _Session:
         phi_deg = entry.degree - gen.degree
         if phi_deg < 0:
             return regions.close(split_region) is regions.EMPTY
-        allowed = regions.EMPTY
-        for eT in model.arrow_fan(self.t, T).entries:
-            if (eT.family, eT.orbit, eT.degree) == (entry.family, entry.orbit, phi_deg):
-                allowed = eT.region
-                break
-        return regions.contains(allowed, split_region)
+        eT = model.arrow_fan(self.t, T).channels.get((entry.family, entry.orbit, phi_deg))
+        return regions.contains(regions.EMPTY if eT is None else eT.region, split_region)
 
     def _chain_targets(self, line_region, window_region, cap_anchor=None, cap=None):
         """Window points of a one-dimensional chain region, optionally capped
@@ -364,10 +360,7 @@ class _Session:
         a, b = top.coord
         wreg = self.window.region()
         dgens = F.denominators.generators
-        entries = {
-            (e.family, e.orbit, e.degree): e
-            for e in model.arrow_fan(t, top).entries
-        }
+        entries = model.arrow_fan(t, top).channels
         kind = inst.kind
         R = t.orbit_count
         nxt = (inst.orbit + 1) % R
@@ -714,10 +707,7 @@ class _Session:
         dlast = _delta(i, R - 1)
         wreg = self.window.region()
         L = self.depth if tower_len is None else tower_len
-        entries = {
-            (e.family, e.orbit, e.degree): e
-            for e in model.arrow_fan(t, v).entries
-        }
+        entries = model.arrow_fan(t, v).channels
         # Case: degree-0 targets, induction on c+d with C-layer quotients.
         e0 = entries[(FAMILY_Z, i, 0)]
         for (c, d) in regions.enumerate_points(e0.region, wreg):

@@ -61,6 +61,16 @@ def parse_morphism(text: str):
     )
 
 
+def check_morphism(t: GentleTriple, k):
+    """k when it is zero or a basis morphism of the model; else a UsageError,
+    because a parsed arrow or identity need not exist in the model."""
+    if isinstance(k, ArrowMorphism) and not model.arrow_exists(t, k.src, k.dst, k.degree):
+        raise UsageError(f"no such arrow in the model: {k}")
+    if isinstance(k, IdentityMorphism) and not model.vertex_valid(t, k.vertex):
+        raise UsageError(f"not a vertex of the model: {k.vertex}")
+    return k
+
+
 def load_functor(t: GentleTriple, path: str) -> FpFunctor:
     try:
         with open(path) as fh:
@@ -71,7 +81,9 @@ def load_functor(t: GentleTriple, path: str) -> FpFunctor:
         raise UsageError(f"functor file {path} is not valid JSON: {exc}") from exc
     try:
         top = parse_vertex(data["top"])
-        gens = tuple(parse_morphism(g) for g in data.get("generators", []))
+        gens = tuple(
+            check_morphism(t, parse_morphism(g)) for g in data.get("generators", [])
+        )
     except KeyError as exc:
         raise UsageError(f"functor file {path} is missing key {exc}") from exc
     return FpFunctor(top, Subfunctor(top, gens))
@@ -185,8 +197,8 @@ def _run(args) -> int:
         print(json.dumps([str(k) for k in model.hom_basis(t, u, v)]))
         return 0
     if args.command == "compose":
-        f = parse_morphism(args.f)
-        g = parse_morphism(args.g)
+        f = check_morphism(t, parse_morphism(args.f))
+        g = check_morphism(t, parse_morphism(args.g))
         print(json.dumps(str(model.compose(t, g, f))))
         return 0
     if args.command == "fan":

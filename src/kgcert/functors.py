@@ -153,16 +153,13 @@ def _cover_regions(t: GentleTriple, top: VertexId, gens) -> dict:
             covers.setdefault("identity", []).append(regions.point(*top.coord))
             continue
         T, p = f.dst, f.degree
-        top_entries = {
-            (e.family, e.orbit, e.degree): e.region
-            for e in model.arrow_fan(t, top).entries
-        }
+        top_channels = model.arrow_fan(t, top).channels
         for eT in model.arrow_fan(t, T).entries:
             key = (eT.family, eT.orbit, eT.degree + p)
-            base = top_entries.get(key)
+            base = top_channels.get(key)
             if base is None:
                 continue
-            cover = regions.intersect(eT.region, base)
+            cover = regions.intersect(eT.region, base.region)
             if cover is not regions.EMPTY:
                 covers.setdefault(key, []).append(cover)
     return covers

@@ -25,11 +25,23 @@ plain tuples.  Values of two different classes among these, ``GentleTriple``
 and ``certifier.Simple1Instance`` never compare equal, because their field
 counts or field types differ.  The zero morphism stays a dataclass, so it
 equals no tuple.
+
+Every valid vertex has one cached fan record (``_fan_entries``) with three
+parts: the fan entries in a fixed order, a read-only
+``{(family, orbit, degree): FanEntry}`` mapping of the same entries, and the
+pair of sink maps ``ar_sink_maps`` returns.  The record is the only place
+that validates a source vertex; it is ``None`` for a non-vertex.
+``arrow_exists`` answers from the source's record with one lookup and one
+bound check, and does not validate ``dst``: every fan region of a valid
+source lies inside the index region of its target channel, so a point in it
+is a valid vertex, and an unknown family, orbit or degree misses the
+mapping.  ``tests/test_model.py::test_fan_targets_are_valid_vertices`` pins
+that containment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -101,6 +113,8 @@ class FanEntry(NamedTuple):
 class ArrowFan:
     src: VertexId
     entries: tuple
+    # Read-only {(family, orbit, degree): FanEntry}; derived from entries.
+    channels: MappingProxyType = field(compare=False, repr=False)
 
 
 def index_region(t: GentleTriple, family: str, orbit: int) -> Region:
@@ -137,58 +151,77 @@ def vertex_valid(t: GentleTriple, v: VertexId) -> bool:
     return reg is not None and regions.member(reg, v.coord)
 
 
+class _FanRecord(NamedTuple):
+    entries: tuple
+    channels: MappingProxyType
+    sinks: tuple
+
+
 @lru_cache(maxsize=65536)
-def _fan_entries(t: GentleTriple, v: VertexId) -> tuple:
+def _fan_entries(t: GentleTriple, v: VertexId) -> _FanRecord | None:
+    """The fan record of v, or None when v is not a vertex of the model."""
+    if not vertex_valid(t, v):
+        return None
     a, b = v.coord
     i = v.orbit
     m, n = t.m, t.n
     d0 = 1 if i == 0 else 0
+    R = t.r if t.is_finite_mode else t.n
+    dr = 1 if i == R - 1 else 0
+    nxt = (i + 1) % R
     if not t.is_finite_mode:
-        dn = 1 if i == t.n - 1 else 0
-        nxt = (i + 1) % t.n
-        return (
+        entries = (
             FanEntry(FAMILY_X, i, 0, regions.box(a, b + d0 * m, b, regions.POS_INF), True),
-            FanEntry(FAMILY_X, nxt, 1, regions.box(regions.NEG_INF, a + dn * m, a, b + d0 * m)),
+            FanEntry(FAMILY_X, nxt, 1, regions.box(regions.NEG_INF, a + dr * m, a, b + d0 * m)),
         )
-    dr = 1 if i == t.r - 1 else 0
-    nxt = (i + 1) % t.r
-    if v.family == FAMILY_X:
-        return (
+    elif v.family == FAMILY_X:
+        entries = (
             FanEntry(FAMILY_X, i, 0, regions.box(a, b + d0 * m, b, regions.POS_INF), True),
             FanEntry(FAMILY_Z, i, 1, regions.box(a, b + d0 * m, regions.NEG_INF, regions.POS_INF)),
             FanEntry(FAMILY_X, nxt, 2, regions.box(regions.NEG_INF, a + dr * m, a, b + d0 * m)),
         )
-    if v.family == FAMILY_Y:
-        return (
+    elif v.family == FAMILY_Y:
+        entries = (
             FanEntry(FAMILY_Y, i, 0, regions.box(a, b - d0 * n, b, regions.POS_INF), True),
             FanEntry(FAMILY_Z, i, 1, regions.box(regions.NEG_INF, regions.POS_INF, a, b - d0 * n)),
             FanEntry(FAMILY_Y, nxt, 2, regions.box(regions.NEG_INF, a - dr * n, a, b - d0 * n)),
         )
-    # Z family
-    return (
-        FanEntry(FAMILY_Z, i, 0, regions.box(a, regions.POS_INF, b, regions.POS_INF), True),
-        FanEntry(FAMILY_X, nxt, 1, regions.box(regions.NEG_INF, a + dr * m, a, regions.POS_INF)),
-        FanEntry(FAMILY_Y, nxt, 1, regions.box(regions.NEG_INF, b - dr * n, b, regions.POS_INF)),
-        FanEntry(FAMILY_Z, nxt, 2, regions.box(regions.NEG_INF, a + dr * m, regions.NEG_INF, b - dr * n)),
+    else:  # Z family
+        entries = (
+            FanEntry(FAMILY_Z, i, 0, regions.box(a, regions.POS_INF, b, regions.POS_INF), True),
+            FanEntry(FAMILY_X, nxt, 1, regions.box(regions.NEG_INF, a + dr * m, a, regions.POS_INF)),
+            FanEntry(FAMILY_Y, nxt, 1, regions.box(regions.NEG_INF, b - dr * n, b, regions.POS_INF)),
+            FanEntry(FAMILY_Z, nxt, 2, regions.box(regions.NEG_INF, a + dr * m, regions.NEG_INF, b - dr * n)),
+        )
+    channels = {(e.family, e.orbit, e.degree): e for e in entries}
+    # The sink targets are never v itself, so excludes_src cannot apply.
+    same = channels[(v.family, v.orbit, 0)].region
+    sinks = tuple(
+        ArrowMorphism(v, w, 0) if regions.member(same, w.coord) else ZERO
+        for w in (VertexId(v.family, i, (a + 1, b)), VertexId(v.family, i, (a, b + 1)))
     )
+    return _FanRecord(entries, MappingProxyType(channels), sinks)
 
 
 def arrow_fan(t: GentleTriple, v: VertexId) -> ArrowFan:
-    if not vertex_valid(t, v):
+    rec = _fan_entries(t, v)
+    if rec is None:
         raise InvalidVertex(f"not a vertex of the model: {v}")
-    return ArrowFan(v, _fan_entries(t, v))
+    return ArrowFan(v, rec.entries, rec.channels)
 
 
 def arrow_exists(t: GentleTriple, src: VertexId, dst: VertexId, degree: int) -> bool:
-    """True iff there is a (unique) basis arrow src -> dst of this degree."""
-    if not (vertex_valid(t, src) and vertex_valid(t, dst)):
+    """True iff there is a (unique) basis arrow src -> dst of this degree.
+
+    dst is not validated: see the module docstring.
+    """
+    rec = _fan_entries(t, src)
+    if rec is None:
         return False
-    for e in _fan_entries(t, src):
-        if e.family == dst.family and e.orbit == dst.orbit and e.degree == degree:
-            if e.excludes_src and dst == src:
-                return False
-            return regions.member(e.region, dst.coord)
-    return False
+    e = rec.channels.get((dst.family, dst.orbit, degree))
+    if e is None or (e.excludes_src and dst == src):
+        return False
+    return regions.member(e.region, dst.coord)
 
 
 def arrow_or_zero(t: GentleTriple, src: VertexId, dst: VertexId, degree: int):
@@ -262,14 +295,10 @@ def ar_sink_maps(t: GentleTriple, v: VertexId):
     the family's index set; the surviving pair generates the denominator of
     the simple quotient attached to v.
     """
-    if not vertex_valid(t, v):
+    rec = _fan_entries(t, v)
+    if rec is None:
         raise InvalidVertex(f"not a vertex of the model: {v}")
-    a, b = v.coord
-    out = []
-    for coord in ((a + 1, b), (a, b + 1)):
-        w = VertexId(v.family, v.orbit, coord)
-        out.append(arrow_or_zero(t, v, w, 0))
-    return tuple(out)
+    return rec.sinks
 
 
 def vertices_in_box(t: GentleTriple, x0: int, x1: int, y0: int, y1: int) -> list:

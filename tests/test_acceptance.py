@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole suite is also part of the default ``pytest`` run.
 """
 
+import hashlib
 import random
 import time
 
@@ -39,6 +40,18 @@ def report(name: str, ok: bool, detail: str = "") -> bool:
 # -- criterion 1: theorem values -------------------------------------------------
 
 
+# SHA-256 of each certificate's to_json_text() at [-8,8]^2, depth 8.  A change
+# meant to keep certificates byte-identical must leave these as they are.
+CERT_SHA256 = {
+    (1, 2, 0): "bbd57dd4f23d8acf0a67158b9f90696e98c294fa1d6758f0df18df3a251c9773",
+    (2, 3, 0): "86865e26d61f96193931613be53523b9512904dfc12c3833350e7713c5cb5a65",
+    (1, 3, 2): "88fb74de6cd6e125a05c3061fd281e30f1b023c7ac36c0fa3a8dd2611f0026a5",
+    (1, 1, 0): "84a6284608958f3c390e8f8cb40eb0480121685821829473fd2cd55396891719",
+    (2, 2, 0): "ae218c6a1f2963de11e57a6888896c391cf8792fe4ea6c5c2594f07a1da1d3ec",
+    (2, 2, 1): "65755d95a27e58ecd15dc648910ef03ec490b95aaf0269fa4701e316bb31461b",
+}
+
+
 def test_theorem_values():
     window = Window(-8, 8, -8, 8)
     ok = True
@@ -50,7 +63,9 @@ def test_theorem_values():
         cert = certify(t, window, 8)
         dt = time.time() - t0
         times.append(f"{t}:{dt:.1f}s")
+        digest = hashlib.sha256(cert.to_json_text().encode()).hexdigest()
         ok &= cert.kg == want_kg and cert.verdict == "pass" and dt < 30.0
+        ok &= digest == CERT_SHA256[(r, n, m)]
     assert report("theorem-values kg certification", ok, " ".join(times))
 
 

@@ -94,6 +94,47 @@ def test_compose_command(capsys):
     assert json.loads(out) == "X:0:(0,1)->Z:0:(0,5)@1"
 
 
+@pytest.mark.parametrize(
+    "f,g",
+    [
+        # the degree-0 self arrow is excluded: the identity is id@X:0:(0,1)
+        ("X:0:(0,1)->X:0:(0,1)@0", "X:0:(0,1)->X:0:(0,2)@0"),
+        ("X:0:(0,1)->X:0:(0,2)@0", "X:0:(0,2)->X:0:(0,1)@0"),  # g points down
+        ("id@Y:0:(0,1)", "zero"),  # Y:0:(0,1) is not a vertex
+        ("X:0:(0,1)->X:0:(0,2)@0", "X:0:(0,2)->X:1:(0,5)@0"),  # orbit out of range
+    ],
+)
+def test_compose_rejects_morphisms_not_in_model(capsys, f, g):
+    code, out, err = run(
+        capsys, "compose", "--r", "1", "--n", "2", "--m", "0", "--f", f, "--g", g
+    )
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_compose_accepts_zero_and_identity(capsys):
+    code, out, _ = run(
+        capsys,
+        "compose", "--r", "1", "--n", "2", "--m", "0",
+        "--f", "id@X:0:(0,1)", "--g", "zero",
+    )
+    assert code == 0 and json.loads(out) == "zero"
+
+
+@pytest.mark.parametrize("command", ["eval", "support", "inC0"])
+@pytest.mark.parametrize(
+    "gen", ["X:0:(0,1)->X:0:(0,1)@0", "id@Y:0:(0,1)", "X:0:(0,1)->X:0:(0,0)@0"]
+)
+def test_functor_file_rejects_morphisms_not_in_model(tmp_path, capsys, command, gen):
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps({"top": "X:0:(0,1)", "generators": [gen]}))
+    extra = ["--at", "X:0:(0,1)"] if command == "eval" else []
+    code, out, err = run(
+        capsys, command, "--r", "1", "--n", "2", "--m", "0",
+        "--functor", str(path), *extra,
+    )
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_fan_command(capsys):
     code, out, _ = run(
         capsys, "fan", "--r", "1", "--n", "2", "--m", "0", "--vertex", "X:0:(0,1)"

@@ -1,5 +1,7 @@
 """Vertices, arrow fans, hom bases, and the monomial composition rule."""
 
+import random
+
 import pytest
 
 from kgcert import model as M
@@ -48,14 +50,44 @@ def test_arrow_fan_x_vertex(t120):
     assert R.close(e2.region) == R.close(R.box(R.NEG_INF, 0, 0, 1))
 
 
-def test_arrow_fan_rejects_invalid_vertex(t120):
-    with pytest.raises(InvalidVertex):
-        M.arrow_fan(t120, V("Y", 0, 0, 1))
+def test_arrow_fan_rejects_invalid_vertex(t120, t110):
+    for t, v in [
+        (t120, V("Y", 0, 0, 1)),  # below its diagonal bound
+        (t120, V("X", 1, 0, 1)),  # orbit out of range
+        (t120, V("X", -1, 0, 1)),
+        (t110, V("Z", 0, 0, 0)),  # no Z family when r == n
+    ]:
+        with pytest.raises(InvalidVertex):
+            M.arrow_fan(t, v)
+        with pytest.raises(InvalidVertex):
+            M.ar_sink_maps(t, v)
+        a, b = v.coord
+        for d in range(-1, t.max_degree + 2):
+            for fam in "XYZ":
+                for dst in (v, V(fam, 0, a, b + 1), V(fam, v.orbit, a - 1, b + 1)):
+                    assert not M.arrow_exists(t, v, dst, d)
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+def test_fan_record_contract(r, n, m):
+    """The channel mapping indexes exactly the fan entries, is read-only
+    (the cached record is shared by every caller), and plays no part in
+    ArrowFan equality."""
+    t = validate_triple(r, n, m)
+    for v in M.vertices_in_box(t, -2, 2, -2, 2):
+        fan = M.arrow_fan(t, v)
+        assert fan.channels == {(e.family, e.orbit, e.degree): e for e in fan.entries}
+        with pytest.raises(TypeError):
+            fan.channels[(v.family, v.orbit, 0)] = fan.entries[-1]
+        bare = M.ArrowFan(v, fan.entries, {})
+        assert fan == bare and hash(fan) == hash(bare)
+        assert fan != M.ArrowFan(v, fan.entries[:-1], fan.channels)
 
 
 @pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
 def test_fan_targets_are_valid_vertices(r, n, m):
-    """Symbolically: every fan region sits inside the target index set."""
+    """Symbolically: every fan region sits inside the target index set.
+    arrow_exists relies on this to skip validating its target vertex."""
     t = validate_triple(r, n, m)
     for v in M.vertices_in_box(t, -3, 3, -3, 3):
         for e in M.arrow_fan(t, v).entries:
@@ -97,6 +129,85 @@ def test_arrow_exists_examples(t120):
     assert M.arrow_exists(t120, x01, V("X", 0, 0, 2), 0)
     assert not M.arrow_exists(t120, x01, x01, 0)  # self-target excluded
     assert M.arrow_exists(t120, x01, x01, 2)
+
+
+def _reference_arrow_exists(t, src, dst, degree):
+    """arrow_exists before the fan record: validate both endpoints, then scan
+    the source's fan."""
+    if not (M.vertex_valid(t, src) and M.vertex_valid(t, dst)):
+        return False
+    for e in M.arrow_fan(t, src).entries:
+        if e.family == dst.family and e.orbit == dst.orbit and e.degree == degree:
+            if e.excludes_src and dst == src:
+                return False
+            return R.member(e.region, dst.coord)
+    return False
+
+
+def _arrow_cases(t, seed, samples=10000):
+    """(src, dst, degree) triples: pinned edges, then seeded random ones.
+
+    Families X, Y and Z in every mode, orbits -1 .. R and degrees
+    -1 .. max_degree + 1 (the ends do not exist), dst == src at every
+    degree, and targets on and one step outside each diagonal bound."""
+    rng = random.Random(seed)
+    orbits = range(-1, t.orbit_count + 1)
+    degrees = range(-1, t.max_degree + 2)
+    pool = [
+        V(f, o, a, b)
+        for f in "XYZ"
+        for o in orbits
+        for a in range(-2, 3)
+        for b in range(-2, 3)
+    ]
+    cases = [(v, v, d) for v in pool for d in degrees]
+    for src in pool[::7]:
+        for f in "XYZ":
+            for o in orbits:
+                for a in range(-3, 4):
+                    # X is bounded by a <= b + m at orbit 0, Y by a + n <= b
+                    for b in {a - t.m, a - t.m - 1, a + t.n, a + t.n - 1, a, a - 1}:
+                        for d in degrees:
+                            cases.append((src, V(f, o, a, b), d))
+    valid = M.vertices_in_box(t, -2, 2, -2, 2)
+    for _ in range(samples):
+        src = rng.choice(valid if rng.random() < 0.75 else pool)
+        a, b = src.coord
+        # fan targets stay in the source's orbit or the next one
+        orbit = rng.choice((src.orbit, (src.orbit + 1) % t.orbit_count, rng.choice(orbits)))
+        family = rng.choice((src.family, *"XYZ"))
+        dst = V(family, orbit, a + rng.randint(-3, 3), b + rng.randint(-3, 3))
+        cases.append((src, dst, rng.choice(degrees)))
+    return cases
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+def test_arrow_lookup_matches_reference(r, n, m):
+    t = validate_triple(r, n, m)
+    found = 0
+    for src, dst, d in _arrow_cases(t, seed=r * 100 + n * 10 + m):
+        want = _reference_arrow_exists(t, src, dst, d)
+        assert M.arrow_exists(t, src, dst, d) == want, (src, dst, d)
+        assert M.arrow_or_zero(t, src, dst, d) == (ArrowMorphism(src, dst, d) if want else ZERO)
+        found += want
+    assert found > 100  # the cases reach into the fans, not only around them
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+def test_hom_basis_matches_reference(r, n, m):
+    t = validate_triple(r, n, m)
+    for u, v, _ in _arrow_cases(t, seed=r * 100 + n * 10 + m, samples=1000)[::5]:
+        if not (M.vertex_valid(t, u) and M.vertex_valid(t, v)):
+            with pytest.raises(InvalidVertex):
+                M.hom_basis(t, u, v)
+            continue
+        want = [IdentityMorphism(u)] if u == v else []
+        want += [
+            ArrowMorphism(u, v, d)
+            for d in range(t.max_degree + 1)
+            if _reference_arrow_exists(t, u, v, d)
+        ]
+        assert M.hom_basis(t, u, v) == want
 
 
 def test_hom_basis_examples(t120):
@@ -184,6 +295,17 @@ def test_ar_sink_maps_examples(t120):
     assert z == ZERO and arrow.dst.coord == (0, 1)
     z, arrow = M.ar_sink_maps(t120, V("Y", 0, 0, 2))
     assert z == ZERO and arrow.dst.coord == (0, 3)
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+def test_ar_sink_maps_match_arrow_or_zero(r, n, m):
+    t = validate_triple(r, n, m)
+    for v in M.vertices_in_box(t, -4, 4, -4, 4):
+        a, b = v.coord
+        assert M.ar_sink_maps(t, v) == (
+            M.arrow_or_zero(t, v, V(v.family, v.orbit, a + 1, b), 0),
+            M.arrow_or_zero(t, v, V(v.family, v.orbit, a, b + 1), 0),
+        )
 
 
 # -- associativity -------------------------------------------------------------------
