@@ -1,75 +1,56 @@
-"""Numpy kernels for the window sweep engine.
+"""The fan rasteriser of the window sweep engine.
 
-``fan_cube`` rasterises the arrow fan of one source vertex into a uint8
-cube, and ``assoc_violation`` searches the arrows of a window for a failure
-of associativity.  They are the engine's only numpy kernels; its other bit
-algebra runs on Python ints (see :mod:`kgcert.engine`).
+``fan_cube`` rasterises the arrow fan of one source vertex into a cube: one
+byte per window cell, bit 0 for the identity (never set here) and bit d+1
+for a degree-d arrow.  Byte ``(c*nx + ix)*ny + iy`` holds the cell of
+channel c at window point (ix, iy), the layout of a C-ordered uint8 array of
+shape (nchan, nx, ny) (see :mod:`kgcert.engine`).
 
-Data conventions: grids are uint8 bitmasks of shape (channels, nx, ny) with
-bit 0 marking the identity and bit d+1 a degree-d arrow.  Region rows are
-int64 ``(channel, bit, lo_x, hi_x, lo_y, hi_y, has_exclusion, ex, ey)`` with
-infinities clipped to +-2**62 (window coordinates are tiny so the clipped
-bounds are equivalent).  The engine converts each ``fan_cube`` grid to one
-Python int, once per source vertex, and does all further bit algebra on ints.
+Each row is ``(channel, bit, region, exclude)``: the fan entry's channel
+index, its degree bit, its region of target coordinates, and the source
+coordinate when the entry excludes its source (else None).  Fan regions are
+boxes: a region with a finite difference bound raises ``ValueError``,
+because a box rasteriser would cover it wrongly.
+
+A box clipped to the window is ``k`` consecutive x-rows of the same y-run.
+One run of ``len`` cells of ``bit`` is ``bit * ((1 << 8*len) - 1) // 255``;
+repeating it every ``8*ny`` bits is one more multiplication by the
+geometric series ``((1 << 8*ny*k) - 1) // ((1 << 8*ny) - 1)``, free of
+carries because the run is below ``2**(8*ny)``.  An exclusion clears the
+bit at the source cell when that cell lies in the clipped box.
+
+The result is the cube's little-endian bytes as a read-only ``memoryview``
+with ``nbytes == nchan*nx*ny``; the engine reads it back with
+``int.from_bytes(..., "little")``.  A buffer rather than an int, because the
+benchmark's tracer (``perfbench/tracer.py``) wraps this function, by module
+and name, and counts the bytes each call builds with ``.nbytes``.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from .regions import NEG_INF, POS_INF
 
 
-def fan_cube(xs, ys, rows, nchan):
-    """OR region-membership bitmasks into a (nchan, nx, ny) cube."""
-    out = np.zeros((nchan, xs.size, ys.size), dtype=np.uint8)
-    X = xs[:, None]
-    Y = ys[None, :]
-    for k in range(rows.shape[0]):
-        c, bit, lox, hix, loy, hiy, has_excl, ex, ey = rows[k]
-        mask = (X >= lox) & (X <= hix) & (Y >= loy) & (Y <= hiy)
-        if has_excl:
-            mask &= ~((X == ex) & (Y == ey))
-        out[c][mask] |= np.uint8(bit)
-    return out
-
-
-def assoc_violation(ebits, srcs, dsts, degs, indptr, max_degree):
-    """First associativity violation over all composable basis-arrow triples.
-
-    Returns (u, v, w, tvert, p, q, s) or None.  ebits[u, w] has bit d+1 set
-    iff an arrow u -> w of degree d exists.
-    """
-    nv = ebits.shape[0]
-    for v in range(nv):
-        into_v = np.nonzero(dsts == v)[0]
-        if into_v.size == 0:
+def fan_cube(x0: int, nx: int, y0: int, ny: int, nchan: int, rows) -> memoryview:
+    """OR the rows' bits over their regions, clipped to the window
+    [x0, x0+nx-1] x [y0, y0+ny-1], into a cube of nchan channels."""
+    row_bits = 8 * ny
+    row_unit = (1 << row_bits) - 1
+    cube = 0
+    for c, bit, reg, exclude in rows:
+        if reg.lo_d != NEG_INF or reg.hi_d != POS_INF:
+            raise ValueError(f"fan region {reg!r} is not a box")
+        ix0 = max(reg.lo_x - x0, 0)
+        ix1 = min(reg.hi_x - x0, nx - 1)
+        iy0 = max(reg.lo_y - y0, 0)
+        iy1 = min(reg.hi_y - y0, ny - 1)
+        if ix0 > ix1 or iy0 > iy1:
             continue
-        out_v = slice(indptr[v], indptr[v + 1])
-        ws = dsts[out_v]
-        qs = degs[out_v]
-        if ws.size == 0:
-            continue
-        for a in into_v:
-            u, p = srcs[a], degs[a]
-            pq = p + qs
-            ok = pq <= max_degree
-            epq = np.zeros(ws.size, dtype=bool)
-            epq[ok] = (ebits[u, ws[ok]] >> (pq[ok] + 1)) & 1
-            for j in range(ws.size):
-                w, q = ws[j], qs[j]
-                out_w = slice(indptr[w], indptr[w + 1])
-                ts = dsts[out_w]
-                ss = degs[out_w]
-                if ts.size == 0:
-                    continue
-                tot = p + q + ss
-                okj = tot <= max_degree
-                if not okj.any():
-                    continue
-                ts2, ss2, tot2 = ts[okj], ss[okj], tot[okj]
-                e3 = ((ebits[u, ts2] >> (tot2 + 1)) & 1).astype(bool)
-                eqs = ((ebits[v, ts2] >> (q + ss2 + 1)) & 1).astype(bool)
-                bad = e3 & (eqs != bool(epq[j]))
-                if bad.any():
-                    jj = int(np.nonzero(bad)[0][0])
-                    return (int(u), int(v), int(w), int(ts2[jj]), int(p), int(q), int(ss2[jj]))
-    return None
+        run = bit * ((1 << 8 * (iy1 - iy0 + 1)) - 1) // 255
+        block = run * ((1 << row_bits * (ix1 - ix0 + 1)) - 1) // row_unit
+        if exclude is not None:
+            ex, ey = exclude[0] - x0, exclude[1] - y0
+            if ix0 <= ex <= ix1 and iy0 <= ey <= iy1:
+                block ^= bit << 8 * ((ex - ix0) * ny + ey - iy0)
+        cube |= block << 8 * ((c * nx + ix0) * ny + iy0)
+    return memoryview(cube.to_bytes(nchan * nx * ny, "little")).toreadonly()

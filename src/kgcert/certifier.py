@@ -28,8 +28,6 @@ import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from . import functors, model, regions
 from .engine import WindowEngine, get_engine
 from .errors import (
@@ -540,13 +538,10 @@ class _Session:
         eng = self.eng
         A = build_simple0(self.t, v)
         dims = eng.dims_cube(v, A.denominators.generators)
-        want = np.zeros_like(dims)
+        counts = int.from_bytes(dims, "little") & eng.valid_mask()
         skipped = not self.window.contains(v.coord)
-        if not skipped:
-            ix, iy = eng.point_index(v.coord)
-            want[eng.chan_index[(v.family, v.orbit)], ix, iy] = 1
-        valid = eng.valid_masks()
-        return (bool(np.array_equal(dims[valid], want[valid])), skipped)
+        want = 0 if skipped else 1 << 8 * eng.cell(v)
+        return (counts == want, skipped)
 
     # -- finite-length chains ---------------------------------------------------
 

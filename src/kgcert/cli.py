@@ -79,13 +79,17 @@ def load_functor(t: GentleTriple, path: str) -> FpFunctor:
         raise UsageError(f"cannot read functor file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"functor file {path} is not valid JSON: {exc}") from exc
-    try:
-        top = parse_vertex(data["top"])
-        gens = tuple(
-            check_morphism(t, parse_morphism(g)) for g in data.get("generators", [])
-        )
-    except KeyError as exc:
-        raise UsageError(f"functor file {path} is missing key {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"functor file {path} must hold a JSON object, got {type(data).__name__}")
+    if "top" not in data:
+        raise UsageError(f"functor file {path} is missing key 'top'")
+    top, gens = data["top"], data.get("generators", [])
+    if not isinstance(top, str):
+        raise UsageError(f"functor file {path}: 'top' must be a string, got {type(top).__name__}")
+    if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+        raise UsageError(f"functor file {path}: 'generators' must be a list of strings")
+    top = parse_vertex(top)
+    gens = tuple(check_morphism(t, parse_morphism(g)) for g in gens)
     return FpFunctor(top, Subfunctor(top, gens))
 
 

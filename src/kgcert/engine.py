@@ -12,11 +12,11 @@ bit d+1 a degree-d arrow).  Monomial composition shifts degree bits:
   ``cube(T) & ~((cube(top) & ~M) >> p)`` plus an identity-bit test at T.
 
 A cube is one Python int.  Byte ``(ci*nx + ix)*ny + iy`` of its
-little-endian form holds the cell of channel ci at window point (ix, iy),
-so the cell sits at bit offset ``8*((ci*nx + ix)*ny + iy)``: the layout of
-a C-ordered uint8 array of shape (nchan, nx, ny).  Masks, shifts and
-equality are then single int operations, several times cheaper than numpy
-calls on grids this small.  No shift can move a bit into a neighbouring
+little-endian form (:meth:`WindowEngine.cell`) holds the cell of channel ci
+at window point (ix, iy), so the cell sits at bit offset
+``8*((ci*nx + ix)*ny + iy)``: the layout of a C-ordered uint8 array of shape
+(nchan, nx, ny).  Masks, shifts and equality are then single int
+operations.  No shift can move a bit into a neighbouring
 cell's low bits: cell bits are at most bit ``max_degree + 1 <= 3`` and shifts
 are at most ``max_degree <= 2`` places, so a left shift stays below bit 6 of
 its own cell, and a right shift can only push bits into bits 6-7 of the cell
@@ -26,41 +26,32 @@ they are shifted.  ``a AND NOT b`` is written ``a ^ (a & b)``: on
 non-negative ints it equals ``a & ~b`` without forming the negative ``~b``,
 whose AND costs several times more.
 
-Only :meth:`WindowEngine.dims_cube`, :meth:`WindowEngine.ses_dimension_check`
-and :meth:`WindowEngine.associativity_scan` need per-cell arithmetic or
-indexing; they read cubes as uint8 arrays through :meth:`WindowEngine.grid`.
+Per-cell dimensions are bit counts: ``bytes.translate`` with a 256-entry
+popcount table maps a cube's bytes to its counts, in the same layout.  A
+cell holds at most 4 bits, so count cubes of two cubes add without carries
+and compare as ints (:meth:`WindowEngine.ses_dimension_check`).  The valid
+mask (:meth:`WindowEngine.valid_mask`) is one int with 0xFF in every cell
+that is a vertex of its channel.
 
 Cubes are cached per source vertex, so a certification run touching the same
-tops repeatedly costs one region rasterisation per vertex (the hot kernel,
-see :mod:`kgcert._kernels`) plus a handful of int operations per check.  The
-cache ``_entries`` is keyed by the :class:`~kgcert.model.VertexId` itself,
-a NamedTuple that hashes and compares in C.
+tops repeatedly costs one fan rasterisation per vertex (the hot kernel,
+:func:`kgcert._kernels.fan_cube`) plus a handful of int operations per
+check.  The cache ``_entries`` is keyed by the
+:class:`~kgcert.model.VertexId` itself, a NamedTuple that hashes and
+compares in C.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from . import _kernels, model
-from .model import ArrowMorphism, IdentityMorphism, VertexId, ZeroMorphism
+from .model import IdentityMorphism, VertexId, ZeroMorphism
 from .presentation import GentleTriple
-from .regions import NEG_INF, POS_INF
 
-_CLIP = 2**62
-
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+_POPCOUNT = bytes(bin(i).count("1") for i in range(256))
 
 ID_BIT = 1
-
-
-def _clip(v) -> int:
-    if v == POS_INF:
-        return _CLIP
-    if v == NEG_INF:
-        return -_CLIP
-    return int(v)
 
 
 class WindowEngine:
@@ -71,8 +62,8 @@ class WindowEngine:
         self.x0, self.x1, self.y0, self.y1 = (int(v) for v in box)
         if self.x0 > self.x1 or self.y0 > self.y1:
             raise ValueError(f"degenerate window box {box}")
-        self.xs = np.arange(self.x0, self.x1 + 1, dtype=np.int64)
-        self.ys = np.arange(self.y0, self.y1 + 1, dtype=np.int64)
+        self.nx = self.x1 - self.x0 + 1
+        self.ny = self.y1 - self.y0 + 1
         self.channels = [
             (fam, orb)
             for fam in model.families(t)
@@ -81,11 +72,10 @@ class WindowEngine:
         self.chan_index = {c: i for i, c in enumerate(self.channels)}
         self.nchan = len(self.channels)
         self.max_degree = t.max_degree
-        self._shape = (self.nchan, self.xs.size, self.ys.size)
-        self._nbytes = self.nchan * self.xs.size * self.ys.size
+        self.nbytes = self.nchan * self.nx * self.ny
         # VertexId -> (cube, bit offset of the vertex's own cell or None)
         self._entries: dict = {}
-        self._valid_cache = None
+        self._valid = None
 
     # -- grid plumbing ----------------------------------------------------
 
@@ -93,35 +83,24 @@ class WindowEngine:
         x, y = coord
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
-    def point_index(self, coord) -> tuple:
-        x, y = coord
-        return (x - self.x0, y - self.y0)
+    def cell(self, v: VertexId) -> int:
+        """Byte index of the cell of an in-window vertex v."""
+        x, y = v.coord
+        ci = self.chan_index[(v.family, v.orbit)]
+        return (ci * self.nx + x - self.x0) * self.ny + y - self.y0
 
-    def grid(self, bits: int):
-        """The cube ``bits`` as a read-only uint8 array of shape (nchan, nx, ny)."""
-        return np.frombuffer(
-            bits.to_bytes(self._nbytes, "little"), dtype=np.uint8
-        ).reshape(self._shape)
+    def cells(self, bits: int) -> bytes:
+        """The cube ``bits`` as bytes, one cell per byte (see :meth:`cell`)."""
+        return bits.to_bytes(self.nbytes, "little")
 
-    def valid_masks(self):
-        """Boolean grid per channel marking coordinates that are vertices."""
-        if self._valid_cache is None:
-            table = model.index_regions(self.t)
-            out = np.zeros(self._shape, dtype=bool)
-            X = self.xs[:, None]
-            Y = self.ys[None, :]
-            for c, chan in enumerate(self.channels):
-                reg = table[chan]
-                out[c] = (
-                    (X >= _clip(reg.lo_x))
-                    & (X <= _clip(reg.hi_x))
-                    & (Y >= _clip(reg.lo_y))
-                    & (Y <= _clip(reg.hi_y))
-                    & (X - Y >= _clip(reg.lo_d))
-                    & (X - Y <= _clip(reg.hi_d))
-                )
-            self._valid_cache = out
-        return self._valid_cache
+    def valid_mask(self) -> int:
+        """0xFF in every cell whose coordinate is a vertex of its channel."""
+        if self._valid is None:
+            buf = bytearray(self.nbytes)
+            for v in self.vertices():
+                buf[self.cell(v)] = 0xFF
+            self._valid = int.from_bytes(buf, "little")
+        return self._valid
 
     # -- cubes -------------------------------------------------------------
 
@@ -130,30 +109,18 @@ class WindowEngine:
         window), built on first use."""
         entry = self._entries.get(v)
         if entry is None:
-            rows = []
-            for e in model.arrow_fan(self.t, v).entries:
-                reg = e.region
-                rows.append(
-                    (
-                        self.chan_index[(e.family, e.orbit)],
-                        1 << (e.degree + 1),
-                        _clip(reg.lo_x),
-                        _clip(reg.hi_x),
-                        _clip(reg.lo_y),
-                        _clip(reg.hi_y),
-                        1 if e.excludes_src else 0,
-                        v.coord[0],
-                        v.coord[1],
-                    )
+            rows = [
+                (
+                    self.chan_index[(e.family, e.orbit)],
+                    1 << (e.degree + 1),
+                    e.region,
+                    v.coord if e.excludes_src else None,
                 )
-            rows_arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), 9)
-            arr = _kernels.fan_cube(self.xs, self.ys, rows_arr, self.nchan)
-            offset = None
-            if self.in_window(v.coord):
-                ix, iy = self.point_index(v.coord)
-                ci = self.chan_index[(v.family, v.orbit)]
-                offset = 8 * ((ci * self._shape[1] + ix) * self._shape[2] + iy)
-            entry = self._entries[v] = (int.from_bytes(arr.tobytes(), "little"), offset)
+                for e in model.arrow_fan(self.t, v).entries
+            ]
+            cube = _kernels.fan_cube(self.x0, self.nx, self.y0, self.ny, self.nchan, rows)
+            offset = 8 * self.cell(v) if self.in_window(v.coord) else None
+            entry = self._entries[v] = (int.from_bytes(cube, "little"), offset)
         return entry
 
     def cube(self, v: VertexId) -> int:
@@ -192,11 +159,12 @@ class WindowEngine:
                 out |= 2 << (offT + p)  # bit p + 1 of T's cell: f itself
         return out
 
-    def dims_cube(self, top: VertexId, denom_gens):
-        """Pointwise dimension grid of Hom(top, -)/<denom_gens>."""
+    def dims_cube(self, top: VertexId, denom_gens) -> bytes:
+        """Pointwise dimensions of Hom(top, -)/<denom_gens>: one count per
+        cell, laid out as :meth:`cells`."""
         basis = self.basis_cube(top)
         alive = basis ^ (basis & self.image_cube(top, denom_gens))
-        return _POPCOUNT[self.grid(alive)].astype(np.int32)
+        return self.cells(alive).translate(_POPCOUNT)
 
     # -- kernels and exactness checks ---------------------------------------
 
@@ -259,86 +227,25 @@ class WindowEngine:
         if sub & quot != sub:
             return False
         basis = self.basis_cube(top)
-        dim_mid = _POPCOUNT[self.grid(basis ^ (basis & mid))].astype(np.int32)
-        dim_quot = _POPCOUNT[self.grid(basis ^ (basis & quot))].astype(np.int32)
-        sub_in_mid = _POPCOUNT[self.grid(sub ^ (sub & mid))].astype(np.int32)
-        return bool(np.array_equal(dim_mid, sub_in_mid + dim_quot))
+        dim_mid = self._counts(basis ^ (basis & mid))
+        dim_quot = self._counts(basis ^ (basis & quot))
+        sub_in_mid = self._counts(sub ^ (sub & mid))
+        return dim_mid == sub_in_mid + dim_quot
+
+    def _counts(self, bits: int) -> int:
+        """The per-cell bit counts of a cube, as a cube."""
+        return int.from_bytes(self.cells(bits).translate(_POPCOUNT), "little")
 
     # -- whole-window enumeration -------------------------------------------
 
-    def vertices(self):
+    def vertices(self) -> list:
         """All valid vertices with coordinates in the window, channel-major."""
-        valid = self.valid_masks()
-        out = []
-        for ci, (fam, orb) in enumerate(self.channels):
-            ixs, iys = np.nonzero(valid[ci])
-            for ix, iy in zip(ixs.tolist(), iys.tolist()):
-                out.append(
-                    VertexId(fam, orb, (int(self.xs[ix]), int(self.ys[iy])))
-                )
-        return out
+        return model.vertices_in_box(self.t, self.x0, self.x1, self.y0, self.y1)
 
     def dims_at_vertices(self, dims) -> dict:
-        """Restrict a dims grid to valid vertices: {VertexId: dimension}."""
-        valid = self.valid_masks()
-        out = {}
-        for ci, (fam, orb) in enumerate(self.channels):
-            ixs, iys = np.nonzero(valid[ci])
-            for ix, iy in zip(ixs.tolist(), iys.tolist()):
-                out[VertexId(fam, orb, (int(self.xs[ix]), int(self.ys[iy])))] = int(
-                    dims[ci, ix, iy]
-                )
-        return out
-
-    # -- associativity scan ---------------------------------------------------
-
-    def associativity_scan(self):
-        """Search all composable basis-arrow triples inside the window for an
-        associativity failure of the monomial composition rule.
-
-        Returns None, or a tuple (f, g, h) of arrows witnessing
-        h o (g o f) != (h o g) o f.
-        """
-        verts = self.vertices()
-        nv = len(verts)
-        vid = {v: i for i, v in enumerate(verts)}
-        coords = {}
-        for ci in range(self.nchan):
-            members = [(i, v) for i, v in enumerate(verts) if self.chan_index[(v.family, v.orbit)] == ci]
-            coords[ci] = members
-        ebits = np.zeros((nv, nv), dtype=np.uint8)
-        for i, v in enumerate(verts):
-            cube = self.grid(self.cube(v))
-            for ci, members in coords.items():
-                for j, w in members:
-                    ix, iy = self.point_index(w.coord)
-                    ebits[i, j] = ebits[i, j] | cube[ci, ix, iy]
-        srcs, dsts, degs = [], [], []
-        for i in range(nv):
-            for j in range(nv):
-                bits = int(ebits[i, j])
-                for d in range(self.max_degree + 1):
-                    if bits & (1 << (d + 1)):
-                        srcs.append(i)
-                        dsts.append(j)
-                        degs.append(d)
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        degs = np.asarray(degs, dtype=np.int64)
-        order = np.argsort(srcs, kind="stable")
-        srcs, dsts, degs = srcs[order], dsts[order], degs[order]
-        indptr = np.zeros(nv + 1, dtype=np.int64)
-        np.add.at(indptr, srcs + 1, 1)
-        indptr = np.cumsum(indptr)
-        hit = _kernels.assoc_violation(ebits, srcs, dsts, degs, indptr, self.max_degree)
-        if hit is None:
-            return None
-        u, v, w, tv, p, q, s = hit
-        return (
-            ArrowMorphism(verts[u], verts[v], p),
-            ArrowMorphism(verts[v], verts[w], q),
-            ArrowMorphism(verts[w], verts[tv], s),
-        )
+        """Restrict per-cell counts (laid out as :meth:`cells`) to valid
+        vertices: {VertexId: dimension}."""
+        return {v: dims[self.cell(v)] for v in self.vertices()}
 
 
 @lru_cache(maxsize=32)

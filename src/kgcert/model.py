@@ -302,11 +302,11 @@ def ar_sink_maps(t: GentleTriple, v: VertexId):
 
 
 def vertices_in_box(t: GentleTriple, x0: int, x1: int, y0: int, y1: int) -> list:
-    """All valid vertices with coordinates in [x0,x1] x [y0,y1], ordered."""
-    out = []
-    for (family, orbit), reg in index_regions(t).items():
-        for x in range(x0, x1 + 1):
-            for y in range(y0, y1 + 1):
-                if regions.member(reg, (x, y)):
-                    out.append(VertexId(family, orbit, (x, y)))
-    return out
+    """All valid vertices with coordinates in [x0,x1] x [y0,y1], in family,
+    orbit, x, y order."""
+    window = regions.box(x0, x1, y0, y1)
+    return [
+        VertexId(family, orbit, p)
+        for (family, orbit), reg in index_regions(t).items()
+        for p in regions.enumerate_points(reg, window)
+    ]

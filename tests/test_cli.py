@@ -135,6 +135,29 @@ def test_functor_file_rejects_morphisms_not_in_model(tmp_path, capsys, command, 
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "payload,names",
+    [
+        ([1, 2], "JSON object"),
+        ({"top": 5}, "'top'"),
+        ({"top": "X:0:(0,1)", "generators": [5]}, "'generators'"),
+        ({"top": "X:0:(0,1)", "generators": "X:0:(0,1)->X:0:(0,2)@0"}, "'generators'"),
+        ({"generators": []}, "'top'"),
+    ],
+    ids=["list", "int top", "int generator", "string generators", "no top"],
+)
+def test_functor_file_of_wrong_shape_usage_error(tmp_path, capsys, payload, names):
+    """A functor file that is valid JSON of the wrong shape is a usage error
+    naming the offending part, not a traceback."""
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(
+        capsys, "inC0", "--r", "1", "--n", "2", "--m", "0", "--functor", str(path)
+    )
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert names in err
+
+
 def test_fan_command(capsys):
     code, out, _ = run(
         capsys, "fan", "--r", "1", "--n", "2", "--m", "0", "--vertex", "X:0:(0,1)"

@@ -13,6 +13,7 @@ from kgcert.model import ArrowMorphism, FanEntry, IdentityMorphism, VertexId, ZE
 from kgcert.presentation import GentleTriple, validate_triple
 
 from conftest import ACCEPTANCE_TRIPLES
+from numpy_ref import associativity_scan
 
 
 def V(fam, orbit, a, b):
@@ -315,7 +316,7 @@ def test_ar_sink_maps_match_arrow_or_zero(r, n, m):
 def test_associativity_exhaustive(r, n, m):
     t = validate_triple(r, n, m)
     eng = WindowEngine(t, (-4, 4, -4, 4))
-    assert eng.associativity_scan() is None
+    assert associativity_scan(eng) is None
 
 
 @pytest.mark.parametrize("r,n,m", [(2, 3, 1), (2, 2, 1)])
@@ -323,7 +324,7 @@ def test_associativity_multi_orbit(r, n, m):
     # orbit-raising arrows must compose coherently across the cycle
     t = validate_triple(r, n, m)
     eng = WindowEngine(t, (-3, 3, -3, 3))
-    assert eng.associativity_scan() is None
+    assert associativity_scan(eng) is None
 
 
 # -- value types -----------------------------------------------------------------------
