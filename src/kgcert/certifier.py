@@ -1,32 +1,31 @@
 """Distinguished quotient functors and machine-checked replays of the
 case analyses behind the dimension theorem.
 
-The certifier builds, for a triple, the simple quotients attached to
-Auslander-Reiten sink maps (``build_simple0``), the four finite-mode kinds of
-simple-modulo-finite quotients plus the one infinite-mode kind
-(``build_simple1``), and replays each proof step as window-quantified
-evidence:
+The certifier builds the simple quotients attached to Auslander-Reiten sink
+maps (``build_simple0``) and the simple-modulo-finite quotients
+(``build_simple1``): kinds B', B'', C', C'' when r < n, kind B when r == n.
+It replays each proof step as window-quantified evidence:
 
 * towers: the short exact sequences linking an instance to its coordinate
   shift with a sink-map simple as quotient;
-* case analyses: for every arrow out of the top inside the window, either a
-  symbolic factorisation through a denominator generator (checked as a
-  region containment, so it covers all targets at once) or a chain exact
-  sequence (checked as a kernel sweep);
+* case analyses: every arrow out of the top inside the window either factors
+  symbolically through a denominator generator (one region containment
+  covers all targets) or sits in a chain exact sequence (a kernel sweep);
 * filtration chains: the border-terminating inductions that place
   representables in the first or second filtration layer, with the
   infinite-support layers decided exactly by symbolic regions.
 
-Infinite constructions are verified to a configurable depth, with the
-per-layer infinitude decided exactly; the certificate records window, depth
-and every check outcome.
+The geometry of each kind is one row of the table ``_KINDS``, read without a
+branch on the kind; a certificate runs the phase list of its mode
+(``_MODES``).  Infinite constructions are verified to a configurable depth;
+the certificate records window, depth and every check outcome.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from . import functors, model, regions
 from .engine import WindowEngine, get_engine
@@ -46,14 +45,13 @@ from .model import (
     ZeroMorphism,
 )
 from .presentation import GentleTriple
+from .regions import Region
 
 KIND_BP = "B'"
 KIND_BPP = "B''"
 KIND_CP = "C'"
 KIND_CPP = "C''"
 KIND_B_INF = "B"
-
-_FINITE_KINDS = (KIND_BP, KIND_BPP, KIND_CP, KIND_CPP)
 
 
 class Simple1Instance(NamedTuple):
@@ -67,12 +65,7 @@ class Simple1Instance(NamedTuple):
     aux: int
 
     def params(self) -> dict:
-        return {
-            "kind": self.kind,
-            "orbit": self.orbit,
-            "coord": list(self.coord),
-            "aux": self.aux,
-        }
+        return {**self._asdict(), "coord": list(self.coord)}
 
 
 @dataclass
@@ -118,6 +111,132 @@ class Certificate:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
+# -- per-kind replay geometry -------------------------------------------------
+#
+# An instance has its top at (a, b) in orbit i of its kind's family, and an
+# integer aux.  A fan key (family, k, degree) is the channel of the arrows of
+# that degree out of the top into `family` at orbit (i + k) mod r.  A missing
+# arrow is the zero morphism.  The denominator is generated by f, the degree-0
+# arrow to (a, b) + shift, and g, the arrow with fan key `gen` to
+# gen_coord(a, b, aux).  The tower ascends along the shift with its two
+# coordinates swapped, with the sink-map simple at the top as quotient.  The
+# case analysis checks the kind's case rows, whose constraints are regions of
+# target points (x, y) built from (a, b, aux):
+# * _Factor: the arrows into the channel inside split (the whole channel when
+#   split is None) factor through f or g;
+# * _Chain: at each window point p of line, the kernel of (- o u), for u the
+#   arrow to p + u, modulo the denominator plus the arrow to p + mod, is the
+#   sink-map image at u's target.  That target is the chain's layer, so no
+#   third offset names it.
+
+_F, _G = 0, 1  # the two denominator generators, in the order build_simple1 gives them
+
+
+class _Factor(NamedTuple):
+    key: tuple
+    split: Optional[Callable]  # (a, b, aux) -> Region, or None for the whole channel
+    gen: int  # _F or _G
+
+
+class _Chain(NamedTuple):
+    key: tuple
+    line: Callable  # (a, b, aux) -> Region
+    u: tuple  # offset of u's target from the chain point
+    mod: tuple  # offset of the modulus arrow's target from the chain point
+
+
+class _Kind(NamedTuple):
+    family: str
+    finite: bool  # True: exists when r < n; False: when r == n
+    shift: tuple
+    gen: tuple
+    gen_coord: Callable  # (a, b, aux) -> coordinate
+    # (a, b, m, n) -> the largest aux, with m and n scaled by [i = r - 1]; None: aux in Z
+    aux_top: Optional[Callable]
+    samples: Callable  # (a, aux_top) -> the two aux values the simple1 phase checks
+    rows: tuple
+
+
+_KINDS = {
+    KIND_BP: _Kind(
+        FAMILY_X, True, (1, 0), (FAMILY_Z, 0, 1), lambda a, b, aux: (a, aux),
+        None, lambda a, top: (0, a),
+        (
+            _Factor((FAMILY_X, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
+            _Chain((FAMILY_X, 0, 0), lambda a, b, aux: Region(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
+            _Factor((FAMILY_Z, 0, 1), lambda a, b, aux: Region(lo_x=a + 1), _F),
+            _Factor((FAMILY_Z, 0, 1), lambda a, b, aux: Region(lo_x=a, hi_x=a, lo_y=aux), _G),
+            _Chain((FAMILY_Z, 0, 1), lambda a, b, aux: Region(lo_x=a, hi_x=a, hi_y=aux - 1), (0, 0), (0, 1)),
+            _Factor((FAMILY_X, 1, 2), None, _G),
+        ),
+    ),
+    KIND_BPP: _Kind(
+        FAMILY_Y, True, (1, 0), (FAMILY_Z, 0, 1), lambda a, b, aux: (aux, a),
+        None, lambda a, top: (0, a),
+        (
+            _Factor((FAMILY_Y, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
+            _Chain((FAMILY_Y, 0, 0), lambda a, b, aux: Region(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
+            _Factor((FAMILY_Z, 0, 1), lambda a, b, aux: Region(lo_y=a + 1), _F),
+            _Factor((FAMILY_Z, 0, 1), lambda a, b, aux: Region(lo_y=a, hi_y=a, lo_x=aux), _G),
+            _Chain((FAMILY_Z, 0, 1), lambda a, b, aux: Region(lo_y=a, hi_y=a, hi_x=aux - 1), (0, 0), (1, 0)),
+            _Factor((FAMILY_Y, 1, 2), None, _G),
+        ),
+    ),
+    KIND_CP: _Kind(
+        FAMILY_Z, True, (1, 0), (FAMILY_X, 1, 1), lambda a, b, aux: (aux, a),
+        lambda a, b, m, n: a + m + 1, lambda a, top: (top, top - 3),
+        (
+            _Factor((FAMILY_Z, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
+            _Chain((FAMILY_Z, 0, 0), lambda a, b, aux: Region(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
+            _Factor((FAMILY_X, 1, 1), lambda a, b, aux: Region(lo_y=a + 1), _F),
+            _Factor((FAMILY_X, 1, 1), lambda a, b, aux: Region(lo_y=a, hi_y=a, lo_x=aux), _G),
+            _Chain((FAMILY_X, 1, 1), lambda a, b, aux: Region(lo_y=a, hi_y=a, hi_x=aux - 1), (0, 0), (1, 0)),
+            _Factor((FAMILY_Y, 1, 1), None, _F),
+            _Factor((FAMILY_Z, 1, 2), None, _F),
+        ),
+    ),
+    KIND_CPP: _Kind(
+        FAMILY_Z, True, (0, 1), (FAMILY_Y, 1, 1), lambda a, b, aux: (aux, b),
+        lambda a, b, m, n: b - n + 1, lambda a, top: (top, top - 3),
+        (
+            _Factor((FAMILY_Z, 0, 0), lambda a, b, aux: Region(lo_y=b + 1), _F),
+            _Chain((FAMILY_Z, 0, 0), lambda a, b, aux: Region(lo_y=b, hi_y=b, lo_x=a + 1), (-1, 0), (0, 0)),
+            _Factor((FAMILY_X, 1, 1), None, _F),
+            _Factor((FAMILY_Y, 1, 1), lambda a, b, aux: Region(lo_y=b + 1), _F),
+            _Factor((FAMILY_Y, 1, 1), lambda a, b, aux: Region(lo_y=b, hi_y=b, lo_x=aux), _G),
+            _Chain((FAMILY_Y, 1, 1), lambda a, b, aux: Region(lo_y=b, hi_y=b, hi_x=aux - 1), (0, 0), (1, 0)),
+            _Factor((FAMILY_Z, 1, 2), None, _F),
+        ),
+    ),
+    KIND_B_INF: _Kind(
+        FAMILY_X, False, (1, 0), (FAMILY_X, 1, 1), lambda a, b, aux: (aux, a),
+        lambda a, b, m, n: a + m, lambda a, top: (top, top - 2),
+        (
+            _Factor((FAMILY_X, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
+            _Chain((FAMILY_X, 0, 0), lambda a, b, aux: Region(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
+            _Factor((FAMILY_X, 1, 1), lambda a, b, aux: Region(lo_y=a + 1), _F),
+            _Factor((FAMILY_X, 1, 1), lambda a, b, aux: Region(lo_y=a, hi_y=a, lo_x=aux), _G),
+            _Chain((FAMILY_X, 1, 1), lambda a, b, aux: Region(lo_y=a, hi_y=a, hi_x=aux - 1), (0, 0), (1, 0)),
+        ),
+    ),
+}
+
+
+def _spec(kind: str) -> _Kind:
+    spec = _KINDS.get(kind)
+    if spec is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    return spec
+
+
+def _aux_top(t: GentleTriple, spec: _Kind, orbit: int, coord: tuple):
+    """The largest aux of an instance, or None when every aux is allowed."""
+    if spec.aux_top is None:
+        return None
+    dlast = _delta(orbit, t.orbit_count - 1)
+    return spec.aux_top(coord[0], coord[1], dlast * t.m, dlast * t.n)
+
+
 # -- builders ----------------------------------------------------------------
 
 
@@ -144,95 +263,35 @@ def build_simple1(
     (aux <= a + [i=last] m).  Out-of-region second generators degenerate to
     the zero morphism, per the zero-map convention.
     """
-    a, b = coord
-    R = t.orbit_count
-    nxt = (orbit + 1) % R
-    dlast = _delta(orbit, R - 1)
-    if kind == KIND_B_INF:
-        if t.is_finite_mode:
-            raise ModeMismatch("kind B exists only when r == n")
-        top = VertexId(FAMILY_X, orbit, coord)
-        if not model.vertex_valid(t, top):
-            raise InvalidVertex(f"not a vertex of the model: {top}")
-        if aux > a + dlast * t.m:
-            raise ParameterRange(
-                f"aux must be <= {a + dlast * t.m} for B at {top}, got {aux}"
-            )
-        gens = (
-            model.arrow_or_zero(t, top, VertexId(FAMILY_X, orbit, (a + 1, b)), 0),
-            model.arrow_or_zero(t, top, VertexId(FAMILY_X, nxt, (aux, a)), 1),
-        )
-        return FpFunctor(top, Subfunctor(top, gens))
-    if not t.is_finite_mode:
-        raise ModeMismatch(f"kind {kind} exists only when r < n")
-    if kind == KIND_BP:
-        top = VertexId(FAMILY_X, orbit, coord)
-        if not model.vertex_valid(t, top):
-            raise InvalidVertex(f"not a vertex of the model: {top}")
-        gens = (
-            model.arrow_or_zero(t, top, VertexId(FAMILY_X, orbit, (a + 1, b)), 0),
-            model.arrow_or_zero(t, top, VertexId(FAMILY_Z, orbit, (a, aux)), 1),
-        )
-    elif kind == KIND_BPP:
-        top = VertexId(FAMILY_Y, orbit, coord)
-        if not model.vertex_valid(t, top):
-            raise InvalidVertex(f"not a vertex of the model: {top}")
-        gens = (
-            model.arrow_or_zero(t, top, VertexId(FAMILY_Y, orbit, (a + 1, b)), 0),
-            model.arrow_or_zero(t, top, VertexId(FAMILY_Z, orbit, (aux, a)), 1),
-        )
-    elif kind == KIND_CP:
-        top = VertexId(FAMILY_Z, orbit, coord)
-        if not model.vertex_valid(t, top):
-            raise InvalidVertex(f"not a vertex of the model: {top}")
-        if aux > a + dlast * t.m + 1:
-            raise ParameterRange(
-                f"aux must be <= {a + dlast * t.m + 1} for C' at {top}, got {aux}"
-            )
-        gens = (
-            model.arrow_or_zero(t, top, VertexId(FAMILY_Z, orbit, (a + 1, b)), 0),
-            model.arrow_or_zero(t, top, VertexId(FAMILY_X, nxt, (aux, a)), 1),
-        )
-    elif kind == KIND_CPP:
-        top = VertexId(FAMILY_Z, orbit, coord)
-        if not model.vertex_valid(t, top):
-            raise InvalidVertex(f"not a vertex of the model: {top}")
-        if aux > b - dlast * t.n + 1:
-            raise ParameterRange(
-                f"aux must be <= {b - dlast * t.n + 1} for C'' at {top}, got {aux}"
-            )
-        gens = (
-            model.arrow_or_zero(t, top, VertexId(FAMILY_Z, orbit, (a, b + 1)), 0),
-            model.arrow_or_zero(t, top, VertexId(FAMILY_Y, nxt, (aux, b)), 1),
-        )
-    else:
+    spec = _KINDS.get(kind)
+    finite = spec is None or spec.finite  # an unknown kind is refused as a finite-mode one
+    if finite != t.is_finite_mode:
+        raise ModeMismatch(f"kind {kind} exists only when {'r < n' if finite else 'r == n'}")
+    if spec is None:
         raise ValueError(f"unknown kind {kind!r}")
+    a, b = coord
+    top = VertexId(spec.family, orbit, coord)
+    if not model.vertex_valid(t, top):
+        raise InvalidVertex(f"not a vertex of the model: {top}")
+    hi = _aux_top(t, spec, orbit, coord)
+    if hi is not None and aux > hi:
+        raise ParameterRange(f"aux must be <= {hi} for {kind} at {top}, got {aux}")
+    sx, sy = spec.shift
+    family, k, degree = spec.gen
+    gens = (
+        model.arrow_or_zero(t, top, VertexId(spec.family, orbit, (a + sx, b + sy)), 0),
+        model.arrow_or_zero(
+            t,
+            top,
+            VertexId(family, (orbit + k) % t.orbit_count, spec.gen_coord(a, b, aux)),
+            degree,
+        ),
+    )
     return FpFunctor(top, Subfunctor(top, gens))
 
 
 def instance_functor(t: GentleTriple, inst: Simple1Instance) -> FpFunctor:
     return build_simple1(t, inst.kind, inst.orbit, inst.coord, inst.aux)
-
-
-# -- per-kind replay geometry -------------------------------------------------
-#
-# For each kind: the tower shifts the top by `tower_shift` and quotients by
-# the sink-map simple at the top.  The case analysis walks the arrow fan of
-# the top; per fan entry the rule is either a factorisation through one of
-# the two generators (symbolic region containment) or a split into a
-# factorisation half and a chain of kernel sweeps along a line.
-
-
-def _kind_geometry(kind: str) -> tuple:
-    """Coordinate shift along which the instance's tower ascends: the
-    direction not struck out by the first denominator generator."""
-    if kind in (KIND_BP, KIND_BPP, KIND_CP):
-        return (0, 1)
-    if kind == KIND_CPP:
-        return (1, 0)
-    if kind == KIND_B_INF:
-        return (0, 1)
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 class _Session:
@@ -253,9 +312,6 @@ class _Session:
         return passed
 
     # -- small helpers ------------------------------------------------------
-
-    def _sinks(self, v: VertexId):
-        return model.ar_sink_maps(self.t, v)
 
     def _arrow(self, src: VertexId, family: str, orbit: int, coord: tuple, deg: int):
         return model.arrow_or_zero(
@@ -282,21 +338,10 @@ class _Session:
         """
         if isinstance(gen, ZeroMorphism):
             return regions.close(split_region) is regions.EMPTY
-        T = gen.dst
+        # A negative phi_deg names no channel: then only an empty split factors.
         phi_deg = entry.degree - gen.degree
-        if phi_deg < 0:
-            return regions.close(split_region) is regions.EMPTY
-        eT = model.arrow_fan(self.t, T).channels.get((entry.family, entry.orbit, phi_deg))
+        eT = model.arrow_fan(self.t, gen.dst).channels.get((entry.family, entry.orbit, phi_deg))
         return regions.contains(regions.EMPTY if eT is None else eT.region, split_region)
-
-    def _chain_targets(self, line_region, window_region, cap_anchor=None, cap=None):
-        """Window points of a one-dimensional chain region, optionally capped
-        to within `cap` steps of the anchor coordinate sum."""
-        pts = regions.enumerate_points(line_region, window_region)
-        if cap is not None and cap_anchor is not None:
-            ax, ay = cap_anchor
-            pts = [p for p in pts if abs(p[0] - ax) + abs(p[1] - ay) <= cap]
-        return pts
 
     # -- tower + case analysis ----------------------------------------------
 
@@ -313,7 +358,7 @@ class _Session:
 
     def _tower_sequences(self, inst: Simple1Instance, length: int) -> bool:
         """Exact sequences 0 -> inst@(coord+(l+1)s) -> inst@(coord+l s) -> A -> 0."""
-        sx, sy = _kind_geometry(inst.kind)
+        sy, sx = _spec(inst.kind).shift  # the tower ascends along the swapped shift
         a, b = inst.coord
         # Towers at neighbouring coordinates share all but one of their steps.
         memo = self._tower_step_cache
@@ -329,7 +374,7 @@ class _Session:
     def _tower_step(self, here: Simple1Instance) -> bool:
         """The exact sequence 0 -> here@(coord+s) -> here -> A -> 0."""
         t = self.t
-        sx, sy = _kind_geometry(here.kind)
+        sy, sx = _spec(here.kind).shift
         nxt_coord = (here.coord[0] + sx, here.coord[1] + sy)
         sub = instance_functor(t, Simple1Instance(here.kind, here.orbit, nxt_coord, here.aux))
         mid = instance_functor(t, here)
@@ -350,195 +395,49 @@ class _Session:
     def _case_analysis(self, inst: Simple1Instance, chain_cap=None) -> bool:
         """Every arrow out of the top is either absorbed (factors through a
         generator, hence lands in the denominator) or sits in a chain whose
-        steps are sink-map simples; chains are swept inside the window."""
+        steps are sink-map simples, by the case rows of the instance's kind.
+        Chains are swept inside the window, within chain_cap steps of the top
+        when chain_cap is set."""
         t = self.t
         F = instance_functor(t, inst)
         top = F.top
-        gen_f, gen_g = F.denominators.generators
+        gens = F.denominators.generators
         a, b = top.coord
-        wreg = self.window.region()
-        dgens = F.denominators.generators
         entries = model.arrow_fan(t, top).channels
-        kind = inst.kind
         R = t.orbit_count
-        nxt = (inst.orbit + 1) % R
-
-        def factor(entry, split, gen) -> bool:
-            return self._factors_region(split, gen, entry)
-
-        def chain(entry, line, u_coord_of, mod_coord_of, sink_vertex_of) -> bool:
-            for p in self._chain_targets(line, wreg, cap_anchor=top.coord, cap=chain_cap):
-                u = self._chain_u(top, entry.family, entry.orbit, u_coord_of(p), entry.degree)
+        wreg = self.window.region()
+        for row in _spec(inst.kind).rows:
+            family, k, degree = row.key
+            e = entries[(family, (inst.orbit + k) % R, degree)]
+            if isinstance(row, _Factor):
+                split = e.region
+                if row.split is not None:
+                    split = regions.intersect(split, row.split(a, b, inst.aux))
+                if not self._factors_region(split, gens[row.gen], e):
+                    return False
+                continue
+            line = regions.intersect(e.region, row.line(a, b, inst.aux))
+            for x, y in regions.enumerate_points(line, wreg):
+                if chain_cap is not None and abs(x - a) + abs(y - b) > chain_cap:
+                    continue
+                (ux, uy), (mx, my) = row.u, row.mod
+                u = self._chain_u(top, e.family, e.orbit, (x + ux, y + uy), e.degree)
                 if isinstance(u, ZeroMorphism):
                     return False
-                extra = self._arrow(top, entry.family, entry.orbit, mod_coord_of(p), entry.degree)
-                sinkv = sink_vertex_of(p)
-                if not model.vertex_valid(t, sinkv):
+                extra = self._arrow(top, e.family, e.orbit, (x + mx, y + my), e.degree)
+                sinks = model.ar_sink_maps(t, model.target_of(u))
+                if not self.eng.kernel_matches(top, u, gens + (extra,), sinks):
                     return False
-                if not self.eng.kernel_matches(
-                    top, u, tuple(dgens) + (extra,), self._sinks(sinkv)
-                ):
-                    return False
-            return True
-
-        ok = True
-        if kind in (KIND_BP, KIND_BPP):
-            fam0 = FAMILY_X if kind == KIND_BP else FAMILY_Y
-            e0 = entries[(fam0, inst.orbit, 0)]
-            # degree 0: x > a factors through the x-shift generator; x == a is
-            # the chain raising y with sink-map simples as layers.
-            ok &= factor(e0, regions.intersect(e0.region, regions.Region(lo_x=a + 1)), gen_f)
-            line0 = regions.intersect(e0.region, regions.Region(lo_x=a, hi_x=a, lo_y=b + 1))
-            ok &= chain(
-                e0,
-                line0,
-                lambda p: (a, p[1] - 1),
-                lambda p: p,
-                lambda p: VertexId(fam0, inst.orbit, (a, p[1] - 1)),
-            )
-            e1 = entries[(FAMILY_Z, inst.orbit, 1)]
-            if kind == KIND_BP:
-                ok &= factor(e1, regions.intersect(e1.region, regions.Region(lo_x=a + 1)), gen_f)
-                ok &= factor(
-                    e1,
-                    regions.intersect(e1.region, regions.Region(lo_x=a, hi_x=a, lo_y=inst.aux)),
-                    gen_g,
-                )
-                line1 = regions.intersect(
-                    e1.region, regions.Region(lo_x=a, hi_x=a, hi_y=inst.aux - 1)
-                )
-                ok &= chain(
-                    e1,
-                    line1,
-                    lambda p: p,
-                    lambda p: (a, p[1] + 1),
-                    lambda p: VertexId(FAMILY_Z, inst.orbit, p),
-                )
-            else:
-                ok &= factor(e1, regions.intersect(e1.region, regions.Region(lo_y=a + 1)), gen_f)
-                ok &= factor(
-                    e1,
-                    regions.intersect(e1.region, regions.Region(lo_y=a, hi_y=a, lo_x=inst.aux)),
-                    gen_g,
-                )
-                line1 = regions.intersect(
-                    e1.region, regions.Region(lo_y=a, hi_y=a, hi_x=inst.aux - 1)
-                )
-                ok &= chain(
-                    e1,
-                    line1,
-                    lambda p: p,
-                    lambda p: (p[0] + 1, a),
-                    lambda p: VertexId(FAMILY_Z, inst.orbit, p),
-                )
-            fam2 = FAMILY_X if kind == KIND_BP else FAMILY_Y
-            e2 = entries[(fam2, nxt, 2)]
-            ok &= factor(e2, e2.region, gen_g)
-        elif kind == KIND_CP:
-            e0 = entries[(FAMILY_Z, inst.orbit, 0)]
-            ok &= factor(e0, regions.intersect(e0.region, regions.Region(lo_x=a + 1)), gen_f)
-            line0 = regions.intersect(e0.region, regions.Region(lo_x=a, hi_x=a, lo_y=b + 1))
-            ok &= chain(
-                e0,
-                line0,
-                lambda p: (a, p[1] - 1),
-                lambda p: p,
-                lambda p: VertexId(FAMILY_Z, inst.orbit, (a, p[1] - 1)),
-            )
-            ex = entries[(FAMILY_X, nxt, 1)]
-            ok &= factor(ex, regions.intersect(ex.region, regions.Region(lo_y=a + 1)), gen_f)
-            ok &= factor(
-                ex,
-                regions.intersect(ex.region, regions.Region(lo_y=a, hi_y=a, lo_x=inst.aux)),
-                gen_g,
-            )
-            linex = regions.intersect(
-                ex.region, regions.Region(lo_y=a, hi_y=a, hi_x=inst.aux - 1)
-            )
-            ok &= chain(
-                ex,
-                linex,
-                lambda p: p,
-                lambda p: (p[0] + 1, a),
-                lambda p: VertexId(FAMILY_X, nxt, p),
-            )
-            ey = entries[(FAMILY_Y, nxt, 1)]
-            ok &= factor(ey, ey.region, gen_f)
-            e2 = entries[(FAMILY_Z, nxt, 2)]
-            ok &= factor(e2, e2.region, gen_f)
-        elif kind == KIND_CPP:
-            e0 = entries[(FAMILY_Z, inst.orbit, 0)]
-            ok &= factor(e0, regions.intersect(e0.region, regions.Region(lo_y=b + 1)), gen_f)
-            line0 = regions.intersect(e0.region, regions.Region(lo_y=b, hi_y=b, lo_x=a + 1))
-            ok &= chain(
-                e0,
-                line0,
-                lambda p: (p[0] - 1, b),
-                lambda p: p,
-                lambda p: VertexId(FAMILY_Z, inst.orbit, (p[0] - 1, b)),
-            )
-            ex = entries[(FAMILY_X, nxt, 1)]
-            ok &= factor(ex, ex.region, gen_f)
-            ey = entries[(FAMILY_Y, nxt, 1)]
-            ok &= factor(ey, regions.intersect(ey.region, regions.Region(lo_y=b + 1)), gen_f)
-            ok &= factor(
-                ey,
-                regions.intersect(ey.region, regions.Region(lo_y=b, hi_y=b, lo_x=inst.aux)),
-                gen_g,
-            )
-            liney = regions.intersect(
-                ey.region, regions.Region(lo_y=b, hi_y=b, hi_x=inst.aux - 1)
-            )
-            ok &= chain(
-                ey,
-                liney,
-                lambda p: p,
-                lambda p: (p[0] + 1, b),
-                lambda p: VertexId(FAMILY_Y, nxt, p),
-            )
-            e2 = entries[(FAMILY_Z, nxt, 2)]
-            ok &= factor(e2, e2.region, gen_f)
-        elif kind == KIND_B_INF:
-            e0 = entries[(FAMILY_X, inst.orbit, 0)]
-            ok &= factor(e0, regions.intersect(e0.region, regions.Region(lo_x=a + 1)), gen_f)
-            line0 = regions.intersect(e0.region, regions.Region(lo_x=a, hi_x=a, lo_y=b + 1))
-            ok &= chain(
-                e0,
-                line0,
-                lambda p: (a, p[1] - 1),
-                lambda p: p,
-                lambda p: VertexId(FAMILY_X, inst.orbit, (a, p[1] - 1)),
-            )
-            e1 = entries[(FAMILY_X, nxt, 1)]
-            ok &= factor(e1, regions.intersect(e1.region, regions.Region(lo_y=a + 1)), gen_f)
-            ok &= factor(
-                e1,
-                regions.intersect(e1.region, regions.Region(lo_y=a, hi_y=a, lo_x=inst.aux)),
-                gen_g,
-            )
-            line1 = regions.intersect(
-                e1.region, regions.Region(lo_y=a, hi_y=a, hi_x=inst.aux - 1)
-            )
-            ok &= chain(
-                e1,
-                line1,
-                lambda p: p,
-                lambda p: (p[0] + 1, a),
-                lambda p: VertexId(FAMILY_X, nxt, p),
-            )
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        return bool(ok)
+        return True
 
     # -- simple objects -------------------------------------------------------
 
     def simple0_check(self, v: VertexId) -> tuple:
-        """dim A_v = 1 at v and 0 elsewhere in the window; returns
+        """dim A_v = 1 at v and 0 in every other cell of the window; returns
         (passed, skipped_top)."""
         eng = self.eng
         A = build_simple0(self.t, v)
-        dims = eng.dims_cube(v, A.denominators.generators)
-        counts = int.from_bytes(dims, "little") & eng.valid_mask()
+        counts = int.from_bytes(eng.dims_cube(v, A.denominators.generators), "little")
         skipped = not self.window.contains(v.coord)
         want = 0 if skipped else 1 << 8 * eng.cell(v)
         return (counts == want, skipped)
@@ -549,12 +448,9 @@ class _Session:
         """Replay of the border-terminating induction placing Hom(v, -) in the
         first filtration layer; memoised per vertex."""
         t = self.t
-        if t.is_finite_mode:
-            if v.family not in (FAMILY_X, FAMILY_Y):
-                raise WrongFamily(f"finite-length chain applies to X/Y vertices, got {v}")
-        else:
-            if v.family != FAMILY_X:
-                raise WrongFamily(f"finite-length chain applies to X vertices, got {v}")
+        families = (FAMILY_X, FAMILY_Y) if t.is_finite_mode else (FAMILY_X,)
+        if v.family not in families:
+            raise WrongFamily(f"finite-length chain applies to {'/'.join(families)} vertices, got {v}")
         if not model.vertex_valid(t, v):
             raise InvalidVertex(f"not a vertex of the model: {v}")
         hit = self._finite1_cache.get(v)
@@ -563,10 +459,7 @@ class _Session:
         a, b = v.coord
         i = v.orbit
         d0 = _delta(i, 0)
-        if t.is_finite_mode:
-            border = b + d0 * t.m if v.family == FAMILY_X else b - d0 * t.n
-        else:
-            border = b + d0 * t.m
+        border = b + d0 * t.m if v.family == FAMILY_X else b - d0 * t.n
         ok = True
         for c in range(border, a - 1, -1):
             w = VertexId(v.family, i, (c, b))
@@ -574,29 +467,37 @@ class _Session:
             if cached is not None:
                 ok = cached
                 continue
-            step_ok = (
-                self._finite1_step_finite(w, c, border)
-                if t.is_finite_mode
-                else self._finite1_step_infinite(w, c, border)
-            )
-            ok = ok and step_ok
+            ok = ok and self._finite1_step(w, c, border)
             self._finite1_cache[w] = ok
-        self._finite1_cache[v] = ok
-        return ok
+        return ok  # the last w is v itself: a vertex has a <= border
 
-    def _finite1_step_finite(self, w: VertexId, c: int, border: int) -> bool:
-        """One induction step: 0 -> C-object -> H_w / <x-shift image> -> B-object -> 0,
-        via the degree-1 map to the reference column/row; at the border the
-        x-shift is zero and the middle is the full representable."""
+    def _finite1_step(self, w: VertexId, c: int, border: int) -> bool:
+        """One induction step, whose middle is H_w modulo the x-shift image
+        (zero exactly at the border).  r < n: 0 -> C-object -> middle ->
+        B-object -> 0, via the degree-1 map to the reference column/row.
+        r == n: the middle is an extension of a B-object by a sub with finite
+        symbolic support."""
         t = self.t
         i = w.orbit
         dlast = _delta(i, t.orbit_count - 1)
         b = w.coord[1]
         mid_gen = self._arrow(w, w.family, i, (c + 1, b), 0)
-        if c == border and not isinstance(mid_gen, ZeroMorphism):
-            return False  # border step must have zero shift
-        if c < border and isinstance(mid_gen, ZeroMorphism):
+        if (c == border) != isinstance(mid_gen, ZeroMorphism):
             return False
+        if not t.is_finite_mode:
+            # aux at its bound a + [i = last] m, so build_simple1 accepts it
+            quot = build_simple1(t, KIND_B_INF, i, (c, b), c + dlast * t.m)
+            e_gen = quot.denominators.generators[_G]
+            if isinstance(e_gen, ZeroMorphism):
+                return False
+            # Layer between the B-quotient and the x-shift image must vanish in
+            # the finite-length layer: decided exactly on symbolic regions.
+            gap = functors.quotient_support(
+                t,
+                Subfunctor(w, (mid_gen, e_gen)),
+                Subfunctor(w, (mid_gen,)),
+            )
+            return all(rs.is_finite() for rs in gap.values())
         if w.family == FAMILY_X:
             u = self._arrow(w, FAMILY_Z, i, (c, 0), 1)
             sub = build_simple1(t, KIND_CP, i, (c, 0), c + dlast * t.m + 1)
@@ -616,37 +517,22 @@ class _Session:
             quot.denominators.generators,
         )
 
-    def _finite1_step_infinite(self, w: VertexId, c: int, border: int) -> bool:
-        """One induction step in the one-family model: the quotient by the
-        x-shift image is an extension of a B-object by a sub with finite
-        symbolic support."""
-        t = self.t
-        i = w.orbit
-        dlast = _delta(i, t.orbit_count - 1)
-        b = w.coord[1]
-        beta = c + dlast * t.m
-        mid_gen = self._arrow(w, w.family, i, (c + 1, b), 0)
-        if (c == border) != isinstance(mid_gen, ZeroMorphism):
-            return False
-        try:
-            quot = build_simple1(t, KIND_B_INF, i, (c, b), beta)
-        except ParameterRange:
-            return False
-        e_gen = quot.denominators.generators[1]
-        if isinstance(e_gen, ZeroMorphism):
-            return False
-        # Layer between the B-quotient and the x-shift image must vanish in
-        # the finite-length layer: decided exactly on symbolic regions.
-        gap = functors.quotient_support(
-            t,
-            Subfunctor(w, (mid_gen, e_gen)),
-            Subfunctor(w, (mid_gen,)),
-        )
-        return all(rs.is_finite() for rs in gap.values())
-
     # -- the Z-vertex lemmas ------------------------------------------------------
 
-    def nonsimple1_check(self, v: VertexId, K: int, tower_len=None, chain_cap=None) -> bool:
+    def _layer_step(self, v: VertexId, u, extra, inst: Simple1Instance, layer, chain_cap) -> bool:
+        """One step of an image chain out of v, with layer = instance_functor(inst)
+        at u's target: the next image `extra` sits inside the current one
+        (hop o u == extra, hop being the layer's shift generator f from u's
+        target to extra's), the kernel of (- o u) modulo extra is the layer's
+        denominator, and the layer passes its simplicity tower."""
+        hop = layer.denominators.generators[_F]
+        if model.compose(self.t, hop, u) != extra:
+            return False
+        if not self.eng.kernel_matches(v, u, (extra,), layer.denominators.generators):
+            return False
+        return self.tower_check(inst, self.depth, chain_cap=chain_cap)
+
+    def nonsimple1_check(self, v: VertexId, K: int, chain_cap=None) -> bool:
         """The strictly descending image chain out of a Z-vertex: K+1 layer
         sequences, each layer a C'-instance with exactly-infinite support that
         passes its own simplicity tower."""
@@ -661,31 +547,20 @@ class _Session:
         i = v.orbit
         dlast = _delta(i, t.orbit_count - 1)
         aux = a + dlast * t.m + 1
-        L = self.depth if tower_len is None else tower_len
         for step in range(K + 1):
             u = self._chain_u(v, FAMILY_Z, i, (a + step, b), 0)
             nxt_gen = self._arrow(v, FAMILY_Z, i, (a + step + 1, b), 0)
             if isinstance(u, ZeroMorphism) or isinstance(nxt_gen, ZeroMorphism):
                 return False
-            # the next image sits inside the current one
-            hop = self._arrow(
-                model.target_of(u), FAMILY_Z, i, (a + step + 1, b), 0
-            )
-            if model.compose(t, hop, u) != nxt_gen:
-                return False
-            layer_inst = Simple1Instance(KIND_CP, i, (a + step, b), aux)
-            layer = instance_functor(t, layer_inst)
-            if not self.eng.kernel_matches(
-                v, u, (nxt_gen,), layer.denominators.generators
-            ):
-                return False
+            inst = Simple1Instance(KIND_CP, i, (a + step, b), aux)
+            layer = instance_functor(t, inst)
             if functors.is_in_c0(t, layer):
                 return False  # every layer must be exactly infinite
-            if not self.tower_check(layer_inst, L, chain_cap=chain_cap):
+            if not self._layer_step(v, u, nxt_gen, inst, layer, chain_cap):
                 return False
         return True
 
-    def c2_check(self, v: VertexId, tower_len=None, chain_cap=None) -> bool:
+    def c2_check(self, v: VertexId, chain_cap=None) -> bool:
         """Case analysis making Hom(v, -) simple one layer up, for a Z-vertex:
         degree-0 arrows by induction with C-layers, degree-1 arrows through
         the finite-length chain of their target, degree-2 arrows by
@@ -701,7 +576,6 @@ class _Session:
         nxt = (i + 1) % R
         dlast = _delta(i, R - 1)
         wreg = self.window.region()
-        L = self.depth if tower_len is None else tower_len
         entries = model.arrow_fan(t, v).channels
         # Case: degree-0 targets, induction on c+d with C-layer quotients.
         e0 = entries[(FAMILY_Z, i, 0)]
@@ -709,22 +583,12 @@ class _Session:
             if (c, d) == (a, b):
                 continue
             if c > a:
-                u = self._chain_u(v, FAMILY_Z, i, (c - 1, d), 0)
-                extra = self._arrow(v, FAMILY_Z, i, (c, d), 0)
-                layer_inst = Simple1Instance(KIND_CP, i, (c - 1, d), a + dlast * t.m + 1)
+                inst = Simple1Instance(KIND_CP, i, (c - 1, d), a + dlast * t.m + 1)
             else:
-                u = self._chain_u(v, FAMILY_Z, i, (a, d - 1), 0)
-                extra = self._arrow(v, FAMILY_Z, i, (a, d), 0)
-                layer_inst = Simple1Instance(KIND_CPP, i, (a, d - 1), b - dlast * t.n + 1)
-            hop = self._arrow(model.target_of(u), FAMILY_Z, i, (c, d), 0)
-            if model.compose(t, hop, u) != extra:
-                return False
-            layer = instance_functor(t, layer_inst)
-            if not self.eng.kernel_matches(
-                v, u, (extra,), layer.denominators.generators
-            ):
-                return False
-            if not self.tower_check(layer_inst, L, chain_cap=chain_cap):
+                inst = Simple1Instance(KIND_CPP, i, (a, d - 1), b - dlast * t.n + 1)
+            u = self._chain_u(v, FAMILY_Z, i, inst.coord, 0)
+            extra = self._arrow(v, FAMILY_Z, i, (c, d), 0)
+            if not self._layer_step(v, u, extra, inst, instance_functor(t, inst), chain_cap):
                 return False
         # Cases: degree-1 targets admit the tautological epi from the target
         # representable, which has a finite-length chain.
@@ -782,223 +646,112 @@ def check_c2_simple(t: GentleTriple, v: VertexId, window: Window, depth: int = 4
     return s.c2_check(v)
 
 
-def _sample_aux(kind: str, t: GentleTriple, orbit: int, coord: tuple):
-    a, b = coord
-    dlast = _delta(orbit, t.orbit_count - 1)
-    if kind == KIND_BP or kind == KIND_BPP:
-        return (0, a)
-    if kind == KIND_CP:
-        top = a + dlast * t.m + 1
-        return (top, top - 3)
-    if kind == KIND_CPP:
-        top = b - dlast * t.n + 1
-        return (top, top - 3)
-    if kind == KIND_B_INF:
-        top = a + dlast * t.m
-        return (top, top - 2)
-    raise ValueError(kind)
-
-
-def _kind_family(kind: str) -> str:
-    return {
-        KIND_BP: FAMILY_X,
-        KIND_BPP: FAMILY_Y,
-        KIND_CP: FAMILY_Z,
-        KIND_CPP: FAMILY_Z,
-        KIND_B_INF: FAMILY_X,
-    }[kind]
-
-
 def check_infinite_mode(t: GentleTriple, window: Window, depth: int) -> bool:
     if t.is_finite_mode:
         raise ModeMismatch("infinite-mode replay needs r == n")
-    cert = _certify_infinite(_Session(t, window, depth))
-    return cert
+    return _run_phases(_Session(t, window, depth))
 
 
-def _inner_vertices(s: _Session, box: Window):
-    inner = get_engine(s.t, box.box)
-    return inner.vertices()
+# -- the phases of a certificate ----------------------------------------------
 
 
-def _certify_infinite(s: _Session) -> bool:
-    t, window, depth = s.t, s.window, s.depth
-    inner = window.inner_half()
-    ok_all = True
+class _Phase(NamedTuple):
+    """One record: passed when every item passes, else failed at the first."""
 
-    verts = _inner_vertices(s, inner)
-    fails = []
-    for v in verts:
-        passed, _ = s.simple0_check(v)
-        if not passed:
-            fails.append(v)
-    ok = not fails
-    ok_all &= s.record(
-        "inf_simple0",
-        {"window": list(inner.box), "vertices": len(verts)},
-        ok,
-        "" if ok else f"failed at {fails[0]}",
-    )
-
-    towers = 0
-    tower_fail = None
-    for v in verts:
-        for aux in _sample_aux(KIND_B_INF, t, v.orbit, v.coord):
-            inst = Simple1Instance(KIND_B_INF, v.orbit, v.coord, aux)
-            towers += 1
-            if not s.tower_check(inst, depth, chain_cap=depth):
-                tower_fail = inst
-                break
-        if tower_fail:
-            break
-    ok = tower_fail is None
-    ok_all &= s.record(
-        "inf_simple1",
-        {"window": list(inner.box), "instances": towers, "length": depth},
-        ok,
-        "" if ok else f"failed at {tower_fail.params()}",
-    )
-
-    all_x = s.eng.vertices()
-    f1_fail = None
-    for v in all_x:
-        if not s.finite1_check(v):
-            f1_fail = v
-            break
-    ok = f1_fail is None
-    ok_all &= s.record(
-        "inf_finite1",
-        {"window": list(window.box), "vertices": len(all_x)},
-        ok,
-        "" if ok else f"failed at {f1_fail}",
-    )
-
-    quarter = Window(inner.x0 // 2, inner.x1 // 2, inner.y0 // 2, inner.y1 // 2)
-    sep_fail = None
-    for v in _inner_vertices(s, quarter):
-        if functors.is_in_c0(t, functors.representable(t, v)):
-            sep_fail = v
-            break
-    ok = sep_fail is None
-    ok_all &= s.record(
-        "layer0_strict",
-        {"window": list(quarter.box)},
-        ok,
-        "representables have infinite symbolic support"
-        if ok
-        else f"H at {sep_fail} unexpectedly finite",
-    )
-    s.record("collapse_layers", {"H_X": 1}, True, "finite length is reached one layer up")
-    return bool(ok_all)
+    box: str  # the items come from the vertices of "window", "inner" or "quarter"
+    items: Callable  # (session, vertices) -> the items, in order
+    check: Callable  # (session, item) -> bool
+    params: tuple  # record params besides the window, named as in _run_phases
+    witness: Callable = str  # item -> its name in the detail of a failure
+    passed: str = ""
+    failed: str = "failed at {}"
 
 
-def _certify_finite(s: _Session, z_window=None) -> bool:
-    t, window, depth = s.t, s.window, s.depth
-    inner = window.inner_half()
-    ok_all = True
+def _tower_instances(s: _Session, verts: list) -> list:
+    """Per kind of the mode, each vertex of the kind's family with both
+    sample aux values."""
+    return [
+        Simple1Instance(kind, v.orbit, v.coord, aux)
+        for kind, spec in _KINDS.items()
+        if spec.finite == s.t.is_finite_mode
+        for v in verts
+        if v.family == spec.family
+        for aux in spec.samples(v.coord[0], _aux_top(s.t, spec, v.orbit, v.coord))
+    ]
 
-    verts = _inner_vertices(s, inner)
-    fails = []
-    for v in verts:
-        passed, _ = s.simple0_check(v)
-        if not passed:
-            fails.append(v)
-    ok = not fails
-    ok_all &= s.record(
-        "simple0",
-        {"window": list(inner.box), "vertices": len(verts)},
-        ok,
-        "" if ok else f"failed at {fails[0]}",
-    )
 
-    towers = 0
-    tower_fail = None
-    for kind in _FINITE_KINDS:
-        fam = _kind_family(kind)
-        for v in verts:
-            if v.family != fam:
-                continue
-            for aux in _sample_aux(kind, t, v.orbit, v.coord):
-                inst = Simple1Instance(kind, v.orbit, v.coord, aux)
-                towers += 1
-                if not s.tower_check(inst, depth, chain_cap=depth):
-                    tower_fail = inst
-                    break
-            if tower_fail:
-                break
-        if tower_fail:
-            break
-    ok = tower_fail is None
-    ok_all &= s.record(
-        "simple1",
-        {"window": list(inner.box), "instances": towers, "length": depth},
-        ok,
-        "" if ok else f"failed at {tower_fail.params()}",
-    )
+def _z_vertices(s, verts):
+    return [v for v in verts if v.family == FAMILY_Z]
 
-    xy = [v for v in s.eng.vertices() if v.family in (FAMILY_X, FAMILY_Y)]
-    f1_fail = None
-    for v in xy:
-        if not s.finite1_check(v):
-            f1_fail = v
-            break
-    ok = f1_fail is None
-    ok_all &= s.record(
-        "finite1",
-        {"window": list(window.box), "vertices": len(xy)},
-        ok,
-        "" if ok else f"failed at {f1_fail}",
-    )
 
-    zbox = z_window if z_window is not None else inner
-    zs = [v for v in _inner_vertices(s, zbox) if v.family == FAMILY_Z]
-    ns_fail = None
-    for v in zs:
-        if not s.nonsimple1_check(v, depth, chain_cap=depth):
-            ns_fail = v
-            break
-    ok = ns_fail is None
-    ok_all &= s.record(
-        "nonsimple1",
-        {"window": list(zbox.box), "vertices": len(zs), "depth": depth},
-        ok,
-        "" if ok else f"failed at {ns_fail}",
-    )
+_SIMPLE0 = _Phase("inner", lambda s, verts: verts, lambda s, v: s.simple0_check(v)[0], ("vertices",))
+_SIMPLE1 = _Phase(
+    "inner", _tower_instances, lambda s, inst: s.tower_check(inst, s.depth, chain_cap=s.depth),
+    ("instances", "length"), Simple1Instance.params,
+)
+_FINITE1 = _Phase(
+    "window", lambda s, verts: [v for v in verts if v.family != FAMILY_Z],
+    lambda s, v: s.finite1_check(v), ("vertices",),
+)
+_NONSIMPLE1 = _Phase(
+    "inner", _z_vertices,
+    lambda s, v: s.nonsimple1_check(v, s.depth, chain_cap=s.depth), ("vertices", "depth"),
+)
+_C2SIMPLE = _Phase(
+    "inner", _z_vertices, lambda s, v: s.c2_check(v, chain_cap=s.depth), ("vertices",)
+)
+_LAYER0_STRICT = _Phase(
+    "quarter", lambda s, verts: verts,
+    lambda s, v: not functors.is_in_c0(s.t, functors.representable(s.t, v)), (),
+    passed="representables have infinite symbolic support", failed="H at {} unexpectedly finite",
+)
 
-    c2_fail = None
-    for v in zs:
-        if not s.c2_check(v, chain_cap=depth):
-            c2_fail = v
-            break
-    ok = c2_fail is None
-    ok_all &= s.record(
-        "c2simple",
-        {"window": list(zbox.box), "vertices": len(zs)},
-        ok,
-        "" if ok else f"failed at {c2_fail}",
-    )
-
-    quarter = Window(inner.x0 // 2, inner.x1 // 2, inner.y0 // 2, inner.y1 // 2)
-    sep_fail = None
-    for v in _inner_vertices(s, quarter):
-        if functors.is_in_c0(t, functors.representable(t, v)):
-            sep_fail = v
-            break
-    ok = sep_fail is None
-    ok_all &= s.record(
-        "layer0_strict",
-        {"window": list(quarter.box)},
-        ok,
-        "representables have infinite symbolic support"
-        if ok
-        else f"H at {sep_fail} unexpectedly finite",
-    )
-    s.record(
-        "collapse_layers",
+# Per mode, keyed by is_finite_mode: the claimed dimension, the phases in
+# record order, and the params and detail of the closing collapse_layers.
+_MODES = {
+    True: (
+        2,
+        (("simple0", _SIMPLE0), ("simple1", _SIMPLE1), ("finite1", _FINITE1),
+         ("nonsimple1", _NONSIMPLE1), ("c2simple", _C2SIMPLE), ("layer0_strict", _LAYER0_STRICT)),
         {"H_X": 1, "H_Y": 1, "H_Z": 2},
-        True,
         "X/Y representables collapse one layer up, Z representables two",
-    )
+    ),
+    False: (
+        1,
+        (("inf_simple0", _SIMPLE0), ("inf_simple1", _SIMPLE1), ("inf_finite1", _FINITE1),
+         ("layer0_strict", _LAYER0_STRICT)),
+        {"H_X": 1},
+        "finite length is reached one layer up",
+    ),
+}
+
+
+def _run_phases(s: _Session) -> bool:
+    """Record every phase of the session's mode, then collapse_layers; True
+    iff every phase passed."""
+    _, phases, collapse, collapse_detail = _MODES[s.t.is_finite_mode]
+    inner = s.window.inner_half()
+    boxes = {"window": s.window, "inner": inner, "quarter": inner.inner_half()}
+    ok_all = True
+    for lemma, phase in phases:
+        box = boxes[phase.box]
+        items = phase.items(s, get_engine(s.t, box.box).vertices())
+        checked = 0
+        failed = None
+        for item in items:
+            checked += 1
+            if not phase.check(s, item):
+                failed = item
+                break
+        values = {"vertices": len(items), "instances": checked, "length": s.depth, "depth": s.depth}
+        ok = failed is None
+        ok_all &= s.record(
+            lemma,
+            {"window": list(box.box), **{name: values[name] for name in phase.params}},
+            ok,
+            phase.passed if ok else phase.failed.format(phase.witness(failed)),
+        )
+    s.record("collapse_layers", dict(collapse), True, collapse_detail)
     return bool(ok_all)
 
 
@@ -1016,18 +769,12 @@ def certify(
     if depth < 1:
         raise ParameterRange(f"depth must be >= 1, got {depth}")
     s = _Session(t, window, depth)
-    if t.is_finite_mode:
-        ok = _certify_finite(s)
-        kg = 2
-    else:
-        ok = _certify_infinite(s)
-        kg = 1
-    cert = Certificate(
+    ok = _run_phases(s)
+    return Certificate(
         triple=t,
-        kg=kg,
+        kg=_MODES[t.is_finite_mode][0],
         window=window,
         depth=depth,
         checks=s.records,
         verdict="pass" if ok else "fail",
     )
-    return cert

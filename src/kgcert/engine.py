@@ -29,9 +29,7 @@ whose AND costs several times more.
 Per-cell dimensions are bit counts: ``bytes.translate`` with a 256-entry
 popcount table maps a cube's bytes to its counts, in the same layout.  A
 cell holds at most 4 bits, so count cubes of two cubes add without carries
-and compare as ints (:meth:`WindowEngine.ses_dimension_check`).  The valid
-mask (:meth:`WindowEngine.valid_mask`) is one int with 0xFF in every cell
-that is a vertex of its channel.
+and compare as ints (:meth:`WindowEngine.ses_dimension_check`).
 
 Cubes are cached per source vertex, so a certification run touching the same
 tops repeatedly costs one fan rasterisation per vertex (the hot kernel,
@@ -75,7 +73,6 @@ class WindowEngine:
         self.nbytes = self.nchan * self.nx * self.ny
         # VertexId -> (cube, bit offset of the vertex's own cell or None)
         self._entries: dict = {}
-        self._valid = None
 
     # -- grid plumbing ----------------------------------------------------
 
@@ -92,15 +89,6 @@ class WindowEngine:
     def cells(self, bits: int) -> bytes:
         """The cube ``bits`` as bytes, one cell per byte (see :meth:`cell`)."""
         return bits.to_bytes(self.nbytes, "little")
-
-    def valid_mask(self) -> int:
-        """0xFF in every cell whose coordinate is a vertex of its channel."""
-        if self._valid is None:
-            buf = bytearray(self.nbytes)
-            for v in self.vertices():
-                buf[self.cell(v)] = 0xFF
-            self._valid = int.from_bytes(buf, "little")
-        return self._valid
 
     # -- cubes -------------------------------------------------------------
 

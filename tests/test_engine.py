@@ -331,7 +331,6 @@ def test_valid_mask_and_vertices_match_reference(r, n, m, box):
     t = validate_triple(r, n, m)
     eng = WindowEngine(t, box)
     valid = ref_valid(eng)
-    assert np.array_equal(grid(eng, eng.valid_mask()), valid * np.uint8(0xFF))
     want = [
         VertexId(fam, orb, (eng.x0 + ix, eng.y0 + iy))
         for ci, (fam, orb) in enumerate(eng.channels)
@@ -383,15 +382,14 @@ def test_ses_dimension_check_matches_reference(t120, box):
 
 
 def ref_simple0_check(eng, v, gens):
-    """dim 1 at v (when in window) and 0 at every other valid cell, on uint8
-    grids."""
+    """dim 1 at v (when in window) and 0 in every other cell, valid or not,
+    on uint8 grids."""
     dims = _POPCOUNT[ref_basis_cube(eng, v) & ~ref_image_cube(eng, v, gens)]
     want = np.zeros_like(dims)
     if eng.in_window(v.coord):
         ix, iy = point_index(eng, v.coord)
         want[eng.chan_index[(v.family, v.orbit)], ix, iy] = 1
-    valid = ref_valid(eng)
-    return np.array_equal(dims[valid], want[valid])
+    return np.array_equal(dims, want)
 
 
 @pytest.mark.parametrize("fake", [False, True], ids=["sink pair", "non-sink pair"])
@@ -410,6 +408,28 @@ def test_simple0_check_matches_reference(r, n, m, box, fake, monkeypatch):
         assert skipped == (not s.eng.in_window(v.coord))
         gens = C.build_simple0(t, v).denominators.generators
         assert passed == ref_simple0_check(s.eng, v, gens), v
+
+
+def test_simple0_check_fails_on_a_count_in_an_invalid_cell(t120, monkeypatch):
+    """A correct model leaves every cell that is no vertex at 0, so simple0
+    reads all cells: a count leaked into one (Y:0:(0,0) is no vertex, as
+    0 + 2 > 0) fails the check, for in-window and out-of-window tops alike."""
+    leak = VertexId("Y", 0, (0, 0))
+    assert not M.vertex_valid(t120, leak)
+    real = WindowEngine.dims_cube
+
+    def leaky_dims_cube(self, top, gens):
+        out = bytearray(real(self, top, gens))
+        out[self.cell(leak)] += 1
+        return bytes(out)
+
+    s = C._Session(t120, Window(-4, 4, -4, 4), 1)
+    inside, outside = VertexId("Z", 0, (0, 0)), VertexId("Z", 0, (40, 40))
+    assert s.simple0_check(inside) == (True, False)
+    assert s.simple0_check(outside) == (True, True)
+    monkeypatch.setattr(WindowEngine, "dims_cube", leaky_dims_cube)
+    assert s.simple0_check(inside) == (False, False)
+    assert s.simple0_check(outside) == (False, True)
 
 
 # -- degrees outside 0..max_degree ----------------------------------------------------
