@@ -19,11 +19,19 @@ The geometry of each kind is one row of the table ``_KINDS``, read without a
 branch on the kind; a certificate runs the phase list of its mode
 (``_MODES``).  Infinite constructions are verified to a configurable depth;
 the certificate records window, depth and every check outcome.
+
+Where it can, a run checks the items of every phase in two processes: it
+forks one helper that takes the items at odd x and keeps the even ones, then
+merges the first failures so that the records are those of the serial loop
+(``_run_phases``).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -92,6 +100,9 @@ class Certificate:
     depth: int
     checks: list = field(default_factory=list)
     verdict: str = "fail"
+    # Where the time went, per phase and process (see _Session.stats); not
+    # part of the certificate's bytes.
+    stats: Optional[dict] = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -263,12 +274,9 @@ def build_simple1(
     (aux <= a + [i=last] m).  Out-of-region second generators degenerate to
     the zero morphism, per the zero-map convention.
     """
-    spec = _KINDS.get(kind)
-    finite = spec is None or spec.finite  # an unknown kind is refused as a finite-mode one
-    if finite != t.is_finite_mode:
-        raise ModeMismatch(f"kind {kind} exists only when {'r < n' if finite else 'r == n'}")
-    if spec is None:
-        raise ValueError(f"unknown kind {kind!r}")
+    spec = _spec(kind)
+    if spec.finite != t.is_finite_mode:
+        raise ModeMismatch(f"kind {kind} exists only when {'r < n' if spec.finite else 'r == n'}")
     a, b = coord
     top = VertexId(spec.family, orbit, coord)
     if not model.vertex_valid(t, top):
@@ -303,6 +311,10 @@ class _Session:
         self.depth = depth
         self.eng: WindowEngine = get_engine(t, window.box)
         self.records: list = []
+        # Per phase in record order: its item count and, per process (this
+        # one first, then a helper if one ran), the items checked and the
+        # seconds taken.
+        self.stats: list = []
         self._tower_cache: dict = {}
         self._tower_step_cache: dict = {}
         self._finite1_cache: dict = {}
@@ -649,6 +661,7 @@ def check_c2_simple(t: GentleTriple, v: VertexId, window: Window, depth: int = 4
 def check_infinite_mode(t: GentleTriple, window: Window, depth: int) -> bool:
     if t.is_finite_mode:
         raise ModeMismatch("infinite-mode replay needs r == n")
+    _check_depth(depth)
     return _run_phases(_Session(t, window, depth))
 
 
@@ -726,33 +739,172 @@ _MODES = {
 }
 
 
+# -- running the phases, in one process or two ---------------------------------
+
+
+def _everything(item) -> bool:
+    return True
+
+
+# The shares of a split run: items at even x stay, the helper takes those at
+# odd x.  Towers ascend along y for every kind, so the instances of one top
+# column, whose towers share steps, stay in one process.
+
+
+def _even_x(item) -> bool:
+    return item.coord[0] % 2 == 0
+
+
+def _odd_x(item) -> bool:
+    return item.coord[0] % 2 == 1
+
+
+def _first_failure(s: _Session, phase: _Phase, items: list, mine: Callable) -> list:
+    """Check the items that ``mine`` selects, in order, up to the first that
+    fails; returns [its index or -1, items checked, seconds]."""
+    t0 = time.perf_counter()
+    checked = 0
+    for k, item in enumerate(items):
+        if mine(item):
+            checked += 1
+            if not phase.check(s, item):
+                return [k, checked, time.perf_counter() - t0]
+    return [-1, checked, time.perf_counter() - t0]
+
+
+def _walk(s: _Session, plan: list, mine: Callable) -> list:
+    """_first_failure for every phase of the plan."""
+    return [_first_failure(s, phase, items, mine) for _, phase, _, items in plan]
+
+
+def _split_allowed() -> bool:
+    """Whether certification may fork a helper: fork exists, the process may
+    run on two CPUs or more, and no other thread runs (a forked child has
+    only the forking thread, so a lock another thread holds stays held)."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return cpus >= 2
+
+
+def _helper(s: _Session, plan: list, read_fd: int, write_fd: int):
+    """The forked helper: checks its share of every phase, writes the walk
+    as JSON to write_fd and exits, with status 1 on any exception."""
+    status = 1
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as out:
+            out.write(json.dumps(_walk(s, plan, _odd_x)).encode())
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _helper_walk(reply: bytes, plan: list) -> Optional[list]:
+    """The helper's walk from its reply, or None unless the reply has one
+    [index, checked, seconds] per phase and each failing index names an item
+    of the helper's share."""
+    try:
+        walk = json.loads(reply)
+    except ValueError:
+        return None
+    if not isinstance(walk, list) or len(walk) != len(plan):
+        return None
+    for (_, _, _, items), res in zip(plan, walk):
+        if not (isinstance(res, list) and len(res) == 3):
+            return None
+        failed, checked, seconds = res
+        if type(failed) is not int or type(checked) is not int or type(seconds) not in (int, float):
+            return None
+        if failed != -1 and not (0 <= failed < len(items) and _odd_x(items[failed])):
+            return None
+    return walk
+
+
+def _split_walks(s: _Session, plan: list) -> Optional[list]:
+    """The walks of this process (even x) and of a forked helper (odd x), or
+    None when the helper could not start, either process raised an
+    Exception or the helper gave no valid reply.  The helper is always
+    reaped: killed if this process stops early, also on KeyboardInterrupt."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        _helper(s, plan, read_fd, write_fd)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as replies:
+            try:
+                ours = _walk(s, plan, _even_x)
+            except Exception:
+                return None  # the serial rerun raises the serial run's exception
+            reply = replies.read()
+        _, status = os.waitpid(pid, 0)
+        pid = None
+    finally:
+        if pid is not None:
+            import signal  # here, not at the top: only this path needs it
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    theirs = _helper_walk(reply, plan) if status == 0 else None
+    return None if theirs is None else [ours, theirs]
+
+
 def _run_phases(s: _Session) -> bool:
     """Record every phase of the session's mode, then collapse_layers; True
-    iff every phase passed."""
+    iff every phase passed.  A phase's record names its first failing item,
+    whether one process or two checked the items."""
     _, phases, collapse, collapse_detail = _MODES[s.t.is_finite_mode]
     inner = s.window.inner_half()
     boxes = {"window": s.window, "inner": inner, "quarter": inner.inner_half()}
-    ok_all = True
+    plan = []
     for lemma, phase in phases:
         box = boxes[phase.box]
-        items = phase.items(s, get_engine(s.t, box.box).vertices())
-        checked = 0
-        failed = None
-        for item in items:
-            checked += 1
-            if not phase.check(s, item):
-                failed = item
-                break
-        values = {"vertices": len(items), "instances": checked, "length": s.depth, "depth": s.depth}
-        ok = failed is None
+        plan.append((lemma, phase, box, phase.items(s, get_engine(s.t, box.box).vertices())))
+    walks = _split_walks(s, plan) if _split_allowed() else None
+    if walks is None:
+        walks = [_walk(s, plan, _everything)]
+    ok_all = True
+    for k, (lemma, phase, box, items) in enumerate(plan):
+        results = [walk[k] for walk in walks]
+        failed = min((res[0] for res in results if res[0] >= 0), default=-1)
+        s.stats.append({
+            "lemma": lemma,
+            "items": len(items),
+            "processes": [{"checked": res[1], "seconds": res[2]} for res in results],
+        })
+        ok = failed < 0
+        values = {
+            "vertices": len(items),
+            "instances": len(items) if ok else failed + 1,
+            "length": s.depth,
+            "depth": s.depth,
+        }
         ok_all &= s.record(
             lemma,
             {"window": list(box.box), **{name: values[name] for name in phase.params}},
             ok,
-            phase.passed if ok else phase.failed.format(phase.witness(failed)),
+            phase.passed if ok else phase.failed.format(phase.witness(items[failed])),
         )
     s.record("collapse_layers", dict(collapse), True, collapse_detail)
     return bool(ok_all)
+
+
+def _check_depth(depth: int) -> None:
+    """A depth below 1 would check no tower step or chain point."""
+    if depth < 1:
+        raise ParameterRange(f"depth must be >= 1, got {depth}")
 
 
 def certify(
@@ -765,9 +917,14 @@ def certify(
     The claimed dimension is 2 in finite mode and 1 in infinite mode; the
     verdict is "pass" only if every recorded check passed.  A depth below 1
     would check no tower step or chain point, so it is rejected.
+
+    On a machine with two CPUs or more, and with no other thread running,
+    the phases are checked in this process and one forked helper, which
+    holds memory of its own; the certificate has the same bytes as a run in
+    one process.  ``stats`` of the result gives the item count of each phase
+    and, per process, the items checked and the seconds taken.
     """
-    if depth < 1:
-        raise ParameterRange(f"depth must be >= 1, got {depth}")
+    _check_depth(depth)
     s = _Session(t, window, depth)
     ok = _run_phases(s)
     return Certificate(
@@ -777,4 +934,5 @@ def certify(
         depth=depth,
         checks=s.records,
         verdict="pass" if ok else "fail",
+        stats={"phases": s.stats},
     )

@@ -186,6 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_window_flag(p)
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--json", metavar="PATH", help="also write the certificate here")
+    p.add_argument(
+        "--stats",
+        metavar="PATH",
+        help="write run statistics here as JSON: per phase, the item count and, "
+        "per process, the items checked and the seconds taken",
+    )
 
     return ap
 
@@ -281,6 +287,9 @@ def _run(args) -> int:
         if args.json:
             with open(args.json, "w") as fh:
                 fh.write(text + "\n")
+        if args.stats:
+            with open(args.stats, "w") as fh:
+                fh.write(json.dumps(cert.stats, indent=2) + "\n")
         return 0 if cert.passed else 1
     raise UsageError(f"unknown command {args.command!r}")
 

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import random
+import signal
+import threading
+import time
 
 import pytest
 
@@ -27,7 +31,7 @@ from kgcert.certifier import (
     check_simple0,
     check_simple1_tower,
 )
-from kgcert.engine import WindowEngine
+from kgcert.engine import WindowEngine, get_engine
 from kgcert.errors import (
     InvalidVertex,
     ModeMismatch,
@@ -104,6 +108,12 @@ def test_build_simple1_mode_guards(t120, t110):
         build_simple1(t120, KIND_B_INF, 0, (0, 0), 0)
     with pytest.raises(ModeMismatch):
         build_simple1(t110, KIND_BP, 0, (0, 0), 0)
+
+
+def test_build_simple1_unknown_kind_is_a_value_error_in_both_modes(t120, t110):
+    for t in (t120, t110):
+        with pytest.raises(ValueError, match="unknown kind 'zz'"):
+            build_simple1(t, "zz", 0, (0, 0), 0)
 
 
 # -- simple objects ----------------------------------------------------------------
@@ -272,6 +282,12 @@ def test_infinite_mode_replay(r, n, m):
 def test_infinite_mode_guard(t120):
     with pytest.raises(ModeMismatch):
         check_infinite_mode(t120, W6, 4)
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_infinite_mode_rejects_depth_below_one(t110, depth):
+    with pytest.raises(ParameterRange, match="depth"):
+        check_infinite_mode(t110, Window(-3, 3, -3, 3), depth)
 
 
 # -- perturbation table --------------------------------------------------------------------
@@ -666,3 +682,275 @@ def test_case_rows_cover_every_fan_channel(r, n, m):
                 uncovered = {key: rs for key, rs in left.items() if not rs.is_empty()}
                 assert not uncovered, (kind, v, aux, uncovered)
     assert instances > 20
+
+
+# -- certifying in two processes ------------------------------------------------------
+#
+# On two CPUs certify forks a helper that checks the items at odd x of every
+# phase.  These tests force the split on or off through _split_allowed and
+# patch checks on the class, so the forked helper inherits the patch.
+
+SPLIT_WINDOW = Window(-4, 4, -4, 4)
+SPLIT_DEPTH = 2
+
+
+def _processes(cert):
+    return {len(p["processes"]) for p in cert.stats["phases"]}
+
+
+def _certify(monkeypatch, t, split):
+    with monkeypatch.context() as m:
+        m.setattr(C, "_split_allowed", lambda: split)
+        return certify(t, SPLIT_WINDOW, SPLIT_DEPTH)
+
+
+def _outcome(monkeypatch, t, split):
+    """The certificate's bytes and process counts, or the exception raised."""
+    try:
+        cert = _certify(monkeypatch, t, split)
+    except RuntimeError as exc:
+        return ("raised", str(exc))
+    return (cert.to_json_text(), _processes(cert))
+
+
+def _bp_instances(t):
+    """The simple1 phase's items, and the indices of its B' items at even
+    and at odd x.  No other phase checks a B' tower."""
+    s = C._Session(t, SPLIT_WINDOW, SPLIT_DEPTH)
+    items = C._tower_instances(s, get_engine(t, SPLIT_WINDOW.inner_half().box).vertices())
+    bp = [k for k, inst in enumerate(items) if inst.kind == KIND_BP]
+    even = [k for k in bp if items[k].coord[0] % 2 == 0]
+    odd = [k for k in bp if items[k].coord[0] % 2 == 1]
+    return items, even, odd
+
+
+def _patch_towers(monkeypatch, act):
+    """Route tower_check through act(inst, real) for the B' instances."""
+    real = C._Session.tower_check
+
+    def tower_check(self, inst, length, chain_cap=None):
+        run = lambda: real(self, inst, length, chain_cap)  # noqa: E731
+        return act(inst, run) if inst.kind == KIND_BP else run()
+
+    monkeypatch.setattr(C._Session, "tower_check", tower_check)
+
+
+def _chosen(even, odd, where):
+    """Indices of the items to break: one in the helper's share (odd x), one
+    in this process's share, or one in each with the named one first."""
+    o = odd[len(odd) // 2]
+    e = even[len(even) // 2]
+    return {
+        "helper": [o],
+        "parent": [e],
+        "both, helper first": [o, next(k for k in even if k > o)],
+        "both, parent first": [e, next(k for k in odd if k > e)],
+    }[where]
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+def test_split_and_serial_certificates_have_the_same_bytes(r, n, m, monkeypatch):
+    t = validate_triple(r, n, m)
+    texts = {}
+    for split in (False, True):
+        monkeypatch.setattr(C, "_split_allowed", lambda: split)
+        cert = certify(t, Window(-5, 6, -4, 7), 5)
+        assert _processes(cert) == {2 if split else 1}
+        texts[split] = cert.to_json_text()
+    assert texts[True] == texts[False]
+    assert hashlib.sha256(texts[True].encode()).hexdigest() == OFFSET_WINDOW_SHA256[(r, n, m)]
+
+
+@pytest.mark.parametrize("where", ["helper", "parent", "both, helper first", "both, parent first"])
+def test_split_records_the_serial_first_failure(t120, monkeypatch, where):
+    items, even, odd = _bp_instances(t120)
+    bad = _chosen(even, odd, where)
+    broken = {items[k] for k in bad}
+    _patch_towers(monkeypatch, lambda inst, run: False if inst in broken else run())
+    serial = _certify(monkeypatch, t120, False)
+    split = _certify(monkeypatch, t120, True)
+    assert _processes(split) == {2}
+    assert split.to_json_text() == serial.to_json_text()
+    record = split.checks[1]
+    assert record.lemma == "simple1" and not record.passed
+    assert record.params["instances"] == min(bad) + 1
+    assert record.detail == f"failed at {items[min(bad)].params()}"
+    assert sum(c.passed for c in split.checks) == len(split.checks) - 1
+
+
+@pytest.mark.parametrize(
+    "where", ["helper", "parent", "both, helper first", "both, parent first", "helper, after a failure"]
+)
+def test_split_raises_the_serial_exception(t120, monkeypatch, where):
+    items, even, odd = _bp_instances(t120)
+    failing = set()
+    if where == "helper, after a failure":
+        e = even[0]
+        failing = {items[e]}
+        raising = {items[next(k for k in odd if k > e)]}
+    else:
+        raising = {items[k] for k in _chosen(even, odd, where)}
+
+    def act(inst, run):
+        if inst in raising:
+            raise RuntimeError(f"boom at {inst}")
+        return False if inst in failing else run()
+
+    _patch_towers(monkeypatch, act)
+    serial = _outcome(monkeypatch, t120, False)
+    split = _outcome(monkeypatch, t120, True)
+    if failing:
+        assert serial[0] != "raised"
+        assert split == (serial[0], {1})  # the helper raised: a serial rerun
+    else:
+        assert split == serial
+        first = min(items.index(inst) for inst in raising)
+        assert serial == ("raised", f"boom at {items[first]}")
+
+
+@pytest.mark.parametrize("death", ["exit 0", "exit 3", "SIGKILL"])
+def test_dead_helper_yields_the_serial_certificate(t120, monkeypatch, death):
+    """A helper that dies before it replies is never read as a pass: the
+    certificate is the serial run's, which fails at the helper's item."""
+    items, _, odd = _bp_instances(t120)
+    broken = items[odd[0]]
+    parent = os.getpid()
+
+    def act(inst, run):
+        if inst != broken:
+            return run()
+        if os.getpid() != parent:
+            if death == "SIGKILL":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(0 if death == "exit 0" else 3)
+        return False
+
+    _patch_towers(monkeypatch, act)
+    serial = _certify(monkeypatch, t120, False)
+    split = _certify(monkeypatch, t120, True)
+    assert not serial.passed
+    assert split.to_json_text() == serial.to_json_text()
+    assert _processes(split) == {1}
+
+
+def _bad_replies(plan):
+    """Helper walks that no honest helper sends, by name."""
+    first = plan[0][3]
+    passing = [[-1, 0, 0.0] for _ in plan]
+    even = next(k for k, v in enumerate(first) if v.coord[0] % 2 == 0)
+    return {
+        "failure in the parent's share": [[even, 1, 0.0]] + passing[1:],
+        "index past the items": [[len(first), 1, 0.0]] + passing[1:],
+        "one phase short": passing[1:],
+        "index not an int": [["0", 1, 0.0]] + passing[1:],
+    }
+
+
+@pytest.mark.parametrize(
+    "bad", ["failure in the parent's share", "index past the items", "one phase short", "index not an int"]
+)
+def test_invalid_helper_reply_yields_the_serial_certificate(t120, monkeypatch, bad):
+    real = C._walk
+
+    def walk(s, plan, mine):
+        return _bad_replies(plan)[bad] if mine is C._odd_x else real(s, plan, mine)
+
+    serial = _certify(monkeypatch, t120, False)
+    monkeypatch.setattr(C, "_walk", walk)
+    split = _certify(monkeypatch, t120, True)
+    assert serial.passed
+    assert split.to_json_text() == serial.to_json_text()
+    assert _processes(split) == {1}
+
+
+@pytest.mark.parametrize(
+    "reply", [b"", b"\xff\xfe", b"null", b"{}", b"[[-1, 0]]", b"[[true, 1, 0.5]]", b'[[-1, 0, "s"]]']
+)
+def test_malformed_helper_reply_is_rejected(t110, reply):
+    plan = [("inf_simple0", C._SIMPLE0, SPLIT_WINDOW, get_engine(t110, SPLIT_WINDOW.box).vertices())]
+    assert C._helper_walk(reply, plan) is None
+    assert C._helper_walk(b"[[-1, 3, 0.5]]", plan) == [[-1, 3, 0.5]]
+
+
+def test_interrupt_reaps_the_helper(t120, monkeypatch, tmp_path):
+    """KeyboardInterrupt in this process kills and reaps a helper that is
+    still busy: the helper's pid is gone, not a zombie."""
+    items, even, odd = _bp_instances(t120)
+    pid_file = tmp_path / "helper.pid"
+    parent = os.getpid()
+
+    def act(inst, run):
+        if os.getpid() != parent:
+            pid_file.write_text(str(os.getpid()))
+            time.sleep(60)
+        for _ in range(1000):
+            if pid_file.exists() and pid_file.read_text():
+                raise KeyboardInterrupt
+            time.sleep(0.01)
+        raise AssertionError("the helper never started")
+
+    _patch_towers(monkeypatch, act)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _certify(monkeypatch, t120, True)
+    assert time.monotonic() - t0 < 30
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+
+
+def _condition(monkeypatch, name):
+    """Make one condition of the split decision fail."""
+    if name == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif name == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif name == "one CPU, no affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    elif name == "another thread":
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+
+
+@pytest.mark.parametrize("name", ["none", "no fork", "one CPU", "one CPU, no affinity", "another thread"])
+def test_each_split_condition_alone_forces_the_serial_path(t110, monkeypatch, name):
+    """With fork, two CPUs and one thread the run splits; failing any one of
+    them runs every phase in this process."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    _condition(monkeypatch, name)
+    split = name == "none"
+    assert C._split_allowed() is split
+    cert = certify(t110, SPLIT_WINDOW, SPLIT_DEPTH)
+    assert cert.passed and _processes(cert) == {2 if split else 1}
+    assert len(forks) == int(split)
+
+
+def test_a_running_thread_keeps_certify_in_one_process(t110):
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, args=(30,))
+    thread.start()
+    try:
+        cert = certify(t110, SPLIT_WINDOW, SPLIT_DEPTH)
+    finally:
+        done.set()
+        thread.join(30)
+    assert not thread.is_alive()
+    assert cert.passed and _processes(cert) == {1}
+
+
+def test_stats_count_every_item_once(t120):
+    cert = certify(t120, SPLIT_WINDOW, SPLIT_DEPTH)
+    phases = cert.stats["phases"]
+    assert [p["lemma"] for p in phases] == [c.lemma for c in cert.checks[:-1]]
+    for p in phases:
+        assert sum(q["checked"] for q in p["processes"]) == p["items"] > 0
+        assert all(q["seconds"] >= 0 for q in p["processes"])
+    assert "stats" not in cert.to_json()

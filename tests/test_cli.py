@@ -298,6 +298,23 @@ def test_certify_command_json_roundtrip(tmp_path, capsys):
     assert json.loads(disk) == data
 
 
+def test_certify_stats_leave_the_certificate_bytes_alone(tmp_path, capsys):
+    argv = ["certify", "--r", "1", "--n", "2", "--m", "0", "--window", "-4", "4", "-4", "4",
+            "--depth", "2", "--json", str(tmp_path / "plain.json")]
+    code, plain_out, _ = run(capsys, *argv)
+    assert code == 0
+    argv[-1] = str(tmp_path / "with_stats.json")
+    code, out, _ = run(capsys, *argv, "--stats", str(tmp_path / "stats.json"))
+    assert code == 0 and out == plain_out
+    assert (tmp_path / "with_stats.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    stats = json.loads((tmp_path / "stats.json").read_text())
+    lemmas = [c["lemma"] for c in json.loads(out)["checks"]]
+    assert [p["lemma"] for p in stats["phases"]] == lemmas[:-1]  # all but collapse_layers
+    for p in stats["phases"]:
+        assert p["items"] == sum(q["checked"] for q in p["processes"])
+        assert all(q["seconds"] >= 0 for q in p["processes"])
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_certify_depth_below_one_usage_error(capsys, depth):
     for triple in (["1", "1", "0"], ["1", "2", "0"]):
