@@ -244,8 +244,8 @@ def _aux_top(t: GentleTriple, spec: _Kind, orbit: int, coord: tuple):
     """The largest aux of an instance, or None when every aux is allowed."""
     if spec.aux_top is None:
         return None
-    dlast = _delta(orbit, t.orbit_count - 1)
-    return spec.aux_top(coord[0], coord[1], dlast * t.m, dlast * t.n)
+    last = orbit == t.orbit_count - 1
+    return spec.aux_top(coord[0], coord[1], last * t.m, last * t.n)
 
 
 # -- builders ----------------------------------------------------------------
@@ -257,10 +257,6 @@ def build_simple0(t: GentleTriple, v: VertexId) -> FpFunctor:
     if not model.vertex_valid(t, v):
         raise InvalidVertex(f"not a vertex of the model: {v}")
     return FpFunctor(v, Subfunctor(v, model.ar_sink_maps(t, v)))
-
-
-def _delta(i: int, j: int) -> int:
-    return 1 if i == j else 0
 
 
 def build_simple1(
@@ -470,8 +466,7 @@ class _Session:
             return hit
         a, b = v.coord
         i = v.orbit
-        d0 = _delta(i, 0)
-        border = b + d0 * t.m if v.family == FAMILY_X else b - d0 * t.n
+        border = b + model.index_regions(t)[(v.family, i)].hi_d  # the largest a at this b
         ok = True
         for c in range(border, a - 1, -1):
             w = VertexId(v.family, i, (c, b))
@@ -491,14 +486,13 @@ class _Session:
         symbolic support."""
         t = self.t
         i = w.orbit
-        dlast = _delta(i, t.orbit_count - 1)
         b = w.coord[1]
         mid_gen = self._arrow(w, w.family, i, (c + 1, b), 0)
         if (c == border) != isinstance(mid_gen, ZeroMorphism):
             return False
         if not t.is_finite_mode:
-            # aux at its bound a + [i = last] m, so build_simple1 accepts it
-            quot = build_simple1(t, KIND_B_INF, i, (c, b), c + dlast * t.m)
+            # aux at its bound, so build_simple1 accepts it
+            quot = build_simple1(t, KIND_B_INF, i, (c, b), _aux_top(t, _KINDS[KIND_B_INF], i, (c, b)))
             e_gen = quot.denominators.generators[_G]
             if isinstance(e_gen, ZeroMorphism):
                 return False
@@ -512,11 +506,11 @@ class _Session:
             return all(rs.is_finite() for rs in gap.values())
         if w.family == FAMILY_X:
             u = self._arrow(w, FAMILY_Z, i, (c, 0), 1)
-            sub = build_simple1(t, KIND_CP, i, (c, 0), c + dlast * t.m + 1)
+            sub = build_simple1(t, KIND_CP, i, (c, 0), _aux_top(t, _KINDS[KIND_CP], i, (c, 0)))
             quot = build_simple1(t, KIND_BP, i, (c, b), 0)
         else:
             u = self._arrow(w, FAMILY_Z, i, (0, c), 1)
-            sub = build_simple1(t, KIND_CPP, i, (0, c), c - dlast * t.n + 1)
+            sub = build_simple1(t, KIND_CPP, i, (0, c), _aux_top(t, _KINDS[KIND_CPP], i, (0, c)))
             quot = build_simple1(t, KIND_BPP, i, (c, b), 0)
         if isinstance(u, ZeroMorphism):
             return False
@@ -557,8 +551,7 @@ class _Session:
             raise ValueError("chain depth K must be >= 1")
         a, b = v.coord
         i = v.orbit
-        dlast = _delta(i, t.orbit_count - 1)
-        aux = a + dlast * t.m + 1
+        aux = _aux_top(t, _KINDS[KIND_CP], i, v.coord)
         for step in range(K + 1):
             u = self._chain_u(v, FAMILY_Z, i, (a + step, b), 0)
             nxt_gen = self._arrow(v, FAMILY_Z, i, (a + step + 1, b), 0)
@@ -584,9 +577,9 @@ class _Session:
             raise WrongFamily(f"expected a Z-vertex, got {v}")
         a, b = v.coord
         i = v.orbit
-        R = t.orbit_count
-        nxt = (i + 1) % R
-        dlast = _delta(i, R - 1)
+        nxt = (i + 1) % t.orbit_count
+        cp_aux = _aux_top(t, _KINDS[KIND_CP], i, v.coord)
+        cpp_aux = _aux_top(t, _KINDS[KIND_CPP], i, v.coord)
         wreg = self.window.region()
         entries = model.arrow_fan(t, v).channels
         # Case: degree-0 targets, induction on c+d with C-layer quotients.
@@ -595,9 +588,9 @@ class _Session:
             if (c, d) == (a, b):
                 continue
             if c > a:
-                inst = Simple1Instance(KIND_CP, i, (c - 1, d), a + dlast * t.m + 1)
+                inst = Simple1Instance(KIND_CP, i, (c - 1, d), cp_aux)
             else:
-                inst = Simple1Instance(KIND_CPP, i, (a, d - 1), b - dlast * t.n + 1)
+                inst = Simple1Instance(KIND_CPP, i, (a, d - 1), cpp_aux)
             u = self._chain_u(v, FAMILY_Z, i, inst.coord, 0)
             extra = self._arrow(v, FAMILY_Z, i, (c, d), 0)
             if not self._layer_step(v, u, extra, inst, instance_functor(t, inst), chain_cap):
@@ -661,8 +654,7 @@ def check_c2_simple(t: GentleTriple, v: VertexId, window: Window, depth: int = 4
 def check_infinite_mode(t: GentleTriple, window: Window, depth: int) -> bool:
     if t.is_finite_mode:
         raise ModeMismatch("infinite-mode replay needs r == n")
-    _check_depth(depth)
-    return _run_phases(_Session(t, window, depth))
+    return certify(t, window, depth).passed
 
 
 # -- the phases of a certificate ----------------------------------------------
@@ -740,41 +732,32 @@ _MODES = {
 
 
 # -- running the phases, in one process or two ---------------------------------
+#
+# One loop, _walk, checks the items of every phase: all of them in a serial
+# run; in a split run, those at even x in this process (parity 0) and those at
+# odd x in a forked helper (parity 1).  Towers ascend along y for every kind,
+# so the instances of one top column, whose towers share steps, stay in one
+# process.
 
 
-def _everything(item) -> bool:
-    return True
-
-
-# The shares of a split run: items at even x stay, the helper takes those at
-# odd x.  Towers ascend along y for every kind, so the instances of one top
-# column, whose towers share steps, stay in one process.
-
-
-def _even_x(item) -> bool:
-    return item.coord[0] % 2 == 0
-
-
-def _odd_x(item) -> bool:
-    return item.coord[0] % 2 == 1
-
-
-def _first_failure(s: _Session, phase: _Phase, items: list, mine: Callable) -> list:
-    """Check the items that ``mine`` selects, in order, up to the first that
-    fails; returns [its index or -1, items checked, seconds]."""
-    t0 = time.perf_counter()
-    checked = 0
-    for k, item in enumerate(items):
-        if mine(item):
-            checked += 1
-            if not phase.check(s, item):
-                return [k, checked, time.perf_counter() - t0]
-    return [-1, checked, time.perf_counter() - t0]
-
-
-def _walk(s: _Session, plan: list, mine: Callable) -> list:
-    """_first_failure for every phase of the plan."""
-    return [_first_failure(s, phase, items, mine) for _, phase, _, items in plan]
+def _walk(s: _Session, plan: list, parity: Optional[int] = None) -> list:
+    """Check the items of every phase of the plan, in order, up to the first
+    that fails: all of them when parity is None, else those whose x has that
+    parity.  Returns per phase [the failing index or -1, items checked,
+    seconds]."""
+    walk = []
+    for _, phase, _, items in plan:
+        t0 = time.perf_counter()
+        failed = -1
+        checked = 0
+        for k, item in enumerate(items):
+            if parity is None or item.coord[0] % 2 == parity:
+                checked += 1
+                if not phase.check(s, item):
+                    failed = k
+                    break
+        walk.append([failed, checked, time.perf_counter() - t0])
+    return walk
 
 
 def _split_allowed() -> bool:
@@ -788,19 +771,6 @@ def _split_allowed() -> bool:
     except AttributeError:
         cpus = os.cpu_count() or 1
     return cpus >= 2
-
-
-def _helper(s: _Session, plan: list, read_fd: int, write_fd: int):
-    """The forked helper: checks its share of every phase, writes the walk
-    as JSON to write_fd and exits, with status 1 on any exception."""
-    status = 1
-    try:
-        os.close(read_fd)
-        with os.fdopen(write_fd, "wb") as out:
-            out.write(json.dumps(_walk(s, plan, _odd_x)).encode())
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def _helper_walk(reply: bytes, plan: list) -> Optional[list]:
@@ -819,7 +789,7 @@ def _helper_walk(reply: bytes, plan: list) -> Optional[list]:
         failed, checked, seconds = res
         if type(failed) is not int or type(checked) is not int or type(seconds) not in (int, float):
             return None
-        if failed != -1 and not (0 <= failed < len(items) and _odd_x(items[failed])):
+        if failed != -1 and not (0 <= failed < len(items) and items[failed].coord[0] % 2 == 1):
             return None
     return walk
 
@@ -840,12 +810,21 @@ def _split_walks(s: _Session, plan: list) -> Optional[list]:
         os.close(write_fd)
         return None
     if pid == 0:
-        _helper(s, plan, read_fd, write_fd)
+        # The helper: writes the walk of its share as JSON and exits, with
+        # status 1 on any exception.
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as out:
+                out.write(json.dumps(_walk(s, plan, 1)).encode())
+            status = 0
+        finally:
+            os._exit(status)
     os.close(write_fd)
     try:
         with os.fdopen(read_fd, "rb") as replies:
             try:
-                ours = _walk(s, plan, _even_x)
+                ours = _walk(s, plan, 0)
             except Exception:
                 return None  # the serial rerun raises the serial run's exception
             reply = replies.read()
@@ -874,7 +853,7 @@ def _run_phases(s: _Session) -> bool:
         plan.append((lemma, phase, box, phase.items(s, get_engine(s.t, box.box).vertices())))
     walks = _split_walks(s, plan) if _split_allowed() else None
     if walks is None:
-        walks = [_walk(s, plan, _everything)]
+        walks = [_walk(s, plan)]
     ok_all = True
     for k, (lemma, phase, box, items) in enumerate(plan):
         results = [walk[k] for walk in walks]
@@ -897,14 +876,8 @@ def _run_phases(s: _Session) -> bool:
             ok,
             phase.passed if ok else phase.failed.format(phase.witness(items[failed])),
         )
-    s.record("collapse_layers", dict(collapse), True, collapse_detail)
-    return bool(ok_all)
-
-
-def _check_depth(depth: int) -> None:
-    """A depth below 1 would check no tower step or chain point."""
-    if depth < 1:
-        raise ParameterRange(f"depth must be >= 1, got {depth}")
+    s.record("collapse_layers", dict(collapse), ok_all, collapse_detail)
+    return ok_all
 
 
 def certify(
@@ -924,7 +897,8 @@ def certify(
     one process.  ``stats`` of the result gives the item count of each phase
     and, per process, the items checked and the seconds taken.
     """
-    _check_depth(depth)
+    if depth < 1:
+        raise ParameterRange(f"depth must be >= 1, got {depth}")
     s = _Session(t, window, depth)
     ok = _run_phases(s)
     return Certificate(

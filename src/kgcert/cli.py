@@ -19,7 +19,7 @@ import sys
 
 from . import functors, model, regions
 from .certifier import certify
-from .errors import InfiniteWindow, KgcertError
+from .errors import KgcertError
 from .functors import FpFunctor, Subfunctor, Window
 from .model import ArrowMorphism, IdentityMorphism, VertexId, ZERO
 from .presentation import GentleTriple, quiver_to_json, validate_triple
@@ -93,22 +93,15 @@ def load_functor(t: GentleTriple, path: str) -> FpFunctor:
     return FpFunctor(top, Subfunctor(top, gens))
 
 
-def export_dot(t: GentleTriple, window) -> str:
+def export_dot(t: GentleTriple, window: Window) -> str:
     """DOT digraph of the window's vertices and their in-window sink maps."""
-    if isinstance(window, Window):
-        win = window
-    else:
-        if not regions.is_finite(window):
-            raise InfiniteWindow(f"window must be finite, got {window!r}")
-        c = regions.close(window)
-        win = Window(int(c.lo_x), int(c.hi_x), int(c.lo_y), int(c.hi_y))
-    verts = model.vertices_in_box(t, *win.box)
+    verts = model.vertices_in_box(t, *window.box)
     lines = ["digraph model {", '  node [shape=box, fontsize=10];']
     for v in verts:
         lines.append(f'  "{v}" [label="{v}"];')
     for v in verts:
         for f in model.ar_sink_maps(t, v):
-            if isinstance(f, ArrowMorphism) and win.contains(f.dst.coord):
+            if isinstance(f, ArrowMorphism) and window.contains(f.dst.coord):
                 lines.append(f'  "{v}" -> "{f.dst}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import model, regions
+from .engine import get_engine
 from .errors import IncompatibleTops, NotASubfunctor
 from .model import (
     ArrowMorphism,
@@ -234,12 +235,6 @@ def quotient_support(t: GentleTriple, F: Subfunctor, G: Subfunctor) -> dict:
     return {key: RegionSet(tuple(parts)) for key, parts in merged.items()}
 
 
-def _get_engine(t: GentleTriple, window: Window):
-    from .engine import get_engine
-
-    return get_engine(t, window.box)
-
-
 def ses_check(
     t: GentleTriple,
     sub: Subfunctor,
@@ -256,7 +251,7 @@ def ses_check(
     top = sub.top
     if mid_denoms.top != top or quot.top != top:
         raise IncompatibleTops("sub, mid and quot must share the top vertex")
-    eng = _get_engine(t, window)
+    eng = get_engine(t, window.box)
     return eng.ses_dimension_check(
         top, sub.generators, mid_denoms.generators, quot.denominators.generators
     )
@@ -277,5 +272,5 @@ def image_presentation_check(
         raise ValueError("image presentation requires a nonzero basis arrow")
     if Q.top != f.dst:
         raise IncompatibleTops(f"Q must be presented at {f.dst}, got {Q.top}")
-    eng = _get_engine(t, window)
+    eng = get_engine(t, window.box)
     return eng.kernel_matches(f.src, f, (), Q.denominators.generators)

@@ -15,33 +15,35 @@ out of Z and all degree-2 arrows raise the orbit by one (mod r).  When r == n
 only the X family exists, with degrees {0, 1}, and degree-1 arrows raise the
 orbit (mod n).
 
-Vertices, identities, arrows and fan entries are ``typing.NamedTuple``
-values: building, hashing and comparing them runs in C, where a frozen
-dataclass runs generated Python code, and these values are built and used as
-dictionary and ``lru_cache`` keys millions of times per certificate.  The
-trade-off: a NamedTuple equals a plain tuple with the same fields (and any
-other NamedTuple with them), so code must not compare these values with
-plain tuples.  Values of two different classes among these, ``GentleTriple``
-and ``certifier.Simple1Instance`` never compare equal, because their field
-counts or field types differ.  The zero morphism stays a dataclass, so it
-equals no tuple.
+Vertices, identities, arrows, fan entries and fan records are
+``typing.NamedTuple`` values: building, hashing and comparing them runs in
+C, where a frozen dataclass runs generated Python code, and these values are
+built and used as dictionary and ``lru_cache`` keys millions of times per
+certificate.  The trade-off: a NamedTuple equals a plain tuple with the same
+fields (and any other NamedTuple with them), so code must not compare these
+values with plain tuples.  Values of two different classes among these,
+``GentleTriple`` and ``certifier.Simple1Instance`` never compare equal,
+because their field counts or field types differ.  The zero morphism stays a
+dataclass, so it equals no tuple.
 
-Every valid vertex has one cached fan record (``_fan_entries``) with three
-parts: the fan entries in a fixed order, a read-only
-``{(family, orbit, degree): FanEntry}`` mapping of the same entries, and the
-pair of sink maps ``ar_sink_maps`` returns.  The record is the only place
-that validates a source vertex; it is ``None`` for a non-vertex.
-``arrow_exists`` answers from the source's record with one lookup and one
-bound check, and does not validate ``dst``: every fan region of a valid
-source lies inside the index region of its target channel, so a point in it
-is a valid vertex, and an unknown family, orbit or degree misses the
-mapping.  ``tests/test_model.py::test_fan_targets_are_valid_vertices`` pins
-that containment.
+Every valid vertex has one cached fan record, the ``ArrowFan`` that
+``_fan_entries`` builds: the vertex, the fan entries in a fixed order, a
+read-only ``{(family, orbit, degree): FanEntry}`` mapping of the same
+entries, and the pair of sink maps ``ar_sink_maps`` returns.  ``arrow_fan``
+returns that record itself, not a copy; it is never hashed (its mapping is
+not hashable).  The record is the only place that validates a source vertex;
+``_fan_entries`` gives ``None`` for a non-vertex.  ``arrow_exists`` answers
+from the source's record with one lookup and one bound check, and does not
+validate ``dst``: every fan region of a valid source lies inside the index
+region of its target channel, so a point in it is a valid vertex, and an
+unknown family, orbit or degree misses the mapping.
+``tests/test_model.py::test_fan_targets_are_valid_vertices`` pins that
+containment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -109,12 +111,12 @@ class FanEntry(NamedTuple):
     excludes_src: bool = False
 
 
-@dataclass(frozen=True)
-class ArrowFan:
+class ArrowFan(NamedTuple):
     src: VertexId
     entries: tuple
     # Read-only {(family, orbit, degree): FanEntry}; derived from entries.
-    channels: MappingProxyType = field(compare=False, repr=False)
+    channels: MappingProxyType
+    sinks: tuple  # the pair ar_sink_maps returns
 
 
 def index_region(t: GentleTriple, family: str, orbit: int) -> Region:
@@ -151,14 +153,8 @@ def vertex_valid(t: GentleTriple, v: VertexId) -> bool:
     return reg is not None and regions.member(reg, v.coord)
 
 
-class _FanRecord(NamedTuple):
-    entries: tuple
-    channels: MappingProxyType
-    sinks: tuple
-
-
 @lru_cache(maxsize=65536)
-def _fan_entries(t: GentleTriple, v: VertexId) -> _FanRecord | None:
+def _fan_entries(t: GentleTriple, v: VertexId) -> ArrowFan | None:
     """The fan record of v, or None when v is not a vertex of the model."""
     if not vertex_valid(t, v):
         return None
@@ -200,14 +196,15 @@ def _fan_entries(t: GentleTriple, v: VertexId) -> _FanRecord | None:
         ArrowMorphism(v, w, 0) if regions.member(same, w.coord) else ZERO
         for w in (VertexId(v.family, i, (a + 1, b)), VertexId(v.family, i, (a, b + 1)))
     )
-    return _FanRecord(entries, MappingProxyType(channels), sinks)
+    return ArrowFan(v, entries, MappingProxyType(channels), sinks)
 
 
 def arrow_fan(t: GentleTriple, v: VertexId) -> ArrowFan:
-    rec = _fan_entries(t, v)
-    if rec is None:
+    """The cached fan record of v, shared by every caller."""
+    fan = _fan_entries(t, v)
+    if fan is None:
         raise InvalidVertex(f"not a vertex of the model: {v}")
-    return ArrowFan(v, rec.entries, rec.channels)
+    return fan
 
 
 def arrow_exists(t: GentleTriple, src: VertexId, dst: VertexId, degree: int) -> bool:

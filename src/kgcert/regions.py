@@ -101,8 +101,6 @@ class Region:
         )
 
 
-RegionLike = "Region | _EmptyRegion"
-
 FULL = Region()
 
 _new_object = object.__new__

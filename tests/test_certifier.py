@@ -775,7 +775,18 @@ def test_split_records_the_serial_first_failure(t120, monkeypatch, where):
     assert record.lemma == "simple1" and not record.passed
     assert record.params["instances"] == min(bad) + 1
     assert record.detail == f"failed at {items[min(bad)].params()}"
-    assert sum(c.passed for c in split.checks) == len(split.checks) - 1
+    assert [c.lemma for c in split.checks if not c.passed] == ["simple1", "collapse_layers"]
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_a_failed_phase_fails_collapse_layers(t120, monkeypatch, split):
+    """collapse_layers passes only when every phase before it passed."""
+    monkeypatch.setattr(C._Session, "c2_check", lambda self, v, chain_cap=None: False)
+    cert = _certify(monkeypatch, t120, split)
+    assert _processes(cert) == {2 if split else 1}
+    checks = cert.to_json()["checks"]
+    assert checks[-1]["lemma"] == "collapse_layers" and checks[-1]["pass"] is False
+    assert [c["lemma"] for c in checks if not c["pass"]] == ["c2simple", "collapse_layers"]
 
 
 @pytest.mark.parametrize(
@@ -852,8 +863,8 @@ def _bad_replies(plan):
 def test_invalid_helper_reply_yields_the_serial_certificate(t120, monkeypatch, bad):
     real = C._walk
 
-    def walk(s, plan, mine):
-        return _bad_replies(plan)[bad] if mine is C._odd_x else real(s, plan, mine)
+    def walk(s, plan, parity=None):
+        return _bad_replies(plan)[bad] if parity == 1 else real(s, plan, parity)
 
     serial = _certify(monkeypatch, t120, False)
     monkeypatch.setattr(C, "_walk", walk)

@@ -251,21 +251,6 @@ def test_ar_export_command(tmp_path, capsys):
 # -- certify ------------------------------------------------------------------
 
 
-def test_export_dot_rejects_infinite_region(t120):
-    from kgcert import regions as R
-    from kgcert.errors import InfiniteWindow
-
-    with pytest.raises(InfiniteWindow):
-        export_dot(t120, R.Region(lo_x=0))
-
-
-def test_export_dot_accepts_finite_region(t120):
-    from kgcert import regions as R
-
-    dot = export_dot(t120, R.box(0, 2, 0, 2))
-    assert sum(1 for line in dot.splitlines() if "[label=" in line) == 16
-
-
 def test_certify_exit_code_on_failure(monkeypatch, capsys):
     """A failing verdict must surface as exit code 1."""
     import kgcert.cli as cli_mod

@@ -71,18 +71,26 @@ def test_arrow_fan_rejects_invalid_vertex(t120, t110):
 
 @pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
 def test_fan_record_contract(r, n, m):
-    """The channel mapping indexes exactly the fan entries, is read-only
-    (the cached record is shared by every caller), and plays no part in
-    ArrowFan equality."""
+    """The channel mapping indexes exactly the fan entries and is read-only
+    (the cached record is shared by every caller)."""
     t = validate_triple(r, n, m)
     for v in M.vertices_in_box(t, -2, 2, -2, 2):
         fan = M.arrow_fan(t, v)
         assert fan.channels == {(e.family, e.orbit, e.degree): e for e in fan.entries}
         with pytest.raises(TypeError):
             fan.channels[(v.family, v.orbit, 0)] = fan.entries[-1]
-        bare = M.ArrowFan(v, fan.entries, {})
-        assert fan == bare and hash(fan) == hash(bare)
-        assert fan != M.ArrowFan(v, fan.entries[:-1], fan.channels)
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+def test_fan_record_is_shared(r, n, m):
+    """arrow_fan returns the one cached record of a vertex, not a copy, and
+    ar_sink_maps returns that record's sink pair."""
+    t = validate_triple(r, n, m)
+    for v in M.vertices_in_box(t, -3, 3, -3, 3):
+        fan = M.arrow_fan(t, v)
+        assert M.arrow_fan(t, v) is fan
+        assert fan.src == v
+        assert M.ar_sink_maps(t, v) is fan.sinks
 
 
 @pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
