@@ -299,12 +299,16 @@ def instance_functor(t: GentleTriple, inst: Simple1Instance) -> FpFunctor:
 
 
 class _Session:
-    """Shared engine, caches and record sink for one certification run."""
+    """Shared engine, caches and record sink for one certification run, and its
+    settings: the window and its region, the depth (tower length and chain depth
+    K) and chain_cap (a chain point's largest distance from its top, or None)."""
 
-    def __init__(self, t: GentleTriple, window: Window, depth: int):
+    def __init__(self, t: GentleTriple, window: Window, depth: int, chain_cap: Optional[int] = None):
         self.t = t
         self.window = window
+        self.wreg = window.region()
         self.depth = depth
+        self.chain_cap = chain_cap
         self.eng: WindowEngine = get_engine(t, window.box)
         self.records: list = []
         # Per phase in record order: its item count and, per process (this
@@ -353,24 +357,21 @@ class _Session:
 
     # -- tower + case analysis ----------------------------------------------
 
-    def tower_check(self, inst: Simple1Instance, length: int, chain_cap=None) -> bool:
-        key = (inst, length, chain_cap)
-        hit = self._tower_cache.get(key)
+    def tower_check(self, inst: Simple1Instance) -> bool:
+        hit = self._tower_cache.get(inst)
         if hit is not None:
             return hit
-        ok = self._tower_sequences(inst, length) and self._case_analysis(
-            inst, chain_cap
-        )
-        self._tower_cache[key] = ok
+        ok = self._tower_sequences(inst) and self._case_analysis(inst)
+        self._tower_cache[inst] = ok
         return ok
 
-    def _tower_sequences(self, inst: Simple1Instance, length: int) -> bool:
-        """Exact sequences 0 -> inst@(coord+(l+1)s) -> inst@(coord+l s) -> A -> 0."""
+    def _tower_sequences(self, inst: Simple1Instance) -> bool:
+        """Exact sequences 0 -> inst@(coord+(l+1)s) -> inst@(coord+l s) -> A -> 0, l <= depth."""
         sy, sx = _spec(inst.kind).shift  # the tower ascends along the swapped shift
         a, b = inst.coord
         # Towers at neighbouring coordinates share all but one of their steps.
         memo = self._tower_step_cache
-        for step in range(length + 1):
+        for step in range(self.depth + 1):
             here = Simple1Instance(inst.kind, inst.orbit, (a + step * sx, b + step * sy), inst.aux)
             ok = memo.get(here)
             if ok is None:
@@ -400,12 +401,12 @@ class _Session:
             quot.denominators.generators,
         )
 
-    def _case_analysis(self, inst: Simple1Instance, chain_cap=None) -> bool:
+    def _case_analysis(self, inst: Simple1Instance) -> bool:
         """Every arrow out of the top is either absorbed (factors through a
         generator, hence lands in the denominator) or sits in a chain whose
         steps are sink-map simples, by the case rows of the instance's kind.
         Chains are swept inside the window, within chain_cap steps of the top
-        when chain_cap is set."""
+        when the session sets one."""
         t = self.t
         F = instance_functor(t, inst)
         top = F.top
@@ -413,7 +414,6 @@ class _Session:
         a, b = top.coord
         entries = model.arrow_fan(t, top).channels
         R = t.orbit_count
-        wreg = self.window.region()
         for row in _spec(inst.kind).rows:
             family, k, degree = row.key
             e = entries[(family, (inst.orbit + k) % R, degree)]
@@ -425,8 +425,8 @@ class _Session:
                     return False
                 continue
             line = regions.intersect(e.region, row.line(a, b, inst.aux))
-            for x, y in regions.enumerate_points(line, wreg):
-                if chain_cap is not None and abs(x - a) + abs(y - b) > chain_cap:
+            for x, y in regions.enumerate_points(line, self.wreg):
+                if self.chain_cap is not None and abs(x - a) + abs(y - b) > self.chain_cap:
                     continue
                 (ux, uy), (mx, my) = row.u, row.mod
                 u = self._chain_u(top, e.family, e.orbit, (x + ux, y + uy), e.degree)
@@ -440,15 +440,13 @@ class _Session:
 
     # -- simple objects -------------------------------------------------------
 
-    def simple0_check(self, v: VertexId) -> tuple:
-        """dim A_v = 1 at v and 0 in every other cell of the window; returns
-        (passed, skipped_top)."""
+    def simple0_check(self, v: VertexId) -> bool:
+        """dim A_v = 1 at v and 0 in every other cell of the window (in every
+        cell when v lies outside the window)."""
         eng = self.eng
         A = build_simple0(self.t, v)
         counts = int.from_bytes(eng.dims_cube(v, A.denominators.generators), "little")
-        skipped = not self.window.contains(v.coord)
-        want = 0 if skipped else 1 << 8 * eng.cell(v)
-        return (counts == want, skipped)
+        return counts == (1 << 8 * eng.cell(v) if self.window.contains(v.coord) else 0)
 
     # -- finite-length chains ---------------------------------------------------
 
@@ -525,7 +523,7 @@ class _Session:
 
     # -- the Z-vertex lemmas ------------------------------------------------------
 
-    def _layer_step(self, v: VertexId, u, extra, inst: Simple1Instance, layer, chain_cap) -> bool:
+    def _layer_step(self, v: VertexId, u, extra, inst: Simple1Instance, layer) -> bool:
         """One step of an image chain out of v, with layer = instance_functor(inst)
         at u's target: the next image `extra` sits inside the current one
         (hop o u == extra, hop being the layer's shift generator f from u's
@@ -536,23 +534,23 @@ class _Session:
             return False
         if not self.eng.kernel_matches(v, u, (extra,), layer.denominators.generators):
             return False
-        return self.tower_check(inst, self.depth, chain_cap=chain_cap)
+        return self.tower_check(inst)
 
-    def nonsimple1_check(self, v: VertexId, K: int, chain_cap=None) -> bool:
+    def nonsimple1_check(self, v: VertexId) -> bool:
         """The strictly descending image chain out of a Z-vertex: K+1 layer
-        sequences, each layer a C'-instance with exactly-infinite support that
-        passes its own simplicity tower."""
+        sequences for K the session depth, each layer a C'-instance with
+        exactly-infinite support that passes its own simplicity tower."""
         t = self.t
         if not t.is_finite_mode:
             raise ModeMismatch("the descending-chain lemma needs r < n")
         if v.family != FAMILY_Z:
             raise WrongFamily(f"expected a Z-vertex, got {v}")
-        if K < 1:
+        if self.depth < 1:
             raise ValueError("chain depth K must be >= 1")
         a, b = v.coord
         i = v.orbit
         aux = _aux_top(t, _KINDS[KIND_CP], i, v.coord)
-        for step in range(K + 1):
+        for step in range(self.depth + 1):
             u = self._chain_u(v, FAMILY_Z, i, (a + step, b), 0)
             nxt_gen = self._arrow(v, FAMILY_Z, i, (a + step + 1, b), 0)
             if isinstance(u, ZeroMorphism) or isinstance(nxt_gen, ZeroMorphism):
@@ -561,11 +559,11 @@ class _Session:
             layer = instance_functor(t, inst)
             if functors.is_in_c0(t, layer):
                 return False  # every layer must be exactly infinite
-            if not self._layer_step(v, u, nxt_gen, inst, layer, chain_cap):
+            if not self._layer_step(v, u, nxt_gen, inst, layer):
                 return False
         return True
 
-    def c2_check(self, v: VertexId, chain_cap=None) -> bool:
+    def c2_check(self, v: VertexId) -> bool:
         """Case analysis making Hom(v, -) simple one layer up, for a Z-vertex:
         degree-0 arrows by induction with C-layers, degree-1 arrows through
         the finite-length chain of their target, degree-2 arrows by
@@ -580,11 +578,10 @@ class _Session:
         nxt = (i + 1) % t.orbit_count
         cp_aux = _aux_top(t, _KINDS[KIND_CP], i, v.coord)
         cpp_aux = _aux_top(t, _KINDS[KIND_CPP], i, v.coord)
-        wreg = self.window.region()
         entries = model.arrow_fan(t, v).channels
         # Case: degree-0 targets, induction on c+d with C-layer quotients.
         e0 = entries[(FAMILY_Z, i, 0)]
-        for (c, d) in regions.enumerate_points(e0.region, wreg):
+        for (c, d) in regions.enumerate_points(e0.region, self.wreg):
             if (c, d) == (a, b):
                 continue
             if c > a:
@@ -593,19 +590,19 @@ class _Session:
                 inst = Simple1Instance(KIND_CPP, i, (a, d - 1), cpp_aux)
             u = self._chain_u(v, FAMILY_Z, i, inst.coord, 0)
             extra = self._arrow(v, FAMILY_Z, i, (c, d), 0)
-            if not self._layer_step(v, u, extra, inst, instance_functor(t, inst), chain_cap):
+            if not self._layer_step(v, u, extra, inst, instance_functor(t, inst)):
                 return False
         # Cases: degree-1 targets admit the tautological epi from the target
         # representable, which has a finite-length chain.
         for fam in (FAMILY_X, FAMILY_Y):
             e1 = entries[(fam, nxt, 1)]
-            for (c, d) in regions.enumerate_points(e1.region, wreg):
+            for (c, d) in regions.enumerate_points(e1.region, self.wreg):
                 if not self.finite1_check(VertexId(fam, nxt, (c, d))):
                     return False
         # Case: degree-2 targets factor through the degree-1 map to the
         # X-intermediate at (c, a), whose representable has a finite chain.
         e2 = entries[(FAMILY_Z, nxt, 2)]
-        for (c, d) in regions.enumerate_points(e2.region, wreg):
+        for (c, d) in regions.enumerate_points(e2.region, self.wreg):
             f2 = self._arrow(v, FAMILY_Z, nxt, (c, d), 2)
             h1 = self._arrow(v, FAMILY_X, nxt, (c, a), 1)
             if isinstance(h1, ZeroMorphism):
@@ -623,8 +620,7 @@ class _Session:
 
 def check_simple0(t: GentleTriple, v: VertexId, window: Window) -> bool:
     s = _Session(t, window, depth=1)
-    passed, _ = s.simple0_check(v)
-    return passed
+    return s.simple0_check(v)
 
 
 def check_simple1_tower(
@@ -632,8 +628,8 @@ def check_simple1_tower(
 ) -> bool:
     if length < 0:
         raise ValueError("tower length must be >= 0")
-    s = _Session(t, window, depth=max(length, 1))
-    return s.tower_check(instance, length)
+    s = _Session(t, window, depth=length)
+    return s.tower_check(instance)
 
 
 def check_finite1(t: GentleTriple, v: VertexId, window: Window) -> bool:
@@ -643,7 +639,7 @@ def check_finite1(t: GentleTriple, v: VertexId, window: Window) -> bool:
 
 def check_nonsimple1(t: GentleTriple, v: VertexId, depth: int, window: Window) -> bool:
     s = _Session(t, window, depth=depth)
-    return s.nonsimple1_check(v, depth)
+    return s.nonsimple1_check(v)
 
 
 def check_c2_simple(t: GentleTriple, v: VertexId, window: Window, depth: int = 4) -> bool:
@@ -689,22 +685,17 @@ def _z_vertices(s, verts):
     return [v for v in verts if v.family == FAMILY_Z]
 
 
-_SIMPLE0 = _Phase("inner", lambda s, verts: verts, lambda s, v: s.simple0_check(v)[0], ("vertices",))
+_SIMPLE0 = _Phase("inner", lambda s, verts: verts, lambda s, v: s.simple0_check(v), ("vertices",))
 _SIMPLE1 = _Phase(
-    "inner", _tower_instances, lambda s, inst: s.tower_check(inst, s.depth, chain_cap=s.depth),
+    "inner", _tower_instances, lambda s, inst: s.tower_check(inst),
     ("instances", "length"), Simple1Instance.params,
 )
 _FINITE1 = _Phase(
     "window", lambda s, verts: [v for v in verts if v.family != FAMILY_Z],
     lambda s, v: s.finite1_check(v), ("vertices",),
 )
-_NONSIMPLE1 = _Phase(
-    "inner", _z_vertices,
-    lambda s, v: s.nonsimple1_check(v, s.depth, chain_cap=s.depth), ("vertices", "depth"),
-)
-_C2SIMPLE = _Phase(
-    "inner", _z_vertices, lambda s, v: s.c2_check(v, chain_cap=s.depth), ("vertices",)
-)
+_NONSIMPLE1 = _Phase("inner", _z_vertices, lambda s, v: s.nonsimple1_check(v), ("vertices", "depth"))
+_C2SIMPLE = _Phase("inner", _z_vertices, lambda s, v: s.c2_check(v), ("vertices",))
 _LAYER0_STRICT = _Phase(
     "quarter", lambda s, verts: verts,
     lambda s, v: not functors.is_in_c0(s.t, functors.representable(s.t, v)), (),
@@ -843,14 +834,15 @@ def _split_walks(s: _Session, plan: list) -> Optional[list]:
 def _run_phases(s: _Session) -> bool:
     """Record every phase of the session's mode, then collapse_layers; True
     iff every phase passed.  A phase's record names its first failing item,
-    whether one process or two checked the items."""
+    whether one process or two checked the items; a phase with no items
+    fails, since it gathered no evidence."""
     _, phases, collapse, collapse_detail = _MODES[s.t.is_finite_mode]
     inner = s.window.inner_half()
     boxes = {"window": s.window, "inner": inner, "quarter": inner.inner_half()}
+    verts = {name: model.vertices_in_box(s.t, *box.box) for name, box in boxes.items()}
     plan = []
     for lemma, phase in phases:
-        box = boxes[phase.box]
-        plan.append((lemma, phase, box, phase.items(s, get_engine(s.t, box.box).vertices())))
+        plan.append((lemma, phase, boxes[phase.box], phase.items(s, verts[phase.box])))
     walks = _split_walks(s, plan) if _split_allowed() else None
     if walks is None:
         walks = [_walk(s, plan)]
@@ -863,7 +855,7 @@ def _run_phases(s: _Session) -> bool:
             "items": len(items),
             "processes": [{"checked": res[1], "seconds": res[2]} for res in results],
         })
-        ok = failed < 0
+        ok = failed < 0 and len(items) > 0
         values = {
             "vertices": len(items),
             "instances": len(items) if ok else failed + 1,
@@ -874,7 +866,8 @@ def _run_phases(s: _Session) -> bool:
             lemma,
             {"window": list(box.box), **{name: values[name] for name in phase.params}},
             ok,
-            phase.passed if ok else phase.failed.format(phase.witness(items[failed])),
+            phase.passed if ok
+            else phase.failed.format(phase.witness(items[failed])) if items else "no items",
         )
     s.record("collapse_layers", dict(collapse), ok_all, collapse_detail)
     return ok_all
@@ -899,7 +892,7 @@ def certify(
     """
     if depth < 1:
         raise ParameterRange(f"depth must be >= 1, got {depth}")
-    s = _Session(t, window, depth)
+    s = _Session(t, window, depth, chain_cap=depth)
     ok = _run_phases(s)
     return Certificate(
         triple=t,

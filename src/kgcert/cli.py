@@ -6,8 +6,8 @@ evaluation (``eval``, ``support``, ``inC0``) and certification (``certify``).
 All structured output is JSON on stdout; ``ar-export`` emits DOT.
 
 Exit codes: 0 on success (and a passing certificate), 1 when a requested
-check fails, 2 on usage errors (bad flags or malformed vertex/morphism
-syntax).
+check fails, 2 on usage errors (bad flags, malformed vertex/morphism
+syntax or an output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -105,6 +105,14 @@ def export_dot(t: GentleTriple, window: Window) -> str:
                 lines.append(f'  "{v}" -> "{f.dst}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _window(box) -> Window:
@@ -267,8 +275,7 @@ def _run(args) -> int:
         win = _window(args.window)
         dot = export_dot(t, win)
         if args.dot:
-            with open(args.dot, "w") as fh:
-                fh.write(dot)
+            _write(args.dot, dot)
         else:
             sys.stdout.write(dot)
         return 0
@@ -278,11 +285,9 @@ def _run(args) -> int:
         text = cert.to_json_text()
         print(text)
         if args.json:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
+            _write(args.json, text + "\n")
         if args.stats:
-            with open(args.stats, "w") as fh:
-                fh.write(json.dumps(cert.stats, indent=2) + "\n")
+            _write(args.stats, json.dumps(cert.stats, indent=2) + "\n")
         return 0 if cert.passed else 1
     raise UsageError(f"unknown command {args.command!r}")
 

@@ -349,14 +349,6 @@ def _bound_to_json(v):
     return v
 
 
-def _bound_from_json(v):
-    if v == "inf":
-        return POS_INF
-    if v == "-inf":
-        return NEG_INF
-    return int(v)
-
-
 def region_to_json(r) -> dict:
     """Textual form {"x":[lo,hi],"y":[lo,hi],"diff":[lo,hi]} with inf sentinels."""
     if r is EMPTY:
@@ -366,16 +358,3 @@ def region_to_json(r) -> dict:
         "y": [_bound_to_json(r.lo_y), _bound_to_json(r.hi_y)],
         "diff": [_bound_to_json(r.lo_d), _bound_to_json(r.hi_d)],
     }
-
-
-def region_from_json(d: dict):
-    if d.get("empty"):
-        return EMPTY
-    return Region(
-        lo_x=_bound_from_json(d["x"][0]),
-        hi_x=_bound_from_json(d["x"][1]),
-        lo_y=_bound_from_json(d["y"][0]),
-        hi_y=_bound_from_json(d["y"][1]),
-        lo_d=_bound_from_json(d["diff"][0]),
-        hi_d=_bound_from_json(d["diff"][1]),
-    )

@@ -381,13 +381,13 @@ def _simple0_by_vertex_loop(eng, A, v):
 
 def test_simple0_check_session_path_rejects_non_sink_pair(t120, monkeypatch):
     """The session's simple0 check, not only the engine's dims, rejects a
-    quotient by a non-sink pair, and still reports out-of-window tops as
-    skipped."""
+    quotient by a non-sink pair, and still passes an out-of-window top, whose
+    quotient leaves no count in the window."""
     monkeypatch.setattr(C, "build_simple0", _non_sink_pair_quotient)
     assert check_simple0(t120, V("Z", 0, 0, 0), W6) is False
     s = C._Session(t120, W6, 1)
-    assert s.simple0_check(V("Z", 0, 0, 0)) == (False, False)
-    assert s.simple0_check(V("Z", 0, 40, 40)) == (True, True)
+    assert s.simple0_check(V("Z", 0, 0, 0)) is False
+    assert s.simple0_check(V("Z", 0, 40, 40)) is True
 
 
 @pytest.mark.parametrize("fake", [False, True], ids=["sink pair", "non-sink pair"])
@@ -397,9 +397,8 @@ def test_simple0_check_matches_vertex_loop(t120, monkeypatch, fake):
     s = C._Session(t120, W5, 1)
     verdicts = []
     for v in s.eng.vertices():
-        passed, skipped = s.simple0_check(v)
+        passed = s.simple0_check(v)
         assert passed == _simple0_by_vertex_loop(s.eng, C.build_simple0(t120, v), v)
-        assert skipped is False
         verdicts.append(passed)
     assert all(verdicts) != fake
 
@@ -435,7 +434,7 @@ def test_tower_step_memo_cannot_leak_a_pass(t231, monkeypatch):
     for order in orders:
         bad_calls.clear()
         s = C._Session(t231, W6, 2)
-        got = {inst: s.tower_check(inst, 2) for inst in order}
+        got = {inst: s.tower_check(inst) for inst in order}
         assert got == towers, order
         assert len(bad_calls) == 1  # the failing step ran once, then came from the memo
 
@@ -547,6 +546,48 @@ def test_certify_small_windows():
     assert cert.kg == 2 and cert.verdict == "pass"
     cert = certify(validate_triple(1, 1, 0), W5, 3)
     assert cert.kg == 1 and cert.verdict == "pass"
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+def test_certificate_is_invariant_under_translation(r, n, m):
+    """tau_3: (a, b) -> (a + 3, b + 3) maps [-5,5]^2 onto [-2,8]^2 (the halved
+    inner and quarter boxes move by 2 and 1 but keep their sizes).  The model
+    is invariant under every tau_k, so both windows give passing certificates
+    with the same records apart from their window params."""
+    t = validate_triple(r, n, m)
+
+    def records(window):
+        cert = certify(t, window, 4)
+        assert cert.passed
+        return [
+            {**c.to_json(), "params": {k: v for k, v in c.params.items() if k != "window"}}
+            for c in cert.checks
+        ]
+
+    assert records(W5) == records(Window(-2, 8, -2, 8))
+
+
+@pytest.mark.parametrize(
+    "r,n,m,window,empty",
+    [
+        (1, 1, 0, Window(5, 6, -6, -5), ["inf_simple0", "inf_simple1", "inf_finite1", "layer0_strict"]),
+        (1, 2, 0, Window(5, 5, -5, -5), ["finite1"]),
+    ],
+)
+def test_a_phase_with_no_items_fails(monkeypatch, r, n, m, window, empty):
+    """A phase that checked no item gathered no evidence: it fails with
+    detail "no items", and so do collapse_layers and the verdict, with the
+    same bytes serially and split."""
+    texts = []
+    for split in (False, True):
+        monkeypatch.setattr(C, "_split_allowed", lambda: split)
+        cert = certify(validate_triple(r, n, m), window, 1)
+        assert _processes(cert) == {2 if split else 1}
+        assert cert.verdict == "fail"
+        assert [c.lemma for c in cert.checks if c.detail == "no items"] == empty
+        assert [c.lemma for c in cert.checks if not c.passed] == empty + ["collapse_layers"]
+        texts.append(cert.to_json_text())
+    assert texts[0] == texts[1]
 
 
 def test_certify_two_orbits_with_tail():
@@ -728,8 +769,8 @@ def _patch_towers(monkeypatch, act):
     """Route tower_check through act(inst, real) for the B' instances."""
     real = C._Session.tower_check
 
-    def tower_check(self, inst, length, chain_cap=None):
-        run = lambda: real(self, inst, length, chain_cap)  # noqa: E731
+    def tower_check(self, inst):
+        run = lambda: real(self, inst)  # noqa: E731
         return act(inst, run) if inst.kind == KIND_BP else run()
 
     monkeypatch.setattr(C._Session, "tower_check", tower_check)
@@ -781,7 +822,7 @@ def test_split_records_the_serial_first_failure(t120, monkeypatch, where):
 @pytest.mark.parametrize("split", [False, True])
 def test_a_failed_phase_fails_collapse_layers(t120, monkeypatch, split):
     """collapse_layers passes only when every phase before it passed."""
-    monkeypatch.setattr(C._Session, "c2_check", lambda self, v, chain_cap=None: False)
+    monkeypatch.setattr(C._Session, "c2_check", lambda self, v: False)
     cert = _certify(monkeypatch, t120, split)
     assert _processes(cert) == {2 if split else 1}
     checks = cert.to_json()["checks"]

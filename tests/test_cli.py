@@ -300,6 +300,28 @@ def test_certify_stats_leave_the_certificate_bytes_alone(tmp_path, capsys):
         assert all(q["seconds"] >= 0 for q in p["processes"])
 
 
+def test_certify_vacuous_window_exits_one(capsys):
+    """No vertex lies in the window, so no phase gathers evidence."""
+    code, out, _ = run(
+        capsys,
+        "certify", "--r", "1", "--n", "1", "--m", "0",
+        "--window", "5", "6", "-6", "-5", "--depth", "1",
+    )
+    assert code == 1 and json.loads(out)["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("command,flag", [("certify", "--json"), ("certify", "--stats"), ("ar-export", "--dot")])
+def test_unwritable_output_file_usage_error(tmp_path, capsys, command, flag):
+    path = tmp_path / "missing" / "out"
+    code, _, err = run(
+        capsys,
+        command, "--r", "1", "--n", "1", "--m", "0",
+        "--window", "-2", "2", "-2", "2", flag, str(path),
+    )
+    assert code == 2
+    assert err.startswith(f"error: cannot write {path}") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_certify_depth_below_one_usage_error(capsys, depth):
     for triple in (["1", "1", "0"], ["1", "2", "0"]):

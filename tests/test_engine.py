@@ -404,8 +404,7 @@ def test_simple0_check_matches_reference(r, n, m, box, fake, monkeypatch):
     x0, x1, y0, y1 = box
     verts = M.vertices_in_box(t, x0 - 1, x1 + 1, y0 - 1, y1 + 1)
     for v in verts:
-        passed, skipped = s.simple0_check(v)
-        assert skipped == (not s.eng.in_window(v.coord))
+        passed = s.simple0_check(v)
         gens = C.build_simple0(t, v).denominators.generators
         assert passed == ref_simple0_check(s.eng, v, gens), v
 
@@ -425,11 +424,11 @@ def test_simple0_check_fails_on_a_count_in_an_invalid_cell(t120, monkeypatch):
 
     s = C._Session(t120, Window(-4, 4, -4, 4), 1)
     inside, outside = VertexId("Z", 0, (0, 0)), VertexId("Z", 0, (40, 40))
-    assert s.simple0_check(inside) == (True, False)
-    assert s.simple0_check(outside) == (True, True)
+    assert s.simple0_check(inside) is True
+    assert s.simple0_check(outside) is True
     monkeypatch.setattr(WindowEngine, "dims_cube", leaky_dims_cube)
-    assert s.simple0_check(inside) == (False, False)
-    assert s.simple0_check(outside) == (False, True)
+    assert s.simple0_check(inside) is False
+    assert s.simple0_check(outside) is False
 
 
 # -- degrees outside 0..max_degree ----------------------------------------------------

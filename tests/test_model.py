@@ -202,6 +202,41 @@ def test_arrow_lookup_matches_reference(r, n, m):
     assert found > 100  # the cases reach into the fans, not only around them
 
 
+def tau(k, v):
+    """The translation (a, b) -> (a + k, b + k) of a vertex."""
+    a, b = v.coord
+    return V(v.family, v.orbit, a + k, b + k)
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+def test_model_is_invariant_under_translation(r, n, m):
+    """Every index set and fan is cut out by differences and by offsets from
+    the source, never by an absolute coordinate, so the diagonal shifts tau_k
+    map vertices to vertices and arrows to arrows: checked for every family,
+    orbit and degree, every vertex and target in [-3,3]^2."""
+    t = validate_triple(r, n, m)
+    ids = [
+        V(family, orbit, a, b)
+        for family in M.families(t)
+        for orbit in range(t.orbit_count)
+        for a in range(-3, 4)
+        for b in range(-3, 4)
+    ]
+    degrees = range(t.max_degree + 1)
+    for k in (1, -2, 5):
+        assert [M.vertex_valid(t, tau(k, v)) for v in ids] == [M.vertex_valid(t, v) for v in ids], k
+        arrows = 0
+        for v in ids:
+            tv = tau(k, v)
+            for w in ids:
+                tw = tau(k, w)
+                for d in degrees:
+                    want = M.arrow_exists(t, v, w, d)
+                    assert M.arrow_exists(t, tv, tw, d) == want, (k, v, w, d)
+                    arrows += want
+        assert arrows > 100
+
+
 @pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
 def test_hom_basis_matches_reference(r, n, m):
     t = validate_triple(r, n, m)

@@ -167,8 +167,8 @@ def test_infinite_regions_grow_with_window(reg):
 
 def test_region_json_roundtrip():
     reg = Region(lo_x=-2, hi_y=7, lo_d=NEG_INF, hi_d=3)
-    assert R.region_from_json(R.region_to_json(reg)) == reg
-    assert R.region_to_json(reg)["x"] == [-2, "inf"]
+    assert R.region_to_json(reg) == {"x": [-2, "inf"], "y": ["-inf", 7], "diff": ["-inf", 3]}
+    assert R.region_to_json(R.EMPTY) == {"empty": True}
 
 
 # -- randomized properties ---------------------------------------------------------
