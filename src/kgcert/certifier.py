@@ -240,6 +240,12 @@ def _spec(kind: str) -> _Kind:
     return spec
 
 
+def _channel(t: GentleTriple, orbit: int, key: tuple) -> tuple:
+    """The (family, orbit, degree) channel that a fan key names for a top in orbit."""
+    family, k, degree = key
+    return family, (orbit + k) % t.orbit_count, degree
+
+
 def _aux_top(t: GentleTriple, spec: _Kind, orbit: int, coord: tuple):
     """The largest aux of an instance, or None when every aux is allowed."""
     if spec.aux_top is None:
@@ -281,15 +287,10 @@ def build_simple1(
     if hi is not None and aux > hi:
         raise ParameterRange(f"aux must be <= {hi} for {kind} at {top}, got {aux}")
     sx, sy = spec.shift
-    family, k, degree = spec.gen
+    family, g_orbit, degree = _channel(t, orbit, spec.gen)
     gens = (
         model.arrow_or_zero(t, top, VertexId(spec.family, orbit, (a + sx, b + sy)), 0),
-        model.arrow_or_zero(
-            t,
-            top,
-            VertexId(family, (orbit + k) % t.orbit_count, spec.gen_coord(a, b, aux)),
-            degree,
-        ),
+        model.arrow_or_zero(t, top, VertexId(family, g_orbit, spec.gen_coord(a, b, aux)), degree),
     )
     return FpFunctor(top, Subfunctor(top, gens))
 
@@ -412,11 +413,11 @@ class _Session:
         top = F.top
         gens = F.denominators.generators
         a, b = top.coord
-        entries = model.arrow_fan(t, top).channels
-        R = t.orbit_count
+        channels = model.arrow_fan(t, top).channels
         for row in _spec(inst.kind).rows:
-            family, k, degree = row.key
-            e = entries[(family, (inst.orbit + k) % R, degree)]
+            e = channels.get(_channel(t, inst.orbit, row.key))
+            if e is None:
+                return False  # the row names no channel of the top's fan
             if isinstance(row, _Factor):
                 split = e.region
                 if row.split is not None:
@@ -523,12 +524,17 @@ class _Session:
 
     # -- the Z-vertex lemmas ------------------------------------------------------
 
-    def _layer_step(self, v: VertexId, u, extra, inst: Simple1Instance, layer) -> bool:
-        """One step of an image chain out of v, with layer = instance_functor(inst)
-        at u's target: the next image `extra` sits inside the current one
-        (hop o u == extra, hop being the layer's shift generator f from u's
-        target to extra's), the kernel of (- o u) modulo extra is the layer's
-        denominator, and the layer passes its simplicity tower."""
+    def _layer_step(self, v: VertexId, inst: Simple1Instance, layer) -> bool:
+        """One step of an image chain out of v, with layer = instance_functor(inst):
+        u (to inst.coord) and `extra` (to inst.coord + the kind's shift), in v's
+        channel, are nonzero, hop o u == extra for hop the layer's generator f,
+        the kernel of (- o u) modulo extra is the layer's denominator, and the
+        layer passes its simplicity tower."""
+        (a, b), (sx, sy) = inst.coord, _spec(inst.kind).shift
+        u = self._chain_u(v, v.family, v.orbit, inst.coord, 0)
+        extra = self._arrow(v, v.family, v.orbit, (a + sx, b + sy), 0)
+        if isinstance(u, ZeroMorphism) or isinstance(extra, ZeroMorphism):
+            return False
         hop = layer.denominators.generators[_F]
         if model.compose(self.t, hop, u) != extra:
             return False
@@ -551,23 +557,19 @@ class _Session:
         i = v.orbit
         aux = _aux_top(t, _KINDS[KIND_CP], i, v.coord)
         for step in range(self.depth + 1):
-            u = self._chain_u(v, FAMILY_Z, i, (a + step, b), 0)
-            nxt_gen = self._arrow(v, FAMILY_Z, i, (a + step + 1, b), 0)
-            if isinstance(u, ZeroMorphism) or isinstance(nxt_gen, ZeroMorphism):
-                return False
             inst = Simple1Instance(KIND_CP, i, (a + step, b), aux)
             layer = instance_functor(t, inst)
             if functors.is_in_c0(t, layer):
                 return False  # every layer must be exactly infinite
-            if not self._layer_step(v, u, nxt_gen, inst, layer):
+            if not self._layer_step(v, inst, layer):
                 return False
         return True
 
     def c2_check(self, v: VertexId) -> bool:
-        """Case analysis making Hom(v, -) simple one layer up, for a Z-vertex:
-        degree-0 arrows by induction with C-layers, degree-1 arrows through
-        the finite-length chain of their target, degree-2 arrows by
-        factorisation plus the finite-length chain of the intermediate."""
+        """Case analysis making Hom(v, -) simple one layer up, for a Z-vertex, by
+        v's fan entries in order: degree-0 arrows by induction with C-layers,
+        degree-1 arrows through the finite-length chain of their target, higher
+        degrees by factorisation plus the finite-length chain of the intermediate."""
         t = self.t
         if not t.is_finite_mode:
             raise ModeMismatch("the layer-two case analysis needs r < n")
@@ -575,43 +577,34 @@ class _Session:
             raise WrongFamily(f"expected a Z-vertex, got {v}")
         a, b = v.coord
         i = v.orbit
-        nxt = (i + 1) % t.orbit_count
         cp_aux = _aux_top(t, _KINDS[KIND_CP], i, v.coord)
         cpp_aux = _aux_top(t, _KINDS[KIND_CPP], i, v.coord)
-        entries = model.arrow_fan(t, v).channels
-        # Case: degree-0 targets, induction on c+d with C-layer quotients.
-        e0 = entries[(FAMILY_Z, i, 0)]
-        for (c, d) in regions.enumerate_points(e0.region, self.wreg):
-            if (c, d) == (a, b):
-                continue
-            if c > a:
-                inst = Simple1Instance(KIND_CP, i, (c - 1, d), cp_aux)
-            else:
-                inst = Simple1Instance(KIND_CPP, i, (a, d - 1), cpp_aux)
-            u = self._chain_u(v, FAMILY_Z, i, inst.coord, 0)
-            extra = self._arrow(v, FAMILY_Z, i, (c, d), 0)
-            if not self._layer_step(v, u, extra, inst, instance_functor(t, inst)):
-                return False
-        # Cases: degree-1 targets admit the tautological epi from the target
-        # representable, which has a finite-length chain.
-        for fam in (FAMILY_X, FAMILY_Y):
-            e1 = entries[(fam, nxt, 1)]
-            for (c, d) in regions.enumerate_points(e1.region, self.wreg):
-                if not self.finite1_check(VertexId(fam, nxt, (c, d))):
+        for e in model.arrow_fan(t, v).entries:
+            for (c, d) in regions.enumerate_points(e.region, self.wreg):
+                if e.degree == 0:
+                    # Induction on c+d with C-layer quotients.
+                    if (c, d) == (a, b):
+                        continue
+                    if c > a:
+                        inst = Simple1Instance(KIND_CP, i, (c - 1, d), cp_aux)
+                    else:
+                        inst = Simple1Instance(KIND_CPP, i, (a, d - 1), cpp_aux)
+                    ok = self._layer_step(v, inst, instance_functor(t, inst))
+                elif e.degree == 1:
+                    # The tautological epi from the target representable,
+                    # which has a finite-length chain.
+                    ok = self.finite1_check(VertexId(e.family, e.orbit, (c, d)))
+                else:
+                    # Factor through the degree-1 map to the X-intermediate
+                    # at (c, a), whose representable has a finite chain.
+                    h1 = self._arrow(v, FAMILY_X, e.orbit, (c, a), 1)
+                    if isinstance(h1, ZeroMorphism):
+                        return False
+                    phi = self._arrow(h1.dst, e.family, e.orbit, (c, d), e.degree - 1)
+                    f = self._arrow(v, e.family, e.orbit, (c, d), e.degree)
+                    ok = model.compose(t, phi, h1) == f and self.finite1_check(h1.dst)
+                if not ok:
                     return False
-        # Case: degree-2 targets factor through the degree-1 map to the
-        # X-intermediate at (c, a), whose representable has a finite chain.
-        e2 = entries[(FAMILY_Z, nxt, 2)]
-        for (c, d) in regions.enumerate_points(e2.region, self.wreg):
-            f2 = self._arrow(v, FAMILY_Z, nxt, (c, d), 2)
-            h1 = self._arrow(v, FAMILY_X, nxt, (c, a), 1)
-            if isinstance(h1, ZeroMorphism):
-                return False
-            phi = self._arrow(h1.dst, FAMILY_Z, nxt, (c, d), 1)
-            if model.compose(t, phi, h1) != f2:
-                return False
-            if not self.finite1_check(VertexId(FAMILY_X, nxt, (c, a))):
-                return False
         return True
 
 
@@ -726,9 +719,9 @@ _MODES = {
 #
 # One loop, _walk, checks the items of every phase: all of them in a serial
 # run; in a split run, those at even x in this process (parity 0) and those at
-# odd x in a forked helper (parity 1).  Towers ascend along y for every kind,
-# so the instances of one top column, whose towers share steps, stay in one
-# process.
+# odd x in a forked helper (parity 1).  Towers ascend along the swapped shift:
+# along y for B', B'', C' and B, whose instances of one top column share tower
+# steps within one process; along x for C'', whose towers cross both shares.
 
 
 def _walk(s: _Session, plan: list, parity: Optional[int] = None) -> list:

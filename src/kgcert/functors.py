@@ -174,15 +174,9 @@ def support_channels(t: GentleTriple, F: FpFunctor) -> list:
     channel, whose region formally contains the top point).
     """
     gens = [g for g in F.denominators.generators if not isinstance(g, ZeroMorphism)]
-    fan = model.arrow_fan(t, F.top)
-    if any(isinstance(g, IdentityMorphism) for g in gens):
-        return [
-            SupportChannel(e.family, e.orbit, e.degree, RegionSet(()))
-            for e in fan.entries
-        ]
     covers = _cover_regions(t, F.top, gens)
     out = []
-    for e in fan.entries:
+    for e in model.arrow_fan(t, F.top).entries:
         rs = RegionSet((e.region,))
         for cover in covers.get((e.family, e.orbit, e.degree), ()):
             rs = regions.regionset_subtract(rs, cover)

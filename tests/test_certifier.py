@@ -42,7 +42,7 @@ from kgcert.functors import FpFunctor, Subfunctor, Window
 from kgcert.model import ArrowMorphism, VertexId, ZERO, ZeroMorphism
 from kgcert.presentation import validate_triple
 
-from conftest import ACCEPTANCE_TRIPLES, INFINITE_TRIPLES
+from conftest import ACCEPTANCE_TRIPLES, INFINITE_TRIPLES, ORBIT_TRIPLES
 
 
 def V(fam, orbit, a, b):
@@ -548,7 +548,7 @@ def test_certify_small_windows():
     assert cert.kg == 1 and cert.verdict == "pass"
 
 
-@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES + ORBIT_TRIPLES)
 def test_certificate_is_invariant_under_translation(r, n, m):
     """tau_3: (a, b) -> (a + 3, b + 3) maps [-5,5]^2 onto [-2,8]^2 (the halved
     inner and quarter boxes move by 2 and 1 but keep their sizes).  The model
@@ -686,7 +686,7 @@ def test_certify_calls_the_hooks_the_benchmark_tracer_patches(triple, monkeypatc
 # -- the per-kind case rows ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES + ORBIT_TRIPLES)
 def test_case_rows_cover_every_fan_channel(r, n, m):
     """For every kind of the mode and sample instance with its top in
     [-3,3]^2, the factor splits and chain lines of the kind's case rows cover
@@ -723,6 +723,24 @@ def test_case_rows_cover_every_fan_channel(r, n, m):
                 uncovered = {key: rs for key, rs in left.items() if not rs.is_empty()}
                 assert not uncovered, (kind, v, aux, uncovered)
     assert instances > 20
+
+
+def test_a_case_row_naming_no_channel_fails(t120, monkeypatch):
+    """A B' row keyed (Y, 0, 0), a channel no X-vertex's fan has, fails the
+    towers of every B' instance instead of raising, serially and split with
+    the same bytes; the other phases never run a B' case analysis."""
+    spec = C._KINDS[KIND_BP]
+    rows = spec.rows[:-1] + (spec.rows[-1]._replace(key=(M.FAMILY_Y, 0, 0)),)
+    monkeypatch.setitem(C._KINDS, KIND_BP, spec._replace(rows=rows))
+    assert not check_simple1_tower(t120, Simple1Instance(KIND_BP, 0, (0, 1), 0), 3, W5)
+    texts = []
+    for split in (False, True):
+        monkeypatch.setattr(C, "_split_allowed", lambda: split)
+        cert = certify(t120, Window(-4, 4, -4, 4), 3)
+        assert cert.verdict == "fail"
+        assert [c.lemma for c in cert.checks if not c.passed] == ["simple1", "collapse_layers"]
+        texts.append(cert.to_json_text())
+    assert texts[0] == texts[1]
 
 
 # -- certifying in two processes ------------------------------------------------------
@@ -800,6 +818,28 @@ def test_split_and_serial_certificates_have_the_same_bytes(r, n, m, monkeypatch)
         texts[split] = cert.to_json_text()
     assert texts[True] == texts[False]
     assert hashlib.sha256(texts[True].encode()).hexdigest() == OFFSET_WINDOW_SHA256[(r, n, m)]
+
+
+# SHA-256 of to_json_text() at [-4,4]^2, depth 4, taken before the Z-vertex
+# lemmas read the fan record.
+ORBIT_SHA256 = {
+    (3, 4, 1): "b9a18375aaa567854688e1ed52ada4572a69846ecbf163ef02f7a182cd5abafc",
+    (3, 3, 1): "0c7abb0e289d64c3c5f447e2427eae5978cf9217d51b17f54c537232c1eab6fe",
+}
+
+
+@pytest.mark.parametrize("r,n,m", ORBIT_TRIPLES)
+def test_orbit_triples_certify_pinned_in_one_and_two_processes(r, n, m, monkeypatch):
+    """With r >= 3 a sign error in an orbit offset shows; serial and split
+    certificates pass with the same, pinned bytes."""
+    t = validate_triple(r, n, m)
+    texts = set()
+    for split in (False, True):
+        monkeypatch.setattr(C, "_split_allowed", lambda: split)
+        cert = certify(t, Window(-4, 4, -4, 4), 4)
+        assert cert.passed and _processes(cert) == {2 if split else 1}
+        texts.add(cert.to_json_text())
+    assert [hashlib.sha256(text.encode()).hexdigest() for text in texts] == [ORBIT_SHA256[(r, n, m)]]
 
 
 @pytest.mark.parametrize("where", ["helper", "parent", "both, helper first", "both, parent first"])

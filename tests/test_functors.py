@@ -152,6 +152,28 @@ def test_is_in_c0_representable_false(r, n, m):
         assert not F.is_in_c0(t, F.representable(t, v))
 
 
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+def test_an_identity_generator_empties_every_channel(r, n, m):
+    """A denominator that holds the identity is all of Hom(top, -): with 0-2
+    random arrows beside it, every support channel and support region is
+    empty and the functor is in C0."""
+    t = validate_triple(r, n, m)
+    rng = random.Random(f"identity-{r}-{n}-{m}")
+    verts = M.vertices_in_box(t, -5, 5, -5, 5)
+    for _ in range(40):
+        fp = random_fp(t, rng, verts)
+        gens = list(fp.denominators.generators[:2]) + [IdentityMorphism(fp.top)]
+        rng.shuffle(gens)
+        dead = FpFunctor(fp.top, Subfunctor(fp.top, tuple(gens)))
+        channels = F.support_channels(t, dead)
+        assert [(c.family, c.orbit, c.degree) for c in channels] == [
+            (e.family, e.orbit, e.degree) for e in M.arrow_fan(t, fp.top).entries
+        ]
+        assert all(c.regions.regions == () for c in channels), (fp, gens)
+        assert all(rs.regions == () for rs in F.support_region(t, dead).values())
+        assert F.is_in_c0(t, dead)
+
+
 def test_is_in_c0_zero_functor(t120):
     top = V("X", 0, 0, 1)
     Fz = FpFunctor(top, Subfunctor(top, (IdentityMorphism(top),)))
