@@ -233,6 +233,15 @@ _KINDS = {
 }
 
 
+# Per (is_finite_mode, family) of a finite-length chain's vertices: the kind
+# of each step's quotient and of its sub, None when the step checks a gap.
+_FINITE1_KINDS = {
+    (True, FAMILY_X): (KIND_BP, KIND_CP),
+    (True, FAMILY_Y): (KIND_BPP, KIND_CPP),
+    (False, FAMILY_X): (KIND_B_INF, None),
+}
+
+
 def _spec(kind: str) -> _Kind:
     spec = _KINDS.get(kind)
     if spec is None:
@@ -252,6 +261,13 @@ def _aux_top(t: GentleTriple, spec: _Kind, orbit: int, coord: tuple):
         return None
     last = orbit == t.orbit_count - 1
     return spec.aux_top(coord[0], coord[1], last * t.m, last * t.n)
+
+
+def _largest_aux(t: GentleTriple, kind: str, top: VertexId) -> Simple1Instance:
+    """The instance of kind at top with its largest aux, or aux 0 when every
+    aux is allowed."""
+    aux = _aux_top(t, _KINDS[kind], top.orbit, top.coord)
+    return Simple1Instance(kind, top.orbit, top.coord, 0 if aux is None else aux)
 
 
 # -- builders ----------------------------------------------------------------
@@ -455,9 +471,8 @@ class _Session:
         """Replay of the border-terminating induction placing Hom(v, -) in the
         first filtration layer; memoised per vertex."""
         t = self.t
-        families = (FAMILY_X, FAMILY_Y) if t.is_finite_mode else (FAMILY_X,)
-        if v.family not in families:
-            raise WrongFamily(f"finite-length chain applies to {'/'.join(families)} vertices, got {v}")
+        if (t.is_finite_mode, v.family) not in _FINITE1_KINDS:
+            raise WrongFamily(f"no finite-length chain starts at {v} in this mode")
         if not model.vertex_valid(t, v):
             raise InvalidVertex(f"not a vertex of the model: {v}")
         hit = self._finite1_cache.get(v)
@@ -473,54 +488,28 @@ class _Session:
             if cached is not None:
                 ok = cached
                 continue
-            ok = ok and self._finite1_step(w, c, border)
+            ok = ok and self._finite1_step(w, c == border)
             self._finite1_cache[w] = ok
         return ok  # the last w is v itself: a vertex has a <= border
 
-    def _finite1_step(self, w: VertexId, c: int, border: int) -> bool:
-        """One induction step, whose middle is H_w modulo the x-shift image
-        (zero exactly at the border).  r < n: 0 -> C-object -> middle ->
-        B-object -> 0, via the degree-1 map to the reference column/row.
-        r == n: the middle is an extension of a B-object by a sub with finite
-        symbolic support."""
+    def _finite1_step(self, w: VertexId, at_border: bool) -> bool:
+        """One induction step at w.  The B-kind quotient at w is H_w/<f, g>:
+        f the x-shift (zero exactly at the border), g the kind's map.  r < n:
+        0 -> C-object -> H_w/<f> -> B-object -> 0, induced by g, for the
+        C-object at g's target.  <f, g> contains <f> and is <f> plus the
+        image of g by construction, so comparing the kernel of (- o g) modulo
+        f with the C-object's denominator is the whole exactness check.
+        r == n: the gap between <f, g> and <f> has finite symbolic support."""
         t = self.t
-        i = w.orbit
-        b = w.coord[1]
-        mid_gen = self._arrow(w, w.family, i, (c + 1, b), 0)
-        if (c == border) != isinstance(mid_gen, ZeroMorphism):
+        quot_kind, sub_kind = _FINITE1_KINDS[(t.is_finite_mode, w.family)]
+        f, g = instance_functor(t, _largest_aux(t, quot_kind, w)).denominators.generators
+        if at_border != isinstance(f, ZeroMorphism) or isinstance(g, ZeroMorphism):
             return False
-        if not t.is_finite_mode:
-            # aux at its bound, so build_simple1 accepts it
-            quot = build_simple1(t, KIND_B_INF, i, (c, b), _aux_top(t, _KINDS[KIND_B_INF], i, (c, b)))
-            e_gen = quot.denominators.generators[_G]
-            if isinstance(e_gen, ZeroMorphism):
-                return False
-            # Layer between the B-quotient and the x-shift image must vanish in
-            # the finite-length layer: decided exactly on symbolic regions.
-            gap = functors.quotient_support(
-                t,
-                Subfunctor(w, (mid_gen, e_gen)),
-                Subfunctor(w, (mid_gen,)),
-            )
+        if sub_kind is None:
+            gap = functors.quotient_support(t, Subfunctor(w, (f, g)), Subfunctor(w, (f,)))
             return all(rs.is_finite() for rs in gap.values())
-        if w.family == FAMILY_X:
-            u = self._arrow(w, FAMILY_Z, i, (c, 0), 1)
-            sub = build_simple1(t, KIND_CP, i, (c, 0), _aux_top(t, _KINDS[KIND_CP], i, (c, 0)))
-            quot = build_simple1(t, KIND_BP, i, (c, b), 0)
-        else:
-            u = self._arrow(w, FAMILY_Z, i, (0, c), 1)
-            sub = build_simple1(t, KIND_CPP, i, (0, c), _aux_top(t, _KINDS[KIND_CPP], i, (0, c)))
-            quot = build_simple1(t, KIND_BPP, i, (c, b), 0)
-        if isinstance(u, ZeroMorphism):
-            return False
-        return self.eng.ses_foreign(
-            w,
-            u,
-            sub.top,
-            sub.denominators.generators,
-            (mid_gen,),
-            quot.denominators.generators,
-        )
+        sub = instance_functor(t, _largest_aux(t, sub_kind, g.dst))
+        return self.eng.kernel_matches(w, g, (f,), sub.denominators.generators)
 
     # -- the Z-vertex lemmas ------------------------------------------------------
 
@@ -684,7 +673,7 @@ _SIMPLE1 = _Phase(
     ("instances", "length"), Simple1Instance.params,
 )
 _FINITE1 = _Phase(
-    "window", lambda s, verts: [v for v in verts if v.family != FAMILY_Z],
+    "window", lambda s, verts: [v for v in verts if (s.t.is_finite_mode, v.family) in _FINITE1_KINDS],
     lambda s, v: s.finite1_check(v), ("vertices",),
 )
 _NONSIMPLE1 = _Phase("inner", _z_vertices, lambda s, v: s.nonsimple1_check(v), ("vertices", "depth"))

@@ -13,9 +13,9 @@ Two evaluation routes exist on purpose and are tested against each other:
   vertex at a time (the reference semantics);
 * symbolic: :func:`support_channels` / :func:`support_region` compute the
   support {V : dim F(V) != 0} as difference-bound regions, one channel per
-  (target family, orbit, degree), by starting from the arrow-fan regions of
-  the top vertex and subtracting, per channel, the regions covered by the
-  generator images.
+  (target family, orbit, degree): the top's arrow-fan regions minus, per
+  channel, the regions the generator images cover.  :func:`quotient_support`
+  takes F's covers minus G's by the same one subtraction.
 
 Window-quantified checks (:func:`ses_check`, :func:`image_presentation_check`)
 are delegated to the bitmask sweep engine.
@@ -136,13 +136,15 @@ class SupportChannel:
 def _cover_regions(t: GentleTriple, top: VertexId, gens) -> dict:
     """Per (family, orbit, degree) channel, the regions of V covered by the
     generator images.  Exact: a channel's basis element at V lies in the
-    image iff V is in one of the returned regions.
+    image iff V is in one of the returned regions.  Zero generators cover
+    nothing.
 
     A generator f: top -> T of degree p contributes, for every fan entry of T
     of degree q landing in the channel (fam, orb, q+p), the set of V where
     both the T -> V arrow and the composite top -> V arrow exist.  The
     degree-0 fan region of T formally contains T itself, which accounts for
-    the composite through the identity of T (that is, f itself).
+    the composite through the identity of T (that is, f itself).  The
+    identity of top covers every fan region of top, the top point included.
     """
     covers: dict = {}
     for f in gens:
@@ -151,7 +153,6 @@ def _cover_regions(t: GentleTriple, top: VertexId, gens) -> dict:
         if isinstance(f, IdentityMorphism):
             for e in model.arrow_fan(t, top).entries:
                 covers.setdefault((e.family, e.orbit, e.degree), []).append(e.region)
-            covers.setdefault("identity", []).append(regions.point(*top.coord))
             continue
         T, p = f.dst, f.degree
         top_channels = model.arrow_fan(t, top).channels
@@ -166,6 +167,17 @@ def _cover_regions(t: GentleTriple, top: VertexId, gens) -> dict:
     return covers
 
 
+def _uncovered(pieces, covers) -> list:
+    """The regions of the points of the pieces that lie in none of the covers."""
+    out = []
+    for piece in pieces:
+        rs = RegionSet((piece,))
+        for cover in covers:
+            rs = regions.regionset_subtract(rs, cover)
+        out.extend(rs.regions)
+    return out
+
+
 def support_channels(t: GentleTriple, F: FpFunctor) -> list:
     """Symbolic support, one :class:`SupportChannel` per arrow channel of top.
 
@@ -173,14 +185,11 @@ def support_channels(t: GentleTriple, F: FpFunctor) -> list:
     contains V (plus the identity at V = top, carried by the degree-0
     channel, whose region formally contains the top point).
     """
-    gens = [g for g in F.denominators.generators if not isinstance(g, ZeroMorphism)]
-    covers = _cover_regions(t, F.top, gens)
+    covers = _cover_regions(t, F.top, F.denominators.generators)
     out = []
     for e in model.arrow_fan(t, F.top).entries:
-        rs = RegionSet((e.region,))
-        for cover in covers.get((e.family, e.orbit, e.degree), ()):
-            rs = regions.regionset_subtract(rs, cover)
-        out.append(SupportChannel(e.family, e.orbit, e.degree, rs))
+        left = _uncovered((e.region,), covers.get((e.family, e.orbit, e.degree), ()))
+        out.append(SupportChannel(e.family, e.orbit, e.degree, RegionSet(tuple(left))))
     return out
 
 
@@ -210,22 +219,11 @@ def quotient_support(t: GentleTriple, F: Subfunctor, G: Subfunctor) -> dict:
     cov_f = _cover_regions(t, F.top, F.generators)
     cov_g = _cover_regions(t, G.top, G.generators)
     for key, g_parts in cov_g.items():
-        f_parts = RegionSet(tuple(cov_f.get(key, ())))
-        if not regions.regionset_contains(RegionSet(tuple(g_parts)), f_parts):
+        if not RegionSet(tuple(_uncovered(g_parts, cov_f.get(key, ())))).is_empty():
             raise NotASubfunctor(f"channel {key}: G is not contained in F")
     merged: dict = {}
     for key, f_parts in cov_f.items():
-        if key == "identity":
-            fam, orb = F.top.family, F.top.orbit
-        else:
-            fam, orb = key[0], key[1]
-        gap = []
-        for piece in f_parts:
-            rs = RegionSet((piece,))
-            for g_piece in cov_g.get(key, ()):
-                rs = regions.regionset_subtract(rs, g_piece)
-            gap.extend(rs.regions)
-        merged.setdefault((fam, orb), []).extend(gap)
+        merged.setdefault(key[:2], []).extend(_uncovered(f_parts, cov_g.get(key, ())))
     return {key: RegionSet(tuple(parts)) for key, parts in merged.items()}
 
 

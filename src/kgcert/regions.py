@@ -313,14 +313,6 @@ def regionset_subtract(rs: RegionSet, b) -> RegionSet:
     return RegionSet(tuple(out))
 
 
-def regionset_contains(inner: RegionSet, outer: RegionSet) -> bool:
-    """True iff the denotation of inner is a subset of the denotation of outer."""
-    remaining = inner
-    for r in outer:
-        remaining = regionset_subtract(remaining, r)
-    return remaining.is_empty()
-
-
 def enumerate_points(r, window) -> list:
     """Sorted list of all points of r inside the (finite) window region.
 

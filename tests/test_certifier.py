@@ -194,9 +194,12 @@ def test_finite1_examples(t120):
     assert check_finite1(t120, V("Y", 0, 0, 5), Window(-8, 8, -8, 8))
 
 
-def test_finite1_family_guard(t120):
+def test_finite1_family_guard(t120, t110):
     with pytest.raises(WrongFamily):
         check_finite1(t120, V("Z", 0, 0, 0), W6)
+    for v in [V("Y", 0, 0, 0), V("Z", 0, 0, 0)]:  # r == n: X-vertices only
+        with pytest.raises(WrongFamily):
+            check_finite1(t110, v, W6)
 
 
 def test_finite1_with_tail():
@@ -741,6 +744,27 @@ def test_a_case_row_naming_no_channel_fails(t120, monkeypatch):
         assert [c.lemma for c in cert.checks if not c.passed] == ["simple1", "collapse_layers"]
         texts.append(cert.to_json_text())
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize(
+    "triple,kind,field,value,failed",
+    [
+        ((1, 2, 0), KIND_BP, "gen_coord", lambda a, b, aux: (a, aux + 1), ["simple1"]),
+        ((1, 2, 0), KIND_BPP, "gen_coord", lambda a, b, aux: (aux + 1, a), ["simple1"]),
+        ((1, 1, 0), KIND_B_INF, "gen_coord", lambda a, b, aux: (aux + 1, a), ["inf_simple1", "inf_finite1"]),
+        ((1, 2, 0), KIND_CP, "aux_top", lambda a, b, m, n: a + m, ["finite1", "nonsimple1", "c2simple"]),
+        ((1, 2, 0), KIND_CPP, "aux_top", lambda a, b, m, n: b - n, ["finite1", "c2simple"]),
+    ],
+    ids=["B'-gen", "B''-gen", "B-gen", "C'-aux", "C''-aux"],
+)
+def test_a_mutated_kind_row_fails(monkeypatch, triple, kind, field, value, failed):
+    """A kind row with its second generator one step off, or its aux range
+    one short, fails certify rather than raising: the finite-length steps
+    read their quotient and sub from the same rows as the towers."""
+    monkeypatch.setitem(C._KINDS, kind, C._KINDS[kind]._replace(**{field: value}))
+    cert = certify(validate_triple(*triple), Window(-4, 4, -4, 4), 4)
+    assert cert.verdict == "fail"
+    assert [c.lemma for c in cert.checks if not c.passed] == failed + ["collapse_layers"]
 
 
 # -- certifying in two processes ------------------------------------------------------

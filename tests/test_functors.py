@@ -277,6 +277,31 @@ def test_quotient_support_rejects_non_subfunctor(t120):
         F.quotient_support(t120, Fsub, Gsub)
 
 
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+def test_quotient_support_over_the_identity_is_the_quotient_functor_support(r, n, m):
+    """<id, gens> over <gens> is Hom(top, -) over <gens>: quotient_support has
+    the points of support_region of H_top/<gens> per (family, orbit) on
+    [-7,7]^2, for 0-2 random arrows; the swapped pair is no subfunctor."""
+    t = validate_triple(r, n, m)
+    rng = random.Random(f"identity-law-{r}-{n}-{m}")
+    verts = M.vertices_in_box(t, -4, 4, -4, 4)
+    box = R.box(-7, 7, -7, 7)
+
+    def points(supports):
+        found = {key: {p for piece in rs for p in R.enumerate_points(piece, box)} for key, rs in supports.items()}
+        return {key: pts for key, pts in found.items() if pts}
+
+    for _ in range(50):
+        fp = random_fp(t, rng, verts)
+        top, gens = fp.top, fp.denominators.generators[:2]
+        full = Subfunctor(top, (IdentityMorphism(top),) + gens)
+        quotient = FpFunctor(top, Subfunctor(top, gens))
+        got = F.quotient_support(t, full, Subfunctor(top, gens))
+        assert points(got) == points(F.support_region(t, quotient)), (top, gens)
+        with pytest.raises(NotASubfunctor):
+            F.quotient_support(t, Subfunctor(top, gens), full)
+
+
 # -- structural properties ---------------------------------------------------------------
 
 
