@@ -716,8 +716,8 @@ _MODES = {
 def _walk(s: _Session, plan: list, parity: Optional[int] = None) -> list:
     """Check the items of every phase of the plan, in order, up to the first
     that fails: all of them when parity is None, else those whose x has that
-    parity.  Returns per phase [the failing index or -1, items checked,
-    seconds]."""
+    parity.  A check that reaches a non-vertex fails its item.  Returns per
+    phase [the failing index or -1, items checked, seconds]."""
     walk = []
     for _, phase, _, items in plan:
         t0 = time.perf_counter()
@@ -726,7 +726,11 @@ def _walk(s: _Session, plan: list, parity: Optional[int] = None) -> list:
         for k, item in enumerate(items):
             if parity is None or item.coord[0] % 2 == parity:
                 checked += 1
-                if not phase.check(s, item):
+                try:
+                    ok = phase.check(s, item)
+                except InvalidVertex:
+                    ok = False
+                if not ok:
                     failed = k
                     break
         walk.append([failed, checked, time.perf_counter() - t0])

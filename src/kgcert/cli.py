@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="replay the proofs and emit a certificate")
     _add_triple_flags(p)
     _add_window_flag(p)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=int, help="proof depth (certify's default when omitted)")
     p.add_argument("--json", metavar="PATH", help="also write the certificate here")
     p.add_argument(
         "--stats",
@@ -280,8 +280,8 @@ def _run(args) -> int:
             sys.stdout.write(dot)
         return 0
     if args.command == "certify":
-        win = _window(args.window) if args.window else Window(-8, 8, -8, 8)
-        cert = certify(t, win, args.depth)
+        given = {"window": _window(args.window) if args.window else None, "depth": args.depth}
+        cert = certify(t, **{k: v for k, v in given.items() if v is not None})
         text = cert.to_json_text()
         print(text)
         if args.json:

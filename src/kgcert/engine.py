@@ -192,7 +192,9 @@ class WindowEngine:
         Pointwise on the window this is: the kernel of (- o u) modulo the
         middle denominator equals the sub's denominator; the middle
         denominator is contained in the quotient's; and the quotient's
-        denominator is exactly the middle one plus the image of u.
+        denominator is exactly the middle one plus the image of u.  The
+        third condition implies the second, so only the first and third
+        are tested.
         """
         S = model.target_of(u)
         if S != sub_top:
@@ -201,10 +203,7 @@ class WindowEngine:
         kern = self.kernel_cube(top, u, mod)
         if kern != self.image_cube(S, sub_gens):
             return False
-        quot = self.image_cube(top, quot_gens)
-        if mod & quot != mod:
-            return False
-        return quot == mod | self.image_cube(top, (u,))
+        return self.image_cube(top, quot_gens) == mod | self.image_cube(top, (u,))
 
     def ses_dimension_check(self, top: VertexId, sub_gens, mid_gens, quot_gens) -> bool:
         """dim(mid) == dim(sub image in mid) + dim(quot) everywhere, and the

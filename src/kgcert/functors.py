@@ -15,7 +15,8 @@ Two evaluation routes exist on purpose and are tested against each other:
   support {V : dim F(V) != 0} as difference-bound regions, one channel per
   (target family, orbit, degree): the top's arrow-fan regions minus, per
   channel, the regions the generator images cover.  :func:`quotient_support`
-  takes F's covers minus G's by the same one subtraction.
+  takes F's covers minus G's.  Both supports subtract by
+  :func:`regions.difference`.
 
 Window-quantified checks (:func:`ses_check`, :func:`image_presentation_check`)
 are delegated to the bitmask sweep engine.
@@ -167,17 +168,6 @@ def _cover_regions(t: GentleTriple, top: VertexId, gens) -> dict:
     return covers
 
 
-def _uncovered(pieces, covers) -> list:
-    """The regions of the points of the pieces that lie in none of the covers."""
-    out = []
-    for piece in pieces:
-        rs = RegionSet((piece,))
-        for cover in covers:
-            rs = regions.regionset_subtract(rs, cover)
-        out.extend(rs.regions)
-    return out
-
-
 def support_channels(t: GentleTriple, F: FpFunctor) -> list:
     """Symbolic support, one :class:`SupportChannel` per arrow channel of top.
 
@@ -188,7 +178,7 @@ def support_channels(t: GentleTriple, F: FpFunctor) -> list:
     covers = _cover_regions(t, F.top, F.denominators.generators)
     out = []
     for e in model.arrow_fan(t, F.top).entries:
-        left = _uncovered((e.region,), covers.get((e.family, e.orbit, e.degree), ()))
+        left = regions.difference((e.region,), covers.get((e.family, e.orbit, e.degree), ()))
         out.append(SupportChannel(e.family, e.orbit, e.degree, RegionSet(tuple(left))))
     return out
 
@@ -219,11 +209,11 @@ def quotient_support(t: GentleTriple, F: Subfunctor, G: Subfunctor) -> dict:
     cov_f = _cover_regions(t, F.top, F.generators)
     cov_g = _cover_regions(t, G.top, G.generators)
     for key, g_parts in cov_g.items():
-        if not RegionSet(tuple(_uncovered(g_parts, cov_f.get(key, ())))).is_empty():
+        if regions.difference(g_parts, cov_f.get(key, ())):
             raise NotASubfunctor(f"channel {key}: G is not contained in F")
     merged: dict = {}
     for key, f_parts in cov_f.items():
-        merged.setdefault(key[:2], []).extend(_uncovered(f_parts, cov_g.get(key, ())))
+        merged.setdefault(key[:2], []).extend(regions.difference(f_parts, cov_g.get(key, ())))
     return {key: RegionSet(tuple(parts)) for key, parts in merged.items()}
 
 

@@ -38,7 +38,8 @@ validate ``dst``: every fan region of a valid source lies inside the index
 region of its target channel, so a point in it is a valid vertex, and an
 unknown family, orbit or degree misses the mapping.
 ``tests/test_model.py::test_fan_targets_are_valid_vertices`` pins that
-containment.
+containment.  A model that breaks it fails certification instead of
+raising: a check that reaches a non-vertex fails its item.
 """
 
 from __future__ import annotations

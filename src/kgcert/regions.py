@@ -19,10 +19,11 @@ bound of a closed region with integer constants is attained by an integer
 point, so ``inner`` lies in ``outer`` exactly when each closed bound of
 ``inner`` lies within the matching bound of ``outer``.
 
-``Region(...)`` validates its six bounds.  The results of :func:`close` and
-:func:`intersect` skip that check (see :func:`_unchecked`): each of their
-bounds is a max, min, sum or difference of already validated bounds of the
-same kind, so it is again an int or the matching infinity.
+``Region(...)`` validates its six bounds.  The results of :func:`close`,
+:func:`intersect` and :func:`subtract` skip that check (see
+:func:`_unchecked`): each of their bounds is a max, min, sum or difference
+of already validated bounds of the same kind, or a validated int bound
+plus or minus 1, so it is again an int or the matching infinity.
 """
 
 from __future__ import annotations
@@ -107,16 +108,18 @@ _new_object = object.__new__
 
 
 def _unchecked(lo_x, hi_x, lo_y, hi_y, lo_d, hi_d) -> Region:
-    """A Region built without ``__post_init__``; only for :func:`close` and
-    :func:`intersect`.
+    """A Region built without ``__post_init__``; only for :func:`close`,
+    :func:`intersect` and :func:`subtract`.
 
     Safe because every bound they pass is a max, min, sum or difference of
     bounds of validated regions, of the matching kind: a max or min of two
     lower (upper) bounds, or a lower (upper) bound plus another lower (upper)
     bound, or minus an upper (lower) one.  Ints stay ints, and an infinity
     can only come from an infinity of the same sign, so lower bounds stay an
-    int or -inf and upper bounds an int or +inf.  The result equals, and
-    hashes like, ``Region(*bounds)``.
+    int or -inf and upper bounds an int or +inf.  :func:`subtract` passes
+    the default infinities, b's validated bounds and b's int bounds plus or
+    minus 1, which stay ints.  The result equals, and hashes like,
+    ``Region(*bounds)``.
     """
     r = _new_object(Region)
     d = r.__dict__
@@ -180,8 +183,6 @@ def close(r):
 
 def is_finite(r) -> bool:
     """True iff the denotation is a finite subset of Z^2."""
-    if r is EMPTY:
-        return True
     c = close(r)
     if c is EMPTY:
         return True
@@ -260,57 +261,43 @@ class RegionSet:
         return len(self.regions)
 
 
-# The six constraint slots of a region, as (attribute, is_lower) pairs.
-_SLOTS = (
-    ("lo_x", True),
-    ("hi_x", False),
-    ("lo_y", True),
-    ("hi_y", False),
-    ("lo_d", True),
-    ("hi_d", False),
-)
-
-
 def subtract(a, b) -> RegionSet:
     """Set difference a \\ b as a union of at most six pairwise disjoint regions.
 
-    Piece k keeps the first k-1 constraints of b and violates the k-th
-    (not(v >= lo) <=> v <= lo-1, not(v <= hi) <=> v >= hi+1), so the pieces
-    are disjoint by construction and cardinalities add up.
+    Piece k keeps b's bounds in the slots before k (lo_x, hi_x, lo_y, hi_y,
+    lo_d, hi_d) and violates slot k: a lower bound v sets its upper partner
+    to v-1, an upper bound v raises its lower partner to v+1.  The pieces
+    are disjoint by construction, so cardinalities add up; each is closed
+    and nonempty.
     """
-    if a is EMPTY:
-        return RegionSet(())
     a = close(a)
     if a is EMPTY:
         return RegionSet(())
     if b is EMPTY:
         return RegionSet((a,))
+    kept = [NEG_INF, POS_INF] * 3
     pieces = []
-    kept: dict = {}
-    for slot, is_lower in _SLOTS:
-        value = getattr(b, slot)
-        if (is_lower and value == NEG_INF) or (not is_lower and value == POS_INF):
-            continue  # constraint is vacuous, complement is empty
-        constraint = dict(kept)
-        if is_lower:
-            nslot, nval = slot.replace("lo", "hi"), value - 1
-            constraint[nslot] = min(constraint.get(nslot, POS_INF), nval)
+    for k, v in enumerate((b.lo_x, b.hi_x, b.lo_y, b.hi_y, b.lo_d, b.hi_d)):
+        if v == kept[k]:
+            continue  # still the vacuous default: the complement is empty
+        bounds = kept.copy()
+        if k % 2 == 0:
+            bounds[k + 1] = v - 1
         else:
-            nslot, nval = slot.replace("hi", "lo"), value + 1
-            constraint[nslot] = max(constraint.get(nslot, NEG_INF), nval)
-        piece = intersect(a, Region(**constraint))
+            bounds[k - 1] = max(bounds[k - 1], v + 1)
+        piece = intersect(a, _unchecked(*bounds))
         if piece is not EMPTY:
             pieces.append(piece)
-        kept[slot] = value
+        kept[k] = v
     return RegionSet(tuple(pieces))
 
 
-def regionset_subtract(rs: RegionSet, b) -> RegionSet:
-    """Subtract one region from every piece of a union."""
-    out = []
-    for r in rs:
-        out.extend(subtract(r, b).regions)
-    return RegionSet(tuple(out))
+def difference(pieces, covers) -> list:
+    """The points of the pieces that lie in none of the covers, as a list of
+    regions; closed and nonempty when at least one cover is given."""
+    for cover in covers:
+        pieces = [p for piece in pieces for p in subtract(piece, cover)]
+    return list(pieces)
 
 
 def enumerate_points(r, window) -> list:

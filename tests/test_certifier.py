@@ -1,10 +1,12 @@
 """Lemma replays: positive instances, mode guards, and perturbation controls."""
 
 import hashlib
+import inspect
 import json
 import os
 import random
 import signal
+import textwrap
 import threading
 import time
 
@@ -462,10 +464,10 @@ def factors_region_by_subtraction(s, split_region, gen, entry):
         if (eT.family, eT.orbit, eT.degree) == (entry.family, entry.orbit, phi_deg):
             allowed = eT.region
             break
-    leftover = R.subtract(split_region, allowed)
+    leftover = R.difference([split_region], [allowed])
     if phi_deg == 0 and (entry.family, entry.orbit) == (T.family, T.orbit):
-        leftover = R.regionset_subtract(leftover, R.point(*T.coord))
-    return leftover.is_empty()
+        leftover = R.difference(leftover, [R.point(*T.coord)])
+    return not leftover
 
 
 def _random_split(rng, entry, top, aux):
@@ -709,10 +711,10 @@ def test_case_rows_cover_every_fan_channel(r, n, m):
                 instances += 1
                 left = {}
                 for e in M.arrow_fan(t, v).entries:
-                    rs = R.RegionSet((e.region,))
+                    pieces = [e.region]
                     if e.excludes_src:
-                        rs = R.regionset_subtract(rs, R.point(a, b))
-                    left[(e.family, e.orbit, e.degree)] = rs
+                        pieces = R.difference(pieces, [R.point(a, b)])
+                    left[(e.family, e.orbit, e.degree)] = pieces
                 named = set()
                 for row in spec.rows:
                     family, k, degree = row.key
@@ -721,9 +723,9 @@ def test_case_rows_cover_every_fan_channel(r, n, m):
                     named.add(key)
                     rule = row.split if isinstance(row, C._Factor) else row.line
                     cover = R.FULL if rule is None else rule(a, b, aux)
-                    left[key] = R.regionset_subtract(left[key], cover)
+                    left[key] = R.difference(left[key], [cover])
                 assert named == set(left), (kind, v, aux)
-                uncovered = {key: rs for key, rs in left.items() if not rs.is_empty()}
+                uncovered = {key: pieces for key, pieces in left.items() if pieces}
                 assert not uncovered, (kind, v, aux, uncovered)
     assert instances > 20
 
@@ -765,6 +767,39 @@ def test_a_mutated_kind_row_fails(monkeypatch, triple, kind, field, value, faile
     cert = certify(validate_triple(*triple), Window(-4, 4, -4, 4), 4)
     assert cert.verdict == "fail"
     assert [c.lemma for c in cert.checks if not c.passed] == failed + ["collapse_layers"]
+
+
+@pytest.mark.parametrize(
+    "triple,failed",
+    [
+        ((1, 2, 0), ["simple1", "finite1", "c2simple"]),
+        ((3, 4, 1), ["simple1", "finite1", "nonsimple1", "c2simple"]),
+    ],
+    ids=["1-2-0", "3-4-1"],
+)
+def test_a_fan_with_the_wrong_orbit_wrap_fails(monkeypatch, triple, failed):
+    """Fans that shift the coordinate on the wrong orbit step break the fan
+    containment: a check then reaches a non-vertex, and its item fails, in
+    one process and in two, instead of certify raising InvalidVertex."""
+    source = textwrap.dedent(inspect.getsource(M._fan_entries))
+    assert "dr = 1 if i == R - 1 else 0" in source
+    namespace = dict(vars(M))
+    exec(source.replace("dr = 1 if i == R - 1 else 0", "dr = 1 if i == 1 else 0"), namespace)
+    t = validate_triple(*triple)
+    texts = set()
+    get_engine.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(M, "_fan_entries", namespace["_fan_entries"])
+            for split in (False, True):
+                m.setattr(C, "_split_allowed", lambda: split)
+                cert = certify(t, Window(-4, 4, -4, 4), 4)
+                assert cert.verdict == "fail" and _processes(cert) == {2 if split else 1}
+                assert [c.lemma for c in cert.checks if not c.passed] == failed + ["collapse_layers"]
+                texts.add(cert.to_json_text())
+    finally:
+        get_engine.cache_clear()  # the engines read the broken fans
+    assert len(texts) == 1
 
 
 # -- certifying in two processes ------------------------------------------------------
@@ -880,6 +915,28 @@ def test_split_records_the_serial_first_failure(t120, monkeypatch, where):
     assert record.lemma == "simple1" and not record.passed
     assert record.params["instances"] == min(bad) + 1
     assert record.detail == f"failed at {items[min(bad)].params()}"
+    assert [c.lemma for c in split.checks if not c.passed] == ["simple1", "collapse_layers"]
+
+
+def test_a_check_reaching_a_non_vertex_fails_its_item(t120, monkeypatch):
+    """InvalidVertex from a check fails that item's phase, like False, with
+    the same bytes in one process and in two."""
+    items, even, odd = _bp_instances(t120)
+    bad = items[odd[len(odd) // 2]]
+
+    def act(inst, run):
+        if inst == bad:
+            raise InvalidVertex(f"not a vertex of the model: {inst}")
+        return run()
+
+    _patch_towers(monkeypatch, act)
+    serial = _certify(monkeypatch, t120, False)
+    split = _certify(monkeypatch, t120, True)
+    assert _processes(split) == {2}
+    assert split.to_json_text() == serial.to_json_text()
+    record = split.checks[1]
+    assert record.lemma == "simple1" and not record.passed
+    assert record.detail == f"failed at {bad.params()}"
     assert [c.lemma for c in split.checks if not c.passed] == ["simple1", "collapse_layers"]
 
 

@@ -1,13 +1,16 @@
 """CLI surface: parsing, outputs, exit codes, DOT export."""
 
+import hashlib
 import json
 
 import pytest
 
 from kgcert import model as M
+from kgcert.certifier import certify
 from kgcert.cli import export_dot, main, parse_morphism, parse_vertex, UsageError
 from kgcert.functors import Window
 from kgcert.model import ArrowMorphism, IdentityMorphism, VertexId, ZERO
+from kgcert.presentation import validate_triple
 
 
 def run(capsys, *argv):
@@ -206,6 +209,29 @@ def test_functor_commands(tmp_path, capsys):
     assert code == 0 and json.loads(out) is False
 
 
+# SHA-256 of the support command's output.  The order and shape of the
+# pieces regions.subtract returns reach users here, so they must not drift.
+SUPPORT_SHA256 = [
+    ((2, 3, 0), "X:0:(0,1)", ["X:0:(0,1)->X:0:(1,3)@0", "X:0:(0,1)->Z:0:(0,4)@1"],
+     "a94518ad7ed4c16ee6172c252500a7c3d9f8103693e2193c83950fd762730227"),
+    ((2, 3, 0), "Y:0:(0,3)", ["Y:0:(0,3)->Z:0:(2,0)@1", "Y:0:(0,3)->Y:1:(-2,0)@2"],
+     "db3e40b1f33cf478ca576fe3090cbac390db1f12af0764d2ddf84731c6fc1d47"),
+    ((3, 4, 1), "Z:1:(0,0)",
+     ["Z:1:(0,0)->Z:1:(2,1)@0", "Z:1:(0,0)->X:2:(-1,3)@1", "Z:1:(0,0)->Z:2:(-1,-2)@2"],
+     "c31488553a7d86bbb871cc4525f9ed6195ec8d08e68853720a949101ab429c5e"),
+]
+
+
+@pytest.mark.parametrize("triple,top,gens,digest", SUPPORT_SHA256)
+def test_support_command_bytes_are_pinned(tmp_path, capsys, triple, top, gens, digest):
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps({"top": top, "generators": gens}))
+    r, n, m = map(str, triple)
+    code, out, _ = run(capsys, "support", "--r", r, "--n", n, "--m", m, "--functor", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_ar_command(capsys):
     code, out, _ = run(
         capsys, "ar", "--r", "1", "--n", "2", "--m", "0", "--vertex", "X:0:(0,0)"
@@ -265,6 +291,15 @@ def test_certify_exit_code_on_failure(monkeypatch, capsys):
     code = main(["certify", "--r", "1", "--n", "2", "--m", "0"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_certify_without_window_or_depth_uses_certifys_defaults(monkeypatch, capsys):
+    """With no --window or --depth the command prints certify(t) at
+    certify's own defaults; small defaults keep the test quick."""
+    monkeypatch.setattr(certify, "__defaults__", (Window(-3, 3, -3, 3), 2))
+    code, out, _ = run(capsys, "certify", "--r", "1", "--n", "2", "--m", "0")
+    assert code == 0
+    assert out == certify(validate_triple(1, 2, 0)).to_json_text() + "\n"
 
 
 def test_certify_command_json_roundtrip(tmp_path, capsys):

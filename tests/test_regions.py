@@ -301,9 +301,9 @@ any_regions = st.one_of(random_regions, consistent_regions)
 @settings(max_examples=400, deadline=None)
 @given(any_regions, any_regions)
 def test_close_and_intersect_results_revalidate(a, b):
-    """close and intersect build their results unchecked; each must equal,
-    and hash like, the validated Region with the same bounds."""
-    for got in (R.close(a), R.intersect(a, b)):
+    """close, intersect and subtract build their results unchecked; each must
+    equal, and hash like, the validated Region with the same bounds."""
+    for got in (R.close(a), R.intersect(a, b), *R.subtract(a, b)):
         if got is EMPTY:
             continue
         bounds = (got.lo_x, got.hi_x, got.lo_y, got.hi_y, got.lo_d, got.hi_d)
@@ -393,6 +393,33 @@ def test_subtract_member_oracle_and_disjoint(a, b):
         assert diff.member(p) == (R.member(a, p) and not R.member(b, p))
     for p in pts:
         assert sum(1 for piece in diff if R.member(piece, p)) <= 1
+
+
+small_boxes = st.builds(
+    lambda x0, dx, y0, dy, lo_d, hi_d: Region(x0, x0 + dx, y0, y0 + dy, lo_d, hi_d),
+    st.integers(-3, 3),
+    st.integers(-1, 3),
+    st.integers(-3, 3),
+    st.integers(-1, 3),
+    lowers,
+    uppers,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(small_boxes, max_size=3),
+    st.lists(st.one_of(random_regions, small_boxes, st.just(EMPTY)), max_size=3),
+)
+def test_difference_matches_point_sets(pieces, covers):
+    """difference leaves exactly the points of the pieces outside every
+    cover; with a cover given, each returned region is closed and nonempty."""
+    got = R.difference(pieces, covers)
+    left = {p for piece in pieces for p in bf_points(piece, 6)}
+    left -= {p for cover in covers for p in bf_points(cover, 6)}
+    assert {p for r in got for p in bf_points(r, 6)} == left
+    if covers:
+        assert all(r is not EMPTY and R.close(r) == r for r in got)
 
 
 @settings(max_examples=150, deadline=None)
