@@ -16,8 +16,9 @@ It replays each proof step as window-quantified evidence:
   infinite-support layers decided exactly by symbolic regions.
 
 The geometry of each kind is one row of the table ``_KINDS``, read without a
-branch on the kind; a certificate runs the phase list of its mode
-(``_MODES``).  Infinite constructions are verified to a configurable depth;
+branch on the kind.  Each mode is one ``_Mode`` row of ``_MODES``: its
+claimed dimension, its kinds, the kinds of its finite-length steps and its
+phase list.  Infinite constructions are verified to a configurable depth;
 the certificate records window, depth and every check outcome.
 
 Where it can, a run checks the items of every phase in two processes: it
@@ -39,6 +40,7 @@ from . import functors, model, regions
 from .engine import WindowEngine, get_engine
 from .errors import (
     InvalidVertex,
+    KgcertError,
     ModeMismatch,
     ParameterRange,
     WrongFamily,
@@ -158,7 +160,6 @@ class _Chain(NamedTuple):
 
 class _Kind(NamedTuple):
     family: str
-    finite: bool  # True: exists when r < n; False: when r == n
     shift: tuple
     gen: tuple
     gen_coord: Callable  # (a, b, aux) -> coordinate
@@ -170,7 +171,7 @@ class _Kind(NamedTuple):
 
 _KINDS = {
     KIND_BP: _Kind(
-        FAMILY_X, True, (1, 0), (FAMILY_Z, 0, 1), lambda a, b, aux: (a, aux),
+        FAMILY_X, (1, 0), (FAMILY_Z, 0, 1), lambda a, b, aux: (a, aux),
         None, lambda a, top: (0, a),
         (
             _Factor((FAMILY_X, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
@@ -182,7 +183,7 @@ _KINDS = {
         ),
     ),
     KIND_BPP: _Kind(
-        FAMILY_Y, True, (1, 0), (FAMILY_Z, 0, 1), lambda a, b, aux: (aux, a),
+        FAMILY_Y, (1, 0), (FAMILY_Z, 0, 1), lambda a, b, aux: (aux, a),
         None, lambda a, top: (0, a),
         (
             _Factor((FAMILY_Y, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
@@ -194,7 +195,7 @@ _KINDS = {
         ),
     ),
     KIND_CP: _Kind(
-        FAMILY_Z, True, (1, 0), (FAMILY_X, 1, 1), lambda a, b, aux: (aux, a),
+        FAMILY_Z, (1, 0), (FAMILY_X, 1, 1), lambda a, b, aux: (aux, a),
         lambda a, b, m, n: a + m + 1, lambda a, top: (top, top - 3),
         (
             _Factor((FAMILY_Z, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
@@ -207,7 +208,7 @@ _KINDS = {
         ),
     ),
     KIND_CPP: _Kind(
-        FAMILY_Z, True, (0, 1), (FAMILY_Y, 1, 1), lambda a, b, aux: (aux, b),
+        FAMILY_Z, (0, 1), (FAMILY_Y, 1, 1), lambda a, b, aux: (aux, b),
         lambda a, b, m, n: b - n + 1, lambda a, top: (top, top - 3),
         (
             _Factor((FAMILY_Z, 0, 0), lambda a, b, aux: Region(lo_y=b + 1), _F),
@@ -220,7 +221,7 @@ _KINDS = {
         ),
     ),
     KIND_B_INF: _Kind(
-        FAMILY_X, False, (1, 0), (FAMILY_X, 1, 1), lambda a, b, aux: (aux, a),
+        FAMILY_X, (1, 0), (FAMILY_X, 1, 1), lambda a, b, aux: (aux, a),
         lambda a, b, m, n: a + m, lambda a, top: (top, top - 2),
         (
             _Factor((FAMILY_X, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
@@ -231,22 +232,6 @@ _KINDS = {
         ),
     ),
 }
-
-
-# Per (is_finite_mode, family) of a finite-length chain's vertices: the kind
-# of each step's quotient and of its sub, None when the step checks a gap.
-_FINITE1_KINDS = {
-    (True, FAMILY_X): (KIND_BP, KIND_CP),
-    (True, FAMILY_Y): (KIND_BPP, KIND_CPP),
-    (False, FAMILY_X): (KIND_B_INF, None),
-}
-
-
-def _spec(kind: str) -> _Kind:
-    spec = _KINDS.get(kind)
-    if spec is None:
-        raise ValueError(f"unknown kind {kind!r}")
-    return spec
 
 
 def _channel(t: GentleTriple, orbit: int, key: tuple) -> tuple:
@@ -276,8 +261,6 @@ def _largest_aux(t: GentleTriple, kind: str, top: VertexId) -> Simple1Instance:
 def build_simple0(t: GentleTriple, v: VertexId) -> FpFunctor:
     """Quotient of Hom(v, -) by the images of the two sink maps; the simple
     object attached to the Auslander-Reiten triangle ending at v."""
-    if not model.vertex_valid(t, v):
-        raise InvalidVertex(f"not a vertex of the model: {v}")
     return FpFunctor(v, Subfunctor(v, model.ar_sink_maps(t, v)))
 
 
@@ -292,9 +275,11 @@ def build_simple1(
     (aux <= a + [i=last] m).  Out-of-region second generators degenerate to
     the zero morphism, per the zero-map convention.
     """
-    spec = _spec(kind)
-    if spec.finite != t.is_finite_mode:
-        raise ModeMismatch(f"kind {kind} exists only when {'r < n' if spec.finite else 'r == n'}")
+    spec = _KINDS.get(kind)
+    if spec is None:
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind not in _MODES[t.is_finite_mode].kinds:
+        raise ModeMismatch(f"kind {kind} exists only when {'r == n' if t.is_finite_mode else 'r < n'}")
     a, b = coord
     top = VertexId(spec.family, orbit, coord)
     if not model.vertex_valid(t, top):
@@ -317,11 +302,13 @@ def instance_functor(t: GentleTriple, inst: Simple1Instance) -> FpFunctor:
 
 class _Session:
     """Shared engine, caches and record sink for one certification run, and its
-    settings: the window and its region, the depth (tower length and chain depth
-    K) and chain_cap (a chain point's largest distance from its top, or None)."""
+    settings: the triple's mode row, the window and its region, the depth (tower
+    length and chain depth K) and chain_cap (a chain point's largest distance
+    from its top, or None)."""
 
     def __init__(self, t: GentleTriple, window: Window, depth: int, chain_cap: Optional[int] = None):
         self.t = t
+        self.mode: _Mode = _MODES[t.is_finite_mode]
         self.window = window
         self.wreg = window.region()
         self.depth = depth
@@ -384,38 +371,36 @@ class _Session:
 
     def _tower_sequences(self, inst: Simple1Instance) -> bool:
         """Exact sequences 0 -> inst@(coord+(l+1)s) -> inst@(coord+l s) -> A -> 0, l <= depth."""
-        sy, sx = _spec(inst.kind).shift  # the tower ascends along the swapped shift
-        a, b = inst.coord
+        sy, sx = _KINDS[inst.kind].shift  # the tower ascends along the swapped shift
+        kind, orbit, (a, b), aux = inst
+        steps = [Simple1Instance(kind, orbit, (a + l * sx, b + l * sy), aux) for l in range(self.depth + 2)]
         # Towers at neighbouring coordinates share all but one of their steps.
         memo = self._tower_step_cache
-        for step in range(self.depth + 1):
-            here = Simple1Instance(inst.kind, inst.orbit, (a + step * sx, b + step * sy), inst.aux)
+        for here, nxt in zip(steps, steps[1:]):
             ok = memo.get(here)
             if ok is None:
-                ok = memo[here] = self._tower_step(here)
+                ok = memo[here] = self._tower_step(here, nxt)
             if not ok:
                 return False
         return True
 
-    def _tower_step(self, here: Simple1Instance) -> bool:
-        """The exact sequence 0 -> here@(coord+s) -> here -> A -> 0."""
+    def _tower_step(self, here: Simple1Instance, nxt: Simple1Instance) -> bool:
+        """The exact sequence 0 -> nxt -> here -> A -> 0, for nxt one step up
+        here's tower and A the sink-map simple at here's top."""
         t = self.t
-        sy, sx = _spec(here.kind).shift
-        nxt_coord = (here.coord[0] + sx, here.coord[1] + sy)
-        sub = instance_functor(t, Simple1Instance(here.kind, here.orbit, nxt_coord, here.aux))
+        sub = instance_functor(t, nxt)
         mid = instance_functor(t, here)
         top = mid.top
-        u = self._arrow(top, top.family, top.orbit, nxt_coord, 0)
+        u = self._arrow(top, top.family, top.orbit, nxt.coord, 0)
         if isinstance(u, ZeroMorphism):
             return False  # tower shift must stay inside the index set
-        quot = build_simple0(t, top)
         return self.eng.ses_foreign(
             top,
             u,
             sub.top,
             sub.denominators.generators,
             mid.denominators.generators,
-            quot.denominators.generators,
+            model.ar_sink_maps(t, top),
         )
 
     def _case_analysis(self, inst: Simple1Instance) -> bool:
@@ -430,7 +415,7 @@ class _Session:
         gens = F.denominators.generators
         a, b = top.coord
         channels = model.arrow_fan(t, top).channels
-        for row in _spec(inst.kind).rows:
+        for row in _KINDS[inst.kind].rows:
             e = channels.get(_channel(t, inst.orbit, row.key))
             if e is None:
                 return False  # the row names no channel of the top's fan
@@ -471,7 +456,7 @@ class _Session:
         """Replay of the border-terminating induction placing Hom(v, -) in the
         first filtration layer; memoised per vertex."""
         t = self.t
-        if (t.is_finite_mode, v.family) not in _FINITE1_KINDS:
+        if v.family not in self.mode.finite1:
             raise WrongFamily(f"no finite-length chain starts at {v} in this mode")
         if not model.vertex_valid(t, v):
             raise InvalidVertex(f"not a vertex of the model: {v}")
@@ -501,7 +486,7 @@ class _Session:
         f with the C-object's denominator is the whole exactness check.
         r == n: the gap between <f, g> and <f> has finite symbolic support."""
         t = self.t
-        quot_kind, sub_kind = _FINITE1_KINDS[(t.is_finite_mode, w.family)]
+        quot_kind, sub_kind = self.mode.finite1[w.family]
         f, g = instance_functor(t, _largest_aux(t, quot_kind, w)).denominators.generators
         if at_border != isinstance(f, ZeroMorphism) or isinstance(g, ZeroMorphism):
             return False
@@ -519,7 +504,7 @@ class _Session:
         channel, are nonzero, hop o u == extra for hop the layer's generator f,
         the kernel of (- o u) modulo extra is the layer's denominator, and the
         layer passes its simplicity tower."""
-        (a, b), (sx, sy) = inst.coord, _spec(inst.kind).shift
+        (a, b), (sx, sy) = inst.coord, _KINDS[inst.kind].shift
         u = self._chain_u(v, v.family, v.orbit, inst.coord, 0)
         extra = self._arrow(v, v.family, v.orbit, (a + sx, b + sy), 0)
         if isinstance(u, ZeroMorphism) or isinstance(extra, ZeroMorphism):
@@ -541,12 +526,10 @@ class _Session:
         if v.family != FAMILY_Z:
             raise WrongFamily(f"expected a Z-vertex, got {v}")
         if self.depth < 1:
-            raise ValueError("chain depth K must be >= 1")
-        a, b = v.coord
-        i = v.orbit
-        aux = _aux_top(t, _KINDS[KIND_CP], i, v.coord)
+            raise ParameterRange("chain depth K must be >= 1")
+        first = _largest_aux(t, KIND_CP, v)
         for step in range(self.depth + 1):
-            inst = Simple1Instance(KIND_CP, i, (a + step, b), aux)
+            inst = first._replace(coord=(v.coord[0] + step, v.coord[1]))
             layer = instance_functor(t, inst)
             if functors.is_in_c0(t, layer):
                 return False  # every layer must be exactly infinite
@@ -566,18 +549,17 @@ class _Session:
             raise WrongFamily(f"expected a Z-vertex, got {v}")
         a, b = v.coord
         i = v.orbit
-        cp_aux = _aux_top(t, _KINDS[KIND_CP], i, v.coord)
-        cpp_aux = _aux_top(t, _KINDS[KIND_CPP], i, v.coord)
+        aux = {kind: _aux_top(t, _KINDS[kind], i, v.coord) for kind in (KIND_CP, KIND_CPP)}
         for e in model.arrow_fan(t, v).entries:
             for (c, d) in regions.enumerate_points(e.region, self.wreg):
                 if e.degree == 0:
-                    # Induction on c+d with C-layer quotients.
+                    # Induction on c+d with C-layer quotients: the layer is
+                    # the C-instance whose shift lands on (c, d).
                     if (c, d) == (a, b):
                         continue
-                    if c > a:
-                        inst = Simple1Instance(KIND_CP, i, (c - 1, d), cp_aux)
-                    else:
-                        inst = Simple1Instance(KIND_CPP, i, (a, d - 1), cpp_aux)
+                    kind = KIND_CP if c > a else KIND_CPP
+                    sx, sy = _KINDS[kind].shift
+                    inst = Simple1Instance(kind, i, (c - sx, d - sy), aux[kind])
                     ok = self._layer_step(v, inst, instance_functor(t, inst))
                 elif e.degree == 1:
                     # The tautological epi from the target representable,
@@ -609,7 +591,7 @@ def check_simple1_tower(
     t: GentleTriple, instance: Simple1Instance, length: int, window: Window
 ) -> bool:
     if length < 0:
-        raise ValueError("tower length must be >= 0")
+        raise ParameterRange("tower length must be >= 0")
     s = _Session(t, window, depth=length)
     return s.tower_check(instance)
 
@@ -655,8 +637,8 @@ def _tower_instances(s: _Session, verts: list) -> list:
     sample aux values."""
     return [
         Simple1Instance(kind, v.orbit, v.coord, aux)
-        for kind, spec in _KINDS.items()
-        if spec.finite == s.t.is_finite_mode
+        for kind in s.mode.kinds
+        for spec in (_KINDS[kind],)
         for v in verts
         if v.family == spec.family
         for aux in spec.samples(v.coord[0], _aux_top(s.t, spec, v.orbit, v.coord))
@@ -673,7 +655,7 @@ _SIMPLE1 = _Phase(
     ("instances", "length"), Simple1Instance.params,
 )
 _FINITE1 = _Phase(
-    "window", lambda s, verts: [v for v in verts if (s.t.is_finite_mode, v.family) in _FINITE1_KINDS],
+    "window", lambda s, verts: [v for v in verts if v.family in s.mode.finite1],
     lambda s, v: s.finite1_check(v), ("vertices",),
 )
 _NONSIMPLE1 = _Phase("inner", _z_vertices, lambda s, v: s.nonsimple1_check(v), ("vertices", "depth"))
@@ -684,18 +666,28 @@ _LAYER0_STRICT = _Phase(
     passed="representables have infinite symbolic support", failed="H at {} unexpectedly finite",
 )
 
-# Per mode, keyed by is_finite_mode: the claimed dimension, the phases in
-# record order, and the params and detail of the closing collapse_layers.
+
+# One row per mode, keyed in _MODES by is_finite_mode.
+class _Mode(NamedTuple):
+    kg: int  # the claimed dimension
+    kinds: tuple  # the mode's quotient kinds, in the simple1 phase's order
+    finite1: dict  # family -> the kinds of a finite-length step's quotient and sub (None: a gap)
+    phases: tuple  # (lemma, _Phase) pairs in record order
+    collapse: dict  # the params of the closing collapse_layers record
+    collapse_detail: str  # and its detail
+
+
 _MODES = {
-    True: (
-        2,
+    True: _Mode(
+        2, (KIND_BP, KIND_BPP, KIND_CP, KIND_CPP),
+        {FAMILY_X: (KIND_BP, KIND_CP), FAMILY_Y: (KIND_BPP, KIND_CPP)},
         (("simple0", _SIMPLE0), ("simple1", _SIMPLE1), ("finite1", _FINITE1),
          ("nonsimple1", _NONSIMPLE1), ("c2simple", _C2SIMPLE), ("layer0_strict", _LAYER0_STRICT)),
         {"H_X": 1, "H_Y": 1, "H_Z": 2},
         "X/Y representables collapse one layer up, Z representables two",
     ),
-    False: (
-        1,
+    False: _Mode(
+        1, (KIND_B_INF,), {FAMILY_X: (KIND_B_INF, None)},
         (("inf_simple0", _SIMPLE0), ("inf_simple1", _SIMPLE1), ("inf_finite1", _FINITE1),
          ("layer0_strict", _LAYER0_STRICT)),
         {"H_X": 1},
@@ -716,7 +708,7 @@ _MODES = {
 def _walk(s: _Session, plan: list, parity: Optional[int] = None) -> list:
     """Check the items of every phase of the plan, in order, up to the first
     that fails: all of them when parity is None, else those whose x has that
-    parity.  A check that reaches a non-vertex fails its item.  Returns per
+    parity.  A check that raises a KgcertError fails its item.  Returns per
     phase [the failing index or -1, items checked, seconds]."""
     walk = []
     for _, phase, _, items in plan:
@@ -728,7 +720,7 @@ def _walk(s: _Session, plan: list, parity: Optional[int] = None) -> list:
                 checked += 1
                 try:
                     ok = phase.check(s, item)
-                except InvalidVertex:
+                except KgcertError:
                     ok = False
                 if not ok:
                     failed = k
@@ -822,12 +814,11 @@ def _run_phases(s: _Session) -> bool:
     iff every phase passed.  A phase's record names its first failing item,
     whether one process or two checked the items; a phase with no items
     fails, since it gathered no evidence."""
-    _, phases, collapse, collapse_detail = _MODES[s.t.is_finite_mode]
     inner = s.window.inner_half()
     boxes = {"window": s.window, "inner": inner, "quarter": inner.inner_half()}
     verts = {name: model.vertices_in_box(s.t, *box.box) for name, box in boxes.items()}
     plan = []
-    for lemma, phase in phases:
+    for lemma, phase in s.mode.phases:
         plan.append((lemma, phase, boxes[phase.box], phase.items(s, verts[phase.box])))
     walks = _split_walks(s, plan) if _split_allowed() else None
     if walks is None:
@@ -855,7 +846,7 @@ def _run_phases(s: _Session) -> bool:
             phase.passed if ok
             else phase.failed.format(phase.witness(items[failed])) if items else "no items",
         )
-    s.record("collapse_layers", dict(collapse), ok_all, collapse_detail)
+    s.record("collapse_layers", dict(s.mode.collapse), ok_all, s.mode.collapse_detail)
     return ok_all
 
 
@@ -882,7 +873,7 @@ def certify(
     ok = _run_phases(s)
     return Certificate(
         triple=t,
-        kg=_MODES[t.is_finite_mode][0],
+        kg=s.mode.kg,
         window=window,
         depth=depth,
         checks=s.records,

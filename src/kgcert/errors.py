@@ -29,8 +29,8 @@ class NotASubfunctor(KgcertError):
     """Claimed subfunctor containment fails."""
 
 
-class ParameterRange(KgcertError):
-    """Lemma-instance parameters outside the stated range."""
+class ParameterRange(KgcertError, ValueError):
+    """Lemma-instance parameters outside the stated range; also a ValueError."""
 
 
 class WrongFamily(KgcertError):

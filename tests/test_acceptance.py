@@ -70,6 +70,27 @@ def test_theorem_values():
     assert report("theorem-values kg certification", ok, " ".join(times))
 
 
+# SHA-256 of the concatenated to_json_text() of the small grid below, in n, r,
+# m order, at [-4,4]^2, depth 4.
+GRID_SHA256 = "4e963c552483ab4bfc2e907b26a9a4b8482b5dc89f905be0595f58498d28a41d"
+
+
+def test_theorem_values_on_the_small_grid():
+    """Every triple with 1 <= r <= n <= 4 and 0 <= m <= 3 certifies kg 2 when
+    r < n and 1 when r == n, with pinned bytes."""
+    digest = hashlib.sha256()
+    failed = []
+    for n in range(1, 5):
+        for r in range(1, n + 1):
+            for m in range(4):
+                cert = certify(validate_triple(r, n, m), Window(-4, 4, -4, 4), 4)
+                if not (cert.passed and cert.kg == (2 if r < n else 1)):
+                    failed.append((r, n, m))
+                digest.update(cert.to_json_text().encode())
+    ok = not failed and digest.hexdigest() == GRID_SHA256
+    assert report("theorem-values grid", ok, f"40 triples, failed {failed}")
+
+
 # -- criterion 2: simple-object suite ----------------------------------------------
 
 

@@ -105,11 +105,22 @@ def test_build_simple1_parameter_range(t120):
         build_simple1(t120, KIND_CP, 0, (0, 0), 2)
 
 
+MODE_KINDS = {True: {KIND_BP, KIND_BPP, KIND_CP, KIND_CPP}, False: {KIND_B_INF}}
+
+
 def test_build_simple1_mode_guards(t120, t110):
-    with pytest.raises(ModeMismatch):
-        build_simple1(t120, KIND_B_INF, 0, (0, 0), 0)
-    with pytest.raises(ModeMismatch):
-        build_simple1(t110, KIND_BP, 0, (0, 0), 0)
+    """Each kind builds in its own mode, at a vertex of its family with its
+    largest aux, and raises ModeMismatch in the other, before any vertex
+    test (r == n has no Y- or Z-vertex)."""
+    for kind, spec in C._KINDS.items():
+        for t in (t120, t110):
+            if kind in MODE_KINDS[t.is_finite_mode]:
+                v = next(v for v in M.vertices_in_box(t, -2, 2, -2, 2) if v.family == spec.family)
+                assert build_simple1(t, *C._largest_aux(t, kind, v)).top == v
+            else:
+                other = "r == n" if t.is_finite_mode else "r < n"
+                with pytest.raises(ModeMismatch, match=f"exists only when {other}"):
+                    build_simple1(t, kind, 0, (0, 0), 0)
 
 
 def test_build_simple1_unknown_kind_is_a_value_error_in_both_modes(t120, t110):
@@ -261,6 +272,16 @@ def test_nonsimple1_guards(t120, t110):
         check_nonsimple1(t120, V("X", 0, 0, 0), 2, W6)
     with pytest.raises(ValueError):
         check_nonsimple1(t120, V("Z", 0, 0, 0), 0, W6)
+
+
+def test_lemma_depth_errors_are_parameter_range(t120):
+    """A tower length below 0 or a chain depth below 1 is a ParameterRange,
+    which a KgcertError handler catches and which is still a ValueError."""
+    with pytest.raises(ParameterRange, match="tower length"):
+        check_simple1_tower(t120, Simple1Instance(KIND_BP, 0, (0, 1), 0), -1, W5)
+    with pytest.raises(ParameterRange, match="chain depth"):
+        check_nonsimple1(t120, V("Z", 0, 0, 0), 0, W6)
+    assert issubclass(ParameterRange, ValueError)
 
 
 # -- the layer-two case analysis ------------------------------------------------------------
@@ -518,7 +539,7 @@ def test_factors_region_matches_subtraction(r, n, m):
     t = validate_triple(r, n, m)
     s = C._Session(t, W5, 2)
     rng = random.Random(f"factors-{r}-{n}-{m}")
-    kinds = [kind for kind, spec in C._KINDS.items() if spec.finite == t.is_finite_mode]
+    kinds = list(C._MODES[t.is_finite_mode].kinds)
     verts = s.eng.vertices()
     seen = set()
     for _ in range(1500):
@@ -693,21 +714,27 @@ def test_certify_calls_the_hooks_the_benchmark_tracer_patches(triple, monkeypatc
 
 @pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES + ORBIT_TRIPLES)
 def test_case_rows_cover_every_fan_channel(r, n, m):
-    """For every kind of the mode and sample instance with its top in
-    [-3,3]^2, the factor splits and chain lines of the kind's case rows cover
-    every fan channel of the top, decided on regions; the top's own point is
-    exempt in a channel that excludes it.  Every channel is named by a row."""
+    """For every kind of the mode and instance with its top in [-3,3]^2 and
+    its aux in [top - 6, top] (in [a - 6, a + 6] when every aux is allowed),
+    the factor splits and chain lines of the kind's case rows cover every fan
+    channel of the top, decided on regions; the top's own point is exempt in
+    a channel that excludes it.  Every channel is named by a row.  The aux
+    range holds the two sample values of the simple1 phase, the largest aux
+    of the finite-length steps, and the Z-vertex aux of the nonsimple1 and
+    c2simple layers up to six steps from the vertex."""
     t = validate_triple(r, n, m)
     orbits = t.orbit_count
     instances = 0
-    for kind, spec in C._KINDS.items():
-        if spec.finite != t.is_finite_mode:
-            continue
+    for kind in C._MODES[t.is_finite_mode].kinds:
+        spec = C._KINDS[kind]
         for v in M.vertices_in_box(t, -3, 3, -3, 3):
             if v.family != spec.family:
                 continue
             a, b = v.coord
-            for aux in spec.samples(a, C._aux_top(t, spec, v.orbit, v.coord)):
+            top = C._aux_top(t, spec, v.orbit, v.coord)
+            auxes = range(a - 6, a + 7) if top is None else range(top - 6, top + 1)
+            assert set(spec.samples(a, top)) <= set(auxes)
+            for aux in auxes:
                 instances += 1
                 left = {}
                 for e in M.arrow_fan(t, v).entries:
@@ -756,17 +783,28 @@ def test_a_case_row_naming_no_channel_fails(t120, monkeypatch):
         ((1, 1, 0), KIND_B_INF, "gen_coord", lambda a, b, aux: (aux + 1, a), ["inf_simple1", "inf_finite1"]),
         ((1, 2, 0), KIND_CP, "aux_top", lambda a, b, m, n: a + m, ["finite1", "nonsimple1", "c2simple"]),
         ((1, 2, 0), KIND_CPP, "aux_top", lambda a, b, m, n: b - n, ["finite1", "c2simple"]),
+        ((1, 2, 0), KIND_CP, "aux_top", lambda a, b, m, n: -b + m + 1,
+         ["simple1", "finite1", "nonsimple1", "c2simple"]),
+        ((1, 2, 0), KIND_CPP, "aux_top", lambda a, b, m, n: -a - n + 1, ["simple1", "finite1", "c2simple"]),
+        ((1, 1, 0), KIND_B_INF, "aux_top", lambda a, b, m, n: -b + m, ["inf_simple1", "inf_finite1"]),
     ],
-    ids=["B'-gen", "B''-gen", "B-gen", "C'-aux", "C''-aux"],
+    ids=["B'-gen", "B''-gen", "B-gen", "C'-aux", "C''-aux", "C'-aux-range", "C''-aux-range", "B-aux-range"],
 )
 def test_a_mutated_kind_row_fails(monkeypatch, triple, kind, field, value, failed):
     """A kind row with its second generator one step off, or its aux range
-    one short, fails certify rather than raising: the finite-length steps
-    read their quotient and sub from the same rows as the towers."""
+    one short or broken, fails certify rather than raising, with the same
+    bytes in one process and in two: the finite-length steps read their
+    quotient and sub from the same rows as the towers, and an aux out of
+    range up a tower is a ParameterRange that fails its item."""
     monkeypatch.setitem(C._KINDS, kind, C._KINDS[kind]._replace(**{field: value}))
-    cert = certify(validate_triple(*triple), Window(-4, 4, -4, 4), 4)
-    assert cert.verdict == "fail"
-    assert [c.lemma for c in cert.checks if not c.passed] == failed + ["collapse_layers"]
+    texts = set()
+    for split in (False, True):
+        monkeypatch.setattr(C, "_split_allowed", lambda: split)
+        cert = certify(validate_triple(*triple), Window(-4, 4, -4, 4), 4)
+        assert cert.verdict == "fail" and _processes(cert) == {2 if split else 1}
+        assert [c.lemma for c in cert.checks if not c.passed] == failed + ["collapse_layers"]
+        texts.add(cert.to_json_text())
+    assert len(texts) == 1
 
 
 @pytest.mark.parametrize(
