@@ -18,8 +18,9 @@ It replays each proof step as window-quantified evidence:
 The geometry of each kind is one row of the table ``_KINDS``, read without a
 branch on the kind.  Each mode is one ``_Mode`` row of ``_MODES``: its
 claimed dimension, its kinds, the kinds of its finite-length steps and its
-phase list.  Infinite constructions are verified to a configurable depth;
-the certificate records window, depth and every check outcome.
+phase list.  Infinite constructions are verified to a configurable depth,
+which also bounds every swept chain point's L1 distance from its top.  The
+certificate records window, depth and every check outcome.
 
 Where it can, a run checks the items of every phase in two processes: it
 forks one helper that takes the items at odd x and keeps the even ones, then
@@ -301,18 +302,16 @@ def instance_functor(t: GentleTriple, inst: Simple1Instance) -> FpFunctor:
 
 
 class _Session:
-    """Shared engine, caches and record sink for one certification run, and its
-    settings: the triple's mode row, the window and its region, the depth (tower
-    length and chain depth K) and chain_cap (a chain point's largest distance
-    from its top, or None)."""
+    """Shared engine, caches and record sink for one certification run: the
+    triple's mode row, the window and its region, and the depth (tower
+    length, chain depth K and the L1 bound of every chain sweep)."""
 
-    def __init__(self, t: GentleTriple, window: Window, depth: int, chain_cap: Optional[int] = None):
+    def __init__(self, t: GentleTriple, window: Window, depth: int):
         self.t = t
         self.mode: _Mode = _MODES[t.is_finite_mode]
         self.window = window
         self.wreg = window.region()
         self.depth = depth
-        self.chain_cap = chain_cap
         self.eng: WindowEngine = get_engine(t, window.box)
         self.records: list = []
         # Per phase in record order: its item count and, per process (this
@@ -330,16 +329,11 @@ class _Session:
     # -- small helpers ------------------------------------------------------
 
     def _arrow(self, src: VertexId, family: str, orbit: int, coord: tuple, deg: int):
-        return model.arrow_or_zero(
-            self.t, src, VertexId(family, orbit, coord), deg
-        )
-
-    def _chain_u(self, top: VertexId, family: str, orbit: int, coord: tuple, deg: int):
-        """Basis morphism top -> coord used as the epi of a chain step; the
-        identity when the coordinate is the top itself."""
-        if coord == top.coord and (family, orbit) == (top.family, top.orbit) and deg == 0:
-            return IdentityMorphism(top)
-        return self._arrow(top, family, orbit, coord, deg)
+        """src -> (family, orbit, coord) at degree deg: the identity, the arrow or zero."""
+        dst = VertexId(family, orbit, coord)
+        if deg == 0 and dst == src:
+            return IdentityMorphism(src)
+        return model.arrow_or_zero(self.t, src, dst, deg)
 
     def _factors_region(self, split_region, gen, entry) -> bool:
         """True iff every basis arrow from the top into split_region (within
@@ -352,11 +346,10 @@ class _Session:
         valid vertex), so one closed-form containment decides the check.
         Monomial uniqueness then forces the composite to equal the arrow.
         """
-        if isinstance(gen, ZeroMorphism):
-            return regions.close(split_region) is regions.EMPTY
-        # A negative phi_deg names no channel: then only an empty split factors.
-        phi_deg = entry.degree - gen.degree
-        eT = model.arrow_fan(self.t, gen.dst).channels.get((entry.family, entry.orbit, phi_deg))
+        eT = None  # a zero gen, like a channel missing from T's fan, factors only an empty split
+        if not isinstance(gen, ZeroMorphism):
+            phi_deg = entry.degree - gen.degree  # a negative phi_deg names no channel
+            eT = model.arrow_fan(self.t, gen.dst).channels.get((entry.family, entry.orbit, phi_deg))
         return regions.contains(regions.EMPTY if eT is None else eT.region, split_region)
 
     # -- tower + case analysis ----------------------------------------------
@@ -407,8 +400,8 @@ class _Session:
         """Every arrow out of the top is either absorbed (factors through a
         generator, hence lands in the denominator) or sits in a chain whose
         steps are sink-map simples, by the case rows of the instance's kind.
-        Chains are swept inside the window, within chain_cap steps of the top
-        when the session sets one."""
+        Chains are swept inside the window, at points within the session's
+        depth (L1) of the top."""
         t = self.t
         F = instance_functor(t, inst)
         top = F.top
@@ -428,10 +421,10 @@ class _Session:
                 continue
             line = regions.intersect(e.region, row.line(a, b, inst.aux))
             for x, y in regions.enumerate_points(line, self.wreg):
-                if self.chain_cap is not None and abs(x - a) + abs(y - b) > self.chain_cap:
+                if abs(x - a) + abs(y - b) > self.depth:
                     continue
                 (ux, uy), (mx, my) = row.u, row.mod
-                u = self._chain_u(top, e.family, e.orbit, (x + ux, y + uy), e.degree)
+                u = self._arrow(top, e.family, e.orbit, (x + ux, y + uy), e.degree)
                 if isinstance(u, ZeroMorphism):
                     return False
                 extra = self._arrow(top, e.family, e.orbit, (x + mx, y + my), e.degree)
@@ -505,7 +498,7 @@ class _Session:
         the kernel of (- o u) modulo extra is the layer's denominator, and the
         layer passes its simplicity tower."""
         (a, b), (sx, sy) = inst.coord, _KINDS[inst.kind].shift
-        u = self._chain_u(v, v.family, v.orbit, inst.coord, 0)
+        u = self._arrow(v, v.family, v.orbit, inst.coord, 0)
         extra = self._arrow(v, v.family, v.orbit, (a + sx, b + sy), 0)
         if isinstance(u, ZeroMorphism) or isinstance(extra, ZeroMorphism):
             return False
@@ -869,7 +862,7 @@ def certify(
     """
     if depth < 1:
         raise ParameterRange(f"depth must be >= 1, got {depth}")
-    s = _Session(t, window, depth, chain_cap=depth)
+    s = _Session(t, window, depth)
     ok = _run_phases(s)
     return Certificate(
         triple=t,

@@ -13,7 +13,8 @@ Two modes share this module.  When r < n there are three families and degrees
 {0, 1, 2}; degree-1 arrows connect X/Y to Z within an orbit, degree-1 arrows
 out of Z and all degree-2 arrows raise the orbit by one (mod r).  When r == n
 only the X family exists, with degrees {0, 1}, and degree-1 arrows raise the
-orbit (mod n).
+orbit (mod n): its fan is the r < n X fan without the Z entry, with the
+orbit-raising arrow at the top degree.
 
 Vertices, identities, arrows, fan entries and fan records are
 ``typing.NamedTuple`` values: building, hashing and comparing them runs in
@@ -123,12 +124,10 @@ class ArrowFan(NamedTuple):
 def index_region(t: GentleTriple, family: str, orbit: int) -> Region:
     """The coordinate constraint a vertex of this family and orbit satisfies."""
     d0 = 1 if orbit == 0 else 0
-    if not t.is_finite_mode:
-        if family != FAMILY_X:
-            raise InvalidVertex(f"family {family} does not exist when r == n")
-        return Region(hi_d=d0 * t.m)  # a <= b + [i=0] m
     if family == FAMILY_X:
         return Region(hi_d=d0 * t.m)  # a <= b + [i=0] m
+    if not t.is_finite_mode:
+        raise InvalidVertex(f"family {family} does not exist when r == n")
     if family == FAMILY_Y:
         return Region(hi_d=-d0 * t.n)  # a + [i=0] n <= b
     if family == FAMILY_Z:
@@ -163,20 +162,16 @@ def _fan_entries(t: GentleTriple, v: VertexId) -> ArrowFan | None:
     i = v.orbit
     m, n = t.m, t.n
     d0 = 1 if i == 0 else 0
-    R = t.r if t.is_finite_mode else t.n
+    R = t.orbit_count
     dr = 1 if i == R - 1 else 0
     nxt = (i + 1) % R
-    if not t.is_finite_mode:
-        entries = (
-            FanEntry(FAMILY_X, i, 0, regions.box(a, b + d0 * m, b, regions.POS_INF), True),
-            FanEntry(FAMILY_X, nxt, 1, regions.box(regions.NEG_INF, a + dr * m, a, b + d0 * m)),
-        )
-    elif v.family == FAMILY_X:
+    if v.family == FAMILY_X:  # when r == n: no Z entry, and the orbit-raising arrow has degree 1
         entries = (
             FanEntry(FAMILY_X, i, 0, regions.box(a, b + d0 * m, b, regions.POS_INF), True),
             FanEntry(FAMILY_Z, i, 1, regions.box(a, b + d0 * m, regions.NEG_INF, regions.POS_INF)),
-            FanEntry(FAMILY_X, nxt, 2, regions.box(regions.NEG_INF, a + dr * m, a, b + d0 * m)),
+            FanEntry(FAMILY_X, nxt, t.max_degree, regions.box(regions.NEG_INF, a + dr * m, a, b + d0 * m)),
         )
+        entries = tuple(e for e in entries if e.family in families(t))
     elif v.family == FAMILY_Y:
         entries = (
             FanEntry(FAMILY_Y, i, 0, regions.box(a, b - d0 * n, b, regions.POS_INF), True),

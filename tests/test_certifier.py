@@ -199,6 +199,60 @@ def test_tower_infinite_mode():
     assert check_simple1_tower(t, Simple1Instance(KIND_B_INF, 1, (0, 0), 0), 3, W5)
 
 
+def _swept_chain_points(monkeypatch, run):
+    """Run run() with a spy on kernel_matches inside every case analysis, and
+    return run()'s result and, per case-analysed instance, the chain points
+    it swept.  The chain row is the one whose channel u lies in, and the
+    point is u's target less the row's u offset."""
+    swept = {}
+    current = []
+    real_case, real_kernel = C._Session._case_analysis, WindowEngine.kernel_matches
+
+    def case_analysis(self, inst):
+        current.append(inst)
+        try:
+            return real_case(self, inst)
+        finally:
+            current.pop()
+
+    def kernel_matches(self, top, u, mid_gens, expected_gens):
+        if current:
+            inst = current[-1]
+            target = M.target_of(u)
+            channel = (target.family, target.orbit, getattr(u, "degree", 0))
+            (row,) = [
+                row for row in C._KINDS[inst.kind].rows
+                if isinstance(row, C._Chain) and C._channel(self.t, inst.orbit, row.key) == channel
+            ]
+            (x, y), (ux, uy) = target.coord, row.u
+            swept.setdefault(inst, set()).add((x - ux, y - uy))
+        return real_kernel(self, top, u, mid_gens, expected_gens)
+
+    with monkeypatch.context() as m:
+        m.setattr(C._Session, "_case_analysis", case_analysis)
+        m.setattr(WindowEngine, "kernel_matches", kernel_matches)
+        m.setattr(C, "_split_allowed", lambda: False)  # a helper's calls would not reach the spy
+        return run(), swept
+
+
+@pytest.mark.parametrize("depth", [2, 4])
+def test_chains_are_swept_within_the_session_depth(t120, monkeypatch, depth):
+    """Every chain point a case analysis sweeps lies within the session's
+    depth (L1) of its top, and for B' at (0, 1), aux 0, a point at exactly
+    that depth is swept: in the lemma function's session and in certify's,
+    although the window reaches further."""
+    inst = Simple1Instance(KIND_BP, 0, (0, 1), 0)
+
+    def distance(inst, p):
+        return abs(p[0] - inst.coord[0]) + abs(p[1] - inst.coord[1])
+
+    for run in (lambda: check_simple1_tower(t120, inst, depth, W6), lambda: certify(t120, W6, depth).passed):
+        ok, swept = _swept_chain_points(monkeypatch, run)
+        assert ok
+        assert max(distance(inst, p) for p in swept[inst]) == depth
+        assert all(distance(i, p) <= depth for i, points in swept.items() for p in points)
+
+
 # -- finite-length chains ---------------------------------------------------------------
 
 
@@ -604,16 +658,10 @@ def test_a_phase_with_no_items_fails(monkeypatch, r, n, m, window, empty):
     """A phase that checked no item gathered no evidence: it fails with
     detail "no items", and so do collapse_layers and the verdict, with the
     same bytes serially and split."""
-    texts = []
-    for split in (False, True):
-        monkeypatch.setattr(C, "_split_allowed", lambda: split)
-        cert = certify(validate_triple(r, n, m), window, 1)
-        assert _processes(cert) == {2 if split else 1}
-        assert cert.verdict == "fail"
-        assert [c.lemma for c in cert.checks if c.detail == "no items"] == empty
-        assert [c.lemma for c in cert.checks if not c.passed] == empty + ["collapse_layers"]
-        texts.append(cert.to_json_text())
-    assert texts[0] == texts[1]
+    cert = _certify_both_ways(monkeypatch, validate_triple(r, n, m), window, 1)
+    assert cert.verdict == "fail"
+    assert [c.lemma for c in cert.checks if c.detail == "no items"] == empty
+    assert [c.lemma for c in cert.checks if not c.passed] == empty + ["collapse_layers"]
 
 
 def test_certify_two_orbits_with_tail():
@@ -715,13 +763,14 @@ def test_certify_calls_the_hooks_the_benchmark_tracer_patches(triple, monkeypatc
 @pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES + ORBIT_TRIPLES)
 def test_case_rows_cover_every_fan_channel(r, n, m):
     """For every kind of the mode and instance with its top in [-3,3]^2 and
-    its aux in [top - 6, top] (in [a - 6, a + 6] when every aux is allowed),
-    the factor splits and chain lines of the kind's case rows cover every fan
-    channel of the top, decided on regions; the top's own point is exempt in
-    a channel that excludes it.  Every channel is named by a row.  The aux
-    range holds the two sample values of the simple1 phase, the largest aux
-    of the finite-length steps, and the Z-vertex aux of the nonsimple1 and
-    c2simple layers up to six steps from the vertex."""
+    its aux in [top - 12, top] (in [a - 12, a + 12] when every aux is
+    allowed), the factor splits and chain lines of the kind's case rows cover
+    every fan channel of the top, decided on regions; the top's own point is
+    exempt in a channel that excludes it.  Every channel is named by a row.
+    The aux range holds the two sample values of the simple1 phase, the
+    largest aux of the finite-length steps, and the Z-vertex aux of the
+    nonsimple1 and c2simple layers: certify at [-8,8]^2, depth 8, builds
+    layers whose aux lies up to 11 below their own top."""
     t = validate_triple(r, n, m)
     orbits = t.orbit_count
     instances = 0
@@ -732,7 +781,7 @@ def test_case_rows_cover_every_fan_channel(r, n, m):
                 continue
             a, b = v.coord
             top = C._aux_top(t, spec, v.orbit, v.coord)
-            auxes = range(a - 6, a + 7) if top is None else range(top - 6, top + 1)
+            auxes = range(a - 12, a + 13) if top is None else range(top - 12, top + 1)
             assert set(spec.samples(a, top)) <= set(auxes)
             for aux in auxes:
                 instances += 1
@@ -765,14 +814,9 @@ def test_a_case_row_naming_no_channel_fails(t120, monkeypatch):
     rows = spec.rows[:-1] + (spec.rows[-1]._replace(key=(M.FAMILY_Y, 0, 0)),)
     monkeypatch.setitem(C._KINDS, KIND_BP, spec._replace(rows=rows))
     assert not check_simple1_tower(t120, Simple1Instance(KIND_BP, 0, (0, 1), 0), 3, W5)
-    texts = []
-    for split in (False, True):
-        monkeypatch.setattr(C, "_split_allowed", lambda: split)
-        cert = certify(t120, Window(-4, 4, -4, 4), 3)
-        assert cert.verdict == "fail"
-        assert [c.lemma for c in cert.checks if not c.passed] == ["simple1", "collapse_layers"]
-        texts.append(cert.to_json_text())
-    assert texts[0] == texts[1]
+    cert = _certify_both_ways(monkeypatch, t120, Window(-4, 4, -4, 4), 3)
+    assert cert.verdict == "fail"
+    assert [c.lemma for c in cert.checks if not c.passed] == ["simple1", "collapse_layers"]
 
 
 @pytest.mark.parametrize(
@@ -797,14 +841,9 @@ def test_a_mutated_kind_row_fails(monkeypatch, triple, kind, field, value, faile
     quotient and sub from the same rows as the towers, and an aux out of
     range up a tower is a ParameterRange that fails its item."""
     monkeypatch.setitem(C._KINDS, kind, C._KINDS[kind]._replace(**{field: value}))
-    texts = set()
-    for split in (False, True):
-        monkeypatch.setattr(C, "_split_allowed", lambda: split)
-        cert = certify(validate_triple(*triple), Window(-4, 4, -4, 4), 4)
-        assert cert.verdict == "fail" and _processes(cert) == {2 if split else 1}
-        assert [c.lemma for c in cert.checks if not c.passed] == failed + ["collapse_layers"]
-        texts.add(cert.to_json_text())
-    assert len(texts) == 1
+    cert = _certify_both_ways(monkeypatch, validate_triple(*triple), Window(-4, 4, -4, 4), 4)
+    assert cert.verdict == "fail"
+    assert [c.lemma for c in cert.checks if not c.passed] == failed + ["collapse_layers"]
 
 
 @pytest.mark.parametrize(
@@ -823,21 +862,15 @@ def test_a_fan_with_the_wrong_orbit_wrap_fails(monkeypatch, triple, failed):
     assert "dr = 1 if i == R - 1 else 0" in source
     namespace = dict(vars(M))
     exec(source.replace("dr = 1 if i == R - 1 else 0", "dr = 1 if i == 1 else 0"), namespace)
-    t = validate_triple(*triple)
-    texts = set()
     get_engine.cache_clear()
     try:
         with monkeypatch.context() as m:
             m.setattr(M, "_fan_entries", namespace["_fan_entries"])
-            for split in (False, True):
-                m.setattr(C, "_split_allowed", lambda: split)
-                cert = certify(t, Window(-4, 4, -4, 4), 4)
-                assert cert.verdict == "fail" and _processes(cert) == {2 if split else 1}
-                assert [c.lemma for c in cert.checks if not c.passed] == failed + ["collapse_layers"]
-                texts.add(cert.to_json_text())
+            cert = _certify_both_ways(monkeypatch, validate_triple(*triple), Window(-4, 4, -4, 4), 4)
     finally:
         get_engine.cache_clear()  # the engines read the broken fans
-    assert len(texts) == 1
+    assert cert.verdict == "fail"
+    assert [c.lemma for c in cert.checks if not c.passed] == failed + ["collapse_layers"]
 
 
 # -- certifying in two processes ------------------------------------------------------
@@ -854,10 +887,20 @@ def _processes(cert):
     return {len(p["processes"]) for p in cert.stats["phases"]}
 
 
-def _certify(monkeypatch, t, split):
+def _certify(monkeypatch, t, split, window=SPLIT_WINDOW, depth=SPLIT_DEPTH):
     with monkeypatch.context() as m:
         m.setattr(C, "_split_allowed", lambda: split)
-        return certify(t, SPLIT_WINDOW, SPLIT_DEPTH)
+        return certify(t, window, depth)
+
+
+def _certify_both_ways(monkeypatch, t, window, depth):
+    """certify in one process, then in two: the process counts are {1} and
+    {2} and the bytes the same.  Returns the certificate."""
+    serial = _certify(monkeypatch, t, False, window, depth)
+    split = _certify(monkeypatch, t, True, window, depth)
+    assert _processes(serial) == {1} and _processes(split) == {2}
+    assert split.to_json_text() == serial.to_json_text()
+    return split
 
 
 def _outcome(monkeypatch, t, split):
@@ -906,15 +949,8 @@ def _chosen(even, odd, where):
 
 @pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
 def test_split_and_serial_certificates_have_the_same_bytes(r, n, m, monkeypatch):
-    t = validate_triple(r, n, m)
-    texts = {}
-    for split in (False, True):
-        monkeypatch.setattr(C, "_split_allowed", lambda: split)
-        cert = certify(t, Window(-5, 6, -4, 7), 5)
-        assert _processes(cert) == {2 if split else 1}
-        texts[split] = cert.to_json_text()
-    assert texts[True] == texts[False]
-    assert hashlib.sha256(texts[True].encode()).hexdigest() == OFFSET_WINDOW_SHA256[(r, n, m)]
+    cert = _certify_both_ways(monkeypatch, validate_triple(r, n, m), Window(-5, 6, -4, 7), 5)
+    assert hashlib.sha256(cert.to_json_text().encode()).hexdigest() == OFFSET_WINDOW_SHA256[(r, n, m)]
 
 
 # SHA-256 of to_json_text() at [-4,4]^2, depth 4, taken before the Z-vertex
@@ -929,14 +965,9 @@ ORBIT_SHA256 = {
 def test_orbit_triples_certify_pinned_in_one_and_two_processes(r, n, m, monkeypatch):
     """With r >= 3 a sign error in an orbit offset shows; serial and split
     certificates pass with the same, pinned bytes."""
-    t = validate_triple(r, n, m)
-    texts = set()
-    for split in (False, True):
-        monkeypatch.setattr(C, "_split_allowed", lambda: split)
-        cert = certify(t, Window(-4, 4, -4, 4), 4)
-        assert cert.passed and _processes(cert) == {2 if split else 1}
-        texts.add(cert.to_json_text())
-    assert [hashlib.sha256(text.encode()).hexdigest() for text in texts] == [ORBIT_SHA256[(r, n, m)]]
+    cert = _certify_both_ways(monkeypatch, validate_triple(r, n, m), Window(-4, 4, -4, 4), 4)
+    assert cert.passed
+    assert hashlib.sha256(cert.to_json_text().encode()).hexdigest() == ORBIT_SHA256[(r, n, m)]
 
 
 @pytest.mark.parametrize("where", ["helper", "parent", "both, helper first", "both, parent first"])

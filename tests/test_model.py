@@ -28,12 +28,22 @@ def test_vertex_valid_examples(t120):
     assert not M.vertex_valid(t120, V("Y", 0, 0, 1))  # needs 0 + 2 <= 1
     assert M.vertex_valid(t120, V("Z", 0, 17, -4))
     assert not M.vertex_valid(t120, V("X", 1, 0, 1))  # orbit out of range
+    assert not M.vertex_valid(t120, V("W", 0, 0, 0))  # unknown family
+    assert [M.index_region(t120, family, 0) for family in "XYZ"] == [
+        R.Region(hi_d=0), R.Region(hi_d=-2), R.FULL
+    ]
+    with pytest.raises(InvalidVertex, match="unknown family 'W'"):
+        M.index_region(t120, "W", 0)
 
 
 def test_infinite_mode_has_only_x(t110):
     assert M.vertex_valid(t110, V("X", 0, 0, 0))
     assert not M.vertex_valid(t110, V("Y", 0, 0, 5))
     assert not M.vertex_valid(t110, V("Z", 0, 0, 0))
+    assert M.index_region(t110, "X", 0) == R.Region(hi_d=0)
+    for family in ("Y", "Z", "W"):
+        with pytest.raises(InvalidVertex, match=f"^family {family} does not exist when r == n$"):
+            M.index_region(t110, family, 0)
 
 
 # -- arrow fans -------------------------------------------------------------------
