@@ -26,10 +26,9 @@ they are shifted.  ``a AND NOT b`` is written ``a ^ (a & b)``: on
 non-negative ints it equals ``a & ~b`` without forming the negative ``~b``,
 whose AND costs several times more.
 
-Per-cell dimensions are bit counts: ``bytes.translate`` with a 256-entry
-popcount table maps a cube's bytes to its counts, in the same layout.  A
-cell holds at most 4 bits, so count cubes of two cubes add without carries
-and compare as ints (:meth:`WindowEngine.ses_dimension_check`).
+Only :meth:`WindowEngine.dims_cube` counts bits: ``bytes.translate`` with a
+256-entry popcount table maps a cube's bytes to per-cell dimensions, in the
+same layout.  Exactness checks compare cubes, never counts.
 
 Cubes are cached per source vertex, so a certification run touching the same
 tops repeatedly costs one fan rasterisation per vertex (the hot kernel,
@@ -206,22 +205,11 @@ class WindowEngine:
         return self.image_cube(top, quot_gens) == mod | self.image_cube(top, (u,))
 
     def ses_dimension_check(self, top: VertexId, sub_gens, mid_gens, quot_gens) -> bool:
-        """dim(mid) == dim(sub image in mid) + dim(quot) everywhere, and the
-        sub image is contained in the quotient denominator fiber."""
-        sub = self.image_cube(top, sub_gens)
+        """Exactness of 0 -> <sub_gens> -> H_top/<mid_gens> -> H_top/<quot_gens> -> 0:
+        at every window V the quotient's denominator is exactly the middle
+        denominator plus the sub's image."""
         mid = self.image_cube(top, mid_gens)
-        quot = self.image_cube(top, quot_gens)
-        if sub & quot != sub:
-            return False
-        basis = self.basis_cube(top)
-        dim_mid = self._counts(basis ^ (basis & mid))
-        dim_quot = self._counts(basis ^ (basis & quot))
-        sub_in_mid = self._counts(sub ^ (sub & mid))
-        return dim_mid == sub_in_mid + dim_quot
-
-    def _counts(self, bits: int) -> int:
-        """The per-cell bit counts of a cube, as a cube."""
-        return int.from_bytes(self.cells(bits).translate(_POPCOUNT), "little")
+        return self.image_cube(top, quot_gens) == mid | self.image_cube(top, sub_gens)
 
     # -- whole-window enumeration -------------------------------------------
 

@@ -19,7 +19,9 @@ Two evaluation routes exist on purpose and are tested against each other:
   :func:`regions.difference`.
 
 Window-quantified checks (:func:`ses_check`, :func:`image_presentation_check`)
-are delegated to the bitmask sweep engine.
+are delegated to the bitmask sweep engine.  :func:`ses_check` holds when, at
+every window vertex, the quotient's denominator is the middle denominator
+plus the sub's image.
 """
 
 from __future__ import annotations
@@ -226,9 +228,8 @@ def ses_check(
 ) -> bool:
     """Pointwise exactness of 0 -> sub-image -> H_top/mid_denoms -> quot -> 0.
 
-    At every V in the window: the dimension identity
-    dim(mid) = dim(sub image in mid) + dim(quot) must hold, and the sub's
-    image must land inside the quotient's denominator fiber.
+    At every V in the window, the quotient's denominator must be exactly
+    the middle denominator plus the sub's image: one cube equality.
     """
     top = sub.top
     if mid_denoms.top != top or quot.top != top:

@@ -22,7 +22,7 @@ from kgcert.functors import Window
 from kgcert.model import ArrowMorphism, IdentityMorphism, VertexId, ZERO, ZeroMorphism
 from kgcert.presentation import validate_triple
 
-from conftest import ACCEPTANCE_TRIPLES
+from conftest import ACCEPTANCE_TRIPLES, ORBIT_TRIPLES
 from numpy_ref import grid, point_index
 from test_certifier import _non_sink_pair_quotient
 from test_functors import random_fp
@@ -357,11 +357,10 @@ def ref_ses_dimension_check(eng, top, sub_gens, mid_gens, quot_gens):
 
 @pytest.mark.parametrize("box", SKEWED_BOXES, ids=SKEWED_IDS)
 def test_ses_dimension_check_matches_reference(t120, box):
-    """Tower steps of the B' quotients (exact), the same steps skipping one
-    index (not exact) and random generator triples."""
+    """Tower steps of the (1,2,0) B' quotients (exact) and the same steps
+    skipping one index (not exact); then random generator triples at tops of
+    every family, on the acceptance and orbit triples."""
     eng = WindowEngine(t120, box)
-    rng = random.Random(hash(box))
-    verdicts = []
     for top in eng.vertices():
         if top.family != "X":
             continue
@@ -372,13 +371,20 @@ def test_ses_dimension_check_matches_reference(t120, box):
             sub = (M.arrow_or_zero(t120, top, VertexId("X", 0, (a, b + step)), 0),)
             got = eng.ses_dimension_check(top, sub, mid, quot)
             assert got == ref_ses_dimension_check(eng, top, sub, mid, quot), (top, step)
-            verdicts.append(got)
-        for _ in range(2):
-            gens = [random_gens(t120, rng, top, SKEWED_REACH) for _ in range(3)]
-            got = eng.ses_dimension_check(top, *gens)
-            assert got == ref_ses_dimension_check(eng, top, *gens), (top, gens)
-            verdicts.append(got)
-    assert True in verdicts and False in verdicts
+    rng = random.Random(hash(box))
+    for triple in ACCEPTANCE_TRIPLES + ORBIT_TRIPLES:
+        t = validate_triple(*triple)
+        eng = WindowEngine(t, box)
+        verdicts = []
+        for family in M.families(t):
+            tops = [v for v in eng.vertices() if v.family == family]
+            for top in rng.sample(tops, min(6, len(tops))):
+                for _ in range(3):
+                    gens = [random_gens(t, rng, top, SKEWED_REACH) for _ in range(3)]
+                    got = eng.ses_dimension_check(top, *gens)
+                    assert got == ref_ses_dimension_check(eng, top, *gens), (t, top, gens)
+                    verdicts.append(got)
+        assert True in verdicts and False in verdicts, t
 
 
 def ref_simple0_check(eng, v, gens):

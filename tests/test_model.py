@@ -1,6 +1,9 @@
 """Vertices, arrow fans, hom bases, and the monomial composition rule."""
 
 import random
+from dataclasses import replace
+from functools import lru_cache
+from types import MappingProxyType
 
 import pytest
 
@@ -381,6 +384,101 @@ def test_associativity_multi_orbit(r, n, m):
     h = 2 if (r, n, m) == (3, 4, 1) else 3
     eng = WindowEngine(t, (-h, h, -h, h))
     assert associativity_scan(eng) is None
+
+
+# -- Serre pairing -------------------------------------------------------------------
+#
+# A discrete derived category has a Serre functor S (Broomhead, Pauksztello and
+# Ploog, "Discrete derived categories I", arXiv:1312.5203).  In the model's
+# grading it pairs degrees: Hom(A, B) has a basis element of degree d exactly
+# when Hom(B, S(A)) has one of degree max_degree - d, where S(A) is the
+# (hi_x, hi_y) corner of A's top-degree fan entry.  A fan bound moved by one
+# breaks the pairing, which the certificate alone does not always notice.
+
+
+def serre_vertex(t, v):
+    """S(v) in closed form, with R = t.orbit_count and [.] an indicator:
+    X: (i+1, a + [i=R-1] m, b + [i=0] m); Y: (i+1, a - [i=R-1] n, b - [i=0] n);
+    Z: (i+1, a + [i=R-1] m, b - [i=R-1] n)."""
+    i, (a, b) = v.orbit, v.coord
+    last = 1 if i == t.orbit_count - 1 else 0
+    first = 1 if i == 0 else 0
+    nxt = (i + 1) % t.orbit_count
+    if v.family == "X":
+        return V("X", nxt, a + last * t.m, b + first * t.m)
+    if v.family == "Y":
+        return V("Y", nxt, a - last * t.n, b - first * t.n)
+    return V("Z", nxt, a + last * t.m, b - last * t.n)
+
+
+def _degrees(t, u, v):
+    """Degrees of the basis of Hom(u, v); an identity has degree 0."""
+    return {getattr(h, "degree", 0) for h in M.hom_basis(t, u, v)}
+
+
+def serre_violation(t, half, reach=4):
+    """The first (A, B) with A in [-half, half]^2 and B within reach of A
+    (L-inf) that breaks the pairing, or (A, S(A)) when S(A) is no vertex;
+    None when there is none."""
+    top = t.max_degree
+    for A in M.vertices_in_box(t, -half, half, -half, half):
+        S = serre_vertex(t, A)
+        if not M.vertex_valid(t, S):
+            return A, S
+        a, b = A.coord
+        for B in M.vertices_in_box(t, a - reach, a + reach, b - reach, b + reach):
+            if _degrees(t, A, B) != {top - d for d in _degrees(t, B, S)}:
+                return A, B
+    return None
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES + ORBIT_TRIPLES)
+def test_serre_pairing(r, n, m):
+    t = validate_triple(r, n, m)
+    assert serre_violation(t, 1 if (r, n, m) == (3, 4, 1) else 2) is None
+
+
+def _fan_bound_mutants(t):
+    """(family, entry index, bound name, step) for every finite bound of
+    every fan box, moved by -1 and by +1."""
+    reps = {v.family: v for v in M.vertices_in_box(t, -2, 2, -2, 2)}
+    return [
+        (family, k, bound, step)
+        for family, v in reps.items()
+        for k, e in enumerate(M.arrow_fan(t, v).entries)
+        for bound in ("lo_x", "hi_x", "lo_y", "hi_y", "lo_d", "hi_d")
+        if getattr(e.region, bound) not in (R.NEG_INF, R.POS_INF)
+        for step in (-1, 1)
+    ]
+
+
+@pytest.mark.parametrize("r,n,m,count", [(1, 2, 0, 48), (1, 1, 0, 12)])
+def test_every_fan_bound_mutant_breaks_the_serre_pairing(r, n, m, count, monkeypatch):
+    """Each mutant rebuilds the fan records of one family with one bound of
+    one entry moved; the pairing must find a violation for every one."""
+    t = validate_triple(r, n, m)
+    mutants = _fan_bound_mutants(t)
+    assert len(mutants) == count
+    fan_entries = M._fan_entries
+    survivors = []
+    for family, k, bound, step in mutants:
+
+        @lru_cache(maxsize=None)
+        def mutated(t, v):
+            rec = fan_entries(t, v)
+            if rec is None or v.family != family:
+                return rec
+            e = rec.entries[k]
+            region = replace(e.region, **{bound: getattr(e.region, bound) + step})
+            entries = rec.entries[:k] + (e._replace(region=region),) + rec.entries[k + 1 :]
+            channels = {(x.family, x.orbit, x.degree): x for x in entries}
+            return rec._replace(entries=entries, channels=MappingProxyType(channels))
+
+        with monkeypatch.context() as mp:
+            mp.setattr(M, "_fan_entries", mutated)
+            if serre_violation(t, 2) is None:
+                survivors.append((family, k, bound, step))
+    assert survivors == []
 
 
 # -- value types -----------------------------------------------------------------------
