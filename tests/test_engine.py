@@ -358,8 +358,9 @@ def ref_ses_dimension_check(eng, top, sub_gens, mid_gens, quot_gens):
 @pytest.mark.parametrize("box", SKEWED_BOXES, ids=SKEWED_IDS)
 def test_ses_dimension_check_matches_reference(t120, box):
     """Tower steps of the (1,2,0) B' quotients (exact) and the same steps
-    skipping one index (not exact); then random generator triples at tops of
-    every family, on the acceptance and orbit triples."""
+    skipping one index (not exact while that index is in the window); then
+    random generator triples at tops of every family, on the acceptance and
+    orbit triples."""
     eng = WindowEngine(t120, box)
     for top in eng.vertices():
         if top.family != "X":
