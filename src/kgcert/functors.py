@@ -170,6 +170,15 @@ def _cover_regions(t: GentleTriple, top: VertexId, gens) -> dict:
     return covers
 
 
+def _channels(t: GentleTriple, F: FpFunctor):
+    """The channels of :func:`support_channels`, one at a time in fan order;
+    the covers are computed before the first."""
+    covers = _cover_regions(t, F.top, F.denominators.generators)
+    for e in model.arrow_fan(t, F.top).entries:
+        left = regions.difference((e.region,), covers.get((e.family, e.orbit, e.degree), ()))
+        yield SupportChannel(e.family, e.orbit, e.degree, RegionSet(tuple(left)))
+
+
 def support_channels(t: GentleTriple, F: FpFunctor) -> list:
     """Symbolic support, one :class:`SupportChannel` per arrow channel of top.
 
@@ -177,12 +186,7 @@ def support_channels(t: GentleTriple, F: FpFunctor) -> list:
     contains V (plus the identity at V = top, carried by the degree-0
     channel, whose region formally contains the top point).
     """
-    covers = _cover_regions(t, F.top, F.denominators.generators)
-    out = []
-    for e in model.arrow_fan(t, F.top).entries:
-        left = regions.difference((e.region,), covers.get((e.family, e.orbit, e.degree), ()))
-        out.append(SupportChannel(e.family, e.orbit, e.degree, RegionSet(tuple(left))))
-    return out
+    return list(_channels(t, F))
 
 
 def support_region(t: GentleTriple, F: FpFunctor) -> dict:
@@ -195,8 +199,12 @@ def support_region(t: GentleTriple, F: FpFunctor) -> dict:
 
 
 def is_in_c0(t: GentleTriple, F: FpFunctor) -> bool:
-    """Finite-total-dimension test: every support region is finite."""
-    return all(ch.regions.is_finite() for ch in support_channels(t, F))
+    """Finite-total-dimension test: every support region is finite.
+
+    Stops at the first infinite channel in fan order, without computing the
+    later ones; the answer is that of testing every channel.
+    """
+    return all(ch.regions.is_finite() for ch in _channels(t, F))
 
 
 def quotient_support(t: GentleTriple, F: Subfunctor, G: Subfunctor) -> dict:

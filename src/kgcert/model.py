@@ -33,11 +33,12 @@ read-only ``{(family, orbit, degree): FanEntry}`` mapping of the same
 entries, and the pair of sink maps ``ar_sink_maps`` returns.  ``arrow_fan``
 returns that record itself, not a copy; it is never hashed (its mapping is
 not hashable).  The record is the only place that validates a source vertex;
-``_fan_entries`` gives ``None`` for a non-vertex.  ``arrow_exists`` answers
-from the source's record with one lookup and one bound check, and does not
-validate ``dst``: every fan region of a valid source lies inside the index
-region of its target channel, so a point in it is a valid vertex, and an
-unknown family, orbit or degree misses the mapping.
+``_fan_entries`` gives ``None`` for a non-vertex.  ``arrow_exists`` and
+``hom_basis`` answer from the source's record by one rule, ``_has_arrow``:
+one lookup and one bound check, which does not validate ``dst``: every fan
+region of a valid source lies inside the index region of its target
+channel, so a point in it is a valid vertex, and an unknown family, orbit
+or degree misses the mapping.
 ``tests/test_model.py::test_fan_targets_are_valid_vertices`` pins that
 containment.  A model that breaks it fails certification instead of
 raising: a check that reaches a non-vertex fails its item.
@@ -203,18 +204,23 @@ def arrow_fan(t: GentleTriple, v: VertexId) -> ArrowFan:
     return fan
 
 
+def _has_arrow(rec: ArrowFan, dst: VertexId, degree: int) -> bool:
+    """The existence rule on the source's fan record: the channel of dst and
+    degree is present, dst is not a source the entry excludes, and dst lies
+    in the entry's region."""
+    e = rec.channels.get((dst.family, dst.orbit, degree))
+    if e is None or (e.excludes_src and dst == rec.src):
+        return False
+    return regions.member(e.region, dst.coord)
+
+
 def arrow_exists(t: GentleTriple, src: VertexId, dst: VertexId, degree: int) -> bool:
     """True iff there is a (unique) basis arrow src -> dst of this degree.
 
     dst is not validated: see the module docstring.
     """
     rec = _fan_entries(t, src)
-    if rec is None:
-        return False
-    e = rec.channels.get((dst.family, dst.orbit, degree))
-    if e is None or (e.excludes_src and dst == src):
-        return False
-    return regions.member(e.region, dst.coord)
+    return rec is not None and _has_arrow(rec, dst, degree)
 
 
 def arrow_or_zero(t: GentleTriple, src: VertexId, dst: VertexId, degree: int):
@@ -229,18 +235,13 @@ def arrow_or_zero(t: GentleTriple, src: VertexId, dst: VertexId, degree: int):
 
 
 def hom_basis(t: GentleTriple, u: VertexId, v: VertexId) -> list:
-    """Basis of Hom(u, v): the identity (if u == v) then arrows by degree."""
-    if not vertex_valid(t, u):
-        raise InvalidVertex(f"not a vertex of the model: {u}")
+    """Basis of Hom(u, v): the identity (if u == v) then arrows by degree,
+    read from u's fan record.  u is validated before v."""
+    rec = arrow_fan(t, u)
     if not vertex_valid(t, v):
         raise InvalidVertex(f"not a vertex of the model: {v}")
-    basis = []
-    if u == v:
-        basis.append(IdentityMorphism(u))
-    for d in range(t.max_degree + 1):
-        if arrow_exists(t, u, v, d):
-            basis.append(ArrowMorphism(u, v, d))
-    return basis
+    basis = [IdentityMorphism(u)] if u == v else []
+    return basis + [ArrowMorphism(u, v, d) for d in range(t.max_degree + 1) if _has_arrow(rec, v, d)]
 
 
 def source_of(k):

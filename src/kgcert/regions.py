@@ -12,18 +12,18 @@ lower bounds and +inf only in upper bounds, so closure never forms inf - inf.
 Emptiness, tightest bounds and finiteness are decided by shortest-path
 closure over the three-node constraint graph {0, x, y}, never by enumeration.
 On three nodes a shortest path has at most two edges, so one relaxation of
-each bound through the third node is the exact closure (see :func:`close`).
+each bound through the third node is the exact closure (see :func:`_closure`).
 
 Containment is decided in closed form as well (:func:`contains`): every
 bound of a closed region with integer constants is attained by an integer
 point, so ``inner`` lies in ``outer`` exactly when each closed bound of
 ``inner`` lies within the matching bound of ``outer``.
 
-``Region(...)`` validates its six bounds.  The results of :func:`close`,
-:func:`intersect` and :func:`subtract` skip that check (see
-:func:`_unchecked`): each of their bounds is a max, min, sum or difference
-of already validated bounds of the same kind, or a validated int bound
-plus or minus 1, so it is again an int or the matching infinity.
+One routine, :func:`_closure`, closes six raw bounds into one region;
+:func:`close`, :func:`intersect` and :func:`subtract` pass it a region's
+bounds, a bound-wise meet and a piece's meet with ``a``, so no intermediate
+region is built.  ``Region(...)`` validates its six bounds; the results of
+:func:`_closure` skip that check (see :func:`_unchecked`).
 """
 
 from __future__ import annotations
@@ -108,18 +108,18 @@ _new_object = object.__new__
 
 
 def _unchecked(lo_x, hi_x, lo_y, hi_y, lo_d, hi_d) -> Region:
-    """A Region built without ``__post_init__``; only for :func:`close`,
-    :func:`intersect` and :func:`subtract`.
+    """A Region built without ``__post_init__``; only for :func:`_closure`,
+    the one closure routine, which :func:`close`, :func:`intersect` and
+    :func:`subtract` call.
 
-    Safe because every bound they pass is a max, min, sum or difference of
+    Safe because every bound it passes is a max, min, sum or difference of
     bounds of validated regions, of the matching kind: a max or min of two
     lower (upper) bounds, or a lower (upper) bound plus another lower (upper)
     bound, or minus an upper (lower) one.  Ints stay ints, and an infinity
     can only come from an infinity of the same sign, so lower bounds stay an
-    int or -inf and upper bounds an int or +inf.  :func:`subtract` passes
-    the default infinities, b's validated bounds and b's int bounds plus or
-    minus 1, which stay ints.  The result equals, and hashes like,
-    ``Region(*bounds)``.
+    int or -inf and upper bounds an int or +inf.  :func:`subtract` also
+    meets a's bounds with b's int bounds plus or minus 1, which stay ints.
+    The result equals, and hashes like, ``Region(*bounds)``.
     """
     r = _new_object(Region)
     d = r.__dict__
@@ -153,8 +153,8 @@ def member(r, p: tuple) -> bool:
     )
 
 
-def close(r):
-    """Tightest equivalent bounds, or EMPTY if the denotation is empty.
+def _closure(lo_x, hi_x, lo_y, hi_y, lo_d, hi_d):
+    """The closed region of six raw bounds, or EMPTY if it has no point.
 
     The bounds are the edges of a difference-bound graph on the three nodes
     0, x and y (u - v <= c for each bound).  Without a negative cycle, a
@@ -166,9 +166,6 @@ def close(r):
     Floyd-Warshall closure of the graph in closed form.  No inf - inf
     arises: lower bounds are never +inf and upper bounds never -inf.
     """
-    if r is EMPTY:
-        return EMPTY
-    lo_x, hi_x, lo_y, hi_y, lo_d, hi_d = r.lo_x, r.hi_x, r.lo_y, r.hi_y, r.lo_d, r.hi_d
     # each bound through the third node, with d = x - y: x = y + d, y = x - d
     nlo_x = max(lo_x, lo_y + lo_d)
     nhi_x = min(hi_x, hi_y + hi_d)
@@ -179,6 +176,13 @@ def close(r):
     if nlo_x > nhi_x or nlo_y > nhi_y or nlo_d > nhi_d:
         return EMPTY
     return _unchecked(nlo_x, nhi_x, nlo_y, nhi_y, nlo_d, nhi_d)
+
+
+def close(r):
+    """Tightest equivalent bounds, or EMPTY if the denotation is empty."""
+    if r is EMPTY:
+        return EMPTY
+    return _closure(r.lo_x, r.hi_x, r.lo_y, r.hi_y, r.lo_d, r.hi_d)
 
 
 def is_finite(r) -> bool:
@@ -195,18 +199,16 @@ def is_finite(r) -> bool:
 
 
 def intersect(a, b):
-    """Bound-wise meet followed by closure; EMPTY when the meet is empty."""
+    """Closure of the bound-wise meet; EMPTY when the meet is empty."""
     if a is EMPTY or b is EMPTY:
         return EMPTY
-    return close(
-        _unchecked(
-            max(a.lo_x, b.lo_x),
-            min(a.hi_x, b.hi_x),
-            max(a.lo_y, b.lo_y),
-            min(a.hi_y, b.hi_y),
-            max(a.lo_d, b.lo_d),
-            min(a.hi_d, b.hi_d),
-        )
+    return _closure(
+        max(a.lo_x, b.lo_x),
+        min(a.hi_x, b.hi_x),
+        max(a.lo_y, b.lo_y),
+        min(a.hi_y, b.hi_y),
+        max(a.lo_d, b.lo_d),
+        min(a.hi_d, b.hi_d),
     )
 
 
@@ -264,31 +266,33 @@ class RegionSet:
 def subtract(a, b) -> RegionSet:
     """Set difference a \\ b as a union of at most six pairwise disjoint regions.
 
-    Piece k keeps b's bounds in the slots before k (lo_x, hi_x, lo_y, hi_y,
-    lo_d, hi_d) and violates slot k: a lower bound v sets its upper partner
-    to v-1, an upper bound v raises its lower partner to v+1.  The pieces
-    are disjoint by construction, so cardinalities add up; each is closed
-    and nonempty.
+    Piece k is the meet of a with b's bounds in the slots before k (lo_x,
+    hi_x, lo_y, hi_y, lo_d, hi_d) and with the violation of slot k: a lower bound
+    v lowers its upper partner to v-1, an upper bound v raises its lower
+    partner to v+1.  ``kept`` holds the meet of a with b's earlier slots,
+    so each piece is one closure of six bounds.  The pieces are disjoint by
+    construction, so cardinalities add up; each is closed and nonempty.
     """
     a = close(a)
     if a is EMPTY:
         return RegionSet(())
     if b is EMPTY:
         return RegionSet((a,))
-    kept = [NEG_INF, POS_INF] * 3
+    kept = [a.lo_x, a.hi_x, a.lo_y, a.hi_y, a.lo_d, a.hi_d]
     pieces = []
     for k, v in enumerate((b.lo_x, b.hi_x, b.lo_y, b.hi_y, b.lo_d, b.hi_d)):
-        if v == kept[k]:
-            continue  # still the vacuous default: the complement is empty
+        if v == NEG_INF or v == POS_INF:
+            continue  # a vacuous bound: its complement is empty
         bounds = kept.copy()
         if k % 2 == 0:
-            bounds[k + 1] = v - 1
+            bounds[k + 1] = min(bounds[k + 1], v - 1)
+            kept[k] = max(kept[k], v)
         else:
             bounds[k - 1] = max(bounds[k - 1], v + 1)
-        piece = intersect(a, _unchecked(*bounds))
+            kept[k] = min(kept[k], v)
+        piece = _closure(*bounds)
         if piece is not EMPTY:
             pieces.append(piece)
-        kept[k] = v
     return RegionSet(tuple(pieces))
 
 

@@ -1,5 +1,7 @@
 """Subfunctor evaluation, symbolic supports, and exactness checks."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -14,7 +16,7 @@ from kgcert.functors import FpFunctor, Subfunctor, Window
 from kgcert.model import ArrowMorphism, IdentityMorphism, VertexId, ZERO
 from kgcert.presentation import validate_triple
 
-from conftest import ACCEPTANCE_TRIPLES
+from conftest import ACCEPTANCE_TRIPLES, ORBIT_TRIPLES
 
 
 def V(fam, orbit, a, b):
@@ -178,6 +180,58 @@ def test_is_in_c0_zero_functor(t120):
     top = V("X", 0, 0, 1)
     Fz = FpFunctor(top, Subfunctor(top, (IdentityMorphism(top),)))
     assert F.is_in_c0(t120, Fz)
+
+
+def symbolic_stream():
+    """38 seeded functors per acceptance and orbit triple: a top in [-4,4]^2
+    and 0-3 arrow generators from its fan, as in the queries benchmark."""
+    rng = random.Random("symbolic-answers")
+    for r, n, m in ACCEPTANCE_TRIPLES + ORBIT_TRIPLES:
+        t = validate_triple(r, n, m)
+        verts = M.vertices_in_box(t, -4, 4, -4, 4)
+        for _ in range(38):
+            yield t, random_fp(t, rng, verts)
+
+
+def _pieces(rs):
+    return [R.region_to_json(piece) for piece in rs]
+
+
+SYMBOLIC_SHA256 = "969327bddb4e40fcf932264d829100f65c38c22a4ad6b3c537eeceff77864ea1"
+
+
+def test_symbolic_answers_are_pinned():
+    """One digest over the support channels, the quotient support of all
+    generators over all but the last, and is_in_c0, pieces in order."""
+    answers = []
+    for t, fp in symbolic_stream():
+        gens = fp.denominators.generators
+        gap = F.quotient_support(t, fp.denominators, Subfunctor(fp.top, gens[:-1]))
+        answers.append(
+            [
+                [[c.family, c.orbit, c.degree, _pieces(c.regions)] for c in F.support_channels(t, fp)],
+                [[family, orbit, _pieces(rs)] for (family, orbit), rs in gap.items()],
+                F.is_in_c0(t, fp),
+            ]
+        )
+    text = json.dumps(answers, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SYMBOLIC_SHA256
+
+
+def test_is_in_c0_is_every_channel_finite():
+    """is_in_c0 against its definition on the seeded stream, every simple
+    functor and every representable with its top in [-2,2]^2."""
+    functors = list(symbolic_stream())
+    for r, n, m in ACCEPTANCE_TRIPLES + ORBIT_TRIPLES:
+        t = validate_triple(r, n, m)
+        for v in M.vertices_in_box(t, -2, 2, -2, 2):
+            functors += [(t, build_simple0(t, v)), (t, F.representable(t, v))]
+    seen = set()
+    for t, fp in functors:
+        got = F.is_in_c0(t, fp)
+        assert got == all(ch.regions.is_finite() for ch in F.support_channels(t, fp)), fp
+        seen.add(got)
+    assert seen == {True, False}
 
 
 # -- image presentations ----------------------------------------------------------

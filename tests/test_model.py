@@ -1,11 +1,14 @@
 """Vertices, arrow fans, hom bases, and the monomial composition rule."""
 
 import random
+import re
 from dataclasses import replace
 from functools import lru_cache
 from types import MappingProxyType
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kgcert import model as M
 from kgcert import regions as R
@@ -266,6 +269,26 @@ def test_hom_basis_matches_reference(r, n, m):
             if _reference_arrow_exists(t, u, v, d)
         ]
         assert M.hom_basis(t, u, v) == want
+
+
+any_vertices = st.builds(
+    VertexId,
+    st.sampled_from("XYZW"),
+    st.integers(-1, 3),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ACCEPTANCE_TRIPLES + ORBIT_TRIPLES), any_vertices, any_vertices)
+def test_hom_basis_names_the_first_invalid_end(triple, u, v):
+    """hom_basis validates u before v: the error names the first invalid
+    end, so u when both ends are invalid."""
+    t = validate_triple(*triple)
+    bad = [w for w in (u, v) if not M.vertex_valid(t, w)]
+    assume(bad)
+    with pytest.raises(InvalidVertex, match=f"^not a vertex of the model: {re.escape(str(bad[0]))}$"):
+        M.hom_basis(t, u, v)
 
 
 def test_hom_basis_examples(t120):

@@ -312,14 +312,34 @@ def test_close_and_intersect_results_revalidate(a, b):
         assert again == got and hash(again) == hash(got)
 
 
+_SLOTS = ("lo_x", "hi_x", "lo_y", "hi_y", "lo_d", "hi_d")
+
+
+def _meet(a, b):
+    """The bound-wise meet of a and b, unclosed, as {slot: bound}."""
+    return {
+        slot: (max if slot.startswith("lo") else min)(getattr(a, slot), getattr(b, slot))
+        for slot in _SLOTS
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(any_regions, st.just(EMPTY)), st.one_of(any_regions, st.just(EMPTY)))
+@example(EMPTY, R.FULL)
+@example(R.box(0, 1, 0, 1), Region(lo_d=3))  # empty only through a three-cycle
+def test_intersect_is_the_closed_meet_and_subtract_pieces_are_closed(a, b):
+    """intersect(a, b) is close(Region(<bound-wise meet>)) field by field,
+    EMPTY included; every piece of subtract(a, b) is its own closure."""
+    want = EMPTY if EMPTY in (a, b) else R.close(Region(**_meet(a, b)))
+    assert R.intersect(a, b) == want
+    assert all(R.close(piece) == piece for piece in R.subtract(a, b))
+
+
 def _subtract_contains(outer, inner):
     return R.subtract(inner, outer).is_empty()
 
 
 THREE_CYCLE_EMPTY = Region(lo_x=0, hi_x=1, lo_y=0, hi_y=1, lo_d=3)
-
-
-_SLOTS = ("lo_x", "hi_x", "lo_y", "hi_y", "lo_d", "hi_d")
 
 
 def _inner_region(outer, other, mode):
@@ -332,10 +352,7 @@ def _inner_region(outer, other, mode):
         return R.intersect(outer, other)
     if outer is EMPTY or other is EMPTY:
         return other
-    bounds = {}
-    for slot in _SLOTS:
-        pick = max if slot.startswith("lo") else min
-        bounds[slot] = pick(getattr(outer, slot), getattr(other, slot))
+    bounds = _meet(outer, other)
     bounds[mode] = getattr(other, mode)
     return Region(**bounds)
 
