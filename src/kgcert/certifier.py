@@ -51,7 +51,6 @@ from .model import (
     FAMILY_X,
     FAMILY_Y,
     FAMILY_Z,
-    IdentityMorphism,
     VertexId,
     ZeroMorphism,
 )
@@ -103,8 +102,8 @@ class Certificate:
     depth: int
     checks: list = field(default_factory=list)
     verdict: str = "fail"
-    # Where the time went, per phase and process (see _Session.stats); not
-    # part of the certificate's bytes.
+    # Where the time went, per phase and process, and the cache sizes per
+    # process (see _Session.stats); not part of the certificate's bytes.
     stats: Optional[dict] = field(default=None, compare=False, repr=False)
 
     @property
@@ -249,6 +248,12 @@ def _aux_top(t: GentleTriple, spec: _Kind, orbit: int, coord: tuple):
     return spec.aux_top(coord[0], coord[1], last * t.m, last * t.n)
 
 
+def _exists(rec: model.ArrowFan, dst: VertexId, deg: int) -> bool:
+    """Whether the source of the fan record rec has the identity (deg 0, dst
+    the source itself) or a basis arrow to dst at degree deg."""
+    return deg == 0 and dst == rec.src or model._has_arrow(rec, dst, deg)
+
+
 def _largest_aux(t: GentleTriple, kind: str, top: VertexId) -> Simple1Instance:
     """The instance of kind at top with its largest aux, or aux 0 when every
     aux is allowed."""
@@ -314,10 +319,11 @@ class _Session:
         self.depth = depth
         self.eng: WindowEngine = get_engine(t, window.box)
         self.records: list = []
-        # Per phase in record order: its item count and, per process (this
-        # one first, then a helper if one ran), the items checked and the
-        # seconds taken.
-        self.stats: list = []
+        # "phases": per phase in record order, its item count and, per process
+        # (this one first, then a helper if one ran), the items checked and
+        # the seconds taken; "caches": per process, the sizes of the caches
+        # below and of the engine's after its walk (see _report).
+        self.stats: dict = {"phases": [], "caches": []}
         self._tower_cache: dict = {}
         self._tower_step_cache: dict = {}
         self._finite1_cache: dict = {}
@@ -327,13 +333,6 @@ class _Session:
         return passed
 
     # -- small helpers ------------------------------------------------------
-
-    def _arrow(self, src: VertexId, family: str, orbit: int, coord: tuple, deg: int):
-        """src -> (family, orbit, coord) at degree deg: the identity, the arrow or zero."""
-        dst = VertexId(family, orbit, coord)
-        if deg == 0 and dst == src:
-            return IdentityMorphism(src)
-        return model.arrow_or_zero(self.t, src, dst, deg)
 
     def _factors_region(self, split_region, gen, entry) -> bool:
         """True iff every basis arrow from the top into split_region (within
@@ -363,53 +362,62 @@ class _Session:
         return ok
 
     def _tower_sequences(self, inst: Simple1Instance) -> bool:
-        """Exact sequences 0 -> inst@(coord+(l+1)s) -> inst@(coord+l s) -> A -> 0, l <= depth."""
+        """Exact sequences 0 -> inst@(coord+(l+1)s) -> inst@(coord+l s) -> A -> 0, l <= depth.
+
+        Each step computes the denominator image of its sub once and hands
+        it to the next step, whose middle term is that same instance.  A
+        step answered from the memo hands on nothing, so the step after it
+        computes its middle image afresh."""
         sy, sx = _KINDS[inst.kind].shift  # the tower ascends along the swapped shift
         kind, orbit, (a, b), aux = inst
         steps = [Simple1Instance(kind, orbit, (a + l * sx, b + l * sy), aux) for l in range(self.depth + 2)]
         # Towers at neighbouring coordinates share all but one of their steps.
         memo = self._tower_step_cache
+        mid = None
         for here, nxt in zip(steps, steps[1:]):
             ok = memo.get(here)
             if ok is None:
-                ok = memo[here] = self._tower_step(here, nxt)
+                ok, mid = self._tower_step(here, nxt, mid)
+                memo[here] = ok
+            else:
+                mid = None
             if not ok:
                 return False
         return True
 
-    def _tower_step(self, here: Simple1Instance, nxt: Simple1Instance) -> bool:
+    def _tower_step(self, here: Simple1Instance, nxt: Simple1Instance, mid: Optional[int]) -> tuple:
         """The exact sequence 0 -> nxt -> here -> A -> 0, for nxt one step up
-        here's tower and A the sink-map simple at here's top."""
-        t = self.t
+        here's tower and A the sink-map simple at here's top, given here's
+        denominator image as mid (None: compute it).  Returns the verdict and
+        nxt's denominator image (None when the step fails early)."""
+        t, eng = self.t, self.eng
         sub = instance_functor(t, nxt)
-        mid = instance_functor(t, here)
-        top = mid.top
-        u = self._arrow(top, top.family, top.orbit, nxt.coord, 0)
-        if isinstance(u, ZeroMorphism):
-            return False  # tower shift must stay inside the index set
-        return self.eng.ses_foreign(
-            top,
-            u,
-            sub.top,
-            sub.denominators.generators,
-            mid.denominators.generators,
-            model.ar_sink_maps(t, top),
-        )
+        top = sub.top._replace(coord=here.coord)
+        if mid is None:
+            mid = eng.image_cube(top, instance_functor(t, here).denominators.generators)
+        if not _exists(model.arrow_fan(t, top), sub.top, 0):
+            return False, None  # tower shift must stay inside the index set
+        sub_image = eng.image_cube(sub.top, sub.denominators.generators)
+        return eng._ses(top, sub.top, 0, sub_image, mid, eng._sink_image(top)), sub_image
 
     def _case_analysis(self, inst: Simple1Instance) -> bool:
         """Every arrow out of the top is either absorbed (factors through a
         generator, hence lands in the denominator) or sits in a chain whose
         steps are sink-map simples, by the case rows of the instance's kind.
         Chains are swept inside the window, at points within the session's
-        depth (L1) of the top."""
-        t = self.t
+        depth (L1) of the top.  The instance's denominator image is computed
+        once; each chain point ORs in the image of its own extra arrow, and
+        reads the sink-map image at u's target from the engine's sink
+        decision."""
+        t, eng = self.t, self.eng
         F = instance_functor(t, inst)
         top = F.top
         gens = F.denominators.generators
+        den = eng.image_cube(top, gens)
         a, b = top.coord
-        channels = model.arrow_fan(t, top).channels
+        rec = model.arrow_fan(t, top)
         for row in _KINDS[inst.kind].rows:
-            e = channels.get(_channel(t, inst.orbit, row.key))
+            e = rec.channels.get(_channel(t, inst.orbit, row.key))
             if e is None:
                 return False  # the row names no channel of the top's fan
             if isinstance(row, _Factor):
@@ -420,16 +428,17 @@ class _Session:
                     return False
                 continue
             line = regions.intersect(e.region, row.line(a, b, inst.aux))
+            (ux, uy), (mx, my) = row.u, row.mod
+            p = e.degree
             for x, y in regions.enumerate_points(line, self.wreg):
                 if abs(x - a) + abs(y - b) > self.depth:
                     continue
-                (ux, uy), (mx, my) = row.u, row.mod
-                u = self._arrow(top, e.family, e.orbit, (x + ux, y + uy), e.degree)
-                if isinstance(u, ZeroMorphism):
+                S = VertexId(e.family, e.orbit, (x + ux, y + uy))
+                if not _exists(rec, S, p):
                     return False
-                extra = self._arrow(top, e.family, e.orbit, (x + mx, y + my), e.degree)
-                sinks = model.ar_sink_maps(t, model.target_of(u))
-                if not self.eng.kernel_matches(top, u, gens + (extra,), sinks):
+                extra = VertexId(e.family, e.orbit, (x + mx, y + my))
+                mod = den | eng._image(top, extra, p) if _exists(rec, extra, p) else den
+                if eng._kernel(top, S, p, mod) != eng._sink_image(S):
                     return False
         return True
 
@@ -449,13 +458,13 @@ class _Session:
         """Replay of the border-terminating induction placing Hom(v, -) in the
         first filtration layer; memoised per vertex."""
         t = self.t
+        hit = self._finite1_cache.get(v)
+        if hit is not None:
+            return hit  # the memo holds only vertices that passed the checks below
         if v.family not in self.mode.finite1:
             raise WrongFamily(f"no finite-length chain starts at {v} in this mode")
         if not model.vertex_valid(t, v):
             raise InvalidVertex(f"not a vertex of the model: {v}")
-        hit = self._finite1_cache.get(v)
-        if hit is not None:
-            return hit
         a, b = v.coord
         i = v.orbit
         border = b + model.index_regions(t)[(v.family, i)].hi_d  # the largest a at this b
@@ -496,16 +505,24 @@ class _Session:
         u (to inst.coord) and `extra` (to inst.coord + the kind's shift), in v's
         channel, are nonzero, hop o u == extra for hop the layer's generator f,
         the kernel of (- o u) modulo extra is the layer's denominator, and the
-        layer passes its simplicity tower."""
+        layer passes its simplicity tower.
+
+        hop o u == extra holds exactly when hop is nonzero.  hop is the
+        degree-0 map from u's target to extra's, or zero.  A zero hop gives
+        zero, which is not extra.  Otherwise, when u is the identity hop is
+        extra itself; when u is an arrow the composite is the degree-0 arrow
+        from v to extra's target, which exists, so it is extra."""
         (a, b), (sx, sy) = inst.coord, _KINDS[inst.kind].shift
-        u = self._arrow(v, v.family, v.orbit, inst.coord, 0)
-        extra = self._arrow(v, v.family, v.orbit, (a + sx, b + sy), 0)
-        if isinstance(u, ZeroMorphism) or isinstance(extra, ZeroMorphism):
+        rec = model.arrow_fan(self.t, v)
+        u = VertexId(v.family, v.orbit, inst.coord)
+        extra = VertexId(v.family, v.orbit, (a + sx, b + sy))
+        if not (_exists(rec, u, 0) and _exists(rec, extra, 0)):
             return False
-        hop = layer.denominators.generators[_F]
-        if model.compose(self.t, hop, u) != extra:
+        gens = layer.denominators.generators
+        if isinstance(gens[_F], ZeroMorphism):
             return False
-        if not self.eng.kernel_matches(v, u, (extra,), layer.denominators.generators):
+        eng = self.eng
+        if eng._kernel(v, u, 0, eng._image(v, extra, 0)) != eng.image_cube(u, gens):
             return False
         return self.tower_check(inst)
 
@@ -543,7 +560,8 @@ class _Session:
         a, b = v.coord
         i = v.orbit
         aux = {kind: _aux_top(t, _KINDS[kind], i, v.coord) for kind in (KIND_CP, KIND_CPP)}
-        for e in model.arrow_fan(t, v).entries:
+        rec = model.arrow_fan(t, v)
+        for e in rec.entries:
             for (c, d) in regions.enumerate_points(e.region, self.wreg):
                 if e.degree == 0:
                     # Induction on c+d with C-layer quotients: the layer is
@@ -559,14 +577,19 @@ class _Session:
                     # which has a finite-length chain.
                     ok = self.finite1_check(VertexId(e.family, e.orbit, (c, d)))
                 else:
-                    # Factor through the degree-1 map to the X-intermediate
+                    # Factor through the degree-1 map h1 to the X-intermediate
                     # at (c, a), whose representable has a finite chain.
-                    h1 = self._arrow(v, FAMILY_X, e.orbit, (c, a), 1)
-                    if isinstance(h1, ZeroMorphism):
+                    # phi o h1 == f, for phi: (c, a) -> (c, d) and f: v ->
+                    # (c, d) each the arrow or zero, holds exactly when phi
+                    # exists or f does not: a zero phi gives zero, and an
+                    # arrow phi gives the arrow of the summed degree or zero,
+                    # which is f by definition.
+                    inter = VertexId(FAMILY_X, e.orbit, (c, a))
+                    if not model._has_arrow(rec, inter, 1):
                         return False
-                    phi = self._arrow(h1.dst, e.family, e.orbit, (c, d), e.degree - 1)
-                    f = self._arrow(v, e.family, e.orbit, (c, d), e.degree)
-                    ok = model.compose(t, phi, h1) == f and self.finite1_check(h1.dst)
+                    dst = VertexId(e.family, e.orbit, (c, d))
+                    phi = model.arrow_exists(t, inter, dst, e.degree - 1)
+                    ok = (phi or not model._has_arrow(rec, dst, e.degree)) and self.finite1_check(inter)
                 if not ok:
                     return False
         return True
@@ -722,6 +745,21 @@ def _walk(s: _Session, plan: list, parity: Optional[int] = None) -> list:
     return walk
 
 
+# The caches that Certificate.stats sizes, in the order _report reads them.
+_CACHES = ("tower_memo", "step_memo", "finite1_memo", "engine_cubes", "sink_decisions")
+
+
+def _report(s: _Session, plan: list, parity: Optional[int] = None) -> dict:
+    """What one process reports: its walk, and the sizes of its caches after it."""
+    walk = _walk(s, plan, parity)
+    entries = s.eng._entries.values()
+    sizes = (
+        len(s._tower_cache), len(s._tower_step_cache), len(s._finite1_cache),
+        len(entries), sum(entry[2] is not None for entry in entries),
+    )
+    return {"walk": walk, "caches": dict(zip(_CACHES, sizes))}
+
+
 def _split_allowed() -> bool:
     """Whether certification may fork a helper: fork exists, the process may
     run on two CPUs or more, and no other thread runs (a forked child has
@@ -735,13 +773,21 @@ def _split_allowed() -> bool:
     return cpus >= 2
 
 
-def _helper_walk(reply: bytes, plan: list) -> Optional[list]:
-    """The helper's walk from its reply, or None unless the reply has one
-    [index, checked, seconds] per phase and each failing index names an item
-    of the helper's share."""
+def _helper_walk(reply: bytes, plan: list) -> Optional[dict]:
+    """The helper's report (see _report) from its reply, or None unless the
+    walk has one [index, checked, seconds] per phase, each failing index
+    names an item of the helper's share, and the caches map each name of
+    _CACHES to an int >= 0."""
     try:
-        walk = json.loads(reply)
+        report = json.loads(reply)
     except ValueError:
+        return None
+    if not (isinstance(report, dict) and report.keys() == {"walk", "caches"}):
+        return None
+    walk, caches = report["walk"], report["caches"]
+    if not (isinstance(caches, dict) and caches.keys() == set(_CACHES)):
+        return None
+    if any(type(size) is not int or size < 0 for size in caches.values()):
         return None
     if not isinstance(walk, list) or len(walk) != len(plan):
         return None
@@ -753,11 +799,11 @@ def _helper_walk(reply: bytes, plan: list) -> Optional[list]:
             return None
         if failed != -1 and not (0 <= failed < len(items) and items[failed].coord[0] % 2 == 1):
             return None
-    return walk
+    return report
 
 
 def _split_walks(s: _Session, plan: list) -> Optional[list]:
-    """The walks of this process (even x) and of a forked helper (odd x), or
+    """The reports of this process (even x) and of a forked helper (odd x), or
     None when the helper could not start, either process raised an
     Exception or the helper gave no valid reply.  The helper is always
     reaped: killed if this process stops early, also on KeyboardInterrupt."""
@@ -772,13 +818,13 @@ def _split_walks(s: _Session, plan: list) -> Optional[list]:
         os.close(write_fd)
         return None
     if pid == 0:
-        # The helper: writes the walk of its share as JSON and exits, with
+        # The helper: writes the report of its share as JSON and exits, with
         # status 1 on any exception.
         status = 1
         try:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as out:
-                out.write(json.dumps(_walk(s, plan, 1)).encode())
+                out.write(json.dumps(_report(s, plan, 1)).encode())
             status = 0
         finally:
             os._exit(status)
@@ -786,7 +832,7 @@ def _split_walks(s: _Session, plan: list) -> Optional[list]:
     try:
         with os.fdopen(read_fd, "rb") as replies:
             try:
-                ours = _walk(s, plan, 0)
+                ours = _report(s, plan, 0)
             except Exception:
                 return None  # the serial rerun raises the serial run's exception
             reply = replies.read()
@@ -813,14 +859,15 @@ def _run_phases(s: _Session) -> bool:
     plan = []
     for lemma, phase in s.mode.phases:
         plan.append((lemma, phase, boxes[phase.box], phase.items(s, verts[phase.box])))
-    walks = _split_walks(s, plan) if _split_allowed() else None
-    if walks is None:
-        walks = [_walk(s, plan)]
+    reports = _split_walks(s, plan) if _split_allowed() else None
+    if reports is None:
+        reports = [_report(s, plan)]
+    s.stats["caches"] = [report["caches"] for report in reports]
     ok_all = True
     for k, (lemma, phase, box, items) in enumerate(plan):
-        results = [walk[k] for walk in walks]
+        results = [report["walk"][k] for report in reports]
         failed = min((res[0] for res in results if res[0] >= 0), default=-1)
-        s.stats.append({
+        s.stats["phases"].append({
             "lemma": lemma,
             "items": len(items),
             "processes": [{"checked": res[1], "seconds": res[2]} for res in results],
@@ -858,7 +905,8 @@ def certify(
     the phases are checked in this process and one forked helper, which
     holds memory of its own; the certificate has the same bytes as a run in
     one process.  ``stats`` of the result gives the item count of each phase
-    and, per process, the items checked and the seconds taken.
+    and, per process, the items checked and the seconds taken, and per
+    process the sizes of the session's memos and of the engine's caches.
     """
     if depth < 1:
         raise ParameterRange(f"depth must be >= 1, got {depth}")
@@ -871,5 +919,5 @@ def certify(
         depth=depth,
         checks=s.records,
         verdict="pass" if ok else "fail",
-        stats={"phases": s.stats},
+        stats=s.stats,
     )

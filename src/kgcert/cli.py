@@ -191,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         metavar="PATH",
         help="write run statistics here as JSON: per phase, the item count and, "
-        "per process, the items checked and the seconds taken",
+        "per process, the items checked and the seconds taken; per process, the "
+        "sizes of the tower, step and finite1 memos, the engine cubes and the "
+        "sink decisions",
     )
 
     return ap

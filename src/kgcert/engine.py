@@ -36,6 +36,19 @@ tops repeatedly costs one fan rasterisation per vertex (the hot kernel,
 check.  The cache ``_entries`` is keyed by the
 :class:`~kgcert.model.VertexId` itself, a NamedTuple that hashes and
 compares in C.
+
+The sink decision: the image of v's two sink maps (the denominator of the
+simple object at v) is needed at every chain point and tower step that
+reaches v.  Each sink map is a degree-0 arrow out of v, so its image,
+``cube(T) & cube(v)`` plus its own bit at T, which is set in ``cube(v)``,
+is a subset of ``cube(v)``.  ``_sink_image`` computes that image once per
+vertex and keeps one boolean, whether it equals ``cube(v)``, in v's cache
+entry.  On the valid model it does at every vertex, and the answer is then
+``cube(v)``, the very cube the boolean was computed from; when it does not,
+which a broken fan can cause, the image is computed again on every use.
+Either way the answer is the exact image, and no second cube per vertex is
+kept.  The boolean replaces v's entry under its existing key, so the cache
+keeps no second ``VertexId`` per vertex either.
 """
 
 from __future__ import annotations
@@ -70,7 +83,8 @@ class WindowEngine:
         self.nchan = len(self.channels)
         self.max_degree = t.max_degree
         self.nbytes = self.nchan * self.nx * self.ny
-        # VertexId -> (cube, bit offset of the vertex's own cell or None)
+        # VertexId -> (cube, bit offset of the vertex's own cell or None,
+        # the sink decision or None before it is made)
         self._entries: dict = {}
 
     # -- grid plumbing ----------------------------------------------------
@@ -93,7 +107,8 @@ class WindowEngine:
 
     def _entry(self, v: VertexId) -> tuple:
         """(cube(v), bit offset of v's cell, or None when v is outside the
-        window), built on first use."""
+        window, and the sink decision, None until _sink_image makes it),
+        built on first use."""
         entry = self._entries.get(v)
         if entry is None:
             rows = [
@@ -107,7 +122,7 @@ class WindowEngine:
             ]
             cube = _kernels.fan_cube(self.x0, self.nx, self.y0, self.ny, self.nchan, rows)
             offset = 8 * self.cell(v) if self.in_window(v.coord) else None
-            entry = self._entries[v] = (int.from_bytes(cube, "little"), offset)
+            entry = self._entries[v] = (int.from_bytes(cube, "little"), offset, None)
         return entry
 
     def cube(self, v: VertexId) -> int:
@@ -116,7 +131,7 @@ class WindowEngine:
 
     def basis_cube(self, v: VertexId) -> int:
         """cube(v) plus the identity bit at the point of v (when in window)."""
-        c, off = self._entry(v)
+        c, off, _ = self._entry(v)
         return c if off is None else c | ID_BIT << off
 
     def _degree(self, f) -> int:
@@ -127,24 +142,35 @@ class WindowEngine:
             )
         return p
 
+    def _image(self, top: VertexId, T: VertexId, p: int) -> int:
+        """The image of f: top -> T, the identity when T is top at p == 0,
+        else the basis arrow of degree p, which must exist."""
+        if p == 0 and T == top:
+            return self.basis_cube(top)
+        cT, offT, _ = self._entry(T)
+        out = ((cT << p) if p else cT) & self._entry(top)[0]
+        return out if offT is None else out | 2 << (offT + p)  # bit p + 1 of T's cell: f itself
+
     def image_cube(self, top: VertexId, gens) -> int:
         """Bitmask of eval_sub(<gens>, V) for every window vertex V."""
         out = 0
-        ctop = None
         for f in gens:
-            if isinstance(f, ZeroMorphism):
-                continue
             if isinstance(f, IdentityMorphism):
                 out |= self.basis_cube(top)
-                continue
-            p = self._degree(f)
-            if ctop is None:
-                ctop = self._entry(top)[0]
-            cT, offT = self._entry(f.dst)
-            out |= ((cT << p) if p else cT) & ctop
-            if offT is not None:
-                out |= 2 << (offT + p)  # bit p + 1 of T's cell: f itself
+            elif not isinstance(f, ZeroMorphism):
+                out |= self._image(top, f.dst, self._degree(f))
         return out
+
+    def _sink_image(self, v: VertexId) -> int:
+        """image_cube(v, ar_sink_maps(t, v)), by the sink decision (see the
+        module docstring)."""
+        c, off, full = self._entry(v)
+        if full:
+            return c
+        image = self.image_cube(v, model.ar_sink_maps(self.t, v))
+        if full is None:
+            self._entries[v] = (c, off, image == c)
+        return image
 
     def dims_cube(self, top: VertexId, denom_gens) -> bytes:
         """Pointwise dimensions of Hom(top, -)/<denom_gens>: one count per
@@ -162,9 +188,15 @@ class WindowEngine:
         image cube over top.
         """
         if isinstance(u, IdentityMorphism):
+            return self._kernel(top, top, 0, modulo)
+        return self._kernel(top, u.dst, self._degree(u), modulo)
+
+    def _kernel(self, top: VertexId, S: VertexId, p: int, modulo: int) -> int:
+        """kernel_cube for u: top -> S, the identity when S is top at p == 0,
+        else the basis arrow of degree p.  The one kernel of the engine."""
+        if p == 0 and S == top:
             return self.basis_cube(top) & modulo
-        p = self._degree(u)
-        cS, offS = self._entry(u.dst)
+        cS, offS, _ = self._entry(S)
         ctop = self._entry(top)[0]
         alive = ctop ^ (ctop & modulo)
         if p:
@@ -179,14 +211,24 @@ class WindowEngine:
 
         expected_gens generate a subfunctor at the target of u.
         """
-        S = model.target_of(u)
-        mod = self.image_cube(top, mid_gens)
-        kern = self.kernel_cube(top, u, mod)
-        return kern == self.image_cube(S, expected_gens)
+        kern = self.kernel_cube(top, u, self.image_cube(top, mid_gens))
+        return kern == self.image_cube(model.target_of(u), expected_gens)
 
     def ses_foreign(self, top: VertexId, u, sub_top, sub_gens, mid_gens, quot_gens) -> bool:
         """Exactness of 0 -> (H_S/<sub_gens>) -> H_top/<mid_gens> -> H_top/<quot_gens> -> 0
-        with the left map induced by precomposition with u: top -> S.
+        with the left map induced by precomposition with u: top -> S."""
+        S = model.target_of(u)
+        if S != sub_top:
+            raise ValueError(f"u targets {S} but the sub lives at {sub_top}")
+        p = 0 if isinstance(u, IdentityMorphism) else self._degree(u)
+        return self._ses(
+            top, S, p,
+            self.image_cube(S, sub_gens), self.image_cube(top, mid_gens), self.image_cube(top, quot_gens),
+        )
+
+    def _ses(self, top: VertexId, S: VertexId, p: int, sub: int, mid: int, quot: int) -> bool:
+        """ses_foreign on image cubes, for u: top -> S as in :meth:`_kernel`:
+        sub over S, mid and quot over top.
 
         Pointwise on the window this is: the kernel of (- o u) modulo the
         middle denominator equals the sub's denominator; the middle
@@ -195,14 +237,7 @@ class WindowEngine:
         third condition implies the second, so only the first and third
         are tested.
         """
-        S = model.target_of(u)
-        if S != sub_top:
-            raise ValueError(f"u targets {S} but the sub lives at {sub_top}")
-        mod = self.image_cube(top, mid_gens)
-        kern = self.kernel_cube(top, u, mod)
-        if kern != self.image_cube(S, sub_gens):
-            return False
-        return self.image_cube(top, quot_gens) == mod | self.image_cube(top, (u,))
+        return self._kernel(top, S, p, mid) == sub and quot == mid | self._image(top, S, p)
 
     def ses_dimension_check(self, top: VertexId, sub_gens, mid_gens, quot_gens) -> bool:
         """Exactness of 0 -> <sub_gens> -> H_top/<mid_gens> -> H_top/<quot_gens> -> 0:

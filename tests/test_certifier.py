@@ -36,6 +36,7 @@ from kgcert.certifier import (
 from kgcert.engine import WindowEngine, get_engine
 from kgcert.errors import (
     InvalidVertex,
+    KgcertError,
     ModeMismatch,
     ParameterRange,
     WrongFamily,
@@ -200,13 +201,14 @@ def test_tower_infinite_mode():
 
 
 def _swept_chain_points(monkeypatch, run):
-    """Run run() with a spy on kernel_matches inside every case analysis, and
-    return run()'s result and, per case-analysed instance, the chain points
-    it swept.  The chain row is the one whose channel u lies in, and the
-    point is u's target less the row's u offset."""
+    """Run run() with a spy on the engine's kernel, WindowEngine._kernel,
+    inside every case analysis, and return run()'s result and, per
+    case-analysed instance, the chain points it swept.  The chain row is the
+    one whose channel u lies in, and the point is u's target less the row's
+    u offset."""
     swept = {}
     current = []
-    real_case, real_kernel = C._Session._case_analysis, WindowEngine.kernel_matches
+    real_case, real_kernel = C._Session._case_analysis, WindowEngine._kernel
 
     def case_analysis(self, inst):
         current.append(inst)
@@ -215,22 +217,21 @@ def _swept_chain_points(monkeypatch, run):
         finally:
             current.pop()
 
-    def kernel_matches(self, top, u, mid_gens, expected_gens):
+    def kernel(self, top, target, degree, modulo):
         if current:
             inst = current[-1]
-            target = M.target_of(u)
-            channel = (target.family, target.orbit, getattr(u, "degree", 0))
+            channel = (target.family, target.orbit, degree)
             (row,) = [
                 row for row in C._KINDS[inst.kind].rows
                 if isinstance(row, C._Chain) and C._channel(self.t, inst.orbit, row.key) == channel
             ]
             (x, y), (ux, uy) = target.coord, row.u
             swept.setdefault(inst, set()).add((x - ux, y - uy))
-        return real_kernel(self, top, u, mid_gens, expected_gens)
+        return real_kernel(self, top, target, degree, modulo)
 
     with monkeypatch.context() as m:
         m.setattr(C._Session, "_case_analysis", case_analysis)
-        m.setattr(WindowEngine, "kernel_matches", kernel_matches)
+        m.setattr(WindowEngine, "_kernel", kernel)
         m.setattr(C, "_split_allowed", lambda: False)  # a helper's calls would not reach the spy
         return run(), swept
 
@@ -488,16 +489,17 @@ def test_tower_step_memo_cannot_leak_a_pass(t231, monkeypatch):
     calls within one session, and no tower that avoids it; instances that
     differ from it only in aux or only in orbit keep their own results."""
     bad = build_simple1(t231, KIND_BP, 0, (0, 3), 0)
-    real = WindowEngine.ses_foreign
+    real = WindowEngine._ses
     bad_calls = []
 
-    def ses_foreign(self, top, u, sub_top, sub_gens, mid_gens, quot_gens):
-        if top == bad.top and tuple(mid_gens) == bad.denominators.generators:
+    def ses(self, top, target, degree, sub, mid, quot):
+        """The engine's exactness test on image cubes, failing bad's step."""
+        if top == bad.top and mid == self.image_cube(bad.top, bad.denominators.generators):
             bad_calls.append(top)
             return False
-        return real(self, top, u, sub_top, sub_gens, mid_gens, quot_gens)
+        return real(self, top, target, degree, sub, mid, quot)
 
-    monkeypatch.setattr(WindowEngine, "ses_foreign", ses_foreign)
+    monkeypatch.setattr(WindowEngine, "_ses", ses)
     towers = {
         Simple1Instance(KIND_BP, 0, (0, 1), 0): False,
         Simple1Instance(KIND_BP, 0, (0, 2), 0): False,
@@ -819,21 +821,23 @@ def test_a_case_row_naming_no_channel_fails(t120, monkeypatch):
     assert [c.lemma for c in cert.checks if not c.passed] == ["simple1", "collapse_layers"]
 
 
-@pytest.mark.parametrize(
-    "triple,kind,field,value,failed",
-    [
-        ((1, 2, 0), KIND_BP, "gen_coord", lambda a, b, aux: (a, aux + 1), ["simple1"]),
-        ((1, 2, 0), KIND_BPP, "gen_coord", lambda a, b, aux: (aux + 1, a), ["simple1"]),
-        ((1, 1, 0), KIND_B_INF, "gen_coord", lambda a, b, aux: (aux + 1, a), ["inf_simple1", "inf_finite1"]),
-        ((1, 2, 0), KIND_CP, "aux_top", lambda a, b, m, n: a + m, ["finite1", "nonsimple1", "c2simple"]),
-        ((1, 2, 0), KIND_CPP, "aux_top", lambda a, b, m, n: b - n, ["finite1", "c2simple"]),
-        ((1, 2, 0), KIND_CP, "aux_top", lambda a, b, m, n: -b + m + 1,
-         ["simple1", "finite1", "nonsimple1", "c2simple"]),
-        ((1, 2, 0), KIND_CPP, "aux_top", lambda a, b, m, n: -a - n + 1, ["simple1", "finite1", "c2simple"]),
-        ((1, 1, 0), KIND_B_INF, "aux_top", lambda a, b, m, n: -b + m, ["inf_simple1", "inf_finite1"]),
-    ],
-    ids=["B'-gen", "B''-gen", "B-gen", "C'-aux", "C''-aux", "C'-aux-range", "C''-aux-range", "B-aux-range"],
-)
+# (triple, kind, field, value, the lemmas that fail): kind rows with their
+# second generator one step off, or their aux range one short or broken.
+KIND_ROW_MUTANTS = [
+    ((1, 2, 0), KIND_BP, "gen_coord", lambda a, b, aux: (a, aux + 1), ["simple1"]),
+    ((1, 2, 0), KIND_BPP, "gen_coord", lambda a, b, aux: (aux + 1, a), ["simple1"]),
+    ((1, 1, 0), KIND_B_INF, "gen_coord", lambda a, b, aux: (aux + 1, a), ["inf_simple1", "inf_finite1"]),
+    ((1, 2, 0), KIND_CP, "aux_top", lambda a, b, m, n: a + m, ["finite1", "nonsimple1", "c2simple"]),
+    ((1, 2, 0), KIND_CPP, "aux_top", lambda a, b, m, n: b - n, ["finite1", "c2simple"]),
+    ((1, 2, 0), KIND_CP, "aux_top", lambda a, b, m, n: -b + m + 1,
+     ["simple1", "finite1", "nonsimple1", "c2simple"]),
+    ((1, 2, 0), KIND_CPP, "aux_top", lambda a, b, m, n: -a - n + 1, ["simple1", "finite1", "c2simple"]),
+    ((1, 1, 0), KIND_B_INF, "aux_top", lambda a, b, m, n: -b + m, ["inf_simple1", "inf_finite1"]),
+]
+KIND_ROW_IDS = ["B'-gen", "B''-gen", "B-gen", "C'-aux", "C''-aux", "C'-aux-range", "C''-aux-range", "B-aux-range"]
+
+
+@pytest.mark.parametrize("triple,kind,field,value,failed", KIND_ROW_MUTANTS, ids=KIND_ROW_IDS)
 def test_a_mutated_kind_row_fails(monkeypatch, triple, kind, field, value, failed):
     """A kind row with its second generator one step off, or its aux range
     one short or broken, fails certify rather than raising, with the same
@@ -871,6 +875,157 @@ def test_a_fan_with_the_wrong_orbit_wrap_fails(monkeypatch, triple, failed):
         get_engine.cache_clear()  # the engines read the broken fans
     assert cert.verdict == "fail"
     assert [c.lemma for c in cert.checks if not c.passed] == failed + ["collapse_layers"]
+
+
+# -- the sweeps against the formulas they replaced ------------------------------------
+#
+# _FormulaSession checks towers, chain points, layer steps and degree-2
+# points of c2_check by the formulas the sweeps replaced, on morphisms and
+# generators: each tower step through ses_foreign, memoised by its verdict
+# alone; each chain point through kernel_matches on the denominator plus its
+# extra arrow against the sink maps of u's target; each layer step and
+# degree-2 point through model.compose.  It carries no image and decides no
+# sink image once.
+
+
+class _FormulaSession(C._Session):
+    def _arrow(self, src, family, orbit, coord, deg):
+        dst = VertexId(family, orbit, coord)
+        if deg == 0 and dst == src:
+            return M.IdentityMorphism(src)
+        return M.arrow_or_zero(self.t, src, dst, deg)
+
+    def _tower_sequences(self, inst):
+        sy, sx = C._KINDS[inst.kind].shift
+        a, b = inst.coord
+        steps = [inst._replace(coord=(a + l * sx, b + l * sy)) for l in range(self.depth + 2)]
+        memo = self._tower_step_cache
+        for here, nxt in zip(steps, steps[1:]):
+            if here not in memo:
+                memo[here] = self._step(here, nxt)
+            if not memo[here]:
+                return False
+        return True
+
+    def _step(self, here, nxt):
+        t = self.t
+        sub, mid = C.instance_functor(t, nxt), C.instance_functor(t, here)
+        top = mid.top
+        u = self._arrow(top, top.family, top.orbit, nxt.coord, 0)
+        if isinstance(u, ZeroMorphism):
+            return False
+        return self.eng.ses_foreign(
+            top, u, sub.top, sub.denominators.generators, mid.denominators.generators, M.ar_sink_maps(t, top)
+        )
+
+    def _case_analysis(self, inst):
+        t = self.t
+        fp = C.instance_functor(t, inst)
+        top, gens = fp.top, fp.denominators.generators
+        a, b = top.coord
+        channels = M.arrow_fan(t, top).channels
+        for row in C._KINDS[inst.kind].rows:
+            e = channels.get(C._channel(t, inst.orbit, row.key))
+            if e is None:
+                return False
+            if isinstance(row, C._Factor):
+                split = e.region if row.split is None else R.intersect(e.region, row.split(a, b, inst.aux))
+                if not self._factors_region(split, gens[row.gen], e):
+                    return False
+                continue
+            (ux, uy), (mx, my) = row.u, row.mod
+            for x, y in R.enumerate_points(R.intersect(e.region, row.line(a, b, inst.aux)), self.wreg):
+                if abs(x - a) + abs(y - b) > self.depth:
+                    continue
+                u = self._arrow(top, e.family, e.orbit, (x + ux, y + uy), e.degree)
+                if isinstance(u, ZeroMorphism):
+                    return False
+                extra = self._arrow(top, e.family, e.orbit, (x + mx, y + my), e.degree)
+                if not self.eng.kernel_matches(top, u, gens + (extra,), M.ar_sink_maps(t, M.target_of(u))):
+                    return False
+        return True
+
+    def _layer_step(self, v, inst, layer):
+        (a, b), (sx, sy) = inst.coord, C._KINDS[inst.kind].shift
+        u = self._arrow(v, v.family, v.orbit, inst.coord, 0)
+        extra = self._arrow(v, v.family, v.orbit, (a + sx, b + sy), 0)
+        if isinstance(u, ZeroMorphism) or isinstance(extra, ZeroMorphism):
+            return False
+        if M.compose(self.t, layer.denominators.generators[C._F], u) != extra:
+            return False
+        if not self.eng.kernel_matches(v, u, (extra,), layer.denominators.generators):
+            return False
+        return self.tower_check(inst)
+
+    def c2_check(self, v):
+        t = self.t
+        a, b = v.coord
+        aux = {kind: C._aux_top(t, C._KINDS[kind], v.orbit, v.coord) for kind in (KIND_CP, KIND_CPP)}
+        for e in M.arrow_fan(t, v).entries:
+            for c, d in R.enumerate_points(e.region, self.wreg):
+                if e.degree == 0:
+                    if (c, d) == (a, b):
+                        continue
+                    kind = KIND_CP if c > a else KIND_CPP
+                    sx, sy = C._KINDS[kind].shift
+                    inst = Simple1Instance(kind, v.orbit, (c - sx, d - sy), aux[kind])
+                    ok = self._layer_step(v, inst, C.instance_functor(t, inst))
+                elif e.degree == 1:
+                    ok = self.finite1_check(V(e.family, e.orbit, c, d))
+                else:
+                    h1 = self._arrow(v, "X", e.orbit, (c, a), 1)
+                    if isinstance(h1, ZeroMorphism):
+                        return False
+                    phi = self._arrow(h1.dst, e.family, e.orbit, (c, d), e.degree - 1)
+                    f = self._arrow(v, e.family, e.orbit, (c, d), e.degree)
+                    ok = M.compose(t, phi, h1) == f and self.finite1_check(h1.dst)
+                if not ok:
+                    return False
+        return True
+
+
+def _verdict(check, s, item):
+    """An item's verdict as certify records it: a KgcertError fails it."""
+    try:
+        return check(s, item)
+    except KgcertError:
+        return False
+
+
+REPLAY_WINDOW = Window(-5, 5, -5, 5)
+REPLAY_DEPTH = 3
+
+
+@pytest.mark.parametrize(
+    "triple,mutant",
+    [((1, 2, 0), None), ((3, 4, 1), None), ((1, 1, 0), None)] + [(m[0], m) for m in KIND_ROW_MUTANTS],
+    ids=["1-2-0", "3-4-1", "1-1-0"] + KIND_ROW_IDS,
+)
+def test_sweeps_agree_with_the_formulas_they_replaced(monkeypatch, triple, mutant):
+    """tower_check and c2_check give the verdicts of _FormulaSession on
+    every simple1 and c2simple item, on the model and under every kind-row
+    mutant: in the phases' order within one session, then shuffled within a
+    second session that starts with every other step verdict of the first
+    in its step memo.  Towers then run into memo hits between steps they
+    compute, where an image carried across a hit would give a wrong
+    verdict."""
+    if mutant is not None:
+        _, kind, field, value, _ = mutant
+        monkeypatch.setitem(C._KINDS, kind, C._KINDS[kind]._replace(**{field: value}))
+    t = validate_triple(*triple)
+    first = C._Session(t, REPLAY_WINDOW, REPLAY_DEPTH)
+    verts = M.vertices_in_box(t, *REPLAY_WINDOW.inner_half().box)
+    phases = (C._SIMPLE1, C._C2SIMPLE) if t.is_finite_mode else (C._SIMPLE1,)
+    calls = [(phase.check, item) for phase in phases for item in phase.items(first, verts)]
+    ref = _FormulaSession(t, REPLAY_WINDOW, REPLAY_DEPTH)
+    expected = {item: _verdict(check, ref, item) for check, item in calls}
+    shuffled = random.Random(11).sample(calls, len(calls))
+    seeded = C._Session(t, REPLAY_WINDOW, REPLAY_DEPTH)
+    for order, s in [(calls, first), (shuffled, seeded)]:
+        assert [_verdict(check, s, item) for check, item in order] == [expected[item] for _, item in order]
+        if s is first:
+            seeded._tower_step_cache.update(list(first._tower_step_cache.items())[::2])
+    assert all(expected.values()) == (mutant is None)
 
 
 # -- certifying in two processes ------------------------------------------------------
@@ -1105,13 +1260,49 @@ def test_invalid_helper_reply_yields_the_serial_certificate(t120, monkeypatch, b
     assert _processes(split) == {1}
 
 
+_SIZES = dict.fromkeys(C._CACHES, 3)
+
+
+def _helper_reply(walk, caches=_SIZES):
+    return json.dumps({"walk": walk, "caches": caches}).encode()
+
+
 @pytest.mark.parametrize(
     "reply", [b"", b"\xff\xfe", b"null", b"{}", b"[[-1, 0]]", b"[[true, 1, 0.5]]", b'[[-1, 0, "s"]]']
 )
 def test_malformed_helper_reply_is_rejected(t110, reply):
+    """A reply that is no JSON, or whose walk is malformed, is rejected, bare
+    or in a report with valid cache sizes; a valid walk is rejected too when
+    no cache sizes come with it."""
     plan = [("inf_simple0", C._SIMPLE0, SPLIT_WINDOW, get_engine(t110, SPLIT_WINDOW.box).vertices())]
     assert C._helper_walk(reply, plan) is None
-    assert C._helper_walk(b"[[-1, 3, 0.5]]", plan) == [[-1, 3, 0.5]]
+    try:
+        walk = json.loads(reply)
+    except ValueError:
+        walk = None
+    assert C._helper_walk(_helper_reply(walk), plan) is None
+    assert C._helper_walk(b"[[-1, 3, 0.5]]", plan) is None
+    assert C._helper_walk(json.dumps({"walk": [[-1, 3, 0.5]]}).encode(), plan) is None
+    assert C._helper_walk(_helper_reply([[-1, 3, 0.5]]), plan) == {"walk": [[-1, 3, 0.5]], "caches": _SIZES}
+
+
+@pytest.mark.parametrize(
+    "caches",
+    [
+        None,
+        [3, 3, 3, 3, 3],
+        {k: 3 for k in C._CACHES[1:]},
+        {**_SIZES, "extra": 3},
+        {**_SIZES, "tower_memo": -1},
+        {**_SIZES, "step_memo": True},
+        {**_SIZES, "sink_decisions": 3.0},
+        {**_SIZES, "engine_cubes": "3"},
+    ],
+    ids=["none", "a list", "one short", "one extra", "negative", "bool", "float", "str"],
+)
+def test_helper_reply_with_bad_cache_sizes_is_rejected(t110, caches):
+    plan = [("inf_simple0", C._SIMPLE0, SPLIT_WINDOW, get_engine(t110, SPLIT_WINDOW.box).vertices())]
+    assert C._helper_walk(_helper_reply([[-1, 3, 0.5]], caches), plan) is None
 
 
 def test_interrupt_reaps_the_helper(t120, monkeypatch, tmp_path):
@@ -1196,3 +1387,21 @@ def test_stats_count_every_item_once(t120):
         assert sum(q["checked"] for q in p["processes"]) == p["items"] > 0
         assert all(q["seconds"] >= 0 for q in p["processes"])
     assert "stats" not in cert.to_json()
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one process", "two"])
+def test_stats_give_the_cache_sizes_of_each_process(t120, monkeypatch, split):
+    """Per process, the sizes of the three session memos and the engine's
+    two caches; every one is in use on a passing run."""
+    get_engine.cache_clear()  # sizes of a fresh engine, as a new kgcert process has
+    cert = _certify(monkeypatch, t120, split)
+    caches = cert.stats["caches"]
+    assert len(caches) == (2 if split else 1) == len(cert.stats["phases"][0]["processes"])
+    for sizes in caches:
+        assert list(sizes) == list(C._CACHES)
+        assert all(type(n) is int and n > 0 for n in sizes.values()), sizes
+        # every vertex with a sink decision has its cube cached
+        assert sizes["sink_decisions"] <= sizes["engine_cubes"]
+    eng = get_engine(t120, SPLIT_WINDOW.box)
+    assert caches[0]["engine_cubes"] == len(eng._entries)
+    assert caches[0]["sink_decisions"] == sum(full is not None for _, _, full in eng._entries.values())

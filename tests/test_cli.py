@@ -333,6 +333,9 @@ def test_certify_stats_leave_the_certificate_bytes_alone(tmp_path, capsys):
     for p in stats["phases"]:
         assert p["items"] == sum(q["checked"] for q in p["processes"])
         assert all(q["seconds"] >= 0 for q in p["processes"])
+    assert len(stats["caches"]) == len(stats["phases"][0]["processes"])
+    assert all(set(sizes) == {"tower_memo", "step_memo", "finite1_memo", "engine_cubes", "sink_decisions"}
+               for sizes in stats["caches"])
 
 
 def test_certify_vacuous_window_exits_one(capsys):

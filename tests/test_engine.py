@@ -26,6 +26,7 @@ from conftest import ACCEPTANCE_TRIPLES, ORBIT_TRIPLES
 from numpy_ref import grid, point_index
 from test_certifier import _non_sink_pair_quotient
 from test_functors import random_fp
+from test_model import _fan_bound_mutants, mutated_fan_entries
 
 
 @pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
@@ -436,6 +437,49 @@ def test_simple0_check_fails_on_a_count_in_an_invalid_cell(t120, monkeypatch):
     monkeypatch.setattr(WindowEngine, "dims_cube", leaky_dims_cube)
     assert s.simple0_check(inside) is False
     assert s.simple0_check(outside) is False
+
+
+# -- the sink decision ------------------------------------------------------------------
+
+
+def sink_decisions(t, box):
+    """Build a fresh engine's cubes for every vertex of the box, then, for
+    every vertex in its cube cache, check the engine's sink image, when first
+    decided and when read back, against image_cube of the sink maps.
+    Returns the vertices whose check failed and the number of decisions
+    that the image is not the whole cube."""
+    eng = WindowEngine(t, box)
+    for v in eng.vertices():
+        eng.cube(v)
+    wrong = []
+    for v in list(eng._entries):
+        exact = eng.image_cube(v, M.ar_sink_maps(t, v))
+        if [eng._sink_image(v), eng._sink_image(v)] != [exact, exact]:
+            wrong.append(v)
+    return wrong, [full for _, _, full in eng._entries.values()].count(False)
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES + ORBIT_TRIPLES)
+def test_sink_image_is_the_whole_cube_on_the_model(r, n, m):
+    """On the valid model every arrow out of v factors through a sink map
+    of v, so the engine answers with cube(v) at every vertex, and that is
+    the exact image."""
+    assert sink_decisions(validate_triple(r, n, m), (-6, 6, -6, 6)) == ([], 0)
+
+
+def test_sink_image_is_exact_on_every_fan_bound_mutant(monkeypatch):
+    """Under every fan with one bound moved by +-1, the engine's sink image
+    is still the exact image; some mutants make it smaller than the cube,
+    so the branch that computes it again on every use is taken."""
+    t = validate_triple(1, 2, 0)
+    smaller = 0
+    for mutant in _fan_bound_mutants(t):
+        with monkeypatch.context() as mp:
+            mp.setattr(M, "_fan_entries", mutated_fan_entries(*mutant))
+            wrong, unequal = sink_decisions(t, (-6, 6, -6, 6))
+        assert wrong == [], mutant
+        smaller += unequal > 0
+    assert smaller > 0
 
 
 # -- degrees outside 0..max_degree ----------------------------------------------------

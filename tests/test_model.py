@@ -475,6 +475,24 @@ def _fan_bound_mutants(t):
     ]
 
 
+def mutated_fan_entries(family, k, bound, step, fan_entries=M._fan_entries):
+    """A stand-in for model._fan_entries that rebuilds the fan records of one
+    family with one bound of entry k moved by step; the sink pair stays."""
+
+    @lru_cache(maxsize=None)
+    def mutated(t, v):
+        rec = fan_entries(t, v)
+        if rec is None or v.family != family:
+            return rec
+        e = rec.entries[k]
+        region = replace(e.region, **{bound: getattr(e.region, bound) + step})
+        entries = rec.entries[:k] + (e._replace(region=region),) + rec.entries[k + 1 :]
+        channels = {(x.family, x.orbit, x.degree): x for x in entries}
+        return rec._replace(entries=entries, channels=MappingProxyType(channels))
+
+    return mutated
+
+
 @pytest.mark.parametrize("r,n,m,count", [(1, 2, 0, 48), (1, 1, 0, 12)])
 def test_every_fan_bound_mutant_breaks_the_serre_pairing(r, n, m, count, monkeypatch):
     """Each mutant rebuilds the fan records of one family with one bound of
@@ -482,25 +500,12 @@ def test_every_fan_bound_mutant_breaks_the_serre_pairing(r, n, m, count, monkeyp
     t = validate_triple(r, n, m)
     mutants = _fan_bound_mutants(t)
     assert len(mutants) == count
-    fan_entries = M._fan_entries
     survivors = []
-    for family, k, bound, step in mutants:
-
-        @lru_cache(maxsize=None)
-        def mutated(t, v):
-            rec = fan_entries(t, v)
-            if rec is None or v.family != family:
-                return rec
-            e = rec.entries[k]
-            region = replace(e.region, **{bound: getattr(e.region, bound) + step})
-            entries = rec.entries[:k] + (e._replace(region=region),) + rec.entries[k + 1 :]
-            channels = {(x.family, x.orbit, x.degree): x for x in entries}
-            return rec._replace(entries=entries, channels=MappingProxyType(channels))
-
+    for mutant in mutants:
         with monkeypatch.context() as mp:
-            mp.setattr(M, "_fan_entries", mutated)
+            mp.setattr(M, "_fan_entries", mutated_fan_entries(*mutant))
             if serre_violation(t, 2) is None:
-                survivors.append((family, k, bound, step))
+                survivors.append(mutant)
     assert survivors == []
 
 
