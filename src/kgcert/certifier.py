@@ -445,12 +445,15 @@ class _Session:
     # -- simple objects -------------------------------------------------------
 
     def simple0_check(self, v: VertexId) -> bool:
-        """dim A_v = 1 at v and 0 in every other cell of the window (in every
-        cell when v lies outside the window)."""
+        """dim A_v = 1 at v and 0 in every other cell of the window (0 in every
+        cell when v lies outside it), as one containment.  fan_cube never sets
+        bit 0, and an image holds the identity bit only when a generator is
+        the identity, and is then the whole basis; so those counts say exactly
+        that the image, masked to basis(v), is cube(v).  The mask also drops
+        image bits outside cube(v), which a denominator of other arrows can have."""
         eng = self.eng
         A = build_simple0(self.t, v)
-        counts = int.from_bytes(eng.dims_cube(v, A.denominators.generators), "little")
-        return counts == (1 << 8 * eng.cell(v) if self.window.contains(v.coord) else 0)
+        return eng.image_cube(v, A.denominators.generators) & eng.basis_cube(v) == eng.cube(v)
 
     # -- finite-length chains ---------------------------------------------------
 

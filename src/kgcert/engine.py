@@ -1,6 +1,6 @@
 """Bitmask window-sweep engine.
 
-Window-quantified checks (dimension counts, kernels of precomposition,
+Window-quantified checks (simple objects, kernels of precomposition,
 exact-sequence replays) all reduce to bit algebra on small grids: per
 (family, orbit) channel, the grid cell at a target coordinate V holds one
 bit per basis morphism from a fixed source vertex to V (bit 0 identity,
@@ -26,9 +26,10 @@ they are shifted.  ``a AND NOT b`` is written ``a ^ (a & b)``: on
 non-negative ints it equals ``a & ~b`` without forming the negative ``~b``,
 whose AND costs several times more.
 
-Only :meth:`WindowEngine.dims_cube` counts bits: ``bytes.translate`` with a
-256-entry popcount table maps a cube's bytes to per-cell dimensions, in the
-same layout.  Exactness checks compare cubes, never counts.
+Every window decision of ``certify`` is a cube identity (an equality, or an
+AND then an equality); ``certify`` never counts bits.  ``dims_cube``,
+``cells``, ``_POPCOUNT``, ``vertices``, ``dims_at_vertices`` and
+``ses_foreign`` remain only as test references and tracer-patched names.
 
 Cubes are cached per source vertex, so a certification run touching the same
 tops repeatedly costs one fan rasterisation per vertex (the hot kernel,
@@ -37,18 +38,12 @@ check.  The cache ``_entries`` is keyed by the
 :class:`~kgcert.model.VertexId` itself, a NamedTuple that hashes and
 compares in C.
 
-The sink decision: the image of v's two sink maps (the denominator of the
+The sink memo: the image of v's two sink maps (the denominator of the
 simple object at v) is needed at every chain point and tower step that
-reaches v.  Each sink map is a degree-0 arrow out of v, so its image,
-``cube(T) & cube(v)`` plus its own bit at T, which is set in ``cube(v)``,
-is a subset of ``cube(v)``.  ``_sink_image`` computes that image once per
-vertex and keeps one boolean, whether it equals ``cube(v)``, in v's cache
-entry.  On the valid model it does at every vertex, and the answer is then
-``cube(v)``, the very cube the boolean was computed from; when it does not,
-which a broken fan can cause, the image is computed again on every use.
-Either way the answer is the exact image, and no second cube per vertex is
-kept.  The boolean replaces v's entry under its existing key, so the cache
-keeps no second ``VertexId`` per vertex either.
+reaches v.  ``_sink_image`` computes it once per vertex and keeps the exact
+image in v's cache entry, under its existing key.  When the image equals
+``cube(v)``, as it does at every vertex of the valid model, the entry keeps
+the cube object itself, so no second int per vertex is kept.
 """
 
 from __future__ import annotations
@@ -84,7 +79,7 @@ class WindowEngine:
         self.max_degree = t.max_degree
         self.nbytes = self.nchan * self.nx * self.ny
         # VertexId -> (cube, bit offset of the vertex's own cell or None,
-        # the sink decision or None before it is made)
+        # the sink image or None before it is computed)
         self._entries: dict = {}
 
     # -- grid plumbing ----------------------------------------------------
@@ -107,7 +102,7 @@ class WindowEngine:
 
     def _entry(self, v: VertexId) -> tuple:
         """(cube(v), bit offset of v's cell, or None when v is outside the
-        window, and the sink decision, None until _sink_image makes it),
+        window, and the sink image, None until _sink_image computes it),
         built on first use."""
         entry = self._entries.get(v)
         if entry is None:
@@ -162,14 +157,14 @@ class WindowEngine:
         return out
 
     def _sink_image(self, v: VertexId) -> int:
-        """image_cube(v, ar_sink_maps(t, v)), by the sink decision (see the
+        """image_cube(v, ar_sink_maps(t, v)), by the sink memo (see the
         module docstring)."""
-        c, off, full = self._entry(v)
-        if full:
-            return c
-        image = self.image_cube(v, model.ar_sink_maps(self.t, v))
-        if full is None:
-            self._entries[v] = (c, off, image == c)
+        c, off, image = self._entry(v)
+        if image is None:
+            image = self.image_cube(v, model.ar_sink_maps(self.t, v))
+            if image == c:
+                image = c
+            self._entries[v] = (c, off, image)
         return image
 
     def dims_cube(self, top: VertexId, denom_gens) -> bytes:

@@ -759,6 +759,29 @@ def test_certify_calls_the_hooks_the_benchmark_tracer_patches(triple, monkeypatc
     assert calls["record"] == len(cert.checks)
 
 
+@pytest.mark.parametrize("triple", [(1, 2, 0), (1, 1, 0)], ids=["120", "110"])
+def test_certify_never_counts(triple, monkeypatch):
+    """Every window decision of certify is a cube identity: a serial run
+    calls neither dims_cube nor cells, and builds each simple0 item's
+    quotient once."""
+    calls = {"dims_cube": 0, "cells": 0, "build_simple0": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in [(WindowEngine, "dims_cube"), (WindowEngine, "cells"), (C, "build_simple0")]:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    cert = _certify(monkeypatch, validate_triple(*triple), False, Window(-3, 3, -3, 3), 2)
+    assert cert.passed
+    items = sum(p["items"] for p in cert.stats["phases"] if p["lemma"].endswith("simple0"))
+    assert items > 0
+    assert calls == {"dims_cube": 0, "cells": 0, "build_simple0": items}
+
+
 # -- the per-kind case rows ------------------------------------------------------------
 
 
@@ -1400,8 +1423,8 @@ def test_stats_give_the_cache_sizes_of_each_process(t120, monkeypatch, split):
     for sizes in caches:
         assert list(sizes) == list(C._CACHES)
         assert all(type(n) is int and n > 0 for n in sizes.values()), sizes
-        # every vertex with a sink decision has its cube cached
+        # every vertex with a sink image memo has its cube cached
         assert sizes["sink_decisions"] <= sizes["engine_cubes"]
     eng = get_engine(t120, SPLIT_WINDOW.box)
     assert caches[0]["engine_cubes"] == len(eng._entries)
-    assert caches[0]["sink_decisions"] == sum(full is not None for _, _, full in eng._entries.values())
+    assert caches[0]["sink_decisions"] == sum(image is not None for _, _, image in eng._entries.values())

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from kgcert import certifier as C
 from kgcert import functors as F
 from kgcert import model as M
 from kgcert import regions as R
-from kgcert.engine import WindowEngine
+from kgcert.engine import WindowEngine, get_engine
 from kgcert.functors import Subfunctor
 from kgcert.engine import ID_BIT
 from kgcert.functors import Window
@@ -419,64 +420,90 @@ def test_simple0_check_matches_reference(r, n, m, box, fake, monkeypatch):
 
 def test_simple0_check_fails_on_a_count_in_an_invalid_cell(t120, monkeypatch):
     """A correct model leaves every cell that is no vertex at 0, so simple0
-    reads all cells: a count leaked into one (Y:0:(0,0) is no vertex, as
-    0 + 2 > 0) fails the check, for in-window and out-of-window tops alike."""
+    reads all cells: an arrow bit leaked into one (Y:0:(0,0) is no vertex,
+    as 0 + 2 > 0) of the checked top's cube fails the check, for in-window
+    and out-of-window tops alike."""
     leak = VertexId("Y", 0, (0, 0))
     assert not M.vertex_valid(t120, leak)
-    real = WindowEngine.dims_cube
-
-    def leaky_dims_cube(self, top, gens):
-        out = bytearray(real(self, top, gens))
-        out[self.cell(leak)] += 1
-        return bytes(out)
-
     s = C._Session(t120, Window(-4, 4, -4, 4), 1)
     inside, outside = VertexId("Z", 0, (0, 0)), VertexId("Z", 0, (40, 40))
+    real = WindowEngine._entry
+
+    def leaky_entry(self, v):
+        c, off, image = real(self, v)
+        return (c | 2 << 8 * self.cell(leak), off, image) if v in (inside, outside) else (c, off, image)
+
     assert s.simple0_check(inside) is True
     assert s.simple0_check(outside) is True
-    monkeypatch.setattr(WindowEngine, "dims_cube", leaky_dims_cube)
+    monkeypatch.setattr(WindowEngine, "_entry", leaky_entry)
     assert s.simple0_check(inside) is False
     assert s.simple0_check(outside) is False
 
 
-# -- the sink decision ------------------------------------------------------------------
+@pytest.mark.parametrize("r,n,m", [(1, 2, 0), (2, 3, 0), (1, 1, 0)])
+def test_simple0_check_matches_reference_on_every_fan_bound_mutant(r, n, m, monkeypatch):
+    """Under every fan with one bound moved by +-1 (the sink pair stays), the
+    containment rule of simple0 agrees with the uint8 dimension count at
+    every vertex of the window grown by 2; some checks fail."""
+    t = validate_triple(r, n, m)
+    failed = 0
+    for mutant in _fan_bound_mutants(t):
+        with monkeypatch.context() as mp:
+            mp.setattr(M, "_fan_entries", mutated_fan_entries(*mutant))
+            get_engine.cache_clear()  # an engine keeps the cubes of the fan it was built on
+            # the reference cube of each vertex once per mutant (the arrays are not written to)
+            mp.setattr(sys.modules[__name__], "ref_cube", lru_cache(maxsize=None)(ref_cube))
+            s = C._Session(t, Window(-4, 4, -4, 4), 1)
+            for v in M.vertices_in_box(t, -6, 6, -6, 6):
+                passed = s.simple0_check(v)
+                gens = C.build_simple0(t, v).denominators.generators
+                assert passed == ref_simple0_check(s.eng, v, gens), (mutant, v)
+                failed += not passed
+    get_engine.cache_clear()
+    assert failed > 0
 
 
-def sink_decisions(t, box):
-    """Build a fresh engine's cubes for every vertex of the box, then, for
-    every vertex in its cube cache, check the engine's sink image, when first
-    decided and when read back, against image_cube of the sink maps.
-    Returns the vertices whose check failed and the number of decisions
-    that the image is not the whole cube."""
-    eng = WindowEngine(t, box)
+# -- the sink memo ------------------------------------------------------------------
+
+
+def sink_decisions(eng):
+    """Build the engine's cubes for every vertex of its box, then, for every
+    vertex in its cube cache, check the engine's sink image, when first
+    computed and when read back, against image_cube of the sink maps.
+    Returns the vertices whose check failed and the number of them whose
+    memo is not their cube."""
     for v in eng.vertices():
         eng.cube(v)
+    checked = list(eng._entries)
     wrong = []
-    for v in list(eng._entries):
-        exact = eng.image_cube(v, M.ar_sink_maps(t, v))
+    for v in checked:
+        exact = eng.image_cube(v, M.ar_sink_maps(eng.t, v))
         if [eng._sink_image(v), eng._sink_image(v)] != [exact, exact]:
             wrong.append(v)
-    return wrong, [full for _, _, full in eng._entries.values()].count(False)
+    return wrong, sum(eng._entries[v][2] is not eng._entries[v][0] for v in checked)
 
 
 @pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES + ORBIT_TRIPLES)
 def test_sink_image_is_the_whole_cube_on_the_model(r, n, m):
     """On the valid model every arrow out of v factors through a sink map
     of v, so the engine answers with cube(v) at every vertex, and that is
-    the exact image."""
-    assert sink_decisions(validate_triple(r, n, m), (-6, 6, -6, 6)) == ([], 0)
+    the exact image; the memo is the cube object itself, so no vertex keeps
+    a second int."""
+    eng = WindowEngine(validate_triple(r, n, m), (-6, 6, -6, 6))
+    assert sink_decisions(eng) == ([], 0)
+    assert all(image is c for c, _, image in eng._entries.values() if image is not None)
 
 
 def test_sink_image_is_exact_on_every_fan_bound_mutant(monkeypatch):
-    """Under every fan with one bound moved by +-1, the engine's sink image
-    is still the exact image; some mutants make it smaller than the cube,
-    so the branch that computes it again on every use is taken."""
+    """Under every fan with one bound moved by +-1, the engine's sink memo
+    is the exact image; some mutants make it smaller than the cube, so the
+    memo is then an int of its own."""
     t = validate_triple(1, 2, 0)
     smaller = 0
     for mutant in _fan_bound_mutants(t):
         with monkeypatch.context() as mp:
             mp.setattr(M, "_fan_entries", mutated_fan_entries(*mutant))
-            wrong, unequal = sink_decisions(t, (-6, 6, -6, 6))
+            wrong, unequal = sink_decisions(WindowEngine(t, (-6, 6, -6, 6)))
         assert wrong == [], mutant
         smaller += unequal > 0
     assert smaller > 0
@@ -531,11 +558,13 @@ u = M.arrow_or_zero(t, top, VertexId("X", 0, (0, 2)), 0)
 B = build_simple1(t, "B'", 0, (0, 1), 0)
 assert F.ses_check(t, Subfunctor(top, (u,)), B.denominators, build_simple0(t, top), Window(-3, 3, -3, 3))
 assert "numpy" not in sys.modules, "numpy was imported"
+assert not {"argparse", "kgcert.cli"} & set(sys.modules), "the package imported its CLI"
 """
 
 
 def test_package_runs_without_numpy():
-    """Importing kgcert, certifying and an exact-sequence check load no numpy."""
+    """Importing kgcert, certifying and an exact-sequence check load no numpy,
+    and no argparse or kgcert.cli: the package import stays free of the CLI."""
     src = os.path.dirname(os.path.dirname(kgcert.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
