@@ -1,9 +1,10 @@
 """Command-line interface.
 
-One executable with subcommands for model inspection (``model``, ``fan``,
-``ar``, ``ar-export``), hom-space queries (``hom``, ``compose``), functor
-evaluation (``eval``, ``support``, ``inC0``) and certification (``certify``).
-All structured output is JSON on stdout; ``ar-export`` emits DOT.
+One executable whose subcommands inspect the model, query hom spaces and
+composites, evaluate functors and certify a triple.  Each subcommand is one
+row of ``_COMMANDS``: its name, its help, its flags beside the ``--r/--n/--m``
+that every row takes, and its handler.  All structured output is JSON on
+stdout; the sink-mesh export emits DOT.
 
 Exit codes: 0 on success (and a passing certificate), 1 when a requested
 check fails, 2 on usage errors (bad flags, malformed vertex/morphism
@@ -16,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+from typing import Callable, NamedTuple
 
 from . import functors, model, regions
 from .certifier import certify
@@ -122,176 +124,121 @@ def _window(box) -> Window:
         raise UsageError(str(exc)) from exc
 
 
-def _add_triple_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+def _channel_json(ch, **rest) -> dict:
+    """A fan entry or support channel as JSON: its channel, then rest."""
+    return {"family": ch.family, "orbit": ch.orbit, "degree": ch.degree, **rest}
 
 
-def _add_window_flag(p: argparse.ArgumentParser, required=False) -> None:
-    p.add_argument(
-        "--window",
-        type=int,
-        nargs=4,
-        metavar=("X0", "X1", "Y0", "Y1"),
-        required=required,
-        help="coordinate box [X0,X1] x [Y0,Y1]",
-    )
+def _compose(t: GentleTriple, args) -> str:
+    f = check_morphism(t, parse_morphism(args.f))
+    g = check_morphism(t, parse_morphism(args.g))
+    return str(model.compose(t, g, f))
+
+
+def _fan(t: GentleTriple, args) -> dict:
+    v = parse_vertex(args.vertex)
+    return {"vertex": str(v), "entries": [
+        _channel_json(e, region=regions.region_to_json(e.region), excludes_src=e.excludes_src)
+        for e in model.arrow_fan(t, v).entries
+    ]}
+
+
+def _support(t: GentleTriple, args) -> dict:
+    F = load_functor(t, args.functor)
+    return {"top": str(F.top), "channels": [
+        _channel_json(ch, regions=[regions.region_to_json(r) for r in ch.regions])
+        for ch in functors.support_channels(t, F)
+    ]}
+
+
+def _prints(answer, indent=None) -> Callable:
+    """The handler that prints answer(t, args) as JSON and exits 0."""
+    def run(t: GentleTriple, args) -> int:
+        print(json.dumps(answer(t, args), indent=indent))
+        return 0
+    return run
+
+
+def _ar_export(t: GentleTriple, args) -> int:
+    dot = export_dot(t, _window(args.window))
+    if args.dot:
+        _write(args.dot, dot)
+    else:
+        sys.stdout.write(dot)
+    return 0
+
+
+def _certify(t: GentleTriple, args) -> int:
+    given = {"window": _window(args.window) if args.window else None, "depth": args.depth}
+    cert = certify(t, **{k: v for k, v in given.items() if v is not None})
+    text = cert.to_json_text()
+    print(text)
+    if args.json:
+        _write(args.json, text + "\n")
+    if args.stats:
+        _write(args.stats, json.dumps(cert.stats, indent=2) + "\n")
+    return 0 if cert.passed else 1
+
+
+class _Command(NamedTuple):
+    name: str
+    help: str
+    flags: tuple  # (flag, add_argument keywords) pairs, after --r/--n/--m
+    run: Callable  # (triple, parsed args) -> exit code
+
+
+_REQUIRED = dict(required=True)
+_PATH = dict(metavar="PATH")
+_WINDOW = dict(type=int, nargs=4, metavar=("X0", "X1", "Y0", "Y1"), help="coordinate box [X0,X1] x [Y0,Y1]")
+_FUNCTOR = ("--functor", dict(_PATH, required=True))
+
+# The subcommands, in the order --help lists them.
+_COMMANDS = (
+    _Command("model", "print the bound quiver and mode", (),
+             _prints(lambda t, a: quiver_to_json(t), indent=2)),
+    _Command("hom", "basis of Hom(from, to)",
+             (("--from", dict(_REQUIRED, dest="src")), ("--to", dict(_REQUIRED, dest="dst"))),
+             _prints(lambda t, a: [
+                 str(k) for k in model.hom_basis(t, parse_vertex(a.src), parse_vertex(a.dst))])),
+    _Command("compose", "composite g o f of two basis morphisms", (("--f", _REQUIRED), ("--g", _REQUIRED)),
+             _prints(_compose)),
+    _Command("fan", "outgoing-arrow regions of a vertex", (("--vertex", _REQUIRED),),
+             _prints(_fan, indent=2)),
+    _Command("eval", "dimension of a functor at a vertex", (_FUNCTOR, ("--at", _REQUIRED)),
+             _prints(lambda t, a: functors.eval_fp(t, load_functor(t, a.functor), parse_vertex(a.at)))),
+    _Command("support", "symbolic support of a functor", (_FUNCTOR,),
+             _prints(_support, indent=2)),
+    _Command("inC0", "finite-total-dimension test for a functor", (_FUNCTOR,),
+             _prints(lambda t, a: functors.is_in_c0(t, load_functor(t, a.functor)))),
+    _Command("ar", "the two sink maps of a vertex", (("--vertex", _REQUIRED),),
+             _prints(lambda t, a: [str(f) for f in model.ar_sink_maps(t, parse_vertex(a.vertex))])),
+    _Command("ar-export", "DOT digraph of a window's sink mesh",
+             (("--window", dict(_WINDOW, required=True)),
+              ("--dot", dict(_PATH, help="write DOT here instead of stdout"))),
+             _ar_export),
+    _Command("certify", "replay the proofs and emit a certificate",
+             (("--window", _WINDOW),
+              ("--depth", dict(type=int, help="proof depth (certify's default when omitted)")),
+              ("--json", dict(_PATH, help="also write the certificate here")),
+              ("--stats", dict(_PATH, help="write run statistics here as JSON: per phase, the item count "
+                               "and, per process, the items checked and the seconds taken; per process, "
+                               "the sizes of the tower, step and finite1 memos, the engine cubes and the "
+                               "sink decisions"))),
+             _certify),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="kgcert")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("model", help="print the bound quiver and mode")
-    _add_triple_flags(p)
-
-    p = sub.add_parser("hom", help="basis of Hom(from, to)")
-    _add_triple_flags(p)
-    p.add_argument("--from", dest="src", required=True)
-    p.add_argument("--to", dest="dst", required=True)
-
-    p = sub.add_parser("compose", help="composite g o f of two basis morphisms")
-    _add_triple_flags(p)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-
-    p = sub.add_parser("fan", help="outgoing-arrow regions of a vertex")
-    _add_triple_flags(p)
-    p.add_argument("--vertex", required=True)
-
-    p = sub.add_parser("eval", help="dimension of a functor at a vertex")
-    _add_triple_flags(p)
-    p.add_argument("--functor", required=True, metavar="PATH")
-    p.add_argument("--at", required=True)
-
-    p = sub.add_parser("support", help="symbolic support of a functor")
-    _add_triple_flags(p)
-    p.add_argument("--functor", required=True, metavar="PATH")
-
-    p = sub.add_parser("inC0", help="finite-total-dimension test for a functor")
-    _add_triple_flags(p)
-    p.add_argument("--functor", required=True, metavar="PATH")
-
-    p = sub.add_parser("ar", help="the two sink maps of a vertex")
-    _add_triple_flags(p)
-    p.add_argument("--vertex", required=True)
-
-    p = sub.add_parser("ar-export", help="DOT digraph of a window's sink mesh")
-    _add_triple_flags(p)
-    _add_window_flag(p, required=True)
-    p.add_argument("--dot", metavar="PATH", help="write DOT here instead of stdout")
-
-    p = sub.add_parser("certify", help="replay the proofs and emit a certificate")
-    _add_triple_flags(p)
-    _add_window_flag(p)
-    p.add_argument("--depth", type=int, help="proof depth (certify's default when omitted)")
-    p.add_argument("--json", metavar="PATH", help="also write the certificate here")
-    p.add_argument(
-        "--stats",
-        metavar="PATH",
-        help="write run statistics here as JSON: per phase, the item count and, "
-        "per process, the items checked and the seconds taken; per process, the "
-        "sizes of the tower, step and finite1 memos, the engine cubes and the "
-        "sink decisions",
-    )
-
+    for cmd in _COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        for flag in ("--r", "--n", "--m"):
+            p.add_argument(flag, type=int, required=True)
+        for flag, keywords in cmd.flags:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(run=cmd.run)
     return ap
-
-
-def _run(args) -> int:
-    t = validate_triple(args.r, args.n, args.m)
-    if args.command == "model":
-        print(json.dumps(quiver_to_json(t), indent=2))
-        return 0
-    if args.command == "hom":
-        u = parse_vertex(args.src)
-        v = parse_vertex(args.dst)
-        print(json.dumps([str(k) for k in model.hom_basis(t, u, v)]))
-        return 0
-    if args.command == "compose":
-        f = check_morphism(t, parse_morphism(args.f))
-        g = check_morphism(t, parse_morphism(args.g))
-        print(json.dumps(str(model.compose(t, g, f))))
-        return 0
-    if args.command == "fan":
-        v = parse_vertex(args.vertex)
-        fan = model.arrow_fan(t, v)
-        print(
-            json.dumps(
-                {
-                    "vertex": str(v),
-                    "entries": [
-                        {
-                            "family": e.family,
-                            "orbit": e.orbit,
-                            "degree": e.degree,
-                            "region": regions.region_to_json(e.region),
-                            "excludes_src": e.excludes_src,
-                        }
-                        for e in fan.entries
-                    ],
-                },
-                indent=2,
-            )
-        )
-        return 0
-    if args.command == "eval":
-        F = load_functor(t, args.functor)
-        v = parse_vertex(args.at)
-        print(json.dumps(functors.eval_fp(t, F, v)))
-        return 0
-    if args.command == "support":
-        F = load_functor(t, args.functor)
-        chans = functors.support_channels(t, F)
-        print(
-            json.dumps(
-                {
-                    "top": str(F.top),
-                    "channels": [
-                        {
-                            "family": ch.family,
-                            "orbit": ch.orbit,
-                            "degree": ch.degree,
-                            "regions": [
-                                regions.region_to_json(r) for r in ch.regions
-                            ],
-                        }
-                        for ch in chans
-                    ],
-                },
-                indent=2,
-            )
-        )
-        return 0
-    if args.command == "inC0":
-        F = load_functor(t, args.functor)
-        print(json.dumps(functors.is_in_c0(t, F)))
-        return 0
-    if args.command == "ar":
-        v = parse_vertex(args.vertex)
-        m1, m2 = model.ar_sink_maps(t, v)
-        print(json.dumps([str(m1), str(m2)]))
-        return 0
-    if args.command == "ar-export":
-        win = _window(args.window)
-        dot = export_dot(t, win)
-        if args.dot:
-            _write(args.dot, dot)
-        else:
-            sys.stdout.write(dot)
-        return 0
-    if args.command == "certify":
-        given = {"window": _window(args.window) if args.window else None, "depth": args.depth}
-        cert = certify(t, **{k: v for k, v in given.items() if v is not None})
-        text = cert.to_json_text()
-        print(text)
-        if args.json:
-            _write(args.json, text + "\n")
-        if args.stats:
-            _write(args.stats, json.dumps(cert.stats, indent=2) + "\n")
-        return 0 if cert.passed else 1
-    raise UsageError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
@@ -301,7 +248,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _run(args)
+        return args.run(validate_triple(args.r, args.n, args.m), args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -844,8 +844,17 @@ def test_a_case_row_naming_no_channel_fails(t120, monkeypatch):
     assert [c.lemma for c in cert.checks if not c.passed] == ["simple1", "collapse_layers"]
 
 
+def _chain_moved(kind, i, **offset):
+    """The kind's case rows with the offset of its _Chain row i changed."""
+    rows = C._KINDS[kind].rows
+    assert isinstance(rows[i], C._Chain)
+    return rows[:i] + (rows[i]._replace(**offset),) + rows[i + 1:]
+
+
 # (triple, kind, field, value, the lemmas that fail): kind rows with their
-# second generator one step off, or their aux range one short or broken.
+# second generator one step off, their aux range one short or broken, or one
+# chain's u or modulus arrow one step off, which the chain sweep of the case
+# analysis rejects.
 KIND_ROW_MUTANTS = [
     ((1, 2, 0), KIND_BP, "gen_coord", lambda a, b, aux: (a, aux + 1), ["simple1"]),
     ((1, 2, 0), KIND_BPP, "gen_coord", lambda a, b, aux: (aux + 1, a), ["simple1"]),
@@ -856,17 +865,26 @@ KIND_ROW_MUTANTS = [
      ["simple1", "finite1", "nonsimple1", "c2simple"]),
     ((1, 2, 0), KIND_CPP, "aux_top", lambda a, b, m, n: -a - n + 1, ["simple1", "finite1", "c2simple"]),
     ((1, 1, 0), KIND_B_INF, "aux_top", lambda a, b, m, n: -b + m, ["inf_simple1", "inf_finite1"]),
+    ((1, 2, 0), KIND_BP, "rows", _chain_moved(KIND_BP, 1, mod=(0, 1)), ["simple1"]),
+    ((1, 2, 0), KIND_BPP, "rows", _chain_moved(KIND_BPP, 4, mod=(0, 0)), ["simple1"]),
+    ((1, 2, 0), KIND_CP, "rows", _chain_moved(KIND_CP, 4, u=(-1, 0)), ["simple1", "nonsimple1", "c2simple"]),
+    ((1, 2, 0), KIND_CPP, "rows", _chain_moved(KIND_CPP, 1, u=(-2, 0)), ["simple1", "c2simple"]),
+    ((1, 1, 0), KIND_B_INF, "rows", _chain_moved(KIND_B_INF, 1, mod=(0, 1)), ["inf_simple1"]),
+    ((1, 1, 0), KIND_B_INF, "rows", _chain_moved(KIND_B_INF, 4, mod=(0, 0)), ["inf_simple1"]),
 ]
-KIND_ROW_IDS = ["B'-gen", "B''-gen", "B-gen", "C'-aux", "C''-aux", "C'-aux-range", "C''-aux-range", "B-aux-range"]
+KIND_ROW_IDS = ["B'-gen", "B''-gen", "B-gen", "C'-aux", "C''-aux", "C'-aux-range", "C''-aux-range", "B-aux-range",
+                "B'-chain1-mod", "B''-chain4-mod", "C'-chain4-u", "C''-chain1-u", "B-chain1-mod", "B-chain4-mod"]
 
 
 @pytest.mark.parametrize("triple,kind,field,value,failed", KIND_ROW_MUTANTS, ids=KIND_ROW_IDS)
 def test_a_mutated_kind_row_fails(monkeypatch, triple, kind, field, value, failed):
-    """A kind row with its second generator one step off, or its aux range
-    one short or broken, fails certify rather than raising, with the same
-    bytes in one process and in two: the finite-length steps read their
-    quotient and sub from the same rows as the towers, and an aux out of
-    range up a tower is a ParameterRange that fails its item."""
+    """A kind row with its second generator one step off, its aux range
+    one short or broken, or a chain offset one step off, fails certify
+    rather than raising, with the same bytes in one process and in two: the
+    finite-length steps read their quotient and sub from the same rows as
+    the towers, an aux out of range up a tower is a ParameterRange that
+    fails its item, and a moved chain offset fails the case analysis's
+    sweep."""
     monkeypatch.setitem(C._KINDS, kind, C._KINDS[kind]._replace(**{field: value}))
     cert = _certify_both_ways(monkeypatch, validate_triple(*triple), Window(-4, 4, -4, 4), 4)
     assert cert.verdict == "fail"

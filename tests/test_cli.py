@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kgcert
 from kgcert import model as M
 from kgcert.certifier import certify
 from kgcert.cli import export_dot, main, parse_morphism, parse_vertex, UsageError
@@ -380,3 +384,154 @@ def test_degenerate_window_usage_error(capsys, command):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "degenerate window" in err
+
+
+# -- pinned surface ------------------------------------------------------------------
+#
+# (argv, exit code, SHA-256 of stdout, start of stderr) for every subcommand and
+# for the error paths of the parsers and the functor-file loader.  {F} is a
+# functor file, {MISSING} a path that does not exist and {BAD} a file holding
+# invalid JSON; they are filled in per run, in argv and in the stderr prefix.
+T120 = ("--r", "1", "--n", "2", "--m", "0")
+FUNCTOR = {"top": "X:0:(0,1)", "generators": ["X:0:(0,1)->X:0:(0,2)@0", "zero"]}
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+INVOCATIONS = {
+    "model": (
+        ["model", *T120],
+        0, "a9a365b88af1434368a94ba90da58c0db991f02c4ebfdb9c0e4b71a92f048287", "",
+    ),
+    "hom": (
+        ["hom", *T120, "--from", "X:0:(0,1)", "--to", "X:0:(0,1)"],
+        0, "5a614d0410c57839d84dbb754441522414ea0cb752cf980916c02c96e342e170", "",
+    ),
+    "compose": (
+        ["compose", *T120, "--f", "X:0:(0,1)->X:0:(0,2)@0", "--g", "X:0:(0,2)->Z:0:(0,5)@1"],
+        0, "2985a0ed63b4f885f2149e07b6825038e670399efce7006784d116c987aef791", "",
+    ),
+    "fan": (
+        ["fan", *T120, "--vertex", "Z:0:(0,5)"],
+        0, "a7068a5f6a87e260aceaeb54c6979fe76dd5731ebd55ee032717d34198809f63", "",
+    ),
+    "eval": (
+        ["eval", *T120, "--functor", "{F}", "--at", "X:0:(0,1)"],
+        0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865", "",
+    ),
+    "support": (
+        ["support", *T120, "--functor", "{F}"],
+        0, "f2d0f30fe6193c627593b59f9261452f493df6fec8b192c978fd4dd8fede4dae", "",
+    ),
+    "inC0": (
+        ["inC0", *T120, "--functor", "{F}"],
+        0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74", "",
+    ),
+    "ar": (
+        ["ar", *T120, "--vertex", "Z:0:(0,5)"],
+        0, "648f58db0c5ebc8b84c1f34c1b01cca921a34d177b6a682bdd9771c3def45ce0", "",
+    ),
+    "ar-export-stdout": (
+        ["ar-export", *T120, "--window", "0", "2", "0", "2"],
+        0, "66ab0c2dc34107ec929449a407fc21017b7324f38b76dd2b823bb1b958248952", "",
+    ),
+    "certify": (
+        ["certify", *T120, "--window", "-3", "3", "-3", "3", "--depth", "2"],
+        0, "0410beba52b1fca6a8a2916ed213b48c20959c49e765d766cb839a2d10eb2ba4", "",
+    ),
+    "certify-vacuous": (
+        ["certify", "--r", "1", "--n", "1", "--m", "0", "--window", "5", "6", "-6", "-5", "--depth", "1"],
+        1, "5154a5ff403442047a3fe5aa57c7f1bec8ac8acfc35e90f7524aae5ecb86368c", "",
+    ),
+    "malformed-degree": (
+        ["compose", *T120, "--f", "X:0:(0,1)->X:0:(0,2)@x", "--g", "zero"],
+        2, EMPTY_SHA256, "error: malformed degree in morphism 'X:0:(0,1)->X:0:(0,2)@x'",
+    ),
+    "malformed-morphism": (
+        ["compose", *T120, "--f", "X:0:(0,1)", "--g", "zero"],
+        2, EMPTY_SHA256, "error: malformed morphism 'X:0:(0,1)'; expected SRC->DST@degree",
+    ),
+    "malformed-vertex": (
+        ["ar", *T120, "--vertex", "X0(0,1)"],
+        2, EMPTY_SHA256, "error: malformed vertex 'X0(0,1)'; expected e.g. X:0:(0,1)",
+    ),
+    "arrow-not-in-model": (
+        ["compose", *T120, "--f", "X:0:(0,1)->X:0:(0,2)@0", "--g", "X:0:(0,2)->X:0:(0,1)@0"],
+        2, EMPTY_SHA256, "error: no such arrow in the model: X:0:(0,2)->X:0:(0,1)@0",
+    ),
+    "missing-functor-file": (
+        ["inC0", *T120, "--functor", "{MISSING}"],
+        2, EMPTY_SHA256, "error: cannot read functor file {MISSING}: ",
+    ),
+    "invalid-json-functor-file": (
+        ["support", *T120, "--functor", "{BAD}"],
+        2, EMPTY_SHA256, "error: functor file {BAD} is not valid JSON: ",
+    ),
+    "inadmissible-triple": (
+        ["model", "--r", "3", "--n", "2", "--m", "0"],
+        2, EMPTY_SHA256, "error: OmegaViolation: ",
+    ),
+    "degenerate-window": (
+        ["ar-export", *T120, "--window", "1", "0", "0", "0"],
+        2, EMPTY_SHA256, "error: degenerate window",
+    ),
+    "missing-flag": (
+        ["hom", *T120, "--from", "X:0:(0,1)"],
+        2, EMPTY_SHA256, "usage: kgcert hom [-h]",
+    ),
+    "unknown-subcommand": (
+        ["frobnicate", *T120],
+        2, EMPTY_SHA256, "usage: kgcert [-h]",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,code,digest,err_prefix", INVOCATIONS.values(), ids=INVOCATIONS.keys())
+def test_invocation_is_pinned(tmp_path, capsys, argv, code, digest, err_prefix):
+    (tmp_path / "F.json").write_text(json.dumps(FUNCTOR))
+    (tmp_path / "bad.json").write_text("{top: X}")
+    paths = {"{F}": tmp_path / "F.json", "{MISSING}": tmp_path / "absent.json", "{BAD}": tmp_path / "bad.json"}
+
+    def fill(text):
+        for key, path in paths.items():
+            text = text.replace(key, str(path))
+        return text
+
+    got_code, out, err = run(capsys, *map(fill, argv))
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+    assert err.startswith(fill(err_prefix)) and "Traceback" not in err
+
+
+SUBCOMMANDS = ["model", "hom", "compose", "fan", "eval", "support", "inC0", "ar", "ar-export", "certify"]
+USAGE_LINES = [
+    "usage: kgcert model [-h] --r R --n N --m M",
+    "usage: kgcert hom [-h] --r R --n N --m M --from SRC --to DST",
+    "usage: kgcert compose [-h] --r R --n N --m M --f F --g G",
+    "usage: kgcert fan [-h] --r R --n N --m M --vertex VERTEX",
+    "usage: kgcert eval [-h] --r R --n N --m M --functor PATH --at AT",
+    "usage: kgcert support [-h] --r R --n N --m M --functor PATH",
+    "usage: kgcert inC0 [-h] --r R --n N --m M --functor PATH",
+    "usage: kgcert ar [-h] --r R --n N --m M --vertex VERTEX",
+    "usage: kgcert ar-export [-h] --r R --n N --m M --window X0 X1 Y0 Y1 [--dot PATH]",
+    "usage: kgcert certify [-h] --r R --n N --m M [--window X0 X1 Y0 Y1] [--depth DEPTH] [--json PATH] "
+    "[--stats PATH]",
+]
+
+
+@pytest.mark.parametrize("command,usage", zip(SUBCOMMANDS, USAGE_LINES), ids=SUBCOMMANDS)
+def test_usage_line_is_pinned(monkeypatch, capsys, command, usage):
+    """The first line of each subcommand's help, on a terminal wide enough
+    that argparse does not wrap it."""
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0 and out.splitlines()[0] == usage
+
+
+def test_module_entry_point_lists_every_subcommand():
+    """`python -m kgcert.cli --help` runs main through the module's
+    __main__ guard, the function the kgcert script calls, and lists the
+    subcommands in order, once in the choices and once one per line."""
+    src = os.path.dirname(os.path.dirname(kgcert.__file__))
+    env = dict(os.environ, COLUMNS="200", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "kgcert.cli", "--help"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines()[0] == "usage: kgcert [-h] {" + ",".join(SUBCOMMANDS) + "} ..."
+    listed = [line.split()[0] for line in proc.stdout.splitlines() if line.startswith("    ")]
+    assert listed == SUBCOMMANDS
