@@ -23,9 +23,11 @@ which also bounds every swept chain point's L1 distance from its top.  The
 certificate records window, depth and every check outcome.
 
 Where it can, a run checks the items of every phase in two processes: it
-forks one helper that takes the items at odd x and keeps the even ones, then
-merges the first failures so that the records are those of the serial loop
-(``_run_phases``).
+forks one helper that takes the items whose share is odd and keeps the even
+ones, then merges the first failures so that the records are those of the
+serial loop (``_run_phases``).  An item's share is the coordinate along
+which its memoised work does not run: y for a finite1 vertex and for a C''
+tower, x for every other item.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ from .model import (
     FAMILY_X,
     FAMILY_Y,
     FAMILY_Z,
+    ZERO,
+    ArrowMorphism,
     VertexId,
     ZeroMorphism,
 )
@@ -281,6 +285,13 @@ def build_simple1(
     (aux <= a + [i=last] m).  Out-of-region second generators degenerate to
     the zero morphism, per the zero-map convention.
     """
+    top, _, gens = _simple1_parts(t, kind, orbit, coord, aux)
+    return FpFunctor(top, Subfunctor(top, gens))
+
+
+def _simple1_parts(t: GentleTriple, kind: str, orbit: int, coord: tuple, aux: int) -> tuple:
+    """build_simple1's top, the top's fan record and the generators (f, g),
+    each the basis arrow when the fan record has it, else zero."""
     spec = _KINDS.get(kind)
     if spec is None:
         raise ValueError(f"unknown kind {kind!r}")
@@ -288,18 +299,17 @@ def build_simple1(
         raise ModeMismatch(f"kind {kind} exists only when {'r == n' if t.is_finite_mode else 'r < n'}")
     a, b = coord
     top = VertexId(spec.family, orbit, coord)
-    if not model.vertex_valid(t, top):
-        raise InvalidVertex(f"not a vertex of the model: {top}")
+    rec = model.arrow_fan(t, top)  # InvalidVertex when top is not a vertex
     hi = _aux_top(t, spec, orbit, coord)
     if hi is not None and aux > hi:
         raise ParameterRange(f"aux must be <= {hi} for {kind} at {top}, got {aux}")
     sx, sy = spec.shift
     family, g_orbit, degree = _channel(t, orbit, spec.gen)
-    gens = (
-        model.arrow_or_zero(t, top, VertexId(spec.family, orbit, (a + sx, b + sy)), 0),
-        model.arrow_or_zero(t, top, VertexId(family, g_orbit, spec.gen_coord(a, b, aux)), degree),
+    ends = (
+        (VertexId(spec.family, orbit, (a + sx, b + sy)), 0),
+        (VertexId(family, g_orbit, spec.gen_coord(a, b, aux)), degree),
     )
-    return FpFunctor(top, Subfunctor(top, gens))
+    return top, rec, tuple(ArrowMorphism(top, dst, d) if model._has_arrow(rec, dst, d) else ZERO for dst, d in ends)
 
 
 def instance_functor(t: GentleTriple, inst: Simple1Instance) -> FpFunctor:
@@ -334,6 +344,17 @@ class _Session:
 
     # -- small helpers ------------------------------------------------------
 
+    def _instance(self, inst: Simple1Instance) -> tuple:
+        """(top, the top's fan record, the generators (f, g), the denominator
+        image) of a simple1 instance: the top and generators that
+        instance_functor gives, raising where it raises."""
+        top, rec, gens = _simple1_parts(self.t, *inst)
+        den = 0
+        for f in gens:
+            if f is not ZERO:
+                den |= self.eng._image(top, f.dst, f.degree)
+        return top, rec, gens, den
+
     def _factors_region(self, split_region, gen, entry) -> bool:
         """True iff every basis arrow from the top into split_region (within
         the fan entry's channel and degree) factors through gen.
@@ -353,27 +374,31 @@ class _Session:
 
     # -- tower + case analysis ----------------------------------------------
 
-    def tower_check(self, inst: Simple1Instance) -> bool:
+    def tower_check(self, inst: Simple1Instance, parts: Optional[tuple] = None) -> bool:
+        """The instance's tower and case analysis, memoised per instance;
+        parts is self._instance(inst) when the caller has it."""
         hit = self._tower_cache.get(inst)
         if hit is not None:
             return hit
-        ok = self._tower_sequences(inst) and self._case_analysis(inst)
+        if parts is None:
+            parts = self._instance(inst)
+        ok = self._tower_sequences(inst, parts) and self._case_analysis(inst, parts)
         self._tower_cache[inst] = ok
         return ok
 
-    def _tower_sequences(self, inst: Simple1Instance) -> bool:
+    def _tower_sequences(self, inst: Simple1Instance, parts: tuple) -> bool:
         """Exact sequences 0 -> inst@(coord+(l+1)s) -> inst@(coord+l s) -> A -> 0, l <= depth.
 
-        Each step computes the denominator image of its sub once and hands
-        it to the next step, whose middle term is that same instance.  A
-        step answered from the memo hands on nothing, so the step after it
-        computes its middle image afresh."""
+        Each step reads the instance of its sub once and hands it to the
+        next step, whose middle term is that same instance; the first step's
+        middle term is parts.  A step answered from the memo hands on
+        nothing, so the step after it reads its middle instance afresh."""
         sy, sx = _KINDS[inst.kind].shift  # the tower ascends along the swapped shift
         kind, orbit, (a, b), aux = inst
         steps = [Simple1Instance(kind, orbit, (a + l * sx, b + l * sy), aux) for l in range(self.depth + 2)]
         # Towers at neighbouring coordinates share all but one of their steps.
         memo = self._tower_step_cache
-        mid = None
+        mid = parts
         for here, nxt in zip(steps, steps[1:]):
             ok = memo.get(here)
             if ok is None:
@@ -385,37 +410,31 @@ class _Session:
                 return False
         return True
 
-    def _tower_step(self, here: Simple1Instance, nxt: Simple1Instance, mid: Optional[int]) -> tuple:
+    def _tower_step(self, here: Simple1Instance, nxt: Simple1Instance, mid: Optional[tuple]) -> tuple:
         """The exact sequence 0 -> nxt -> here -> A -> 0, for nxt one step up
-        here's tower and A the sink-map simple at here's top, given here's
-        denominator image as mid (None: compute it).  Returns the verdict and
-        nxt's denominator image (None when the step fails early)."""
-        t, eng = self.t, self.eng
-        sub = instance_functor(t, nxt)
-        top = sub.top._replace(coord=here.coord)
-        if mid is None:
-            mid = eng.image_cube(top, instance_functor(t, here).denominators.generators)
-        if not _exists(model.arrow_fan(t, top), sub.top, 0):
+        here's tower and A the sink-map simple at here's top, given
+        self._instance(here) as mid (None: read it).  Returns the verdict and
+        self._instance(nxt) (None when the step fails early)."""
+        eng = self.eng
+        sub = self._instance(nxt)
+        sub_top, _, _, sub_image = sub
+        top, rec, _, mid_image = self._instance(here) if mid is None else mid
+        if not _exists(rec, sub_top, 0):
             return False, None  # tower shift must stay inside the index set
-        sub_image = eng.image_cube(sub.top, sub.denominators.generators)
-        return eng._ses(top, sub.top, 0, sub_image, mid, eng._sink_image(top)), sub_image
+        return eng._ses(top, sub_top, 0, sub_image, mid_image, eng._sink_image(top)), sub
 
-    def _case_analysis(self, inst: Simple1Instance) -> bool:
+    def _case_analysis(self, inst: Simple1Instance, parts: tuple) -> bool:
         """Every arrow out of the top is either absorbed (factors through a
         generator, hence lands in the denominator) or sits in a chain whose
         steps are sink-map simples, by the case rows of the instance's kind.
         Chains are swept inside the window, at points within the session's
-        depth (L1) of the top.  The instance's denominator image is computed
-        once; each chain point ORs in the image of its own extra arrow, and
-        reads the sink-map image at u's target from the engine's sink
-        decision."""
+        depth (L1) of the top.  parts is self._instance(inst); each chain
+        point ORs the image of its own extra arrow into its denominator
+        image, and reads the sink-map image at u's target from the engine's
+        sink decision."""
         t, eng = self.t, self.eng
-        F = instance_functor(t, inst)
-        top = F.top
-        gens = F.denominators.generators
-        den = eng.image_cube(top, gens)
+        top, rec, gens, den = parts
         a, b = top.coord
-        rec = model.arrow_fan(t, top)
         for row in _KINDS[inst.kind].rows:
             e = rec.channels.get(_channel(t, inst.orbit, row.key))
             if e is None:
@@ -503,8 +522,8 @@ class _Session:
 
     # -- the Z-vertex lemmas ------------------------------------------------------
 
-    def _layer_step(self, v: VertexId, inst: Simple1Instance, layer) -> bool:
-        """One step of an image chain out of v, with layer = instance_functor(inst):
+    def _layer_step(self, v: VertexId, inst: Simple1Instance, parts: tuple) -> bool:
+        """One step of an image chain out of v, with parts = self._instance(inst):
         u (to inst.coord) and `extra` (to inst.coord + the kind's shift), in v's
         channel, are nonzero, hop o u == extra for hop the layer's generator f,
         the kernel of (- o u) modulo extra is the layer's denominator, and the
@@ -521,13 +540,12 @@ class _Session:
         extra = VertexId(v.family, v.orbit, (a + sx, b + sy))
         if not (_exists(rec, u, 0) and _exists(rec, extra, 0)):
             return False
-        gens = layer.denominators.generators
-        if isinstance(gens[_F], ZeroMorphism):
+        if parts[2][_F] is ZERO:
             return False
         eng = self.eng
-        if eng._kernel(v, u, 0, eng._image(v, extra, 0)) != eng.image_cube(u, gens):
+        if eng._kernel(v, u, 0, eng._image(v, extra, 0)) != parts[3]:
             return False
-        return self.tower_check(inst)
+        return self.tower_check(inst, parts)
 
     def nonsimple1_check(self, v: VertexId) -> bool:
         """The strictly descending image chain out of a Z-vertex: K+1 layer
@@ -543,10 +561,9 @@ class _Session:
         first = _largest_aux(t, KIND_CP, v)
         for step in range(self.depth + 1):
             inst = first._replace(coord=(v.coord[0] + step, v.coord[1]))
-            layer = instance_functor(t, inst)
-            if functors.is_in_c0(t, layer):
+            if functors.is_in_c0(t, instance_functor(t, inst)):
                 return False  # every layer must be exactly infinite
-            if not self._layer_step(v, inst, layer):
+            if not self._layer_step(v, inst, self._instance(inst)):
                 return False
         return True
 
@@ -574,7 +591,7 @@ class _Session:
                     kind = KIND_CP if c > a else KIND_CPP
                     sx, sy = _KINDS[kind].shift
                     inst = Simple1Instance(kind, i, (c - sx, d - sy), aux[kind])
-                    ok = self._layer_step(v, inst, instance_functor(t, inst))
+                    ok = self._layer_step(v, inst, self._instance(inst))
                 elif e.degree == 1:
                     # The tautological epi from the target representable,
                     # which has a finite-length chain.
@@ -649,6 +666,7 @@ class _Phase(NamedTuple):
     witness: Callable = str  # item -> its name in the detail of a failure
     passed: str = ""
     failed: str = "failed at {}"
+    share: Callable = lambda item: item.coord[0]  # item -> the int whose parity picks its process
 
 
 def _tower_instances(s: _Session, verts: list) -> list:
@@ -672,10 +690,11 @@ _SIMPLE0 = _Phase("inner", lambda s, verts: verts, lambda s, v: s.simple0_check(
 _SIMPLE1 = _Phase(
     "inner", _tower_instances, lambda s, inst: s.tower_check(inst),
     ("instances", "length"), Simple1Instance.params,
+    share=lambda inst: inst.coord[_KINDS[inst.kind].shift[1]],  # the coordinate its tower keeps
 )
 _FINITE1 = _Phase(
     "window", lambda s, verts: [v for v in verts if v.family in s.mode.finite1],
-    lambda s, v: s.finite1_check(v), ("vertices",),
+    lambda s, v: s.finite1_check(v), ("vertices",), share=lambda v: v.coord[1],  # chains run along x
 )
 _NONSIMPLE1 = _Phase("inner", _z_vertices, lambda s, v: s.nonsimple1_check(v), ("vertices", "depth"))
 _C2SIMPLE = _Phase("inner", _z_vertices, lambda s, v: s.c2_check(v), ("vertices",))
@@ -718,24 +737,28 @@ _MODES = {
 # -- running the phases, in one process or two ---------------------------------
 #
 # One loop, _walk, checks the items of every phase: all of them in a serial
-# run; in a split run, those at even x in this process (parity 0) and those at
-# odd x in a forked helper (parity 1).  Towers ascend along the swapped shift:
-# along y for B', B'', C' and B, whose instances of one top column share tower
-# steps within one process; along x for C'', whose towers cross both shares.
+# run; in a split run, those of even share in this process (parity 0) and
+# those of odd share in a forked helper (parity 1).  Each phase's share keeps
+# the memoised work of its items in one process.  Towers ascend along the
+# swapped shift: along y for B', B'', C' and B, so the simple1 phase shares
+# them by x; along x for C'', so it shares those by y.  finite1 chains run
+# along x, so that phase shares its vertices by y.  The Z-vertex phases share
+# by x, although the C'' towers of their layer steps climb along x.
 
 
 def _walk(s: _Session, plan: list, parity: Optional[int] = None) -> list:
     """Check the items of every phase of the plan, in order, up to the first
-    that fails: all of them when parity is None, else those whose x has that
-    parity.  A check that raises a KgcertError fails its item.  Returns per
-    phase [the failing index or -1, items checked, seconds]."""
+    that fails: all of them when parity is None, else those whose share
+    (see _Phase) has that parity.  A check that raises a KgcertError fails
+    its item.  Returns per phase [the failing index or -1, items checked,
+    seconds]."""
     walk = []
     for _, phase, _, items in plan:
         t0 = time.perf_counter()
         failed = -1
         checked = 0
         for k, item in enumerate(items):
-            if parity is None or item.coord[0] % 2 == parity:
+            if parity is None or phase.share(item) % 2 == parity:
                 checked += 1
                 try:
                     ok = phase.check(s, item)
@@ -794,22 +817,23 @@ def _helper_walk(reply: bytes, plan: list) -> Optional[dict]:
         return None
     if not isinstance(walk, list) or len(walk) != len(plan):
         return None
-    for (_, _, _, items), res in zip(plan, walk):
+    for (_, phase, _, items), res in zip(plan, walk):
         if not (isinstance(res, list) and len(res) == 3):
             return None
         failed, checked, seconds = res
         if type(failed) is not int or type(checked) is not int or type(seconds) not in (int, float):
             return None
-        if failed != -1 and not (0 <= failed < len(items) and items[failed].coord[0] % 2 == 1):
+        if failed != -1 and not (0 <= failed < len(items) and phase.share(items[failed]) % 2 == 1):
             return None
     return report
 
 
 def _split_walks(s: _Session, plan: list) -> Optional[list]:
-    """The reports of this process (even x) and of a forked helper (odd x), or
-    None when the helper could not start, either process raised an
-    Exception or the helper gave no valid reply.  The helper is always
-    reaped: killed if this process stops early, also on KeyboardInterrupt."""
+    """The reports of this process (the items of even share, by each phase's
+    _Phase.share) and of a forked helper (odd share), or None when the
+    helper could not start, either process raised an Exception or the helper
+    gave no valid reply.  The helper is always reaped: killed if this
+    process stops early, also on KeyboardInterrupt."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:

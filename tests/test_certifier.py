@@ -210,10 +210,10 @@ def _swept_chain_points(monkeypatch, run):
     current = []
     real_case, real_kernel = C._Session._case_analysis, WindowEngine._kernel
 
-    def case_analysis(self, inst):
+    def case_analysis(self, inst, parts):
         current.append(inst)
         try:
-            return real_case(self, inst)
+            return real_case(self, inst, parts)
         finally:
             current.pop()
 
@@ -519,6 +519,43 @@ def test_tower_step_memo_cannot_leak_a_pass(t231, monkeypatch):
         got = {inst: s.tower_check(inst) for inst in order}
         assert got == towers, order
         assert len(bad_calls) == 1  # the failing step ran once, then came from the memo
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES + ORBIT_TRIPLES)
+def test_instance_reads_what_build_simple1_builds(r, n, m, monkeypatch):
+    """On every instance that a serial certify reads at [-4,4]^2, depth 4,
+    _Session._instance gives build_simple1's top and generators, the top's
+    fan record and the generators' image cube; moved to an invalid top or
+    given an aux above its bound, it raises what build_simple1 raises."""
+    t = validate_triple(r, n, m)
+    window = Window(-4, 4, -4, 4)
+    seen = set()
+    real = C._Session._instance
+
+    def spy(self, inst):
+        seen.add(inst)
+        return real(self, inst)
+
+    monkeypatch.setattr(C._Session, "_instance", spy)
+    assert _certify(monkeypatch, t, False, window, 4).passed
+    monkeypatch.undo()
+    assert {inst.kind for inst in seen} == set(C._MODES[t.is_finite_mode].kinds)
+    s = C._Session(t, window, 4)
+    for inst in seen:
+        top, rec, gens, den = s._instance(inst)
+        fp = build_simple1(t, *inst)
+        assert (top, gens) == (fp.top, fp.denominators.generators)
+        assert rec == M.arrow_fan(t, top) and den == s.eng.image_cube(top, gens)
+        spec = C._KINDS[inst.kind]
+        (a, b), hi = inst.coord, C._aux_top(t, spec, inst.orbit, inst.coord)
+        off_x = [k for k in range(1, 12) if not M.vertex_valid(t, VertexId(spec.family, inst.orbit, (a + k, b)))]
+        bad = [(inst._replace(orbit=t.orbit_count), InvalidVertex)]
+        bad += [(inst._replace(coord=(a + k, b)), InvalidVertex) for k in off_x[:1]]
+        bad += [] if hi is None else [(inst._replace(aux=hi + 1), ParameterRange)]
+        for wrong, error in bad:
+            for build in (lambda: build_simple1(t, *wrong), lambda: s._instance(wrong)):
+                with pytest.raises(error):
+                    build()
 
 
 # -- factorisation through a generator -----------------------------------------------
@@ -926,7 +963,9 @@ def test_a_fan_with_the_wrong_orbit_wrap_fails(monkeypatch, triple, failed):
 # alone; each chain point through kernel_matches on the denominator plus its
 # extra arrow against the sink maps of u's target; each layer step and
 # degree-2 point through model.compose.  It carries no image and decides no
-# sink image once.
+# sink image once.  The instance tuple (_Session._instance) that the real
+# session hands its tower check is passed on unused, and each case analysis
+# checks it against instance_functor and image_cube.
 
 
 class _FormulaSession(C._Session):
@@ -936,7 +975,7 @@ class _FormulaSession(C._Session):
             return M.IdentityMorphism(src)
         return M.arrow_or_zero(self.t, src, dst, deg)
 
-    def _tower_sequences(self, inst):
+    def _tower_sequences(self, inst, parts):
         sy, sx = C._KINDS[inst.kind].shift
         a, b = inst.coord
         steps = [inst._replace(coord=(a + l * sx, b + l * sy)) for l in range(self.depth + 2)]
@@ -959,10 +998,11 @@ class _FormulaSession(C._Session):
             top, u, sub.top, sub.denominators.generators, mid.denominators.generators, M.ar_sink_maps(t, top)
         )
 
-    def _case_analysis(self, inst):
+    def _case_analysis(self, inst, parts):
         t = self.t
         fp = C.instance_functor(t, inst)
         top, gens = fp.top, fp.denominators.generators
+        assert parts == (top, M.arrow_fan(t, top), gens, self.eng.image_cube(top, gens))
         a, b = top.coord
         channels = M.arrow_fan(t, top).channels
         for row in C._KINDS[inst.kind].rows:
@@ -986,7 +1026,8 @@ class _FormulaSession(C._Session):
                     return False
         return True
 
-    def _layer_step(self, v, inst, layer):
+    def _layer_step(self, v, inst, parts):
+        layer = C.instance_functor(self.t, inst)
         (a, b), (sx, sy) = inst.coord, C._KINDS[inst.kind].shift
         u = self._arrow(v, v.family, v.orbit, inst.coord, 0)
         extra = self._arrow(v, v.family, v.orbit, (a + sx, b + sy), 0)
@@ -996,7 +1037,7 @@ class _FormulaSession(C._Session):
             return False
         if not self.eng.kernel_matches(v, u, (extra,), layer.denominators.generators):
             return False
-        return self.tower_check(inst)
+        return self.tower_check(inst, parts)
 
     def c2_check(self, v):
         t = self.t
@@ -1010,7 +1051,7 @@ class _FormulaSession(C._Session):
                     kind = KIND_CP if c > a else KIND_CPP
                     sx, sy = C._KINDS[kind].shift
                     inst = Simple1Instance(kind, v.orbit, (c - sx, d - sy), aux[kind])
-                    ok = self._layer_step(v, inst, C.instance_functor(t, inst))
+                    ok = self._layer_step(v, inst, self._instance(inst))
                 elif e.degree == 1:
                     ok = self.finite1_check(V(e.family, e.orbit, c, d))
                 else:
@@ -1071,9 +1112,10 @@ def test_sweeps_agree_with_the_formulas_they_replaced(monkeypatch, triple, mutan
 
 # -- certifying in two processes ------------------------------------------------------
 #
-# On two CPUs certify forks a helper that checks the items at odd x of every
-# phase.  These tests force the split on or off through _split_allowed and
-# patch checks on the class, so the forked helper inherits the patch.
+# On two CPUs certify forks a helper that checks the items of odd share of
+# every phase (by x, or by y for finite1 vertices and simple1 C'' towers).
+# These tests force the split on or off through _split_allowed and patch
+# checks on the class, so the forked helper inherits the patch.
 
 SPLIT_WINDOW = Window(-4, 4, -4, 4)
 SPLIT_DEPTH = 2
@@ -1123,8 +1165,8 @@ def _patch_towers(monkeypatch, act):
     """Route tower_check through act(inst, real) for the B' instances."""
     real = C._Session.tower_check
 
-    def tower_check(self, inst):
-        run = lambda: real(self, inst)  # noqa: E731
+    def tower_check(self, inst, parts=None):
+        run = lambda: real(self, inst, parts)  # noqa: E731
         return act(inst, run) if inst.kind == KIND_BP else run()
 
     monkeypatch.setattr(C._Session, "tower_check", tower_check)
@@ -1181,6 +1223,53 @@ def test_split_records_the_serial_first_failure(t120, monkeypatch, where):
     assert record.params["instances"] == min(bad) + 1
     assert record.detail == f"failed at {items[min(bad)].params()}"
     assert [c.lemma for c in split.checks if not c.passed] == ["simple1", "collapse_layers"]
+
+
+def _split_agrees(monkeypatch, t, lemma, expected):
+    """certify in one process and in two: the same bytes, two processes, and
+    the lemma's record failed at expected (an item), the first failure."""
+    serial = _certify(monkeypatch, t, False)
+    split = _certify(monkeypatch, t, True)
+    assert _processes(split) == {2}
+    assert split.to_json_text() == serial.to_json_text()
+    (record,) = [c for c in split.checks if c.lemma == lemma]
+    witness = expected.params() if lemma == "simple1" else expected
+    assert not record.passed and record.detail == f"failed at {witness}"
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even y", "odd y"])
+def test_split_keeps_a_failing_finite1_step_in_one_share(t120, monkeypatch, parity):
+    """A finite1 step that fails fails every vertex whose chain runs through
+    it: those at its y and left of it.  The y share keeps them in one
+    process, which the helper's reply must show."""
+    verts = get_engine(t120, SPLIT_WINDOW.box).vertices()
+    items = C._FINITE1.items(C._Session(t120, SPLIT_WINDOW, SPLIT_DEPTH), verts)
+    bad = [v for v in items if v.family == "X" and v.coord[1] % 2 == parity][-1]
+    real = C._Session._finite1_step
+    monkeypatch.setattr(C._Session, "_finite1_step", lambda self, w, at_border: w != bad and real(self, w, at_border))
+    first = next(v for v in items if (v.family, v.orbit, v.coord[1]) == (bad.family, bad.orbit, bad.coord[1]))
+    _split_agrees(monkeypatch, t120, "finite1", first)
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even y", "odd y"])
+def test_split_keeps_a_failing_cpp_tower_step_in_one_share(t120, monkeypatch, parity):
+    """A C'' tower step that fails fails every simple1 C'' tower through it,
+    which climb along x at its y; the y share keeps them in one process."""
+    items, _, _ = _bp_instances(t120)
+    cpp = [inst for inst in items if inst.kind == KIND_CPP and inst.coord[1] % 2 == parity]
+    bad = cpp[len(cpp) // 2]
+    real = C._Session._tower_step
+
+    def tower_step(self, here, nxt, mid):
+        return (False, None) if here == bad else real(self, here, nxt, mid)
+
+    monkeypatch.setattr(C._Session, "_tower_step", tower_step)
+    first = next(
+        inst for inst in items
+        if inst._replace(coord=(0, 0)) == bad._replace(coord=(0, 0)) and inst.coord[1] == bad.coord[1]
+        and bad.coord[0] - SPLIT_DEPTH <= inst.coord[0] <= bad.coord[0]
+    )
+    _split_agrees(monkeypatch, t120, "simple1", first)
 
 
 def test_a_check_reaching_a_non_vertex_fails_its_item(t120, monkeypatch):
@@ -1276,8 +1365,11 @@ def _bad_replies(plan):
     first = plan[0][3]
     passing = [[-1, 0, 0.0] for _ in plan]
     even = next(k for k, v in enumerate(first) if v.coord[0] % 2 == 0)
+    f1 = [lemma for lemma, *_ in plan].index("finite1")
+    even_y = next(k for k, v in enumerate(plan[f1][3]) if v.coord[1] % 2 == 0 and v.coord[0] % 2 == 1)
     return {
         "failure in the parent's share": [[even, 1, 0.0]] + passing[1:],
+        "finite1 failure in the parent's share": passing[:f1] + [[even_y, 1, 0.0]] + passing[f1 + 1:],
         "index past the items": [[len(first), 1, 0.0]] + passing[1:],
         "one phase short": passing[1:],
         "index not an int": [["0", 1, 0.0]] + passing[1:],
@@ -1285,7 +1377,11 @@ def _bad_replies(plan):
 
 
 @pytest.mark.parametrize(
-    "bad", ["failure in the parent's share", "index past the items", "one phase short", "index not an int"]
+    "bad",
+    [
+        "failure in the parent's share", "finite1 failure in the parent's share", "index past the items",
+        "one phase short", "index not an int",
+    ],
 )
 def test_invalid_helper_reply_yields_the_serial_certificate(t120, monkeypatch, bad):
     real = C._walk
