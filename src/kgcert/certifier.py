@@ -25,9 +25,8 @@ certificate records window, depth and every check outcome.
 Where it can, a run checks the items of every phase in two processes: it
 forks one helper that takes the items whose share is odd and keeps the even
 ones, then merges the first failures so that the records are those of the
-serial loop (``_run_phases``).  An item's share is the coordinate along
-which its memoised work does not run: y for a finite1 vertex and for a C''
-tower, x for every other item.
+serial loop (``_run_phases``).  An item's share is y for a finite1 vertex,
+whose memoised chain runs along x, and x for every other item.
 """
 
 from __future__ import annotations
@@ -337,6 +336,7 @@ class _Session:
         self._tower_cache: dict = {}
         self._tower_step_cache: dict = {}
         self._finite1_cache: dict = {}
+        self._read: tuple = (None, None)  # (inst, self._instance(inst)) for the last instance read
 
     def record(self, lemma: str, params: dict, passed: bool, detail: str = "") -> bool:
         self.records.append(CheckRecord(lemma, params, passed, detail))
@@ -347,13 +347,19 @@ class _Session:
     def _instance(self, inst: Simple1Instance) -> tuple:
         """(top, the top's fan record, the generators (f, g), the denominator
         image) of a simple1 instance: the top and generators that
-        instance_functor gives, raising where it raises."""
-        top, rec, gens = _simple1_parts(self.t, *inst)
-        den = 0
-        for f in gens:
-            if f is not ZERO:
-                den |= self.eng._image(top, f.dst, f.degree)
-        return top, rec, gens, den
+        instance_functor gives, raising where it raises.  Only the last read
+        is kept (a memo of every read raises peak memory by half or more):
+        a case analysis reads the instance that its layer step just read, a
+        tower's first step the one its case analysis read, and each later
+        step the one the step below read as its sub."""
+        if self._read[0] != inst:
+            top, rec, gens = _simple1_parts(self.t, *inst)
+            den = 0
+            for f in gens:
+                if f is not ZERO:
+                    den |= self.eng._image(top, f.dst, f.degree)
+            self._read = inst, (top, rec, gens, den)
+        return self._read[1]
 
     def _factors_region(self, split_region, gen, entry) -> bool:
         """True iff every basis arrow from the top into split_region (within
@@ -374,66 +380,51 @@ class _Session:
 
     # -- tower + case analysis ----------------------------------------------
 
-    def tower_check(self, inst: Simple1Instance, parts: Optional[tuple] = None) -> bool:
-        """The instance's tower and case analysis, memoised per instance;
-        parts is self._instance(inst) when the caller has it."""
+    def tower_check(self, inst: Simple1Instance) -> bool:
+        """The instance's case analysis and tower, memoised per instance."""
         hit = self._tower_cache.get(inst)
         if hit is not None:
             return hit
-        if parts is None:
-            parts = self._instance(inst)
-        ok = self._tower_sequences(inst, parts) and self._case_analysis(inst, parts)
+        ok = self._case_analysis(inst) and self._tower_sequences(inst)
         self._tower_cache[inst] = ok
         return ok
 
-    def _tower_sequences(self, inst: Simple1Instance, parts: tuple) -> bool:
-        """Exact sequences 0 -> inst@(coord+(l+1)s) -> inst@(coord+l s) -> A -> 0, l <= depth.
-
-        Each step reads the instance of its sub once and hands it to the
-        next step, whose middle term is that same instance; the first step's
-        middle term is parts.  A step answered from the memo hands on
-        nothing, so the step after it reads its middle instance afresh."""
+    def _tower_sequences(self, inst: Simple1Instance) -> bool:
+        """Exact sequences 0 -> inst@(coord+(l+1)s) -> inst@(coord+l s) -> A -> 0, l <= depth."""
         sy, sx = _KINDS[inst.kind].shift  # the tower ascends along the swapped shift
         kind, orbit, (a, b), aux = inst
         steps = [Simple1Instance(kind, orbit, (a + l * sx, b + l * sy), aux) for l in range(self.depth + 2)]
         # Towers at neighbouring coordinates share all but one of their steps.
         memo = self._tower_step_cache
-        mid = parts
         for here, nxt in zip(steps, steps[1:]):
             ok = memo.get(here)
             if ok is None:
-                ok, mid = self._tower_step(here, nxt, mid)
-                memo[here] = ok
-            else:
-                mid = None
+                ok = memo[here] = self._tower_step(here, nxt)
             if not ok:
                 return False
         return True
 
-    def _tower_step(self, here: Simple1Instance, nxt: Simple1Instance, mid: Optional[tuple]) -> tuple:
+    def _tower_step(self, here: Simple1Instance, nxt: Simple1Instance) -> bool:
         """The exact sequence 0 -> nxt -> here -> A -> 0, for nxt one step up
-        here's tower and A the sink-map simple at here's top, given
-        self._instance(here) as mid (None: read it).  Returns the verdict and
-        self._instance(nxt) (None when the step fails early)."""
+        here's tower and A the sink-map simple at here's top.  here is read
+        before nxt, so the step above reuses this step's read of nxt."""
         eng = self.eng
-        sub = self._instance(nxt)
-        sub_top, _, _, sub_image = sub
-        top, rec, _, mid_image = self._instance(here) if mid is None else mid
+        top, rec, _, mid_image = self._instance(here)
+        sub_top, _, _, sub_image = self._instance(nxt)
         if not _exists(rec, sub_top, 0):
-            return False, None  # tower shift must stay inside the index set
-        return eng._ses(top, sub_top, 0, sub_image, mid_image, eng._sink_image(top)), sub
+            return False  # tower shift must stay inside the index set
+        return eng._ses(top, sub_top, 0, sub_image, mid_image, eng._sink_image(top))
 
-    def _case_analysis(self, inst: Simple1Instance, parts: tuple) -> bool:
+    def _case_analysis(self, inst: Simple1Instance) -> bool:
         """Every arrow out of the top is either absorbed (factors through a
         generator, hence lands in the denominator) or sits in a chain whose
         steps are sink-map simples, by the case rows of the instance's kind.
         Chains are swept inside the window, at points within the session's
-        depth (L1) of the top.  parts is self._instance(inst); each chain
-        point ORs the image of its own extra arrow into its denominator
-        image, and reads the sink-map image at u's target from the engine's
-        sink decision."""
+        depth (L1) of the top.  Each chain point ORs the image of its own
+        extra arrow into the instance's denominator image, and reads the
+        sink-map image at u's target from the engine's sink decision."""
         t, eng = self.t, self.eng
-        top, rec, gens, den = parts
+        top, rec, gens, den = self._instance(inst)
         a, b = top.coord
         for row in _KINDS[inst.kind].rows:
             e = rec.channels.get(_channel(t, inst.orbit, row.key))
@@ -522,30 +513,29 @@ class _Session:
 
     # -- the Z-vertex lemmas ------------------------------------------------------
 
-    def _layer_step(self, v: VertexId, inst: Simple1Instance, parts: tuple) -> bool:
-        """One step of an image chain out of v, with parts = self._instance(inst):
-        u (to inst.coord) and `extra` (to inst.coord + the kind's shift), in v's
-        channel, are nonzero, hop o u == extra for hop the layer's generator f,
-        the kernel of (- o u) modulo extra is the layer's denominator, and the
-        layer passes its simplicity tower.
+    def _layer_step(self, v: VertexId, inst: Simple1Instance) -> bool:
+        """One step of an image chain out of v: u (to inst.coord) and `extra`
+        (to inst.coord + the kind's shift), in v's channel, are nonzero,
+        hop o u == extra for hop the layer's generator f, the kernel of
+        (- o u) modulo extra is the layer's denominator, and the layer passes
+        its simplicity tower.
 
         hop o u == extra holds exactly when hop is nonzero.  hop is the
         degree-0 map from u's target to extra's, or zero.  A zero hop gives
         zero, which is not extra.  Otherwise, when u is the identity hop is
         extra itself; when u is an arrow the composite is the degree-0 arrow
         from v to extra's target, which exists, so it is extra."""
+        _, _, gens, den = self._instance(inst)
         (a, b), (sx, sy) = inst.coord, _KINDS[inst.kind].shift
         rec = model.arrow_fan(self.t, v)
         u = VertexId(v.family, v.orbit, inst.coord)
         extra = VertexId(v.family, v.orbit, (a + sx, b + sy))
-        if not (_exists(rec, u, 0) and _exists(rec, extra, 0)):
-            return False
-        if parts[2][_F] is ZERO:
+        if not (_exists(rec, u, 0) and _exists(rec, extra, 0)) or gens[_F] is ZERO:
             return False
         eng = self.eng
-        if eng._kernel(v, u, 0, eng._image(v, extra, 0)) != parts[3]:
+        if eng._kernel(v, u, 0, eng._image(v, extra, 0)) != den:
             return False
-        return self.tower_check(inst, parts)
+        return self.tower_check(inst)
 
     def nonsimple1_check(self, v: VertexId) -> bool:
         """The strictly descending image chain out of a Z-vertex: K+1 layer
@@ -563,7 +553,7 @@ class _Session:
             inst = first._replace(coord=(v.coord[0] + step, v.coord[1]))
             if functors.is_in_c0(t, instance_functor(t, inst)):
                 return False  # every layer must be exactly infinite
-            if not self._layer_step(v, inst, self._instance(inst)):
+            if not self._layer_step(v, inst):
                 return False
         return True
 
@@ -591,7 +581,7 @@ class _Session:
                     kind = KIND_CP if c > a else KIND_CPP
                     sx, sy = _KINDS[kind].shift
                     inst = Simple1Instance(kind, i, (c - sx, d - sy), aux[kind])
-                    ok = self._layer_step(v, inst, self._instance(inst))
+                    ok = self._layer_step(v, inst)
                 elif e.degree == 1:
                     # The tautological epi from the target representable,
                     # which has a finite-length chain.
@@ -690,7 +680,6 @@ _SIMPLE0 = _Phase("inner", lambda s, verts: verts, lambda s, v: s.simple0_check(
 _SIMPLE1 = _Phase(
     "inner", _tower_instances, lambda s, inst: s.tower_check(inst),
     ("instances", "length"), Simple1Instance.params,
-    share=lambda inst: inst.coord[_KINDS[inst.kind].shift[1]],  # the coordinate its tower keeps
 )
 _FINITE1 = _Phase(
     "window", lambda s, verts: [v for v in verts if v.family in s.mode.finite1],
@@ -738,12 +727,13 @@ _MODES = {
 #
 # One loop, _walk, checks the items of every phase: all of them in a serial
 # run; in a split run, those of even share in this process (parity 0) and
-# those of odd share in a forked helper (parity 1).  Each phase's share keeps
-# the memoised work of its items in one process.  Towers ascend along the
-# swapped shift: along y for B', B'', C' and B, so the simple1 phase shares
-# them by x; along x for C'', so it shares those by y.  finite1 chains run
-# along x, so that phase shares its vertices by y.  The Z-vertex phases share
-# by x, although the C'' towers of their layer steps climb along x.
+# those of odd share in a forked helper (parity 1).  finite1 chains run along
+# x, so that phase shares its vertices by y, keeping each chain's memo in one
+# process.  Every other phase shares by x.  Towers ascend along the swapped
+# shift: along y for B', B'', C' and B, so x keeps each of their towers in one
+# process.  C'' towers climb along x, but the Z-vertex phases, shared by x,
+# check some of the simple1 phase's C'' instances again in their layer steps
+# at the same x: sharing those by x too runs each such case analysis once.
 
 
 def _walk(s: _Session, plan: list, parity: Optional[int] = None) -> list:

@@ -210,10 +210,10 @@ def _swept_chain_points(monkeypatch, run):
     current = []
     real_case, real_kernel = C._Session._case_analysis, WindowEngine._kernel
 
-    def case_analysis(self, inst, parts):
+    def case_analysis(self, inst):
         current.append(inst)
         try:
-            return real_case(self, inst, parts)
+            return real_case(self, inst)
         finally:
             current.pop()
 
@@ -525,8 +525,10 @@ def test_tower_step_memo_cannot_leak_a_pass(t231, monkeypatch):
 def test_instance_reads_what_build_simple1_builds(r, n, m, monkeypatch):
     """On every instance that a serial certify reads at [-4,4]^2, depth 4,
     _Session._instance gives build_simple1's top and generators, the top's
-    fan record and the generators' image cube; moved to an invalid top or
-    given an aux above its bound, it raises what build_simple1 raises."""
+    fan record and the generators' image cube, also when read again after
+    other instances or right after itself, as a fresh session reads it;
+    moved to an invalid top or given an aux above its bound, it raises what
+    build_simple1 raises."""
     t = validate_triple(r, n, m)
     window = Window(-4, 4, -4, 4)
     seen = set()
@@ -541,6 +543,9 @@ def test_instance_reads_what_build_simple1_builds(r, n, m, monkeypatch):
     monkeypatch.undo()
     assert {inst.kind for inst in seen} == set(C._MODES[t.is_finite_mode].kinds)
     s = C._Session(t, window, 4)
+    order = sorted(seen)
+    for inst in order + order[::-1]:  # the turn reads the last instance twice in a row
+        assert s._instance(inst) == C._Session(t, window, 4)._instance(inst)
     for inst in seen:
         top, rec, gens, den = s._instance(inst)
         fp = build_simple1(t, *inst)
@@ -556,6 +561,27 @@ def test_instance_reads_what_build_simple1_builds(r, n, m, monkeypatch):
             for build in (lambda: build_simple1(t, *wrong), lambda: s._instance(wrong)):
                 with pytest.raises(error):
                     build()
+
+
+# _simple1_parts calls of a serial certify at [-4,4]^2, depth 4, when each
+# caller read its instance and handed the read from method to method.
+SIMPLE1_READS = {(1, 2, 0): 2008, (2, 3, 0): 4078, (1, 3, 2): 2048, (1, 1, 0): 165, (2, 2, 0): 330, (2, 2, 1): 363}
+
+
+@pytest.mark.parametrize("r,n,m", list(SIMPLE1_READS))
+def test_the_kept_read_reads_no_instance_more_often(r, n, m, monkeypatch):
+    """Keeping only the session's last read makes a serial certify read
+    simple1 instances no more often than handing reads on did."""
+    real = C._simple1_parts
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(C, "_simple1_parts", spy)
+    assert _certify(monkeypatch, validate_triple(r, n, m), False, Window(-4, 4, -4, 4), 4).passed
+    assert len(calls) <= SIMPLE1_READS[(r, n, m)]
 
 
 # -- factorisation through a generator -----------------------------------------------
@@ -963,9 +989,8 @@ def test_a_fan_with_the_wrong_orbit_wrap_fails(monkeypatch, triple, failed):
 # alone; each chain point through kernel_matches on the denominator plus its
 # extra arrow against the sink maps of u's target; each layer step and
 # degree-2 point through model.compose.  It carries no image and decides no
-# sink image once.  The instance tuple (_Session._instance) that the real
-# session hands its tower check is passed on unused, and each case analysis
-# checks it against instance_functor and image_cube.
+# sink image once.  Each case analysis checks the session's read of its
+# instance (_Session._instance) against instance_functor and image_cube.
 
 
 class _FormulaSession(C._Session):
@@ -975,7 +1000,7 @@ class _FormulaSession(C._Session):
             return M.IdentityMorphism(src)
         return M.arrow_or_zero(self.t, src, dst, deg)
 
-    def _tower_sequences(self, inst, parts):
+    def _tower_sequences(self, inst):
         sy, sx = C._KINDS[inst.kind].shift
         a, b = inst.coord
         steps = [inst._replace(coord=(a + l * sx, b + l * sy)) for l in range(self.depth + 2)]
@@ -998,11 +1023,11 @@ class _FormulaSession(C._Session):
             top, u, sub.top, sub.denominators.generators, mid.denominators.generators, M.ar_sink_maps(t, top)
         )
 
-    def _case_analysis(self, inst, parts):
+    def _case_analysis(self, inst):
         t = self.t
         fp = C.instance_functor(t, inst)
         top, gens = fp.top, fp.denominators.generators
-        assert parts == (top, M.arrow_fan(t, top), gens, self.eng.image_cube(top, gens))
+        assert self._instance(inst) == (top, M.arrow_fan(t, top), gens, self.eng.image_cube(top, gens))
         a, b = top.coord
         channels = M.arrow_fan(t, top).channels
         for row in C._KINDS[inst.kind].rows:
@@ -1026,7 +1051,7 @@ class _FormulaSession(C._Session):
                     return False
         return True
 
-    def _layer_step(self, v, inst, parts):
+    def _layer_step(self, v, inst):
         layer = C.instance_functor(self.t, inst)
         (a, b), (sx, sy) = inst.coord, C._KINDS[inst.kind].shift
         u = self._arrow(v, v.family, v.orbit, inst.coord, 0)
@@ -1037,7 +1062,7 @@ class _FormulaSession(C._Session):
             return False
         if not self.eng.kernel_matches(v, u, (extra,), layer.denominators.generators):
             return False
-        return self.tower_check(inst, parts)
+        return self.tower_check(inst)
 
     def c2_check(self, v):
         t = self.t
@@ -1051,7 +1076,7 @@ class _FormulaSession(C._Session):
                     kind = KIND_CP if c > a else KIND_CPP
                     sx, sy = C._KINDS[kind].shift
                     inst = Simple1Instance(kind, v.orbit, (c - sx, d - sy), aux[kind])
-                    ok = self._layer_step(v, inst, self._instance(inst))
+                    ok = self._layer_step(v, inst)
                 elif e.degree == 1:
                     ok = self.finite1_check(V(e.family, e.orbit, c, d))
                 else:
@@ -1113,7 +1138,7 @@ def test_sweeps_agree_with_the_formulas_they_replaced(monkeypatch, triple, mutan
 # -- certifying in two processes ------------------------------------------------------
 #
 # On two CPUs certify forks a helper that checks the items of odd share of
-# every phase (by x, or by y for finite1 vertices and simple1 C'' towers).
+# every phase (by x, or by y for finite1 vertices).
 # These tests force the split on or off through _split_allowed and patch
 # checks on the class, so the forked helper inherits the patch.
 
@@ -1165,8 +1190,8 @@ def _patch_towers(monkeypatch, act):
     """Route tower_check through act(inst, real) for the B' instances."""
     real = C._Session.tower_check
 
-    def tower_check(self, inst, parts=None):
-        run = lambda: real(self, inst, parts)  # noqa: E731
+    def tower_check(self, inst):
+        run = lambda: real(self, inst)  # noqa: E731
         return act(inst, run) if inst.kind == KIND_BP else run()
 
     monkeypatch.setattr(C._Session, "tower_check", tower_check)
@@ -1254,14 +1279,15 @@ def test_split_keeps_a_failing_finite1_step_in_one_share(t120, monkeypatch, pari
 @pytest.mark.parametrize("parity", [0, 1], ids=["even y", "odd y"])
 def test_split_keeps_a_failing_cpp_tower_step_in_one_share(t120, monkeypatch, parity):
     """A C'' tower step that fails fails every simple1 C'' tower through it,
-    which climb along x at its y; the y share keeps them in one process."""
+    which climb along x at its y.  The x share puts those towers in both
+    processes, and the merge still records the first of them."""
     items, _, _ = _bp_instances(t120)
     cpp = [inst for inst in items if inst.kind == KIND_CPP and inst.coord[1] % 2 == parity]
     bad = cpp[len(cpp) // 2]
     real = C._Session._tower_step
 
-    def tower_step(self, here, nxt, mid):
-        return (False, None) if here == bad else real(self, here, nxt, mid)
+    def tower_step(self, here, nxt):
+        return here != bad and real(self, here, nxt)
 
     monkeypatch.setattr(C._Session, "_tower_step", tower_step)
     first = next(
