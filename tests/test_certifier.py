@@ -46,6 +46,7 @@ from kgcert.model import ArrowMorphism, VertexId, ZERO, ZeroMorphism
 from kgcert.presentation import validate_triple
 
 from conftest import ACCEPTANCE_TRIPLES, INFINITE_TRIPLES, ORBIT_TRIPLES
+from mutants import KIND_ROW_IDS, KIND_ROW_MUTANTS
 
 
 def V(fam, orbit, a, b):
@@ -905,38 +906,6 @@ def test_a_case_row_naming_no_channel_fails(t120, monkeypatch):
     cert = _certify_both_ways(monkeypatch, t120, Window(-4, 4, -4, 4), 3)
     assert cert.verdict == "fail"
     assert [c.lemma for c in cert.checks if not c.passed] == ["simple1", "collapse_layers"]
-
-
-def _chain_moved(kind, i, **offset):
-    """The kind's case rows with the offset of its _Chain row i changed."""
-    rows = C._KINDS[kind].rows
-    assert isinstance(rows[i], C._Chain)
-    return rows[:i] + (rows[i]._replace(**offset),) + rows[i + 1:]
-
-
-# (triple, kind, field, value, the lemmas that fail): kind rows with their
-# second generator one step off, their aux range one short or broken, or one
-# chain's u or modulus arrow one step off, which the chain sweep of the case
-# analysis rejects.
-KIND_ROW_MUTANTS = [
-    ((1, 2, 0), KIND_BP, "gen_coord", lambda a, b, aux: (a, aux + 1), ["simple1"]),
-    ((1, 2, 0), KIND_BPP, "gen_coord", lambda a, b, aux: (aux + 1, a), ["simple1"]),
-    ((1, 1, 0), KIND_B_INF, "gen_coord", lambda a, b, aux: (aux + 1, a), ["inf_simple1", "inf_finite1"]),
-    ((1, 2, 0), KIND_CP, "aux_top", lambda a, b, m, n: a + m, ["finite1", "nonsimple1", "c2simple"]),
-    ((1, 2, 0), KIND_CPP, "aux_top", lambda a, b, m, n: b - n, ["finite1", "c2simple"]),
-    ((1, 2, 0), KIND_CP, "aux_top", lambda a, b, m, n: -b + m + 1,
-     ["simple1", "finite1", "nonsimple1", "c2simple"]),
-    ((1, 2, 0), KIND_CPP, "aux_top", lambda a, b, m, n: -a - n + 1, ["simple1", "finite1", "c2simple"]),
-    ((1, 1, 0), KIND_B_INF, "aux_top", lambda a, b, m, n: -b + m, ["inf_simple1", "inf_finite1"]),
-    ((1, 2, 0), KIND_BP, "rows", _chain_moved(KIND_BP, 1, mod=(0, 1)), ["simple1"]),
-    ((1, 2, 0), KIND_BPP, "rows", _chain_moved(KIND_BPP, 4, mod=(0, 0)), ["simple1"]),
-    ((1, 2, 0), KIND_CP, "rows", _chain_moved(KIND_CP, 4, u=(-1, 0)), ["simple1", "nonsimple1", "c2simple"]),
-    ((1, 2, 0), KIND_CPP, "rows", _chain_moved(KIND_CPP, 1, u=(-2, 0)), ["simple1", "c2simple"]),
-    ((1, 1, 0), KIND_B_INF, "rows", _chain_moved(KIND_B_INF, 1, mod=(0, 1)), ["inf_simple1"]),
-    ((1, 1, 0), KIND_B_INF, "rows", _chain_moved(KIND_B_INF, 4, mod=(0, 0)), ["inf_simple1"]),
-]
-KIND_ROW_IDS = ["B'-gen", "B''-gen", "B-gen", "C'-aux", "C''-aux", "C'-aux-range", "C''-aux-range", "B-aux-range",
-                "B'-chain1-mod", "B''-chain4-mod", "C'-chain4-u", "C''-chain1-u", "B-chain1-mod", "B-chain4-mod"]
 
 
 @pytest.mark.parametrize("triple,kind,field,value,failed", KIND_ROW_MUTANTS, ids=KIND_ROW_IDS)
