@@ -22,18 +22,23 @@ phase list.  Infinite constructions are verified to a configurable depth,
 which also bounds every swept chain point's L1 distance from its top.  The
 certificate records window, depth and every check outcome.
 
-Where it can, a run checks the items of every phase in two processes: it
-forks one helper that takes the items whose share is odd and keeps the even
-ones, then merges the first failures so that the records are those of the
-serial loop (``_run_phases``).  An item's share is y for a finite1 vertex,
-whose memoised chain runs along x, and x for every other item.
+The model has a rank-2 translation group: sigma_x moves X-vertices by
+(1, 1) and Z-vertices by (1, 0), sigma_y moves Y-vertices by (1, 1) and
+Z-vertices by (0, 1), and neither changes an orbit.  The first phase,
+``translation``, checks on the window that both maps carry vertices to
+vertices and fan records to fan records.  Every later phase then checks one
+representative per translation class of its items, the item nearest the
+window centre (L1, ties by item order), with the classes keyed by:
+
+* a Z-vertex: (family, orbit); an X- or Y-vertex: (family, orbit, a - b);
+* a simple1 instance: (kind, orbit) and its kind's invariants (``_Kind.cls``):
+  a - b for B' and B'', aux - a for C', aux - b for C'', and both a - b
+  and aux - a for B.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -105,8 +110,8 @@ class Certificate:
     depth: int
     checks: list = field(default_factory=list)
     verdict: str = "fail"
-    # Where the time went, per phase and process, and the cache sizes per
-    # process (see _Session.stats); not part of the certificate's bytes.
+    # Where the time went, per phase, and the cache sizes (see
+    # _Session.stats); not part of the certificate's bytes.
     stats: Optional[dict] = field(default=None, compare=False, repr=False)
 
     @property
@@ -115,6 +120,7 @@ class Certificate:
 
     def to_json(self) -> dict:
         return {
+            "version": 2,
             "triple": {"r": self.triple.r, "n": self.triple.n, "m": self.triple.m},
             "kg": self.kg,
             "window": list(self.window.box),
@@ -169,13 +175,14 @@ class _Kind(NamedTuple):
     # (a, b, m, n) -> the largest aux, with m and n scaled by [i = r - 1]; None: aux in Z
     aux_top: Optional[Callable]
     samples: Callable  # (a, aux_top) -> the two aux values the simple1 phase checks
+    cls: Callable  # (a, b, aux) -> the invariants of the instance's translation class
     rows: tuple
 
 
 _KINDS = {
     KIND_BP: _Kind(
         FAMILY_X, (1, 0), (FAMILY_Z, 0, 1), lambda a, b, aux: (a, aux),
-        None, lambda a, top: (0, a),
+        None, lambda a, top: (0, a), lambda a, b, aux: (a - b,),
         (
             _Factor((FAMILY_X, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
             _Chain((FAMILY_X, 0, 0), lambda a, b, aux: Region(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
@@ -187,7 +194,7 @@ _KINDS = {
     ),
     KIND_BPP: _Kind(
         FAMILY_Y, (1, 0), (FAMILY_Z, 0, 1), lambda a, b, aux: (aux, a),
-        None, lambda a, top: (0, a),
+        None, lambda a, top: (0, a), lambda a, b, aux: (a - b,),
         (
             _Factor((FAMILY_Y, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
             _Chain((FAMILY_Y, 0, 0), lambda a, b, aux: Region(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
@@ -199,7 +206,7 @@ _KINDS = {
     ),
     KIND_CP: _Kind(
         FAMILY_Z, (1, 0), (FAMILY_X, 1, 1), lambda a, b, aux: (aux, a),
-        lambda a, b, m, n: a + m + 1, lambda a, top: (top, top - 3),
+        lambda a, b, m, n: a + m + 1, lambda a, top: (top, top - 3), lambda a, b, aux: (aux - a,),
         (
             _Factor((FAMILY_Z, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
             _Chain((FAMILY_Z, 0, 0), lambda a, b, aux: Region(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
@@ -212,7 +219,7 @@ _KINDS = {
     ),
     KIND_CPP: _Kind(
         FAMILY_Z, (0, 1), (FAMILY_Y, 1, 1), lambda a, b, aux: (aux, b),
-        lambda a, b, m, n: b - n + 1, lambda a, top: (top, top - 3),
+        lambda a, b, m, n: b - n + 1, lambda a, top: (top, top - 3), lambda a, b, aux: (aux - b,),
         (
             _Factor((FAMILY_Z, 0, 0), lambda a, b, aux: Region(lo_y=b + 1), _F),
             _Chain((FAMILY_Z, 0, 0), lambda a, b, aux: Region(lo_y=b, hi_y=b, lo_x=a + 1), (-1, 0), (0, 0)),
@@ -225,7 +232,7 @@ _KINDS = {
     ),
     KIND_B_INF: _Kind(
         FAMILY_X, (1, 0), (FAMILY_X, 1, 1), lambda a, b, aux: (aux, a),
-        lambda a, b, m, n: a + m, lambda a, top: (top, top - 2),
+        lambda a, b, m, n: a + m, lambda a, top: (top, top - 2), lambda a, b, aux: (a - b, aux - a),
         (
             _Factor((FAMILY_X, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
             _Chain((FAMILY_X, 0, 0), lambda a, b, aux: Region(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
@@ -262,6 +269,46 @@ def _largest_aux(t: GentleTriple, kind: str, top: VertexId) -> Simple1Instance:
     aux is allowed."""
     aux = _aux_top(t, _KINDS[kind], top.orbit, top.coord)
     return Simple1Instance(kind, top.orbit, top.coord, 0 if aux is None else aux)
+
+
+# -- the translation group --------------------------------------------------
+#
+# Per generator, sigma_x then sigma_y, the shift of each family's
+# coordinates; sigma_x sigma_y is the diagonal shift v -> v + (1, 1).
+
+_SIGMAS = (
+    {FAMILY_X: (1, 1), FAMILY_Y: (0, 0), FAMILY_Z: (1, 0)},
+    {FAMILY_X: (0, 0), FAMILY_Y: (1, 1), FAMILY_Z: (0, 1)},
+)
+_FIXED = dict.fromkeys((FAMILY_X, FAMILY_Y, FAMILY_Z), (0, 0))
+
+
+def _moved(sigma: dict, v: VertexId, k: int = 1) -> VertexId:
+    """sigma^k v."""
+    (dx, dy), (a, b) = sigma[v.family], v.coord
+    return VertexId(v.family, v.orbit, (a + k * dx, b + k * dy))
+
+
+def _moved_entries(rec: model.ArrowFan, sigma: dict) -> list:
+    """The entries of a fan record as flat tuples, each region moved by
+    sigma's shift of the entry's family (a shift (dx, dy) moves the bounds
+    of x - y by dx - dy)."""
+    out = []
+    for e in rec.entries:
+        (dx, dy), r = sigma[e.family], e.region
+        out.append((
+            e.family, e.orbit, e.degree, e.excludes_src, r.lo_x + dx, r.hi_x + dx,
+            r.lo_y + dy, r.hi_y + dy, r.lo_d + dx - dy, r.hi_d + dx - dy,
+        ))
+    return out
+
+
+def _vertex_class(v: VertexId) -> tuple:
+    """The key of v's translation class."""
+    if v.family == FAMILY_Z:
+        return v.family, v.orbit
+    a, b = v.coord
+    return v.family, v.orbit, a - b
 
 
 # -- builders ----------------------------------------------------------------
@@ -328,11 +375,11 @@ class _Session:
         self.depth = depth
         self.eng: WindowEngine = get_engine(t, window.box)
         self.records: list = []
-        # "phases": per phase in record order, its item count and, per process
-        # (this one first, then a helper if one ran), the items checked and
-        # the seconds taken; "caches": per process, the sizes of the caches
-        # below and of the engine's after its walk (see _report).
-        self.stats: dict = {"phases": [], "caches": []}
+        # "phases": per phase in record order, its representatives ("items"),
+        # the box items they cover, the representatives checked and the
+        # seconds taken; "caches": the sizes of the caches below and of the
+        # engine's after the last phase (see _cache_sizes).
+        self.stats: dict = {"phases": [], "caches": {}}
         self._tower_cache: dict = {}
         self._tower_step_cache: dict = {}
         self._finite1_cache: dict = {}
@@ -450,6 +497,32 @@ class _Session:
                 mod = den | eng._image(top, extra, p) if _exists(rec, extra, p) else den
                 if eng._kernel(top, S, p, mod) != eng._sink_image(S):
                     return False
+        return True
+
+    # -- the translation group --------------------------------------------------
+
+    def translation_check(self, v: VertexId) -> bool:
+        """For sigma_x and sigma_y, at a vertex v: wherever sigma v lies in
+        the window, it is a vertex whose fan record (entries with their
+        excludes_src flags, and the sink pair) is v's record moved by sigma;
+        wherever sigma^-1 v lies in the window, it is a vertex.  Over the
+        window's vertices, so, sigma w is a vertex exactly when w is one,
+        for every w with both in the window."""
+        t = self.t
+        rec = model.arrow_fan(t, v)
+        for sigma in _SIGMAS:
+            back = _moved(sigma, v, -1)
+            if self.window.contains(back.coord) and not model.vertex_valid(t, back):
+                return False
+            w = _moved(sigma, v)
+            if not self.window.contains(w.coord):
+                continue
+            image = model._fan_entries(t, w)
+            if image is None or _moved_entries(rec, sigma) != _moved_entries(image, _FIXED):
+                return False
+            sinks = tuple(f if f is ZERO else ArrowMorphism(w, _moved(sigma, f.dst), 0) for f in rec.sinks)
+            if sinks != image.sinks:
+                return False
         return True
 
     # -- simple objects -------------------------------------------------------
@@ -647,16 +720,17 @@ def check_infinite_mode(t: GentleTriple, window: Window, depth: int) -> bool:
 
 
 class _Phase(NamedTuple):
-    """One record: passed when every item passes, else failed at the first."""
+    """One record: passed when every representative passes, else failed at
+    the first that fails."""
 
     box: str  # the items come from the vertices of "window", "inner" or "quarter"
     items: Callable  # (session, vertices) -> the items, in order
     check: Callable  # (session, item) -> bool
-    params: tuple  # record params besides the window, named as in _run_phases
+    params: tuple  # record params besides the window and covers, named as in _run_phases
     witness: Callable = str  # item -> its name in the detail of a failure
     passed: str = ""
     failed: str = "failed at {}"
-    share: Callable = lambda item: item.coord[0]  # item -> the int whose parity picks its process
+    key: Callable = _vertex_class  # item -> the key of its translation class
 
 
 def _tower_instances(s: _Session, verts: list) -> list:
@@ -672,18 +746,28 @@ def _tower_instances(s: _Session, verts: list) -> list:
     ]
 
 
+def _instance_class(inst: Simple1Instance) -> tuple:
+    """The key of the instance's translation class."""
+    kind, orbit, (a, b), aux = inst
+    return (kind, orbit) + _KINDS[kind].cls(a, b, aux)
+
+
 def _z_vertices(s, verts):
     return [v for v in verts if v.family == FAMILY_Z]
 
 
+_TRANSLATION = _Phase(
+    "window", lambda s, verts: verts, lambda s, v: s.translation_check(v), ("vertices",),
+    passed="sigma_x and sigma_y preserve vertices and fan records", key=lambda v: v,
+)
 _SIMPLE0 = _Phase("inner", lambda s, verts: verts, lambda s, v: s.simple0_check(v), ("vertices",))
 _SIMPLE1 = _Phase(
     "inner", _tower_instances, lambda s, inst: s.tower_check(inst),
-    ("instances", "length"), Simple1Instance.params,
+    ("instances", "length"), Simple1Instance.params, key=_instance_class,
 )
 _FINITE1 = _Phase(
     "window", lambda s, verts: [v for v in verts if v.family in s.mode.finite1],
-    lambda s, v: s.finite1_check(v), ("vertices",), share=lambda v: v.coord[1],  # chains run along x
+    lambda s, v: s.finite1_check(v), ("vertices",),
 )
 _NONSIMPLE1 = _Phase("inner", _z_vertices, lambda s, v: s.nonsimple1_check(v), ("vertices", "depth"))
 _C2SIMPLE = _Phase("inner", _z_vertices, lambda s, v: s.c2_check(v), ("vertices",))
@@ -708,201 +792,94 @@ _MODES = {
     True: _Mode(
         2, (KIND_BP, KIND_BPP, KIND_CP, KIND_CPP),
         {FAMILY_X: (KIND_BP, KIND_CP), FAMILY_Y: (KIND_BPP, KIND_CPP)},
-        (("simple0", _SIMPLE0), ("simple1", _SIMPLE1), ("finite1", _FINITE1),
+        (("translation", _TRANSLATION), ("simple0", _SIMPLE0), ("simple1", _SIMPLE1), ("finite1", _FINITE1),
          ("nonsimple1", _NONSIMPLE1), ("c2simple", _C2SIMPLE), ("layer0_strict", _LAYER0_STRICT)),
         {"H_X": 1, "H_Y": 1, "H_Z": 2},
         "X/Y representables collapse one layer up, Z representables two",
     ),
     False: _Mode(
         1, (KIND_B_INF,), {FAMILY_X: (KIND_B_INF, None)},
-        (("inf_simple0", _SIMPLE0), ("inf_simple1", _SIMPLE1), ("inf_finite1", _FINITE1),
-         ("layer0_strict", _LAYER0_STRICT)),
+        (("translation", _TRANSLATION), ("inf_simple0", _SIMPLE0), ("inf_simple1", _SIMPLE1),
+         ("inf_finite1", _FINITE1), ("layer0_strict", _LAYER0_STRICT)),
         {"H_X": 1},
         "finite length is reached one layer up",
     ),
 }
 
 
-# -- running the phases, in one process or two ---------------------------------
-#
-# One loop, _walk, checks the items of every phase: all of them in a serial
-# run; in a split run, those of even share in this process (parity 0) and
-# those of odd share in a forked helper (parity 1).  finite1 chains run along
-# x, so that phase shares its vertices by y, keeping each chain's memo in one
-# process.  Every other phase shares by x.  Towers ascend along the swapped
-# shift: along y for B', B'', C' and B, so x keeps each of their towers in one
-# process.  C'' towers climb along x, but the Z-vertex phases, shared by x,
-# check some of the simple1 phase's C'' instances again in their layer steps
-# at the same x: sharing those by x too runs each such case analysis once.
+# -- running the phases ---------------------------------------------------------
 
 
-def _walk(s: _Session, plan: list, parity: Optional[int] = None) -> list:
-    """Check the items of every phase of the plan, in order, up to the first
-    that fails: all of them when parity is None, else those whose share
-    (see _Phase) has that parity.  A check that raises a KgcertError fails
-    its item.  Returns per phase [the failing index or -1, items checked,
-    seconds]."""
-    walk = []
-    for _, phase, _, items in plan:
-        t0 = time.perf_counter()
-        failed = -1
-        checked = 0
-        for k, item in enumerate(items):
-            if parity is None or phase.share(item) % 2 == parity:
-                checked += 1
-                try:
-                    ok = phase.check(s, item)
-                except KgcertError:
-                    ok = False
-                if not ok:
-                    failed = k
-                    break
-        walk.append([failed, checked, time.perf_counter() - t0])
-    return walk
+def _representatives(window: Window, items: list, key: Callable) -> list:
+    """Per translation class of the items (by key), the item nearest the
+    window centre in L1 distance, the earliest of those at one distance;
+    in item order."""
+    cx, cy = window.x0 + window.x1, window.y0 + window.y1  # twice the centre
+    best = {}
+    for k, item in enumerate(items):
+        x, y = item.coord
+        d = abs(2 * x - cx) + abs(2 * y - cy)
+        cls = key(item)
+        if cls not in best or d < best[cls][0]:
+            best[cls] = (d, k)
+    return [items[k] for k in sorted(k for _, k in best.values())]
 
 
-# The caches that Certificate.stats sizes, in the order _report reads them.
+def _passes(s: _Session, phase: _Phase, item) -> bool:
+    """The item's check; a check that raises a KgcertError fails its item."""
+    try:
+        return phase.check(s, item)
+    except KgcertError:
+        return False
+
+
+# The caches that Certificate.stats sizes, in the order _cache_sizes reads them.
 _CACHES = ("tower_memo", "step_memo", "finite1_memo", "engine_cubes", "sink_decisions")
 
 
-def _report(s: _Session, plan: list, parity: Optional[int] = None) -> dict:
-    """What one process reports: its walk, and the sizes of its caches after it."""
-    walk = _walk(s, plan, parity)
+def _cache_sizes(s: _Session) -> dict:
     entries = s.eng._entries.values()
     sizes = (
         len(s._tower_cache), len(s._tower_step_cache), len(s._finite1_cache),
         len(entries), sum(entry[2] is not None for entry in entries),
     )
-    return {"walk": walk, "caches": dict(zip(_CACHES, sizes))}
-
-
-def _split_allowed() -> bool:
-    """Whether certification may fork a helper: fork exists, the process may
-    run on two CPUs or more, and no other thread runs (a forked child has
-    only the forking thread, so a lock another thread holds stays held)."""
-    if not hasattr(os, "fork") or threading.active_count() != 1:
-        return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return cpus >= 2
-
-
-def _helper_walk(reply: bytes, plan: list) -> Optional[dict]:
-    """The helper's report (see _report) from its reply, or None unless the
-    walk has one [index, checked, seconds] per phase, each failing index
-    names an item of the helper's share, and the caches map each name of
-    _CACHES to an int >= 0."""
-    try:
-        report = json.loads(reply)
-    except ValueError:
-        return None
-    if not (isinstance(report, dict) and report.keys() == {"walk", "caches"}):
-        return None
-    walk, caches = report["walk"], report["caches"]
-    if not (isinstance(caches, dict) and caches.keys() == set(_CACHES)):
-        return None
-    if any(type(size) is not int or size < 0 for size in caches.values()):
-        return None
-    if not isinstance(walk, list) or len(walk) != len(plan):
-        return None
-    for (_, phase, _, items), res in zip(plan, walk):
-        if not (isinstance(res, list) and len(res) == 3):
-            return None
-        failed, checked, seconds = res
-        if type(failed) is not int or type(checked) is not int or type(seconds) not in (int, float):
-            return None
-        if failed != -1 and not (0 <= failed < len(items) and phase.share(items[failed]) % 2 == 1):
-            return None
-    return report
-
-
-def _split_walks(s: _Session, plan: list) -> Optional[list]:
-    """The reports of this process (the items of even share, by each phase's
-    _Phase.share) and of a forked helper (odd share), or None when the
-    helper could not start, either process raised an Exception or the helper
-    gave no valid reply.  The helper is always reaped: killed if this
-    process stops early, also on KeyboardInterrupt."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        # The helper: writes the report of its share as JSON and exits, with
-        # status 1 on any exception.
-        status = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as out:
-                out.write(json.dumps(_report(s, plan, 1)).encode())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        with os.fdopen(read_fd, "rb") as replies:
-            try:
-                ours = _report(s, plan, 0)
-            except Exception:
-                return None  # the serial rerun raises the serial run's exception
-            reply = replies.read()
-        _, status = os.waitpid(pid, 0)
-        pid = None
-    finally:
-        if pid is not None:
-            import signal  # here, not at the top: only this path needs it
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    theirs = _helper_walk(reply, plan) if status == 0 else None
-    return None if theirs is None else [ours, theirs]
+    return dict(zip(_CACHES, sizes))
 
 
 def _run_phases(s: _Session) -> bool:
     """Record every phase of the session's mode, then collapse_layers; True
-    iff every phase passed.  A phase's record names its first failing item,
-    whether one process or two checked the items; a phase with no items
-    fails, since it gathered no evidence."""
+    iff every phase passed.  A phase checks one representative per
+    translation class of its items, up to the first that fails, which its
+    record names; a phase with no items fails, since it gathered no
+    evidence."""
     inner = s.window.inner_half()
     boxes = {"window": s.window, "inner": inner, "quarter": inner.inner_half()}
     verts = {name: model.vertices_in_box(s.t, *box.box) for name, box in boxes.items()}
-    plan = []
-    for lemma, phase in s.mode.phases:
-        plan.append((lemma, phase, boxes[phase.box], phase.items(s, verts[phase.box])))
-    reports = _split_walks(s, plan) if _split_allowed() else None
-    if reports is None:
-        reports = [_report(s, plan)]
-    s.stats["caches"] = [report["caches"] for report in reports]
     ok_all = True
-    for k, (lemma, phase, box, items) in enumerate(plan):
-        results = [report["walk"][k] for report in reports]
-        failed = min((res[0] for res in results if res[0] >= 0), default=-1)
+    for lemma, phase in s.mode.phases:
+        box = boxes[phase.box]
+        items = phase.items(s, verts[phase.box])
+        reps = _representatives(s.window, items, phase.key)
+        t0 = time.perf_counter()
+        failed = next((k for k, item in enumerate(reps) if not _passes(s, phase, item)), -1)
+        ok = failed < 0 and len(reps) > 0
+        checked = len(reps) if failed < 0 else failed + 1
         s.stats["phases"].append({
             "lemma": lemma,
-            "items": len(items),
-            "processes": [{"checked": res[1], "seconds": res[2]} for res in results],
+            "items": len(reps),
+            "covers": len(items),
+            "checked": checked,
+            "seconds": time.perf_counter() - t0,
         })
-        ok = failed < 0 and len(items) > 0
-        values = {
-            "vertices": len(items),
-            "instances": len(items) if ok else failed + 1,
-            "length": s.depth,
-            "depth": s.depth,
-        }
+        values = {"vertices": len(reps), "instances": checked, "length": s.depth, "depth": s.depth}
         ok_all &= s.record(
             lemma,
-            {"window": list(box.box), **{name: values[name] for name in phase.params}},
+            {"window": list(box.box), **{name: values[name] for name in phase.params}, "covers": len(items)},
             ok,
             phase.passed if ok
-            else phase.failed.format(phase.witness(items[failed])) if items else "no items",
+            else phase.failed.format(phase.witness(reps[failed])) if reps else "no items",
         )
+    s.stats["caches"] = _cache_sizes(s)
     s.record("collapse_layers", dict(s.mode.collapse), ok_all, s.mode.collapse_detail)
     return ok_all
 
@@ -918,12 +895,9 @@ def certify(
     verdict is "pass" only if every recorded check passed.  A depth below 1
     would check no tower step or chain point, so it is rejected.
 
-    On a machine with two CPUs or more, and with no other thread running,
-    the phases are checked in this process and one forked helper, which
-    holds memory of its own; the certificate has the same bytes as a run in
-    one process.  ``stats`` of the result gives the item count of each phase
-    and, per process, the items checked and the seconds taken, and per
-    process the sizes of the session's memos and of the engine's caches.
+    ``stats`` of the result gives, per phase, the representatives, the box
+    items they cover, the representatives checked and the seconds taken,
+    and the sizes of the session's memos and of the engine's caches.
     """
     if depth < 1:
         raise ParameterRange(f"depth must be >= 1, got {depth}")

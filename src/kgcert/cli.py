@@ -220,10 +220,10 @@ _COMMANDS = (
              (("--window", _WINDOW),
               ("--depth", dict(type=int, help="proof depth (certify's default when omitted)")),
               ("--json", dict(_PATH, help="also write the certificate here")),
-              ("--stats", dict(_PATH, help="write run statistics here as JSON: per phase, the item count "
-                               "and, per process, the items checked and the seconds taken; per process, "
-                               "the sizes of the tower, step and finite1 memos, the engine cubes and the "
-                               "sink decisions"))),
+              ("--stats", dict(_PATH, help="write run statistics here as JSON: per phase, the "
+                               "representatives (one per translation class), the box items they cover, "
+                               "the representatives checked and the seconds taken; the sizes of the "
+                               "tower, step and finite1 memos, the engine cubes and the sink decisions"))),
              _certify),
 )
 

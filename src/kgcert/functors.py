@@ -67,7 +67,9 @@ class Window:
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
     def inner_half(self) -> "Window":
-        return Window(self.x0 // 2, self.x1 // 2, self.y0 // 2, self.y1 // 2)
+        """Each bound halved and rounded toward zero, so [-h, h] halves to
+        [-(h // 2), h // 2]."""
+        return Window(*(-(-v // 2) if v < 0 else v // 2 for v in self.box))
 
     def __str__(self) -> str:
         return f"[{self.x0},{self.x1}]x[{self.y0},{self.y1}]"

@@ -44,12 +44,12 @@ def report(name: str, ok: bool, detail: str = "") -> bool:
 # SHA-256 of each certificate's to_json_text() at [-8,8]^2, depth 8.  A change
 # meant to keep certificates byte-identical must leave these as they are.
 CERT_SHA256 = {
-    (1, 2, 0): "bbd57dd4f23d8acf0a67158b9f90696e98c294fa1d6758f0df18df3a251c9773",
-    (2, 3, 0): "86865e26d61f96193931613be53523b9512904dfc12c3833350e7713c5cb5a65",
-    (1, 3, 2): "88fb74de6cd6e125a05c3061fd281e30f1b023c7ac36c0fa3a8dd2611f0026a5",
-    (1, 1, 0): "84a6284608958f3c390e8f8cb40eb0480121685821829473fd2cd55396891719",
-    (2, 2, 0): "ae218c6a1f2963de11e57a6888896c391cf8792fe4ea6c5c2594f07a1da1d3ec",
-    (2, 2, 1): "65755d95a27e58ecd15dc648910ef03ec490b95aaf0269fa4701e316bb31461b",
+    (1, 2, 0): "b62c9afcf0e18e1677eeb95f3e2cd572e25b956ca8bbe6b91780413691a5fb60",
+    (2, 3, 0): "cb94eb262dae8c650171353d2c0f90d002dd5e40837d2eaa78d4000845081df6",
+    (1, 3, 2): "ab6b97366225abd75d81b6f4934bb3c18fa8e125e069a2aea75c2dbcfff4c82c",
+    (1, 1, 0): "7803d49615da531dfef039c178a2d6a7dc9a695839356a877e539b4532f0ba78",
+    (2, 2, 0): "da1ead8da17ad1b7ea634950ad80c13caba6432d39a16f25bbc2ce649aba388a",
+    (2, 2, 1): "c7e404a29b760c647d65bdf8c0dd283380ed9398983d2f772990a5c6451db5dc",
 }
 
 
@@ -72,7 +72,7 @@ def test_theorem_values():
 
 # SHA-256 of the concatenated to_json_text() of the small grid below, in n, r,
 # m order, at [-4,4]^2, depth 4.
-GRID_SHA256 = "4e963c552483ab4bfc2e907b26a9a4b8482b5dc89f905be0595f58498d28a41d"
+GRID_SHA256 = "f90b1d2aced74a5f684e59acffd64189db4895e46555c6625d5b71ef99b90715"
 
 
 def test_theorem_values_on_the_small_grid():

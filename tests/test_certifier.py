@@ -3,12 +3,8 @@
 import hashlib
 import inspect
 import json
-import os
 import random
-import signal
 import textwrap
-import threading
-import time
 
 import pytest
 
@@ -46,7 +42,8 @@ from kgcert.model import ArrowMorphism, VertexId, ZERO, ZeroMorphism
 from kgcert.presentation import validate_triple
 
 from conftest import ACCEPTANCE_TRIPLES, INFINITE_TRIPLES, ORBIT_TRIPLES
-from mutants import KIND_ROW_IDS, KIND_ROW_MUTANTS
+from mutants import KIND_ROW_IDS, KIND_ROW_MUTANTS, moved_at_one_vertex
+from test_equivariance import translate_item
 
 
 def V(fam, orbit, a, b):
@@ -233,17 +230,17 @@ def _swept_chain_points(monkeypatch, run):
     with monkeypatch.context() as m:
         m.setattr(C._Session, "_case_analysis", case_analysis)
         m.setattr(WindowEngine, "_kernel", kernel)
-        m.setattr(C, "_split_allowed", lambda: False)  # a helper's calls would not reach the spy
         return run(), swept
 
 
 @pytest.mark.parametrize("depth", [2, 4])
 def test_chains_are_swept_within_the_session_depth(t120, monkeypatch, depth):
     """Every chain point a case analysis sweeps lies within the session's
-    depth (L1) of its top, and for B' at (0, 1), aux 0, a point at exactly
+    depth (L1) of its top, and for B' at (-1, 0), aux 0, a point at exactly
     that depth is swept: in the lemma function's session and in certify's,
-    although the window reaches further."""
-    inst = Simple1Instance(KIND_BP, 0, (0, 1), 0)
+    whose simple1 phase checks that instance as the representative of its
+    class, although the window reaches further."""
+    inst = Simple1Instance(KIND_BP, 0, (-1, 0), 0)
 
     def distance(inst, p):
         return abs(p[0] - inst.coord[0]) + abs(p[1] - inst.coord[1])
@@ -540,7 +537,7 @@ def test_instance_reads_what_build_simple1_builds(r, n, m, monkeypatch):
         return real(self, inst)
 
     monkeypatch.setattr(C._Session, "_instance", spy)
-    assert _certify(monkeypatch, t, False, window, 4).passed
+    assert certify(t, window, 4).passed
     monkeypatch.undo()
     assert {inst.kind for inst in seen} == set(C._MODES[t.is_finite_mode].kinds)
     s = C._Session(t, window, 4)
@@ -581,7 +578,7 @@ def test_the_kept_read_reads_no_instance_more_often(r, n, m, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(C, "_simple1_parts", spy)
-    assert _certify(monkeypatch, validate_triple(r, n, m), False, Window(-4, 4, -4, 4), 4).passed
+    assert certify(validate_triple(r, n, m), Window(-4, 4, -4, 4), 4).passed
     assert len(calls) <= SIMPLE1_READS[(r, n, m)]
 
 
@@ -696,10 +693,11 @@ def test_certify_small_windows():
 
 @pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES + ORBIT_TRIPLES)
 def test_certificate_is_invariant_under_translation(r, n, m):
-    """tau_3: (a, b) -> (a + 3, b + 3) maps [-5,5]^2 onto [-2,8]^2 (the halved
-    inner and quarter boxes move by 2 and 1 but keep their sizes).  The model
-    is invariant under every tau_k, so both windows give passing certificates
-    with the same records apart from their window params."""
+    """tau_4: (a, b) -> (a + 4, b + 4) maps [-5,5]^2 onto [-1,9]^2 (the inner
+    and quarter boxes, halved toward zero, move by 2 and 1 but keep their
+    sizes).  The model is invariant under every tau_k, so both windows give
+    passing certificates with the same records apart from their window
+    params."""
     t = validate_triple(r, n, m)
 
     def records(window):
@@ -710,21 +708,20 @@ def test_certificate_is_invariant_under_translation(r, n, m):
             for c in cert.checks
         ]
 
-    assert records(W5) == records(Window(-2, 8, -2, 8))
+    assert records(W5) == records(Window(-1, 9, -1, 9))
 
 
 @pytest.mark.parametrize(
     "r,n,m,window,empty",
     [
-        (1, 1, 0, Window(5, 6, -6, -5), ["inf_simple0", "inf_simple1", "inf_finite1", "layer0_strict"]),
+        (1, 1, 0, Window(5, 6, -6, -5), ["translation", "inf_simple0", "inf_simple1", "inf_finite1", "layer0_strict"]),
         (1, 2, 0, Window(5, 5, -5, -5), ["finite1"]),
     ],
 )
-def test_a_phase_with_no_items_fails(monkeypatch, r, n, m, window, empty):
+def test_a_phase_with_no_items_fails(r, n, m, window, empty):
     """A phase that checked no item gathered no evidence: it fails with
-    detail "no items", and so do collapse_layers and the verdict, with the
-    same bytes serially and split."""
-    cert = _certify_both_ways(monkeypatch, validate_triple(r, n, m), window, 1)
+    detail "no items", and so do collapse_layers and the verdict."""
+    cert = certify(validate_triple(r, n, m), window, 1)
     assert cert.verdict == "fail"
     assert [c.lemma for c in cert.checks if c.detail == "no items"] == empty
     assert [c.lemma for c in cert.checks if not c.passed] == empty + ["collapse_layers"]
@@ -752,7 +749,8 @@ def test_certificate_schema_and_determinism():
     assert a == b
     t = validate_triple(1, 2, 0)
     assert certify(t, W5, 3).to_json() == certify(t, W5, 3).to_json()
-    assert set(a) == {"triple", "kg", "window", "depth", "checks", "verdict"}
+    assert set(a) == {"version", "triple", "kg", "window", "depth", "checks", "verdict"}
+    assert a["version"] == 2
     for c in a["checks"]:
         assert set(c) == {"lemma", "params", "pass", "detail"}
     text = certify(t, W5, 3).to_json_text()
@@ -768,18 +766,16 @@ def test_checks_monotone_under_window_shrink(t120):
         assert check_nonsimple1(t120, V("Z", 0, 0, 0), 2, win)
 
 
-# SHA-256 of to_json_text() at [-5,6]x[-4,7], depth 5, taken before the
-# per-kind table replaced the hand-written case analyses.  The odd bounds make
-# Window.inner_half floor-divide unevenly ([-3,3]x[-2,3] inside); the
-# inner_half fix planned in ROADMAP item 3 changes these certificates and
-# re-pins these digests.
+# SHA-256 of to_json_text() at [-5,6]x[-4,7], depth 5: a window whose centre
+# is no lattice point, with odd bounds that Window.inner_half rounds toward
+# zero ([-2,3]x[-2,3] inside).
 OFFSET_WINDOW_SHA256 = {
-    (1, 2, 0): "0ae5b859f4fa2b018675949c61825ef92243b6125e0832b80fbfe054f72dab71",
-    (2, 3, 0): "672ce8567054f99605e16ee8caedd3d8f2563111ee17ebc253859dd83d6e163e",
-    (1, 3, 2): "0090b0046e5078ff84ba95073aac0949d1d80601dcb5c5613549eec87509d633",
-    (1, 1, 0): "d2fe634d02801cec5cbdf5c6c89536a27988067d3fff36ffd782ddb18c48e412",
-    (2, 2, 0): "4eb3b5cba5255fee2adb056636a24252a1e8e3cbf32620388aa1b486ed391654",
-    (2, 2, 1): "5d00c253801a32f912e30c140a470eb4623471732ff0b6424dbe6b1fcc7000c8",
+    (1, 2, 0): "e40284dcf74043b77c4247505eff73951b72489c98709bb595d8ffbff0e202f0",
+    (2, 3, 0): "be42188917d4246242d9bb1a2f3e1b48da10666b8656ee4be99083d4142ebb10",
+    (1, 3, 2): "ae3fdf48aa6dbae40795777cf5e9cb2172692720cb9219ca553e695385cf95ff",
+    (1, 1, 0): "896946a9c84b23d221f36a251e6841db5667915aa9b213d872d6f78af1b55b1e",
+    (2, 2, 0): "4928bf7f1dc50d8c7feebc3f4ce4dcfb160f63ac63134f3506ec6fc33ade2d2d",
+    (2, 2, 1): "27a736ad9df4b0f4aea9992586b9c0ae7fcf3138796cb83fa28093e0cf95ceff",
 }
 
 
@@ -825,9 +821,9 @@ def test_certify_calls_the_hooks_the_benchmark_tracer_patches(triple, monkeypatc
 
 @pytest.mark.parametrize("triple", [(1, 2, 0), (1, 1, 0)], ids=["120", "110"])
 def test_certify_never_counts(triple, monkeypatch):
-    """Every window decision of certify is a cube identity: a serial run
-    calls neither dims_cube nor cells, and builds each simple0 item's
-    quotient once."""
+    """Every window decision of certify is a cube identity: a run calls
+    neither dims_cube nor cells, and builds the quotient of each simple0
+    representative once."""
     calls = {"dims_cube": 0, "cells": 0, "build_simple0": 0}
 
     def counting(name, fn):
@@ -839,7 +835,7 @@ def test_certify_never_counts(triple, monkeypatch):
 
     for owner, name in [(WindowEngine, "dims_cube"), (WindowEngine, "cells"), (C, "build_simple0")]:
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
-    cert = _certify(monkeypatch, validate_triple(*triple), False, Window(-3, 3, -3, 3), 2)
+    cert = certify(validate_triple(*triple), Window(-3, 3, -3, 3), 2)
     assert cert.passed
     items = sum(p["items"] for p in cert.stats["phases"] if p["lemma"].endswith("simple0"))
     assert items > 0
@@ -897,13 +893,13 @@ def test_case_rows_cover_every_fan_channel(r, n, m):
 
 def test_a_case_row_naming_no_channel_fails(t120, monkeypatch):
     """A B' row keyed (Y, 0, 0), a channel no X-vertex's fan has, fails the
-    towers of every B' instance instead of raising, serially and split with
-    the same bytes; the other phases never run a B' case analysis."""
+    towers of every B' instance instead of raising; the other phases never
+    run a B' case analysis."""
     spec = C._KINDS[KIND_BP]
     rows = spec.rows[:-1] + (spec.rows[-1]._replace(key=(M.FAMILY_Y, 0, 0)),)
     monkeypatch.setitem(C._KINDS, KIND_BP, spec._replace(rows=rows))
     assert not check_simple1_tower(t120, Simple1Instance(KIND_BP, 0, (0, 1), 0), 3, W5)
-    cert = _certify_both_ways(monkeypatch, t120, Window(-4, 4, -4, 4), 3)
+    cert = certify(t120, Window(-4, 4, -4, 4), 3)
     assert cert.verdict == "fail"
     assert [c.lemma for c in cert.checks if not c.passed] == ["simple1", "collapse_layers"]
 
@@ -912,13 +908,12 @@ def test_a_case_row_naming_no_channel_fails(t120, monkeypatch):
 def test_a_mutated_kind_row_fails(monkeypatch, triple, kind, field, value, failed):
     """A kind row with its second generator one step off, its aux range
     one short or broken, or a chain offset one step off, fails certify
-    rather than raising, with the same bytes in one process and in two: the
-    finite-length steps read their quotient and sub from the same rows as
+    rather than raising: the finite-length steps read their quotient and sub from the same rows as
     the towers, an aux out of range up a tower is a ParameterRange that
     fails its item, and a moved chain offset fails the case analysis's
     sweep."""
     monkeypatch.setitem(C._KINDS, kind, C._KINDS[kind]._replace(**{field: value}))
-    cert = _certify_both_ways(monkeypatch, validate_triple(*triple), Window(-4, 4, -4, 4), 4)
+    cert = certify(validate_triple(*triple), Window(-4, 4, -4, 4), 4)
     assert cert.verdict == "fail"
     assert [c.lemma for c in cert.checks if not c.passed] == failed + ["collapse_layers"]
 
@@ -933,8 +928,8 @@ def test_a_mutated_kind_row_fails(monkeypatch, triple, kind, field, value, faile
 )
 def test_a_fan_with_the_wrong_orbit_wrap_fails(monkeypatch, triple, failed):
     """Fans that shift the coordinate on the wrong orbit step break the fan
-    containment: a check then reaches a non-vertex, and its item fails, in
-    one process and in two, instead of certify raising InvalidVertex."""
+    containment: a check then reaches a non-vertex, and its item fails
+    instead of certify raising InvalidVertex."""
     source = textwrap.dedent(inspect.getsource(M._fan_entries))
     assert "dr = 1 if i == R - 1 else 0" in source
     namespace = dict(vars(M))
@@ -943,7 +938,7 @@ def test_a_fan_with_the_wrong_orbit_wrap_fails(monkeypatch, triple, failed):
     try:
         with monkeypatch.context() as m:
             m.setattr(M, "_fan_entries", namespace["_fan_entries"])
-            cert = _certify_both_ways(monkeypatch, validate_triple(*triple), Window(-4, 4, -4, 4), 4)
+            cert = certify(validate_triple(*triple), Window(-4, 4, -4, 4), 4)
     finally:
         get_engine.cache_clear()  # the engines read the broken fans
     assert cert.verdict == "fail"
@@ -1104,436 +1099,197 @@ def test_sweeps_agree_with_the_formulas_they_replaced(monkeypatch, triple, mutan
     assert all(expected.values()) == (mutant is None)
 
 
-# -- certifying in two processes ------------------------------------------------------
-#
-# On two CPUs certify forks a helper that checks the items of odd share of
-# every phase (by x, or by y for finite1 vertices).
-# These tests force the split on or off through _split_allowed and patch
-# checks on the class, so the forked helper inherits the patch.
+# -- one representative per translation class ---------------------------------------
 
-SPLIT_WINDOW = Window(-4, 4, -4, 4)
-SPLIT_DEPTH = 2
+W4 = Window(-4, 4, -4, 4)
 
 
-def _processes(cert):
-    return {len(p["processes"]) for p in cert.stats["phases"]}
-
-
-def _certify(monkeypatch, t, split, window=SPLIT_WINDOW, depth=SPLIT_DEPTH):
-    with monkeypatch.context() as m:
-        m.setattr(C, "_split_allowed", lambda: split)
-        return certify(t, window, depth)
-
-
-def _certify_both_ways(monkeypatch, t, window, depth):
-    """certify in one process, then in two: the process counts are {1} and
-    {2} and the bytes the same.  Returns the certificate."""
-    serial = _certify(monkeypatch, t, False, window, depth)
-    split = _certify(monkeypatch, t, True, window, depth)
-    assert _processes(serial) == {1} and _processes(split) == {2}
-    assert split.to_json_text() == serial.to_json_text()
-    return split
-
-
-def _outcome(monkeypatch, t, split):
-    """The certificate's bytes and process counts, or the exception raised."""
-    try:
-        cert = _certify(monkeypatch, t, split)
-    except RuntimeError as exc:
-        return ("raised", str(exc))
-    return (cert.to_json_text(), _processes(cert))
-
-
-def _bp_instances(t):
-    """The simple1 phase's items, and the indices of its B' items at even
-    and at odd x.  No other phase checks a B' tower."""
-    s = C._Session(t, SPLIT_WINDOW, SPLIT_DEPTH)
-    items = C._tower_instances(s, get_engine(t, SPLIT_WINDOW.inner_half().box).vertices())
-    bp = [k for k, inst in enumerate(items) if inst.kind == KIND_BP]
-    even = [k for k in bp if items[k].coord[0] % 2 == 0]
-    odd = [k for k in bp if items[k].coord[0] % 2 == 1]
-    return items, even, odd
-
-
-def _patch_towers(monkeypatch, act):
-    """Route tower_check through act(inst, real) for the B' instances."""
-    real = C._Session.tower_check
-
-    def tower_check(self, inst):
-        run = lambda: real(self, inst)  # noqa: E731
-        return act(inst, run) if inst.kind == KIND_BP else run()
-
-    monkeypatch.setattr(C._Session, "tower_check", tower_check)
-
-
-def _chosen(even, odd, where):
-    """Indices of the items to break: one in the helper's share (odd x), one
-    in this process's share, or one in each with the named one first."""
-    o = odd[len(odd) // 2]
-    e = even[len(even) // 2]
-    return {
-        "helper": [o],
-        "parent": [e],
-        "both, helper first": [o, next(k for k in even if k > o)],
-        "both, parent first": [e, next(k for k in odd if k > e)],
-    }[where]
-
-
-@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
-def test_split_and_serial_certificates_have_the_same_bytes(r, n, m, monkeypatch):
-    cert = _certify_both_ways(monkeypatch, validate_triple(r, n, m), Window(-5, 6, -4, 7), 5)
-    assert hashlib.sha256(cert.to_json_text().encode()).hexdigest() == OFFSET_WINDOW_SHA256[(r, n, m)]
-
-
-# SHA-256 of to_json_text() at [-4,4]^2, depth 4, taken before the Z-vertex
-# lemmas read the fan record.
+# SHA-256 of to_json_text() at [-4,4]^2, depth 4.
 ORBIT_SHA256 = {
-    (3, 4, 1): "b9a18375aaa567854688e1ed52ada4572a69846ecbf163ef02f7a182cd5abafc",
-    (3, 3, 1): "0c7abb0e289d64c3c5f447e2427eae5978cf9217d51b17f54c537232c1eab6fe",
+    (3, 4, 1): "1c4a9fdc737fe5429604083f7e1332d7edc76919fc4b5aa9912fbe677c07b229",
+    (3, 3, 1): "28c90c96f6d320b17484cababf7fae3af0a66db2dd7810f555d71a86b431196c",
 }
 
 
 @pytest.mark.parametrize("r,n,m", ORBIT_TRIPLES)
-def test_orbit_triples_certify_pinned_in_one_and_two_processes(r, n, m, monkeypatch):
-    """With r >= 3 a sign error in an orbit offset shows; serial and split
-    certificates pass with the same, pinned bytes."""
-    cert = _certify_both_ways(monkeypatch, validate_triple(r, n, m), Window(-4, 4, -4, 4), 4)
+def test_orbit_triples_certify_pinned(r, n, m):
+    """With r >= 3 a sign error in an orbit offset shows; the certificates
+    pass with pinned bytes."""
+    cert = certify(validate_triple(r, n, m), W4, 4)
     assert cert.passed
     assert hashlib.sha256(cert.to_json_text().encode()).hexdigest() == ORBIT_SHA256[(r, n, m)]
 
 
-@pytest.mark.parametrize("where", ["helper", "parent", "both, helper first", "both, parent first"])
-def test_split_records_the_serial_first_failure(t120, monkeypatch, where):
-    items, even, odd = _bp_instances(t120)
-    bad = _chosen(even, odd, where)
-    broken = {items[k] for k in bad}
-    _patch_towers(monkeypatch, lambda inst, run: False if inst in broken else run())
-    serial = _certify(monkeypatch, t120, False)
-    split = _certify(monkeypatch, t120, True)
-    assert _processes(split) == {2}
-    assert split.to_json_text() == serial.to_json_text()
-    record = split.checks[1]
-    assert record.lemma == "simple1" and not record.passed
-    assert record.params["instances"] == min(bad) + 1
-    assert record.detail == f"failed at {items[min(bad)].params()}"
-    assert [c.lemma for c in split.checks if not c.passed] == ["simple1", "collapse_layers"]
+def _class_members(t, window, phase):
+    """The items of a phase of certify(t, window, ...), grouped by class key."""
+    s = C._Session(t, window, 2)
+    boxes = {"window": window, "inner": window.inner_half(), "quarter": window.inner_half().inner_half()}
+    items = phase.items(s, M.vertices_in_box(t, *boxes[phase.box].box))
+    classes = {}
+    for item in items:
+        classes.setdefault(phase.key(item), []).append(item)
+    return items, classes
 
 
-def _split_agrees(monkeypatch, t, lemma, expected):
-    """certify in one process and in two: the same bytes, two processes, and
-    the lemma's record failed at expected (an item), the first failure."""
-    serial = _certify(monkeypatch, t, False)
-    split = _certify(monkeypatch, t, True)
-    assert _processes(split) == {2}
-    assert split.to_json_text() == serial.to_json_text()
-    (record,) = [c for c in split.checks if c.lemma == lemma]
-    witness = expected.params() if lemma == "simple1" else expected
-    assert not record.passed and record.detail == f"failed at {witness}"
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES + ORBIT_TRIPLES)
+@pytest.mark.parametrize("window", [W4, Window(-5, 6, -4, 7)], ids=["square", "offset"])
+def test_representatives_are_the_class_members_nearest_the_centre(r, n, m, window):
+    """Per phase, the representatives are one item of each class: the one
+    at the least L1 distance from the window centre, the first of those in
+    item order; their order is the items' order.  Past the translation
+    phase, whose every item is its own class, an item's translates by
+    sigma_x and sigma_y have its key."""
+    t = validate_triple(r, n, m)
+    cx, cy = window.x0 + window.x1, window.y0 + window.y1
+    for _, phase in C._MODES[t.is_finite_mode].phases:
+        items, classes = _class_members(t, window, phase)
+        reps = C._representatives(window, items, phase.key)
+        assert reps == sorted(reps, key=items.index)
+        assert len(reps) == len(classes)
+
+        def distance(item):
+            return abs(2 * item.coord[0] - cx) + abs(2 * item.coord[1] - cy)
+
+        for rep in reps:
+            members = classes[phase.key(rep)]
+            nearest = min(map(distance, members))
+            assert rep == next(item for item in members if distance(item) == nearest)
+        if phase is C._TRANSLATION:
+            assert reps == items
+            continue
+        for members in classes.values():
+            assert all(phase.key(translate_item(t, g, item)) == phase.key(item)
+                       for item in members for g in ("x", "y"))
 
 
-@pytest.mark.parametrize("parity", [0, 1], ids=["even y", "odd y"])
-def test_split_keeps_a_failing_finite1_step_in_one_share(t120, monkeypatch, parity):
-    """A finite1 step that fails fails every vertex whose chain runs through
-    it: those at its y and left of it.  The y share keeps them in one
-    process, which the helper's reply must show."""
-    verts = get_engine(t120, SPLIT_WINDOW.box).vertices()
-    items = C._FINITE1.items(C._Session(t120, SPLIT_WINDOW, SPLIT_DEPTH), verts)
-    bad = [v for v in items if v.family == "X" and v.coord[1] % 2 == parity][-1]
-    real = C._Session._finite1_step
-    monkeypatch.setattr(C._Session, "_finite1_step", lambda self, w, at_border: w != bad and real(self, w, at_border))
-    first = next(v for v in items if (v.family, v.orbit, v.coord[1]) == (bad.family, bad.orbit, bad.coord[1]))
-    _split_agrees(monkeypatch, t120, "finite1", first)
+def test_a_failing_representative_is_named(t120, monkeypatch):
+    """A representative whose check fails fails its phase's record, which
+    counts the representatives checked up to it and names it.  B' items
+    that are no representative are never checked: only simple1 checks B'
+    towers."""
+    window = Window(-4, 4, -4, 4)
+    items, _ = _class_members(t120, window, C._SIMPLE1)
+    reps = C._representatives(window, items, C._SIMPLE1.key)
+    bad = [inst for inst in reps if inst.kind == KIND_BP][1]
+    others = {inst for inst in items if inst.kind == KIND_BP and inst not in reps}
+    assert others
+    real = C._Session.tower_check
 
+    def tower_check(self, inst):
+        assert inst not in others
+        return inst != bad and real(self, inst)
 
-@pytest.mark.parametrize("parity", [0, 1], ids=["even y", "odd y"])
-def test_split_keeps_a_failing_cpp_tower_step_in_one_share(t120, monkeypatch, parity):
-    """A C'' tower step that fails fails every simple1 C'' tower through it,
-    which climb along x at its y.  The x share puts those towers in both
-    processes, and the merge still records the first of them."""
-    items, _, _ = _bp_instances(t120)
-    cpp = [inst for inst in items if inst.kind == KIND_CPP and inst.coord[1] % 2 == parity]
-    bad = cpp[len(cpp) // 2]
-    real = C._Session._tower_step
-
-    def tower_step(self, here, nxt):
-        return here != bad and real(self, here, nxt)
-
-    monkeypatch.setattr(C._Session, "_tower_step", tower_step)
-    first = next(
-        inst for inst in items
-        if inst._replace(coord=(0, 0)) == bad._replace(coord=(0, 0)) and inst.coord[1] == bad.coord[1]
-        and bad.coord[0] - SPLIT_DEPTH <= inst.coord[0] <= bad.coord[0]
-    )
-    _split_agrees(monkeypatch, t120, "simple1", first)
+    monkeypatch.setattr(C._Session, "tower_check", tower_check)
+    cert = certify(t120, window, 2)
+    (record,) = [c for c in cert.checks if c.lemma == "simple1"]
+    assert not record.passed
+    assert record.params["instances"] == reps.index(bad) + 1
+    assert record.params["covers"] == len(items)
+    assert record.detail == f"failed at {bad.params()}"
+    assert [c.lemma for c in cert.checks if not c.passed] == ["simple1", "collapse_layers"]
 
 
 def test_a_check_reaching_a_non_vertex_fails_its_item(t120, monkeypatch):
-    """InvalidVertex from a check fails that item's phase, like False, with
-    the same bytes in one process and in two."""
-    items, even, odd = _bp_instances(t120)
-    bad = items[odd[len(odd) // 2]]
+    """InvalidVertex from a check fails that item's phase, like False."""
+    window = Window(-4, 4, -4, 4)
+    items, _ = _class_members(t120, window, C._SIMPLE1)
+    reps = C._representatives(window, items, C._SIMPLE1.key)
+    bad = reps[len(reps) // 2]
+    real = C._Session.tower_check
 
-    def act(inst, run):
+    def tower_check(self, inst):
         if inst == bad:
             raise InvalidVertex(f"not a vertex of the model: {inst}")
-        return run()
+        return real(self, inst)
 
-    _patch_towers(monkeypatch, act)
-    serial = _certify(monkeypatch, t120, False)
-    split = _certify(monkeypatch, t120, True)
-    assert _processes(split) == {2}
-    assert split.to_json_text() == serial.to_json_text()
-    record = split.checks[1]
-    assert record.lemma == "simple1" and not record.passed
+    monkeypatch.setattr(C._Session, "tower_check", tower_check)
+    cert = certify(t120, window, 2)
+    (record,) = [c for c in cert.checks if c.lemma == "simple1"]
+    assert not record.passed
     assert record.detail == f"failed at {bad.params()}"
-    assert [c.lemma for c in split.checks if not c.passed] == ["simple1", "collapse_layers"]
+    assert [c.lemma for c in cert.checks if not c.passed] == ["simple1", "collapse_layers"]
 
 
-@pytest.mark.parametrize("split", [False, True])
-def test_a_failed_phase_fails_collapse_layers(t120, monkeypatch, split):
-    """collapse_layers passes only when every phase before it passed."""
-    monkeypatch.setattr(C._Session, "c2_check", lambda self, v: False)
-    cert = _certify(monkeypatch, t120, split)
-    assert _processes(cert) == {2 if split else 1}
-    checks = cert.to_json()["checks"]
+@pytest.mark.parametrize("finite", [False, True])
+def test_a_failed_phase_fails_collapse_layers(t110, t120, monkeypatch, finite):
+    """collapse_layers passes only when every phase before it passed, in
+    either mode."""
+    if finite:
+        t, check, lemma = t120, "c2_check", "c2simple"
+    else:
+        t, check, lemma = t110, "finite1_check", "inf_finite1"
+    monkeypatch.setattr(C._Session, check, lambda self, v: False)
+    checks = certify(t, W4, 2).to_json()["checks"]
     assert checks[-1]["lemma"] == "collapse_layers" and checks[-1]["pass"] is False
-    assert [c["lemma"] for c in checks if not c["pass"]] == ["c2simple", "collapse_layers"]
+    assert [c["lemma"] for c in checks if not c["pass"]] == [lemma, "collapse_layers"]
 
 
-@pytest.mark.parametrize(
-    "where", ["helper", "parent", "both, helper first", "both, parent first", "helper, after a failure"]
-)
-def test_split_raises_the_serial_exception(t120, monkeypatch, where):
-    items, even, odd = _bp_instances(t120)
-    failing = set()
-    if where == "helper, after a failure":
-        e = even[0]
-        failing = {items[e]}
-        raising = {items[next(k for k in odd if k > e)]}
-    else:
-        raising = {items[k] for k in _chosen(even, odd, where)}
-
-    def act(inst, run):
-        if inst in raising:
-            raise RuntimeError(f"boom at {inst}")
-        return False if inst in failing else run()
-
-    _patch_towers(monkeypatch, act)
-    serial = _outcome(monkeypatch, t120, False)
-    split = _outcome(monkeypatch, t120, True)
-    if failing:
-        assert serial[0] != "raised"
-        assert split == (serial[0], {1})  # the helper raised: a serial rerun
-    else:
-        assert split == serial
-        first = min(items.index(inst) for inst in raising)
-        assert serial == ("raised", f"boom at {items[first]}")
-
-
-@pytest.mark.parametrize("death", ["exit 0", "exit 3", "SIGKILL"])
-def test_dead_helper_yields_the_serial_certificate(t120, monkeypatch, death):
-    """A helper that dies before it replies is never read as a pass: the
-    certificate is the serial run's, which fails at the helper's item."""
-    items, _, odd = _bp_instances(t120)
-    broken = items[odd[0]]
-    parent = os.getpid()
-
-    def act(inst, run):
-        if inst != broken:
-            return run()
-        if os.getpid() != parent:
-            if death == "SIGKILL":
-                os.kill(os.getpid(), signal.SIGKILL)
-            os._exit(0 if death == "exit 0" else 3)
-        return False
-
-    _patch_towers(monkeypatch, act)
-    serial = _certify(monkeypatch, t120, False)
-    split = _certify(monkeypatch, t120, True)
-    assert not serial.passed
-    assert split.to_json_text() == serial.to_json_text()
-    assert _processes(split) == {1}
-
-
-def _bad_replies(plan):
-    """Helper walks that no honest helper sends, by name."""
-    first = plan[0][3]
-    passing = [[-1, 0, 0.0] for _ in plan]
-    even = next(k for k, v in enumerate(first) if v.coord[0] % 2 == 0)
-    f1 = [lemma for lemma, *_ in plan].index("finite1")
-    even_y = next(k for k, v in enumerate(plan[f1][3]) if v.coord[1] % 2 == 0 and v.coord[0] % 2 == 1)
-    return {
-        "failure in the parent's share": [[even, 1, 0.0]] + passing[1:],
-        "finite1 failure in the parent's share": passing[:f1] + [[even_y, 1, 0.0]] + passing[f1 + 1:],
-        "index past the items": [[len(first), 1, 0.0]] + passing[1:],
-        "one phase short": passing[1:],
-        "index not an int": [["0", 1, 0.0]] + passing[1:],
-    }
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "failure in the parent's share", "finite1 failure in the parent's share", "index past the items",
-        "one phase short", "index not an int",
-    ],
-)
-def test_invalid_helper_reply_yields_the_serial_certificate(t120, monkeypatch, bad):
-    real = C._walk
-
-    def walk(s, plan, parity=None):
-        return _bad_replies(plan)[bad] if parity == 1 else real(s, plan, parity)
-
-    serial = _certify(monkeypatch, t120, False)
-    monkeypatch.setattr(C, "_walk", walk)
-    split = _certify(monkeypatch, t120, True)
-    assert serial.passed
-    assert split.to_json_text() == serial.to_json_text()
-    assert _processes(split) == {1}
-
-
-_SIZES = dict.fromkeys(C._CACHES, 3)
-
-
-def _helper_reply(walk, caches=_SIZES):
-    return json.dumps({"walk": walk, "caches": caches}).encode()
-
-
-@pytest.mark.parametrize(
-    "reply", [b"", b"\xff\xfe", b"null", b"{}", b"[[-1, 0]]", b"[[true, 1, 0.5]]", b'[[-1, 0, "s"]]']
-)
-def test_malformed_helper_reply_is_rejected(t110, reply):
-    """A reply that is no JSON, or whose walk is malformed, is rejected, bare
-    or in a report with valid cache sizes; a valid walk is rejected too when
-    no cache sizes come with it."""
-    plan = [("inf_simple0", C._SIMPLE0, SPLIT_WINDOW, get_engine(t110, SPLIT_WINDOW.box).vertices())]
-    assert C._helper_walk(reply, plan) is None
+def test_a_vertex_moved_off_the_translation_fails_translation(t120, monkeypatch):
+    """One fan entry moved at one vertex, off every representative: the
+    translation phase fails at the first window vertex whose translate is
+    the moved one."""
+    v = VertexId("X", 0, (3, 3))
+    monkeypatch.setattr(M, "_fan_entries", moved_at_one_vertex(v, 0, "hi_x", -1))
+    get_engine.cache_clear()
     try:
-        walk = json.loads(reply)
-    except ValueError:
-        walk = None
-    assert C._helper_walk(_helper_reply(walk), plan) is None
-    assert C._helper_walk(b"[[-1, 3, 0.5]]", plan) is None
-    assert C._helper_walk(json.dumps({"walk": [[-1, 3, 0.5]]}).encode(), plan) is None
-    assert C._helper_walk(_helper_reply([[-1, 3, 0.5]]), plan) == {"walk": [[-1, 3, 0.5]], "caches": _SIZES}
-
-
-@pytest.mark.parametrize(
-    "caches",
-    [
-        None,
-        [3, 3, 3, 3, 3],
-        {k: 3 for k in C._CACHES[1:]},
-        {**_SIZES, "extra": 3},
-        {**_SIZES, "tower_memo": -1},
-        {**_SIZES, "step_memo": True},
-        {**_SIZES, "sink_decisions": 3.0},
-        {**_SIZES, "engine_cubes": "3"},
-    ],
-    ids=["none", "a list", "one short", "one extra", "negative", "bool", "float", "str"],
-)
-def test_helper_reply_with_bad_cache_sizes_is_rejected(t110, caches):
-    plan = [("inf_simple0", C._SIMPLE0, SPLIT_WINDOW, get_engine(t110, SPLIT_WINDOW.box).vertices())]
-    assert C._helper_walk(_helper_reply([[-1, 3, 0.5]], caches), plan) is None
-
-
-def test_interrupt_reaps_the_helper(t120, monkeypatch, tmp_path):
-    """KeyboardInterrupt in this process kills and reaps a helper that is
-    still busy: the helper's pid is gone, not a zombie."""
-    items, even, odd = _bp_instances(t120)
-    pid_file = tmp_path / "helper.pid"
-    parent = os.getpid()
-
-    def act(inst, run):
-        if os.getpid() != parent:
-            pid_file.write_text(str(os.getpid()))
-            time.sleep(60)
-        for _ in range(1000):
-            if pid_file.exists() and pid_file.read_text():
-                raise KeyboardInterrupt
-            time.sleep(0.01)
-        raise AssertionError("the helper never started")
-
-    _patch_towers(monkeypatch, act)
-    t0 = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        _certify(monkeypatch, t120, True)
-    assert time.monotonic() - t0 < 30
-    with pytest.raises(ProcessLookupError):
-        os.kill(int(pid_file.read_text()), 0)
-
-
-def _condition(monkeypatch, name):
-    """Make one condition of the split decision fail."""
-    if name == "no fork":
-        monkeypatch.delattr(os, "fork")
-    elif name == "one CPU":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    elif name == "one CPU, no affinity":
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    elif name == "another thread":
-        monkeypatch.setattr(threading, "active_count", lambda: 2)
-
-
-@pytest.mark.parametrize("name", ["none", "no fork", "one CPU", "one CPU, no affinity", "another thread"])
-def test_each_split_condition_alone_forces_the_serial_path(t110, monkeypatch, name):
-    """With fork, two CPUs and one thread the run splits; failing any one of
-    them runs every phase in this process."""
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(threading, "active_count", lambda: 1)
-    _condition(monkeypatch, name)
-    split = name == "none"
-    assert C._split_allowed() is split
-    cert = certify(t110, SPLIT_WINDOW, SPLIT_DEPTH)
-    assert cert.passed and _processes(cert) == {2 if split else 1}
-    assert len(forks) == int(split)
-
-
-def test_a_running_thread_keeps_certify_in_one_process(t110):
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait, args=(30,))
-    thread.start()
-    try:
-        cert = certify(t110, SPLIT_WINDOW, SPLIT_DEPTH)
+        cert = certify(t120, W4, 2)
     finally:
-        done.set()
-        thread.join(30)
-    assert not thread.is_alive()
-    assert cert.passed and _processes(cert) == {1}
+        monkeypatch.undo()
+        get_engine.cache_clear()
+    translation = cert.checks[0]
+    assert translation.lemma == "translation" and not translation.passed
+    assert translation.detail == "failed at X:0:(2,2)"
+    n = len(M.vertices_in_box(t120, -4, 4, -4, 4))
+    assert translation.params == {"window": [-4, 4, -4, 4], "vertices": n, "covers": n}
+
+
+@pytest.mark.parametrize("broken", ["sink dropped", "corner vertex missing"])
+def test_translation_check_rejects_a_broken_vertex(t120, monkeypatch, broken):
+    """The translation check at a vertex fails when its translate has a
+    sink map moved to zero, or when the vertex it is a translate of, on
+    the window's corner, is no vertex; on the model it passes."""
+    s = C._Session(t120, W4, 1)
+    v = VertexId("X", 0, (-3, -3))
+    corner = VertexId("X", 0, (-4, -4))
+    assert s.translation_check(v) and s.translation_check(corner)
+    real_valid, real_fans = M.vertex_valid, M._fan_entries
+    if broken == "sink dropped":
+        moved = VertexId("X", 0, (-2, -2))
+
+        def fans(t, w):
+            rec = real_fans(t, w)
+            return rec._replace(sinks=(rec.sinks[0], ZERO)) if w == moved else rec
+
+        monkeypatch.setattr(M, "_fan_entries", fans)
+    else:
+        monkeypatch.setattr(M, "vertex_valid", lambda t, w: w != corner and real_valid(t, w))
+    assert not s.translation_check(v)
 
 
 def test_stats_count_every_item_once(t120):
-    cert = certify(t120, SPLIT_WINDOW, SPLIT_DEPTH)
+    """Per phase, stats give the representatives, the items they cover,
+    the representatives checked and the seconds taken; each record's count
+    param and covers are the same numbers."""
+    cert = certify(t120, W4, 2)
     phases = cert.stats["phases"]
     assert [p["lemma"] for p in phases] == [c.lemma for c in cert.checks[:-1]]
-    for p in phases:
-        assert sum(q["checked"] for q in p["processes"]) == p["items"] > 0
-        assert all(q["seconds"] >= 0 for q in p["processes"])
+    for p, record in zip(phases, cert.checks):
+        assert 0 < p["checked"] == p["items"] <= p["covers"] == record.params["covers"]
+        assert p["seconds"] >= 0
+        assert record.params.get("vertices", record.params.get("instances", p["items"])) == p["items"]
+    assert sum(p["items"] for p in phases[1:]) < sum(p["covers"] for p in phases[1:])
     assert "stats" not in cert.to_json()
 
 
-@pytest.mark.parametrize("split", [False, True], ids=["one process", "two"])
-def test_stats_give_the_cache_sizes_of_each_process(t120, monkeypatch, split):
-    """Per process, the sizes of the three session memos and the engine's
-    two caches; every one is in use on a passing run."""
+def test_stats_give_the_cache_sizes(t120):
+    """The sizes of the three session memos and the engine's two caches;
+    every one is in use on a passing run."""
     get_engine.cache_clear()  # sizes of a fresh engine, as a new kgcert process has
-    cert = _certify(monkeypatch, t120, split)
-    caches = cert.stats["caches"]
-    assert len(caches) == (2 if split else 1) == len(cert.stats["phases"][0]["processes"])
-    for sizes in caches:
-        assert list(sizes) == list(C._CACHES)
-        assert all(type(n) is int and n > 0 for n in sizes.values()), sizes
-        # every vertex with a sink image memo has its cube cached
-        assert sizes["sink_decisions"] <= sizes["engine_cubes"]
-    eng = get_engine(t120, SPLIT_WINDOW.box)
-    assert caches[0]["engine_cubes"] == len(eng._entries)
-    assert caches[0]["sink_decisions"] == sum(image is not None for _, _, image in eng._entries.values())
+    cert = certify(t120, W4, 2)
+    sizes = cert.stats["caches"]
+    assert list(sizes) == list(C._CACHES)
+    assert all(type(n) is int and n > 0 for n in sizes.values()), sizes
+    eng = get_engine(t120, W4.box)
+    assert sizes["engine_cubes"] == len(eng._entries)
+    assert sizes["sink_decisions"] == sum(image is not None for _, _, image in eng._entries.values())
+    assert sizes["sink_decisions"] <= sizes["engine_cubes"]
