@@ -1,10 +1,14 @@
 """Lemma replays: positive instances, mode guards, and perturbation controls."""
 
+import contextlib
 import hashlib
 import inspect
+import io
 import json
+import os
 import random
 import textwrap
+import threading
 
 import pytest
 
@@ -29,6 +33,7 @@ from kgcert.certifier import (
     check_simple0,
     check_simple1_tower,
 )
+from kgcert.cli import main as cli_main
 from kgcert.engine import WindowEngine, get_engine
 from kgcert.errors import (
     InvalidVertex,
@@ -1111,13 +1116,6 @@ ORBIT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("r,n,m", ORBIT_TRIPLES)
-def test_orbit_triples_certify_pinned(r, n, m):
-    """With r >= 3 a sign error in an orbit offset shows; the certificates
-    pass with pinned bytes."""
-    cert = certify(validate_triple(r, n, m), W4, 4)
-    assert cert.passed
-    assert hashlib.sha256(cert.to_json_text().encode()).hexdigest() == ORBIT_SHA256[(r, n, m)]
 
 
 def _class_members(t, window, phase):
@@ -1281,15 +1279,334 @@ def test_stats_count_every_item_once(t120):
     assert "stats" not in cert.to_json()
 
 
-def test_stats_give_the_cache_sizes(t120):
-    """The sizes of the three session memos and the engine's two caches;
-    every one is in use on a passing run."""
-    get_engine.cache_clear()  # sizes of a fresh engine, as a new kgcert process has
-    cert = certify(t120, W4, 2)
-    sizes = cert.stats["caches"]
+def _cache_sizes_of_a_fresh_run(t):
+    """stats["caches"] of certify(t, W4, 2) on a fresh engine, as a new
+    kgcert process has, with the engine's own counts of its cubes and sink
+    decisions."""
+    get_engine.cache_clear()
+    sizes = certify(t, W4, 2).stats["caches"]
+    eng = get_engine(t, W4.box)
+    return sizes, len(eng._entries), sum(image is not None for _, _, image in eng._entries.values())
+
+
+# -- the same certificate in a fresh process ----------------------------------------
+#
+# certify runs in one process, but get_engine and model._fan_entries outlive
+# a call, so a certificate made here may start from caches that earlier
+# tests warmed.  The tests below also certify in a forked child that clears
+# them first, as a new kgcert process starts, and compare its reply with
+# this process's run.  Checks patched on the class are inherited by the
+# child.
+
+
+def _in_a_child(run):
+    """run() in a forked child with cold caches: ["ok", its value] or
+    ["raised", the message of the RuntimeError it raised], through JSON."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: never return into pytest
+        code = 1
+        try:
+            os.close(r)
+            get_engine.cache_clear()
+            getattr(M._fan_entries, "cache_clear", lambda: None)()
+            try:
+                reply = ["ok", run()]
+            except RuntimeError as exc:
+                reply = ["raised", str(exc)]
+            with os.fdopen(w, "w") as fh:
+                fh.write(json.dumps(reply))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    with os.fdopen(r) as fh:
+        text = fh.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return json.loads(text)
+
+
+def _outcome(t, window=W4, depth=2):
+    """The certificate's bytes, or the message of the RuntimeError raised."""
+    try:
+        return ["ok", certify(t, window, depth).to_json_text()]
+    except RuntimeError as exc:
+        return ["raised", str(exc)]
+
+
+def _certify_here_and_in_a_child(t, window=W4, depth=2):
+    """certify here and in a fresh child: the same bytes.  Returns this
+    process's certificate."""
+    cert = certify(t, window, depth)
+    assert _in_a_child(lambda: certify(t, window, depth).to_json_text()) == ["ok", cert.to_json_text()]
+    return cert
+
+
+def _bp_representatives(t):
+    """The simple1 representatives at W4, and the indices of the B' ones
+    at even and at odd x.  No other phase checks a B' tower."""
+    items, _ = _class_members(t, W4, C._SIMPLE1)
+    reps = C._representatives(W4, items, C._SIMPLE1.key)
+    bp = [k for k, inst in enumerate(reps) if inst.kind == KIND_BP]
+    even = [k for k in bp if reps[k].coord[0] % 2 == 0]
+    odd = [k for k in bp if reps[k].coord[0] % 2 == 1]
+    return reps, even, odd
+
+
+def _patch_towers(monkeypatch, act):
+    """Route tower_check through act(inst, real) for the B' instances."""
+    real = C._Session.tower_check
+
+    def tower_check(self, inst):
+        run = lambda: real(self, inst)  # noqa: E731
+        return act(inst, run) if inst.kind == KIND_BP else run()
+
+    monkeypatch.setattr(C._Session, "tower_check", tower_check)
+
+
+def _chosen(even, odd, where):
+    """Indices of the representatives to break, named after the two shares
+    by x parity that an earlier two-process certify split them into: one
+    at odd x (the helper's), one at even x (the parent's), or one of each
+    with the named one first in item order."""
+    o = odd[len(odd) // 2]
+    e = even[len(even) // 2]
+    return {
+        "helper": [o],
+        "parent": [e],
+        "both, helper first": [o, next(k for k in even if k > o)],
+        "both, parent first": [e, next(k for k in odd if k > e)],
+    }[where]
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+def test_split_and_serial_certificates_have_the_same_bytes(r, n, m):
+    """A certificate made in a fresh child has the pinned bytes of the one
+    made here on warm caches, on a window whose centre is no lattice
+    point."""
+    cert = _certify_here_and_in_a_child(validate_triple(r, n, m), Window(-5, 6, -4, 7), 5)
+    assert hashlib.sha256(cert.to_json_text().encode()).hexdigest() == OFFSET_WINDOW_SHA256[(r, n, m)]
+
+
+@pytest.mark.parametrize("r,n,m", ORBIT_TRIPLES)
+def test_orbit_triples_certify_pinned_in_one_and_two_processes(r, n, m):
+    """With r >= 3 a sign error in an orbit offset shows; the certificates
+    pass with the same, pinned bytes here and in a fresh child."""
+    cert = _certify_here_and_in_a_child(validate_triple(r, n, m), W4, 4)
+    assert cert.passed
+    assert hashlib.sha256(cert.to_json_text().encode()).hexdigest() == ORBIT_SHA256[(r, n, m)]
+
+
+@pytest.mark.parametrize("where", ["helper", "parent", "both, helper first", "both, parent first"])
+def test_split_records_the_serial_first_failure(t120, monkeypatch, where):
+    """Whichever representatives fail, the simple1 record counts the
+    representatives up to the first of them in item order and names it,
+    here and in a fresh child alike."""
+    reps, even, odd = _bp_representatives(t120)
+    bad = _chosen(even, odd, where)
+    broken = {reps[k] for k in bad}
+    _patch_towers(monkeypatch, lambda inst, run: False if inst in broken else run())
+    cert = _certify_here_and_in_a_child(t120)
+    (record,) = [c for c in cert.checks if c.lemma == "simple1"]
+    assert not record.passed
+    assert record.params["instances"] == min(bad) + 1
+    assert record.detail == f"failed at {reps[min(bad)].params()}"
+    assert [c.lemma for c in cert.checks if not c.passed] == ["simple1", "collapse_layers"]
+
+
+def _fails_first_at(t, lemma, expected, window=W4):
+    """certify here and in a fresh child: the same bytes, and the lemma's
+    record failed at expected (an item), the first failure."""
+    cert = _certify_here_and_in_a_child(t, window)
+    (record,) = [c for c in cert.checks if c.lemma == lemma]
+    witness = expected.params() if lemma == "simple1" else expected
+    assert not record.passed and record.detail == f"failed at {witness}"
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even y", "odd y"])
+def test_split_keeps_a_failing_finite1_step_in_one_share(t120, monkeypatch, parity):
+    """A finite1 step that fails fails every vertex whose chain runs through
+    it: those at its y and left of it, which the y shares of an earlier
+    two-process certify kept together.  The finite1 record names the first
+    representative on that row, here and in a fresh child."""
+    items, _ = _class_members(t120, W4, C._FINITE1)
+    reps = C._representatives(W4, items, C._FINITE1.key)
+    bad = [v for v in reps if v.family == "X" and v.coord[1] % 2 == parity][-1]
+    real = C._Session._finite1_step
+    monkeypatch.setattr(C._Session, "_finite1_step", lambda self, w, at_border: w != bad and real(self, w, at_border))
+    first = next(v for v in reps if (v.family, v.orbit, v.coord[1]) == (bad.family, bad.orbit, bad.coord[1]))
+    _fails_first_at(t120, "finite1", first)
+
+
+@pytest.mark.parametrize("parity", [0, 1], ids=["even y", "odd y"])
+def test_split_keeps_a_failing_cpp_tower_step_in_one_share(t120, monkeypatch, parity):
+    """A C'' tower step that fails fails every simple1 C'' tower through it,
+    which climb along x at its y.  The C'' representatives sit on the
+    window centre's row, so a window centred at even or at odd y puts the
+    failing step there.  The simple1 record names the first representative
+    whose tower runs through it, here and in a fresh child."""
+    window = Window(-4, 4, -4 + parity, 4 + parity)
+    items, _ = _class_members(t120, window, C._SIMPLE1)
+    reps = C._representatives(window, items, C._SIMPLE1.key)
+    cpp = [inst for inst in reps if inst.kind == KIND_CPP and inst.coord[1] % 2 == parity]
+    bad = cpp[len(cpp) // 2]
+    real = C._Session._tower_step
+
+    def tower_step(self, here, nxt):
+        return here != bad and real(self, here, nxt)
+
+    monkeypatch.setattr(C._Session, "_tower_step", tower_step)
+    first = next(
+        inst for inst in reps
+        if inst._replace(coord=(0, 0)) == bad._replace(coord=(0, 0)) and inst.coord[1] == bad.coord[1]
+        and bad.coord[0] - 2 <= inst.coord[0] <= bad.coord[0]
+    )
+    _fails_first_at(t120, "simple1", first, window)
+
+
+@pytest.mark.parametrize(
+    "where", ["helper", "parent", "both, helper first", "both, parent first", "helper, after a failure"]
+)
+def test_split_raises_the_serial_exception(t120, monkeypatch, where):
+    """An exception that is no KgcertError leaves certify from the first
+    representative that raises it.  A representative that fails before it
+    ends the phase, so the one that would raise is never checked.  A
+    fresh child gives the same outcome."""
+    reps, even, odd = _bp_representatives(t120)
+    failing = set()
+    if where == "helper, after a failure":
+        e = even[0]
+        failing = {reps[e]}
+        raising = {reps[next(k for k in odd if k > e)]}
+    else:
+        raising = {reps[k] for k in _chosen(even, odd, where)}
+
+    def act(inst, run):
+        if inst in raising:
+            raise RuntimeError(f"boom at {inst}")
+        return False if inst in failing else run()
+
+    _patch_towers(monkeypatch, act)
+    outcome = _outcome(t120)
+    assert _in_a_child(lambda: _outcome(t120)) == ["ok", outcome]
+    if failing:
+        assert outcome[0] == "ok"
+        cert = json.loads(outcome[1])
+        assert [c["lemma"] for c in cert["checks"] if not c["pass"]] == ["simple1", "collapse_layers"]
+    else:
+        first = min(reps.index(inst) for inst in raising)
+        assert outcome == ["raised", f"boom at {reps[first]}"]
+
+
+def _condition(monkeypatch, name):
+    """Make one condition fail that an earlier certify read to decide
+    whether to fork a helper."""
+    if name == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif name == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif name == "one CPU, no affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    elif name == "another thread":
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+
+
+@pytest.mark.parametrize("name", ["none", "no fork", "one CPU", "one CPU, no affinity", "another thread"])
+def test_each_split_condition_alone_forces_the_serial_path(t110, monkeypatch, name):
+    """certify forks no helper: with fork, two CPUs and one thread, and with
+    any one of them missing, it checks every phase in this process and
+    gives the same bytes."""
+    expected = certify(t110, W4, 2).to_json_text()
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or -1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    _condition(monkeypatch, name)
+    cert = certify(t110, W4, 2)
+    assert cert.passed and cert.to_json_text() == expected
+    assert forks == []
+
+
+def test_a_running_thread_keeps_certify_in_one_process(t110, monkeypatch):
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or -1)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, args=(30,))
+    thread.start()
+    try:
+        cert = certify(t110, W4, 2)
+    finally:
+        done.set()
+        thread.join(30)
+    assert not thread.is_alive()
+    assert cert.passed and forks == []
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one process", "two"])
+def test_stats_give_the_cache_sizes_of_each_process(t120, split):
+    """The sizes of the three session memos and the engine's two caches, one
+    set for the one process that certifies; every one is in use on a
+    passing run.  A fresh child reports the same sizes as a fresh engine
+    here."""
+    sizes, cubes, decisions = _cache_sizes_of_a_fresh_run(t120)
+    if split:
+        reply = _in_a_child(lambda: _cache_sizes_of_a_fresh_run(t120))
+        assert reply == ["ok", [sizes, cubes, decisions]]
     assert list(sizes) == list(C._CACHES)
     assert all(type(n) is int and n > 0 for n in sizes.values()), sizes
-    eng = get_engine(t120, W4.box)
-    assert sizes["engine_cubes"] == len(eng._entries)
-    assert sizes["sink_decisions"] == sum(image is not None for _, _, image in eng._entries.values())
+    assert sizes["engine_cubes"] == cubes
+    assert sizes["sink_decisions"] == decisions
     assert sizes["sink_decisions"] <= sizes["engine_cubes"]
+
+
+def _cache_sizes_ok(caches):
+    """What a reader of the stats may rely on: a dict from the names in
+    _CACHES, in that order, to non-negative ints."""
+    return (
+        isinstance(caches, dict) and list(caches) == list(C._CACHES)
+        and all(type(n) is int and n >= 0 for n in caches.values())
+    )
+
+
+def _stats_of_the_command(t, path):
+    """`kgcert certify --stats path` at W4, depth 2, read back."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["certify", "--r", str(t.r), "--n", str(t.n), "--m", str(t.m),
+                         "--window", "-4", "4", "-4", "4", "--depth", "2", "--stats", str(path)])
+    assert code == 0
+    return json.loads(path.read_text())
+
+
+_SIZES = dict.fromkeys(C._CACHES, 3)
+
+
+@pytest.mark.parametrize(
+    "caches",
+    [
+        None,
+        [3, 3, 3, 3, 3],
+        {k: 3 for k in C._CACHES[1:]},
+        {**_SIZES, "extra": 3},
+        {**_SIZES, "tower_memo": -1},
+        {**_SIZES, "step_memo": True},
+        {**_SIZES, "sink_decisions": 3.0},
+        {**_SIZES, "engine_cubes": "3"},
+    ],
+    ids=["none", "a list", "one short", "one extra", "negative", "bool", "float", "str"],
+)
+def test_helper_reply_with_bad_cache_sizes_is_rejected(t110, tmp_path, caches):
+    """A fresh child, the helper, runs `kgcert certify --stats` and replies
+    with the stats it wrote: the same as this process writes, with cache
+    sizes that pass the rule above.  The same reply with the named defect
+    in its cache sizes fails the rule."""
+    get_engine.cache_clear()  # an engine as fresh as the child's
+    stats = _stats_of_the_command(t110, tmp_path / "here.json")
+    reply = _in_a_child(lambda: _stats_of_the_command(t110, tmp_path / "child.json"))
+    assert reply[0] == "ok"
+    assert [p["lemma"] for p in reply[1]["phases"]] == [p["lemma"] for p in stats["phases"]]
+    assert reply[1]["caches"] == stats["caches"]
+    assert _cache_sizes_ok(reply[1]["caches"]) and _cache_sizes_ok(_SIZES)
+    assert not _cache_sizes_ok(caches)
