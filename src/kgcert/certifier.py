@@ -34,6 +34,13 @@ window centre (L1, ties by item order), with the classes keyed by:
 * a simple1 instance: (kind, orbit) and its kind's invariants (``_Kind.cls``):
   a - b for B' and B'', aux - a for C', aux - b for C'', and both a - b
   and aux - a for B.
+
+A finite1 walk runs along its row from the border down to its vertex,
+through the classes of the steps in a fixed order.  When r == n each step
+decides a symbolic gap from fan records alone, so the finite1 memo is kept
+per class and each class is stepped once per session.  When r < n each step
+compares kernels clipped to the window, whose evidence depends on where the
+step sits, so the memo is kept per vertex.
 """
 
 from __future__ import annotations
@@ -311,6 +318,11 @@ def _vertex_class(v: VertexId) -> tuple:
     return v.family, v.orbit, a - b
 
 
+def _same(v: VertexId) -> VertexId:
+    """The key of v alone."""
+    return v
+
+
 # -- builders ----------------------------------------------------------------
 
 
@@ -542,27 +554,39 @@ class _Session:
 
     def finite1_check(self, v: VertexId) -> bool:
         """Replay of the border-terminating induction placing Hom(v, -) in the
-        first filtration layer; memoised per vertex."""
+        first filtration layer.
+
+        The walk runs along v's row from the border down to v, and the memo
+        holds, per step, the AND of every step from the border down to it.
+        When the mode's step is symbolic (sub kind None, r == n) it reads fan
+        records only, so its verdict is its translation class's: the border
+        lies at b + hi_d on every row, the walk visits the classes hi_d,
+        hi_d - 1, ..., a - b in that order, and the memo is keyed per class.
+        When the step compares kernels clipped to the window (r < n), its
+        evidence depends on where it sits, and the memo is keyed per vertex.
+        The family and vertex checks come first, so a memo hit skips neither."""
         t = self.t
-        hit = self._finite1_cache.get(v)
-        if hit is not None:
-            return hit  # the memo holds only vertices that passed the checks below
         if v.family not in self.mode.finite1:
             raise WrongFamily(f"no finite-length chain starts at {v} in this mode")
         if not model.vertex_valid(t, v):
             raise InvalidVertex(f"not a vertex of the model: {v}")
+        key = _vertex_class if self.mode.finite1[v.family][1] is None else _same
+        hit = self._finite1_cache.get(key(v))
+        if hit is not None:
+            return hit
         a, b = v.coord
         i = v.orbit
         border = b + model.index_regions(t)[(v.family, i)].hi_d  # the largest a at this b
         ok = True
         for c in range(border, a - 1, -1):
             w = VertexId(v.family, i, (c, b))
-            cached = self._finite1_cache.get(w)
+            k = key(w)
+            cached = self._finite1_cache.get(k)
             if cached is not None:
                 ok = cached
                 continue
             ok = ok and self._finite1_step(w, c == border)
-            self._finite1_cache[w] = ok
+            self._finite1_cache[k] = ok
         return ok  # the last w is v itself: a vertex has a <= border
 
     def _finite1_step(self, w: VertexId, at_border: bool) -> bool:
@@ -758,7 +782,7 @@ def _z_vertices(s, verts):
 
 _TRANSLATION = _Phase(
     "window", lambda s, verts: verts, lambda s, v: s.translation_check(v), ("vertices",),
-    passed="sigma_x and sigma_y preserve vertices and fan records", key=lambda v: v,
+    passed="sigma_x and sigma_y preserve vertices and fan records", key=_same,
 )
 _SIMPLE0 = _Phase("inner", lambda s, verts: verts, lambda s, v: s.simple0_check(v), ("vertices",))
 _SIMPLE1 = _Phase(
@@ -782,7 +806,9 @@ _LAYER0_STRICT = _Phase(
 class _Mode(NamedTuple):
     kg: int  # the claimed dimension
     kinds: tuple  # the mode's quotient kinds, in the simple1 phase's order
-    finite1: dict  # family -> the kinds of a finite-length step's quotient and sub (None: a gap)
+    # family -> the kinds of a finite-length step's quotient and sub (None: a
+    # symbolic gap, which finite1_check memoises per class)
+    finite1: dict
     phases: tuple  # (lemma, _Phase) pairs in record order
     collapse: dict  # the params of the closing collapse_layers record
     collapse_detail: str  # and its detail

@@ -75,12 +75,14 @@ def check_morphism(t: GentleTriple, k):
 
 def load_functor(t: GentleTriple, path: str) -> FpFunctor:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read functor file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"functor file {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"functor file {path} is not UTF-8 text: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"functor file {path} must hold a JSON object, got {type(data).__name__}")
     if "top" not in data:

@@ -68,7 +68,10 @@ class Window:
 
     def inner_half(self) -> "Window":
         """Each bound halved and rounded toward zero, so [-h, h] halves to
-        [-(h // 2), h // 2]."""
+        [-(h // 2), h // 2].  The box is halved about the origin, not about
+        the window centre: [-1, 9]^2 halves to [0, 4]^2, whose far corner
+        (4, 4) is the centre, so on an off-centre window the certifier's
+        representatives (nearest the centre) sit at that corner."""
         return Window(*(-(-v // 2) if v < 0 else v // 2 for v in self.box))
 
     def __str__(self) -> str:

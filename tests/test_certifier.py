@@ -295,6 +295,75 @@ def test_finite1_literal_base_case_is_not_exact():
     )
 
 
+def _spy_on_finite1_steps(monkeypatch, fails):
+    """Patch _Session._finite1_step to fail wherever fails(w) holds and to
+    run the real step elsewhere; the list of the steps taken."""
+    real, taken = C._Session._finite1_step, []
+
+    def step(self, w, at_border):
+        taken.append(w)
+        return not fails(w) and real(self, w, at_border)
+
+    monkeypatch.setattr(C._Session, "_finite1_step", step)
+    return taken
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_failing_finite1_class_fails_every_walk_through_it(monkeypatch, seed):
+    """r == n: a finite1 step reads fan records only, so the memo is per
+    class.  With one class of (2,2,1), X orbit 0 at a - b = -3, made to
+    fail, every walk whose class is -3 or lower fails and every other walk
+    passes, from any row and in any call order; each class is stepped once."""
+    t = validate_triple(2, 2, 1)
+    bad = ("X", 0, -3)
+    taken = _spy_on_finite1_steps(monkeypatch, lambda w: C._vertex_class(w) == bad)
+    verts = [v for v in M.vertices_in_box(t, *W6.box) if v.family == "X"]
+    random.Random(seed).shuffle(verts)
+    s = C._Session(t, W6, 2)
+    for v in verts:
+        a, b = v.coord
+        assert s.finite1_check(v) == (v.orbit != 0 or a - b > -3), v
+    classes = [C._vertex_class(w) for w in taken]
+    assert bad in classes and len(classes) == len(set(classes))
+    assert len(s._finite1_cache) == len(set(classes) | {C._vertex_class(v) for v in verts})
+
+
+@pytest.mark.parametrize("bad_first", [True, False], ids=["failing row first", "other row first"])
+def test_a_failing_finite1_step_stays_on_its_vertex_when_r_lt_n(t120, monkeypatch, bad_first):
+    """r < n: a finite1 step compares window cubes, whose evidence depends
+    on where the step sits, so the memo is per vertex.  A step that fails
+    at X:0:(-2,1) fails the walk through it but not a walk through
+    X:0:(-1,2), of the same class, in either call order."""
+    bad, other = V("X", 0, -2, 1), V("X", 0, -1, 2)
+    assert C._vertex_class(bad) == C._vertex_class(other)
+    _spy_on_finite1_steps(monkeypatch, lambda w: w == bad)
+    s = C._Session(t120, W6, 2)
+    walks = [(bad, False), (other, True)]
+    for v, ok in walks if bad_first else walks[::-1]:
+        assert s.finite1_check(v) == ok
+    assert bad in s._finite1_cache and other in s._finite1_cache
+
+
+def test_a_finite1_memo_hit_keeps_the_vertex_check(t110, monkeypatch):
+    """A vertex whose class the memo holds still raises InvalidVertex when
+    the model says it is no vertex."""
+    s = C._Session(t110, W6, 2)
+    assert s.finite1_check(V("X", 0, 0, 1))
+    gone = V("X", 0, 2, 3)
+    real_valid = M.vertex_valid
+    monkeypatch.setattr(M, "vertex_valid", lambda t, w: w != gone and real_valid(t, w))
+    assert C._vertex_class(gone) in s._finite1_cache
+    with pytest.raises(InvalidVertex):
+        s.finite1_check(gone)
+
+
+def test_wide_221_finite1_memo_holds_one_entry_per_class():
+    """certify of (2,2,1) at [-20,20]^2, depth 8, walks 83 finite1 classes;
+    keyed per vertex the memo held 1,324 entries."""
+    cert = certify(validate_triple(2, 2, 1), Window(-20, 20, -20, 20), 8)
+    assert cert.passed and cert.stats["caches"]["finite1_memo"] == 83
+
+
 # -- descending chains out of Z-vertices ---------------------------------------------------
 
 

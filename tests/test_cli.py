@@ -165,6 +165,20 @@ def test_functor_file_of_wrong_shape_usage_error(tmp_path, capsys, payload, name
     assert names in err
 
 
+@pytest.mark.parametrize("command", ["eval", "support", "inC0"])
+def test_functor_file_that_is_not_utf8_usage_error(tmp_path, capsys, command):
+    """A functor file whose bytes are not UTF-8 is a usage error, exit 2,
+    not a traceback."""
+    path = tmp_path / "F.json"
+    path.write_bytes(b"\xff\xfe")
+    extra = ["--at", "X:0:(0,1)"] if command == "eval" else []
+    code, out, err = run(
+        capsys, command, "--r", "1", "--n", "2", "--m", "0", "--functor", str(path), *extra
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: functor file {path} is not UTF-8 text: ") and "Traceback" not in err
+
+
 def test_fan_command(capsys):
     code, out, _ = run(
         capsys, "fan", "--r", "1", "--n", "2", "--m", "0", "--vertex", "X:0:(0,1)"
