@@ -6,7 +6,8 @@ One row per mutant: its name, a patch that applies it through a pytest
 [-h, h]^2), the depth, and the lemmas expected to fail in record order
 (``collapse_layers`` aside).  ``tests/test_mutants.py`` certifies every row
 and asserts exactly those failures; the mutants in ``SURVIVORS`` pass today
-and are asserted to pass, so a fix shows as an edit of that tuple.
+and are asserted to pass, so a fix shows as an edit of that tuple.  The
+mutants in ``EQUIVALENT`` pass too, but change nothing a check can see.
 
 The rows:
 
@@ -18,9 +19,15 @@ The rows:
 * two fans that shift the coordinate on the wrong orbit step;
 * single-vertex breakers: one fan entry moved at one vertex only, which
   breaks the model's translation symmetry there.  Only for these rows may
-  the ``translation`` lemma join the failures, in front of a subset of the
-  pinned ones: a check of one item per translation class need not reach the
-  broken vertex, and the translation phase is what catches it.
+  the ``translation`` lemma join the failures unpinned, in front of a
+  subset of the pinned ones: a check of one item per translation class
+  need not reach the broken vertex, and the translation phase is what
+  catches it;
+* whole-record mutants ``RECORD_MUTANTS``: every fan record with its sink
+  arrows at degree 1, its entries without their excludes_src flags, or its
+  sink pair swapped.  The degree-1 sinks fail ``translation`` among their
+  pinned lemmas, since that phase reads a translate's sink arrows.  The
+  swapped pair is an equivalent mutant (``EQUIVALENT``), asserted to pass.
 
 Budget: 15 s for the whole catalogue under ``pytest --durations=0``; it
 took about 5 s on a shared 2-CPU VM.
@@ -31,6 +38,7 @@ from __future__ import annotations
 import inspect
 import textwrap
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from kgcert import certifier as C
@@ -265,5 +273,58 @@ def _breaker_rows():
     ]
 
 
+# -- whole-record mutants ----------------------------------------------------------------
+
+
+def _sinks_at_degree_1(rec):
+    return rec._replace(sinks=tuple(f if f is M.ZERO else f._replace(degree=1) for f in rec.sinks))
+
+
+def _excludes_src_dropped(rec):
+    entries = tuple(e._replace(excludes_src=False) for e in rec.entries)
+    return rec._replace(entries=entries, channels=MappingProxyType({(e.family, e.orbit, e.degree): e for e in entries}))
+
+
+def _sinks_swapped(rec):
+    return rec._replace(sinks=rec.sinks[::-1])
+
+
+def every_record(change, fan_entries=M._fan_entries):
+    """A stand-in for model._fan_entries that applies change to every fan
+    record."""
+
+    @lru_cache(maxsize=None)
+    def mutated(t, v):
+        rec = fan_entries(t, v)
+        return None if rec is None else change(rec)
+
+    return mutated
+
+
+# (name, change, triple, the lemmas that fail): every sink arrow at degree 1,
+# every entry without its excludes_src flag, and the sink pair swapped.
+RECORD_MUTANTS = [
+    ("sinks-degree-1", _sinks_at_degree_1, (1, 2, 0),
+     ("translation", "simple0", "simple1", "nonsimple1", "c2simple")),
+    ("excludes-src-dropped", _excludes_src_dropped, (1, 2, 0), ("simple0",)),
+    ("excludes-src-dropped", _excludes_src_dropped, (1, 1, 0), ("inf_simple0",)),
+    ("excludes-src-dropped", _excludes_src_dropped, (2, 2, 1), ("inf_simple0",)),
+    ("sinks-swapped", _sinks_swapped, (1, 2, 0), ()),
+    ("sinks-swapped", _sinks_swapped, (1, 1, 0), ()),
+]
+
+# The record mutants that pass certify because they change nothing it can
+# see: the sink image is the OR of both sink arrows, so their order is moot.
+EQUIVALENT = ("120-sinks-swapped", "110-sinks-swapped")
+
+
+def _record_rows():
+    return [
+        Mutant(f"{_tag(triple)}-{name}", lambda mp, change=change: mp.setattr(M, "_fan_entries", every_record(change)),
+               triple, 4, 4, failed)
+        for name, change, triple, failed in RECORD_MUTANTS
+    ]
+
+
 def catalogue() -> list:
-    return _fan_bound_rows() + _kind_row_rows() + _orbit_wrap_rows() + _breaker_rows()
+    return _fan_bound_rows() + _kind_row_rows() + _orbit_wrap_rows() + _breaker_rows() + _record_rows()

@@ -85,6 +85,17 @@ def test_arrow_fan_rejects_invalid_vertex(t120, t110):
                     assert not M.arrow_exists(t, v, dst, d)
 
 
+@pytest.mark.parametrize("coord", [(0.5, 0), (True, 0)], ids=["float", "bool"])
+def test_arrow_fan_rejects_a_coordinate_that_is_no_int(t120, coord):
+    """A Z-vertex lies in the full index region, whatever its coordinates,
+    so the fan boxes are what reject a float or bool: with the message of
+    the region bound they would fill.  The cache is cleared first, since it
+    takes (True, 0) for the equal key (1, 0)."""
+    M._fan_entries.cache_clear()
+    with pytest.raises(ValueError, match=re.escape(f"lo_x must be an integer or -inf, got {coord[0]!r}")):
+        M.arrow_fan(t120, VertexId("Z", 0, coord))
+
+
 @pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
 def test_fan_record_contract(r, n, m):
     """The channel mapping indexes exactly the fan entries and is read-only
