@@ -26,9 +26,15 @@ The model has a rank-2 translation group: sigma_x moves X-vertices by
 (1, 1) and Z-vertices by (1, 0), sigma_y moves Y-vertices by (1, 1) and
 Z-vertices by (0, 1), and neither changes an orbit.  The first phase,
 ``translation``, checks on the window that both maps carry vertices to
-vertices and fan records to fan records.  Every later phase then checks one
-representative per translation class of its items, the item nearest the
-window centre (L1, ties by item order), with the classes keyed by:
+vertices and fan records to fan records.  It reads each window vertex's
+record once, as a normal form: the record moved back to its class base by
+the group element that carries the base to the vertex.  A record is the
+moved record of its neighbour exactly when their normal forms are equal,
+and the session interns the forms (``Certificate.stats["caches"]
+["translation_forms"]`` counts them: one per class on the model).  Every
+later phase then checks one representative per translation class of its
+items, the item nearest the window centre (L1, ties by item order), with
+the classes keyed by:
 
 * a Z-vertex: (family, orbit); an X- or Y-vertex: (family, orbit, a - b);
 * a simple1 instance: (kind, orbit) and its kind's invariants (``_Kind.cls``):
@@ -287,27 +293,38 @@ _SIGMAS = (
     {FAMILY_X: (1, 1), FAMILY_Y: (0, 0), FAMILY_Z: (1, 0)},
     {FAMILY_X: (0, 0), FAMILY_Y: (1, 1), FAMILY_Z: (0, 1)},
 )
-_FIXED = dict.fromkeys((FAMILY_X, FAMILY_Y, FAMILY_Z), (0, 0))
 
 
-def _moved(sigma: dict, v: VertexId, k: int = 1) -> VertexId:
-    """sigma^k v."""
-    (dx, dy), (a, b) = sigma[v.family], v.coord
-    return VertexId(v.family, v.orbit, (a + k * dx, b + k * dy))
+def _exponents(v: VertexId) -> tuple:
+    """(p, q) with sigma_x^p sigma_y^q carrying the base of v's translation
+    class, the class member with b = 0 (a = 0 too for a Z-vertex), to v."""
+    a, b = v.coord
+    return (a, b) if v.family == FAMILY_Z else (b, 0) if v.family == FAMILY_X else (0, b)
 
 
-def _moved_entries(rec: model.ArrowFan, sigma: dict) -> list:
-    """The entries of a fan record as flat tuples, each region moved by
-    sigma's shift of the entry's family (a shift (dx, dy) moves the bounds
-    of x - y by dx - dy)."""
+def _moved_record(rec: model.ArrowFan, p: int, q: int) -> tuple:
+    """The fan record rec moved by sigma_x^p sigma_y^q, as one flat tuple:
+    per entry its channel, excludes_src flag and six bounds, then per sink
+    map None when it is zero, else its target's family, orbit and
+    coordinate.  Each family moves by its own shift, and a shift (dx, dy)
+    moves the bounds of x - y by dx - dy.  The tuple splits back into
+    entries and sink maps one way only: the fifth item of an entry is a
+    bound, where a sink map's run would have a family or None."""
+    shift = {FAMILY_X: (p, p), FAMILY_Y: (q, q), FAMILY_Z: (p, q)}  # the shifts of _SIGMAS, p and q times
     out = []
     for e in rec.entries:
-        (dx, dy), r = sigma[e.family], e.region
-        out.append((
+        (dx, dy), r = shift[e.family], e.region
+        out += (
             e.family, e.orbit, e.degree, e.excludes_src, r.lo_x + dx, r.hi_x + dx,
             r.lo_y + dy, r.hi_y + dy, r.lo_d + dx - dy, r.hi_d + dx - dy,
-        ))
-    return out
+        )
+    for f in rec.sinks:
+        if f is ZERO:
+            out.append(None)
+        else:
+            (dx, dy), (x, y) = shift[f.dst.family], f.dst.coord
+            out += (f.dst.family, f.dst.orbit, x + dx, y + dy)
+    return tuple(out)
 
 
 def _vertex_class(v: VertexId) -> tuple:
@@ -395,6 +412,9 @@ class _Session:
         self._tower_cache: dict = {}
         self._tower_step_cache: dict = {}
         self._finite1_cache: dict = {}
+        self._forms: dict = {}  # the interned normal forms of fan records
+        self._form_at: dict = {}  # vertex -> (its fan record, the record's normal form, sinks_ok)
+        self._fixed_by: dict = {}  # (sigma index, normal form) -> whether sigma fixes the form
         self._read: tuple = (None, None)  # (inst, self._instance(inst)) for the last instance read
 
     def record(self, lemma: str, params: dict, passed: bool, detail: str = "") -> bool:
@@ -513,27 +533,68 @@ class _Session:
 
     # -- the translation group --------------------------------------------------
 
+    def _normal_form(self, v: VertexId, rec: model.ArrowFan) -> tuple:
+        """(rec, the normal form of rec, sinks_ok) for v's fan record rec.
+        The normal form is rec moved back by the sigma_x^p sigma_y^q that
+        carries the base of v's class to v (_exponents), interned, so every
+        vertex of a class of the model shares one.  sinks_ok: each sink map
+        of rec is zero or an arrow out of v at degree 0.  Memoised per
+        vertex with the record it was read from, so a record that changes
+        is read again."""
+        hit = self._form_at.get(v)
+        if hit is None or hit[0] is not rec:
+            p, q = _exponents(v)
+            form = _moved_record(rec, -p, -q)
+            sinks_ok = all(f is ZERO or f.src == v and f.degree == 0 for f in rec.sinks)
+            hit = self._form_at[v] = rec, self._forms.setdefault(form, form), sinks_ok
+        return hit
+
     def translation_check(self, v: VertexId) -> bool:
         """For sigma_x and sigma_y, at a vertex v: wherever sigma v lies in
         the window, it is a vertex whose fan record (entries with their
-        excludes_src flags, and the sink pair) is v's record moved by sigma;
-        wherever sigma^-1 v lies in the window, it is a vertex.  Over the
-        window's vertices, so, sigma w is a vertex exactly when w is one,
-        for every w with both in the window."""
-        t = self.t
+        excludes_src flags, and the sink pair) is v's record moved by sigma,
+        with its sink maps out of sigma v at degree 0; wherever sigma^-1 v
+        lies in the window, it is a vertex.  Over the window's vertices, so,
+        sigma w is a vertex exactly when w is one, for every w with both in
+        the window.
+
+        Records are compared by their normal forms (_normal_form): each
+        record moved back to its class base.  The session interns them, so
+        equal forms are one object, and stats["caches"]["translation_forms"]
+        counts them.  When sigma moves v's family, sigma v's class base is
+        v's, and the record at sigma v is v's moved by sigma exactly when
+        the two normal forms are equal.  When sigma fixes it (sigma_y on X,
+        sigma_x on Y), sigma v and sigma^-1 v are v, and v's record must be
+        fixed by sigma, which is decided once per normal form."""
+        t, window = self.t, self.window
         rec = model.arrow_fan(t, v)
-        for sigma in _SIGMAS:
-            back = _moved(sigma, v, -1)
-            if self.window.contains(back.coord) and not model.vertex_valid(t, back):
+        _, form, sinks_ok = self._normal_form(v, rec)
+        a, b = v.coord
+        for k, sigma in enumerate(_SIGMAS):
+            dx, dy = sigma[v.family]
+            if dx == dy == 0:
+                if not window.contains(v.coord):
+                    continue
+                if not (model.vertex_valid(t, v) and sinks_ok):
+                    return False
+                fixed = self._fixed_by.get((k, form))
+                if fixed is None:
+                    p, q = _exponents(v)  # sigma is sigma_x^(1-k) sigma_y^k
+                    fixed = self._fixed_by[(k, form)] = _moved_record(rec, 1 - k - p, k - q) == form
+                if not fixed:
+                    return False
+                continue
+            back = VertexId(v.family, v.orbit, (a - dx, b - dy))
+            if window.contains(back.coord) and not model.vertex_valid(t, back):
                 return False
-            w = _moved(sigma, v)
-            if not self.window.contains(w.coord):
+            w = VertexId(v.family, v.orbit, (a + dx, b + dy))
+            if not window.contains(w.coord):
                 continue
             image = model._fan_entries(t, w)
-            if image is None or _moved_entries(rec, sigma) != _moved_entries(image, _FIXED):
+            if image is None:
                 return False
-            sinks = tuple(f if f is ZERO else ArrowMorphism(w, _moved(sigma, f.dst), 0) for f in rec.sinks)
-            if sinks != image.sinks:
+            _, image_form, image_sinks_ok = self._normal_form(w, image)
+            if not image_sinks_ok or image_form is not form:
                 return False
         return True
 
@@ -860,13 +921,13 @@ def _passes(s: _Session, phase: _Phase, item) -> bool:
 
 
 # The caches that Certificate.stats sizes, in the order _cache_sizes reads them.
-_CACHES = ("tower_memo", "step_memo", "finite1_memo", "engine_cubes", "sink_decisions")
+_CACHES = ("translation_forms", "tower_memo", "step_memo", "finite1_memo", "engine_cubes", "sink_decisions")
 
 
 def _cache_sizes(s: _Session) -> dict:
     entries = s.eng._entries.values()
     sizes = (
-        len(s._tower_cache), len(s._tower_step_cache), len(s._finite1_cache),
+        len(s._forms), len(s._tower_cache), len(s._tower_step_cache), len(s._finite1_cache),
         len(entries), sum(entry[2] is not None for entry in entries),
     )
     return dict(zip(_CACHES, sizes))

@@ -154,6 +154,11 @@ def vertex_valid(t: GentleTriple, v: VertexId) -> bool:
     return reg is not None and regions.member(reg, v.coord)
 
 
+def _fan_box(lo_x, hi_x, lo_y, hi_y) -> Region:
+    """regions.box without the validation of its bounds, for _fan_entries."""
+    return regions._unchecked(lo_x, hi_x, lo_y, hi_y, regions.NEG_INF, regions.POS_INF)
+
+
 @lru_cache(maxsize=65536)
 def _fan_entries(t: GentleTriple, v: VertexId) -> ArrowFan | None:
     """The fan record of v, or None when v is not a vertex of the model."""
@@ -166,25 +171,29 @@ def _fan_entries(t: GentleTriple, v: VertexId) -> ArrowFan | None:
     R = t.orbit_count
     dr = 1 if i == R - 1 else 0
     nxt = (i + 1) % R
+    # With int coordinates and parameters every bound below is an int or an
+    # infinity of its side, so the boxes skip Region's validation; anything
+    # else goes through regions.box, which raises as it always has.
+    box = _fan_box if type(a) is type(b) is type(m) is type(n) is int else regions.box
     if v.family == FAMILY_X:  # when r == n: no Z entry, and the orbit-raising arrow has degree 1
         entries = (
-            FanEntry(FAMILY_X, i, 0, regions.box(a, b + d0 * m, b, regions.POS_INF), True),
-            FanEntry(FAMILY_Z, i, 1, regions.box(a, b + d0 * m, regions.NEG_INF, regions.POS_INF)),
-            FanEntry(FAMILY_X, nxt, t.max_degree, regions.box(regions.NEG_INF, a + dr * m, a, b + d0 * m)),
+            FanEntry(FAMILY_X, i, 0, box(a, b + d0 * m, b, regions.POS_INF), True),
+            FanEntry(FAMILY_Z, i, 1, box(a, b + d0 * m, regions.NEG_INF, regions.POS_INF)),
+            FanEntry(FAMILY_X, nxt, t.max_degree, box(regions.NEG_INF, a + dr * m, a, b + d0 * m)),
         )
         entries = tuple(e for e in entries if e.family in families(t))
     elif v.family == FAMILY_Y:
         entries = (
-            FanEntry(FAMILY_Y, i, 0, regions.box(a, b - d0 * n, b, regions.POS_INF), True),
-            FanEntry(FAMILY_Z, i, 1, regions.box(regions.NEG_INF, regions.POS_INF, a, b - d0 * n)),
-            FanEntry(FAMILY_Y, nxt, 2, regions.box(regions.NEG_INF, a - dr * n, a, b - d0 * n)),
+            FanEntry(FAMILY_Y, i, 0, box(a, b - d0 * n, b, regions.POS_INF), True),
+            FanEntry(FAMILY_Z, i, 1, box(regions.NEG_INF, regions.POS_INF, a, b - d0 * n)),
+            FanEntry(FAMILY_Y, nxt, 2, box(regions.NEG_INF, a - dr * n, a, b - d0 * n)),
         )
     else:  # Z family
         entries = (
-            FanEntry(FAMILY_Z, i, 0, regions.box(a, regions.POS_INF, b, regions.POS_INF), True),
-            FanEntry(FAMILY_X, nxt, 1, regions.box(regions.NEG_INF, a + dr * m, a, regions.POS_INF)),
-            FanEntry(FAMILY_Y, nxt, 1, regions.box(regions.NEG_INF, b - dr * n, b, regions.POS_INF)),
-            FanEntry(FAMILY_Z, nxt, 2, regions.box(regions.NEG_INF, a + dr * m, regions.NEG_INF, b - dr * n)),
+            FanEntry(FAMILY_Z, i, 0, box(a, regions.POS_INF, b, regions.POS_INF), True),
+            FanEntry(FAMILY_X, nxt, 1, box(regions.NEG_INF, a + dr * m, a, regions.POS_INF)),
+            FanEntry(FAMILY_Y, nxt, 1, box(regions.NEG_INF, b - dr * n, b, regions.POS_INF)),
+            FanEntry(FAMILY_Z, nxt, 2, box(regions.NEG_INF, a + dr * m, regions.NEG_INF, b - dr * n)),
         )
     channels = {(e.family, e.orbit, e.degree): e for e in entries}
     # The sink targets are never v itself, so excludes_src cannot apply.

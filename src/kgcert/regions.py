@@ -23,7 +23,8 @@ One routine, :func:`_closure`, closes six raw bounds into one region;
 :func:`close`, :func:`intersect` and :func:`subtract` pass it a region's
 bounds, a bound-wise meet and a piece's meet with ``a``, so no intermediate
 region is built.  ``Region(...)`` validates its six bounds; the results of
-:func:`_closure` skip that check (see :func:`_unchecked`).
+:func:`_closure` and the model's fan boxes skip that check (see
+:func:`_unchecked`).
 """
 
 from __future__ import annotations
@@ -108,17 +109,25 @@ _new_object = object.__new__
 
 
 def _unchecked(lo_x, hi_x, lo_y, hi_y, lo_d, hi_d) -> Region:
-    """A Region built without ``__post_init__``; only for :func:`_closure`,
-    the one closure routine, which :func:`close`, :func:`intersect` and
-    :func:`subtract` call.
+    """A Region built without ``__post_init__``; only for two callers.
 
-    Safe because every bound it passes is a max, min, sum or difference of
-    bounds of validated regions, of the matching kind: a max or min of two
-    lower (upper) bounds, or a lower (upper) bound plus another lower (upper)
-    bound, or minus an upper (lower) one.  Ints stay ints, and an infinity
-    can only come from an infinity of the same sign, so lower bounds stay an
-    int or -inf and upper bounds an int or +inf.  :func:`subtract` also
-    meets a's bounds with b's int bounds plus or minus 1, which stay ints.
+    :func:`_closure`, the one closure routine, which :func:`close`,
+    :func:`intersect` and :func:`subtract` call.  Safe because every bound
+    it passes is a max, min, sum or difference of bounds of validated
+    regions, of the matching kind: a max or min of two lower (upper)
+    bounds, or a lower (upper) bound plus another lower (upper) bound, or
+    minus an upper (lower) one.  Ints stay ints, and an infinity can only
+    come from an infinity of the same sign, so lower bounds stay an int or
+    -inf and upper bounds an int or +inf.  :func:`subtract` also meets a's
+    bounds with b's int bounds plus or minus 1, which stay ints.
+
+    ``model._fan_box``, the fan boxes of ``model._fan_entries``, which
+    builds a record's boxes with it only when the vertex's coordinates and
+    the triple's m and n are all of type int: each bound is then a sum of
+    those ints and 0/1 factors, or the infinity of its side, and the
+    d-bounds are infinite.  Other coordinates take the validated
+    :func:`box`, and raise as they would without this path.
+
     The result equals, and hashes like, ``Region(*bounds)``.
     """
     r = _new_object(Region)

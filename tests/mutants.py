@@ -280,9 +280,13 @@ def _sinks_at_degree_1(rec):
     return rec._replace(sinks=tuple(f if f is M.ZERO else f._replace(degree=1) for f in rec.sinks))
 
 
-def _excludes_src_dropped(rec):
-    entries = tuple(e._replace(excludes_src=False) for e in rec.entries)
+def with_entries(rec, entries):
+    """The fan record rec with these entries, and the channels of them."""
     return rec._replace(entries=entries, channels=MappingProxyType({(e.family, e.orbit, e.degree): e for e in entries}))
+
+
+def _excludes_src_dropped(rec):
+    return with_entries(rec, tuple(e._replace(excludes_src=False) for e in rec.entries))
 
 
 def _sinks_swapped(rec):

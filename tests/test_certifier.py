@@ -1333,6 +1333,32 @@ def test_translation_check_rejects_a_broken_vertex(t120, monkeypatch, broken):
     assert not s.translation_check(v)
 
 
+@pytest.mark.parametrize(
+    "r,n,m,half,forms",
+    [(1, 2, 0, 8, 33), (2, 3, 0, 8, 67), (1, 3, 2, 8, 34), (1, 1, 0, 8, 17), (2, 2, 0, 8, 34), (2, 2, 1, 8, 35),
+     (1, 2, 0, 10, 41), (2, 2, 1, 20, 83)],
+)
+def test_translation_interns_one_normal_form_per_class(r, n, m, half, forms):
+    """On the model, every window vertex of a translation class has the
+    same normal form: the translation phase over the acceptance and wide
+    windows interns one form per class."""
+    t = validate_triple(r, n, m)
+    s = C._Session(t, Window(-half, half, -half, half), 1)
+    verts = M.vertices_in_box(t, *s.window.box)
+    assert all(s.translation_check(v) for v in verts)
+    assert len(s._forms) == len({C._vertex_class(v) for v in verts}) == forms
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES + ORBIT_TRIPLES)
+def test_stats_count_the_translation_forms(r, n, m):
+    """stats["caches"]["translation_forms"] of a certificate is the number
+    of translation classes among the window's vertices."""
+    t = validate_triple(r, n, m)
+    cert = certify(t, W4, 2)
+    classes = {C._vertex_class(v) for v in M.vertices_in_box(t, *W4.box)}
+    assert cert.passed and cert.stats["caches"]["translation_forms"] == len(classes)
+
+
 def test_stats_count_every_item_once(t120):
     """Per phase, stats give the representatives, the items they cover,
     the representatives checked and the seconds taken; each record's count
@@ -1616,7 +1642,7 @@ def test_a_running_thread_keeps_certify_in_one_process(t110, monkeypatch):
 
 @pytest.mark.parametrize("split", [False, True], ids=["one process", "two"])
 def test_stats_give_the_cache_sizes_of_each_process(t120, split):
-    """The sizes of the three session memos and the engine's two caches, one
+    """The sizes of the four session caches and the engine's two caches, one
     set for the one process that certifies; every one is in use on a
     passing run.  A fresh child reports the same sizes as a fresh engine
     here."""

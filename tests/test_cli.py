@@ -351,7 +351,9 @@ def test_certify_stats_leave_the_certificate_bytes_alone(tmp_path, capsys):
     for p in stats["phases"]:
         assert set(p) == {"lemma", "items", "covers", "checked", "seconds"}
         assert 0 < p["checked"] == p["items"] <= p["covers"] and p["seconds"] >= 0
-    assert set(stats["caches"]) == {"tower_memo", "step_memo", "finite1_memo", "engine_cubes", "sink_decisions"}
+    assert set(stats["caches"]) == {
+        "translation_forms", "tower_memo", "step_memo", "finite1_memo", "engine_cubes", "sink_decisions",
+    }
 
 
 def test_certify_vacuous_window_exits_one(capsys):

@@ -1,8 +1,13 @@
 """The translation phase's check against a reference: the predicate that
 compared each window vertex's fan record, moved by sigma_x and sigma_y,
 entry by entry with the record of its translate.  On every window vertex,
-with the valid model and with each model mutant of the catalogue that moves
-fan bounds or sink arrows, the session's check gives the same bool."""
+with the valid model, with each model mutant of the catalogue (fan bounds,
+single-vertex breakers, whole records) and with five more that break what
+the normal forms must still see, the session's check gives the same bool,
+also in one session whose fan function is swapped."""
+
+from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
@@ -98,23 +103,73 @@ def test_the_check_agrees_with_the_reference_on_the_model(triple):
     assert verdicts and all(verdicts)
 
 
+def _with_entry(family, k, bounds, fan_entries=M._fan_entries):
+    """A stand-in for model._fan_entries that rebuilds entry k of every
+    record of family, with the bounds that bounds(v) names."""
+
+    @lru_cache(maxsize=None)
+    def mutated(t, v):
+        rec = fan_entries(t, v)
+        if rec is None or v.family != family:
+            return rec
+        e = rec.entries[k]
+        return mutants.with_entries(
+            rec, rec.entries[:k] + (e._replace(region=replace(e.region, **bounds(v))),) + rec.entries[k + 1:]
+        )
+
+    return mutated
+
+
+def _sinks_out_of_their_targets(rec):
+    return rec._replace(sinks=tuple(f if f is ZERO else f._replace(src=f.dst) for f in rec.sinks))
+
+
+def _sinks_swapped_at(v, fan_entries=M._fan_entries):
+    @lru_cache(maxsize=None)
+    def mutated(t, w):
+        rec = fan_entries(t, w)
+        return rec._replace(sinks=rec.sinks[::-1]) if w == v else rec
+
+    return mutated
+
+
+# Model mutants beyond the catalogue's, each of a kind that no catalogue
+# row has: a finite y bound on the Z entry of X (a finite x bound on that of
+# Y), which sigma_y (sigma_x) does not fix; sinks out of their targets; a
+# zero and a nonzero sink swapped at one vertex; and a finite x - y bound,
+# carried by the translations, on the degree-0 entry of Z.
+EXTRA = [
+    mutants.Mutant("120-X-Z-entry-lo_y", lambda mp: mp.setattr(
+        M, "_fan_entries", _with_entry("X", 1, lambda v: {"lo_y": v.coord[1]})), (1, 2, 0), 4, 4, ()),
+    mutants.Mutant("120-Y-Z-entry-lo_x", lambda mp: mp.setattr(
+        M, "_fan_entries", _with_entry("Y", 1, lambda v: {"lo_x": v.coord[0]})), (1, 2, 0), 4, 4, ()),
+    mutants.Mutant("120-sinks-out-of-targets", lambda mp: mp.setattr(
+        M, "_fan_entries", mutants.every_record(_sinks_out_of_their_targets)), (1, 2, 0), 4, 4, ()),
+    mutants.Mutant("120-sinks-swapped-at-X:0:(1,1)", lambda mp: mp.setattr(
+        M, "_fan_entries", _sinks_swapped_at(VertexId("X", 0, (1, 1)))), (1, 2, 0), 4, 4, ()),
+    mutants.Mutant("120-Z-0-lo_d", lambda mp: mp.setattr(
+        M, "_fan_entries", _with_entry("Z", 0, lambda v: {"lo_d": v.coord[0] - v.coord[1]})), (1, 2, 0), 4, 4, ()),
+]
+
 # The catalogue rows that replace model._fan_entries: the fan-bound mutants
 # (on (1,2,0), (2,3,0), (1,3,2), (1,1,0) and (2,2,1)), the single-vertex
-# breakers and the whole-record mutants.
-ROWS = mutants._fan_bound_rows() + mutants._breaker_rows() + mutants._record_rows()
+# breakers and the whole-record mutants; then the mutants above.
+ROWS = mutants._fan_bound_rows() + mutants._breaker_rows() + mutants._record_rows() + EXTRA
 
 
 def test_the_rows_are_every_model_mutant():
-    assert len(ROWS) == 168 + len(mutants.BREAKERS) + len(mutants.RECORD_MUTANTS)
+    assert len(ROWS) == 168 + len(mutants.BREAKERS) + len(mutants.RECORD_MUTANTS) + len(EXTRA)
     assert {row.triple for row in ROWS} == set(TRIPLES) | {(1, 3, 2)}
 
 
 # The window vertices that fail, per row where some do.  A fan-bound mutant
 # moves one bound at every vertex of a family, so the translations still
 # carry each record to the next and every vertex passes; so do the dropped
-# excludes_src flags and the swapped sink pair.  A breaker fails at its
-# vertex and at the vertices whose translates it is; the degree-1 sinks fail
-# wherever a translate with a sink arrow lies in the window.
+# excludes_src flags, the swapped sink pair and the x - y bound on Z.  A
+# breaker fails at its vertex and at the vertices whose translates it is;
+# sink arrows at degree 1 or out of their targets fail wherever a translate
+# with a sink arrow lies in the window; the Z entries with a finite bound
+# fail at every X-vertex (Y-vertex).
 FAILING = {
     "120-X:0:(3,3)-0-hi_x-1": 2,
     "120-Y:0:(-2,2)-1-hi_y-1": 2,
@@ -123,6 +178,10 @@ FAILING = {
     "221-X:0:(1,2)-0-lo_y-1": 2,
     "110-X:0:(2,3)-0-hi_x-1": 2,
     "120-sinks-degree-1": 153,
+    "120-X-Z-entry-lo_y": 45,
+    "120-Y-Z-entry-lo_x": 28,
+    "120-sinks-out-of-targets": 153,
+    "120-sinks-swapped-at-X:0:(1,1)": 2,
 }
 
 
