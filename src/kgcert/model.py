@@ -154,11 +154,6 @@ def vertex_valid(t: GentleTriple, v: VertexId) -> bool:
     return reg is not None and regions.member(reg, v.coord)
 
 
-def _fan_box(lo_x, hi_x, lo_y, hi_y) -> Region:
-    """regions.box without the validation of its bounds, for _fan_entries."""
-    return regions._unchecked(lo_x, hi_x, lo_y, hi_y, regions.NEG_INF, regions.POS_INF)
-
-
 @lru_cache(maxsize=65536)
 def _fan_entries(t: GentleTriple, v: VertexId) -> ArrowFan | None:
     """The fan record of v, or None when v is not a vertex of the model."""
@@ -174,7 +169,7 @@ def _fan_entries(t: GentleTriple, v: VertexId) -> ArrowFan | None:
     # With int coordinates and parameters every bound below is an int or an
     # infinity of its side, so the boxes skip Region's validation; anything
     # else goes through regions.box, which raises as it always has.
-    box = _fan_box if type(a) is type(b) is type(m) is type(n) is int else regions.box
+    box = regions._unchecked_box if type(a) is type(b) is type(m) is type(n) is int else regions.box
     if v.family == FAMILY_X:  # when r == n: no Z entry, and the orbit-raising arrow has degree 1
         entries = (
             FanEntry(FAMILY_X, i, 0, box(a, b + d0 * m, b, regions.POS_INF), True),

@@ -110,38 +110,59 @@ _set = object.__setattr__
 
 
 def _unchecked(lo_x, hi_x, lo_y, hi_y, lo_d, hi_d) -> Region:
-    """A Region built without ``__post_init__``; only for two callers.
+    """A Region built without ``__post_init__``; it and :func:`_unchecked_box`
+    each serve one caller.
 
     :func:`_closure`, the one closure routine, which :func:`close`,
-    :func:`intersect` and :func:`subtract` call.  Safe because every bound
-    it passes is a max, min, sum or difference of bounds of validated
-    regions, of the matching kind: a max or min of two lower (upper)
-    bounds, or a lower (upper) bound plus another lower (upper) bound, or
-    minus an upper (lower) one.  Ints stay ints, and an infinity can only
-    come from an infinity of the same sign, so lower bounds stay an int or
-    -inf and upper bounds an int or +inf.  :func:`subtract` also meets a's
-    bounds with b's int bounds plus or minus 1, which stay ints.
+    :func:`intersect` and :func:`subtract` call, takes this one.  Safe
+    because every bound it passes is a max, min, sum or difference of
+    bounds of validated regions, of the matching kind: a max or min of two
+    lower (upper) bounds, or a lower (upper) bound plus another lower
+    (upper) bound, or minus an upper (lower) one.  Ints stay ints, and an
+    infinity can only come from an infinity of the same sign, so lower
+    bounds stay an int or -inf and upper bounds an int or +inf.
+    :func:`subtract` also meets a's bounds with b's int bounds plus or
+    minus 1, which stay ints.
 
-    ``model._fan_box``, the fan boxes of ``model._fan_entries``, which
-    builds a record's boxes with it only when the vertex's coordinates and
-    the triple's m and n are all of type int: each bound is then a sum of
-    those ints and 0/1 factors, or the infinity of its side, and the
-    d-bounds are infinite.  Other coordinates take the validated
-    :func:`box`, and raise as they would without this path.
+    ``model._fan_entries`` takes :func:`_unchecked_box`, for the fan boxes
+    of a record, only when the vertex's coordinates and the triple's m and
+    n are all of type int: each bound is then a sum of those ints and 0/1
+    factors, or the infinity of its side, and the d-bounds are infinite.
+    Other coordinates take the validated :func:`box`, and raise as they
+    would without this path.
 
-    The result equals, and hashes like, ``Region(*bounds)``.  Its bounds
-    are set through ``object.__setattr__``, as the dataclass ``__init__``
-    sets them: writing them into ``r.__dict__`` would give the region a
-    dict of its own, 64 more bytes, and attribute reads at half the speed
-    on CPython 3.11.
+    Both results equal, and hash like, ``Region(*bounds)``.
+    """
+    r = _new_object(Region)
+    d = r.__dict__
+    d["lo_x"] = lo_x
+    d["hi_x"] = hi_x
+    d["lo_y"] = lo_y
+    d["hi_y"] = hi_y
+    d["lo_d"] = lo_d
+    d["hi_d"] = hi_d
+    return r
+
+
+def _unchecked_box(lo_x, hi_x, lo_y, hi_y) -> Region:
+    """:func:`box` without the validation of its bounds (see
+    :func:`_unchecked` for its one caller).
+
+    The bounds are set through ``object.__setattr__``, as the dataclass
+    ``__init__`` sets them, so the region keeps them inline.  Writing them
+    into ``r.__dict__``, as :func:`_unchecked` does, builds a region in
+    less than half the time but gives it a dict of its own: 64 more bytes,
+    and attribute reads at half the speed on CPython 3.11.  That suits a closure
+    result, which is mostly read a few times and dropped; a fan box lives in
+    the record cache and is read over and over.
     """
     r = _new_object(Region)
     _set(r, "lo_x", lo_x)
     _set(r, "hi_x", hi_x)
     _set(r, "lo_y", lo_y)
     _set(r, "hi_y", hi_y)
-    _set(r, "lo_d", lo_d)
-    _set(r, "hi_d", hi_d)
+    _set(r, "lo_d", NEG_INF)
+    _set(r, "hi_d", POS_INF)
     return r
 
 

@@ -96,6 +96,17 @@ def test_arrow_fan_rejects_a_coordinate_that_is_no_int(t120, coord):
         M.arrow_fan(t120, VertexId("Z", 0, coord))
 
 
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES + ORBIT_TRIPLES)
+def test_fan_boxes_are_valid_boxes(r, n, m):
+    """The fan boxes skip Region's validation; each has bounds that pass
+    it, no x - y bound, and equals and hashes like the validated box."""
+    t = validate_triple(r, n, m)
+    for v in M.vertices_in_box(t, -3, 3, -3, 3):
+        for e in M.arrow_fan(t, v).entries:
+            box = R.box(e.region.lo_x, e.region.hi_x, e.region.lo_y, e.region.hi_y)
+            assert e.region == box and hash(e.region) == hash(box)
+
+
 @pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
 def test_fan_record_contract(r, n, m):
     """The channel mapping indexes exactly the fan entries and is read-only
