@@ -16,16 +16,19 @@ only the X family exists, with degrees {0, 1}, and degree-1 arrows raise the
 orbit (mod n): its fan is the r < n X fan without the Z entry, with the
 orbit-raising arrow at the top degree.
 
-Vertices, identities, arrows, fan entries and fan records are
-``typing.NamedTuple`` values: building, hashing and comparing them runs in
-C, where a frozen dataclass runs generated Python code, and these values are
-built and used as dictionary and ``lru_cache`` keys millions of times per
-certificate.  The trade-off: a NamedTuple equals a plain tuple with the same
-fields (and any other NamedTuple with them), so code must not compare these
-values with plain tuples.  Values of two different classes among these,
-``GentleTriple`` and ``certifier.Simple1Instance`` never compare equal,
-because their field counts or field types differ.  The zero morphism stays a
-dataclass, so it equals no tuple.
+Vertices, identities, arrows, fan entries, fan records and their regions
+(``regions.Region``) are ``typing.NamedTuple`` values: building, hashing and
+comparing them runs in C, where a frozen dataclass runs generated Python
+code, and these values are built and used as dictionary and ``lru_cache``
+keys millions of times per certificate.  The trade-off: a NamedTuple equals
+a plain tuple with the same fields (and any other NamedTuple with them), so
+code must not compare these values with plain tuples; a Region equals the
+plain 6-tuple of its bounds.  ``_make`` and ``_replace`` build a value
+without its class's checks, so a Region built that way is not validated.
+Values of two different classes among these, ``GentleTriple`` and
+``certifier.Simple1Instance`` never compare equal, because their field
+counts or field types differ.  The zero morphism stays a dataclass, so it
+equals no tuple.
 
 Every valid vertex has one cached fan record, the ``ArrowFan`` that
 ``_fan_entries`` builds: the vertex, the fan entries in a fixed order, a
@@ -169,7 +172,7 @@ def _fan_entries(t: GentleTriple, v: VertexId) -> ArrowFan | None:
     # With int coordinates and parameters every bound below is an int or an
     # infinity of its side, so the boxes skip Region's validation; anything
     # else goes through regions.box, which raises as it always has.
-    box = regions._unchecked_box if type(a) is type(b) is type(m) is type(n) is int else regions.box
+    box = regions._unchecked if type(a) is type(b) is type(m) is type(n) is int else regions.box
     if v.family == FAMILY_X:  # when r == n: no Z entry, and the orbit-raising arrow has degree 1
         entries = (
             FanEntry(FAMILY_X, i, 0, box(a, b + d0 * m, b, regions.POS_INF), True),

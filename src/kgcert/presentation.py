@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import OmegaViolation
+from .regions import _is_int
 
 
 class ModelMode(enum.Enum):
@@ -55,7 +56,9 @@ class GentleTriple(NamedTuple):
 
 
 def validate_triple(r: int, n: int, m: int) -> GentleTriple:
-    """Admissibility check: 1 <= r <= n and m >= 0."""
+    """Admissibility check: r, n and m are ints (not bools), 1 <= r <= n and m >= 0."""
+    if not (_is_int(r) and _is_int(n) and _is_int(m)):
+        raise OmegaViolation(f"r, n and m must be integers, got r={r!r}, n={n!r}, m={m!r}")
     if r < 1:
         raise OmegaViolation(f"r must be positive, got r={r}")
     if r > n:

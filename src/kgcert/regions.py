@@ -22,15 +22,21 @@ point, so ``inner`` lies in ``outer`` exactly when each closed bound of
 One routine, :func:`_closure`, closes six raw bounds into one region;
 :func:`close`, :func:`intersect` and :func:`subtract` pass it a region's
 bounds, a bound-wise meet and a piece's meet with ``a``, so no intermediate
-region is built.  ``Region(...)`` validates its six bounds; the results of
-:func:`_closure` and the model's fan boxes skip that check (see
-:func:`_unchecked`).
+region is built.
+
+A region is a ``NamedTuple`` of its six bounds in the order lo_x, hi_x,
+lo_y, hi_y, lo_d, hi_d, so building, hashing and comparing one runs in C; it
+equals the plain 6-tuple of its bounds.  ``Region(...)`` validates the
+bounds.  One constructor, :func:`_unchecked`, builds the tuple without that
+check; it serves the results of :func:`_closure` and the model's fan boxes
+with int coordinates, whose bounds are valid by construction (see its
+docstring).  ``_make`` and ``_replace`` skip the check as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InfiniteWindow
 
@@ -71,11 +77,10 @@ class _EmptyRegion:
 
 EMPTY = _EmptyRegion()
 
+_new = tuple.__new__
 
-@dataclass(frozen=True)
-class Region:
-    """Conjunction lo_x <= x <= hi_x, lo_y <= y <= hi_y, lo_d <= x-y <= hi_d."""
 
+class _Bounds(NamedTuple):
     lo_x: object = NEG_INF
     hi_x: object = POS_INF
     lo_y: object = NEG_INF
@@ -83,6 +88,19 @@ class Region:
     lo_d: object = NEG_INF
     hi_d: object = POS_INF
 
+
+class Region(_Bounds):
+    """Conjunction lo_x <= x <= hi_x, lo_y <= y <= hi_y, lo_d <= x-y <= hi_d."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo_x=NEG_INF, hi_x=POS_INF, lo_y=NEG_INF, hi_y=POS_INF, lo_d=NEG_INF, hi_d=POS_INF):
+        self = _new(cls, (lo_x, hi_x, lo_y, hi_y, lo_d, hi_d))
+        self.__post_init__()
+        return self
+
+    # perfbench/tracer.py wraps __post_init__ by name to count validated
+    # constructions.
     def __post_init__(self):
         _check_lower(self.lo_x, "lo_x")
         _check_lower(self.lo_y, "lo_y")
@@ -105,65 +123,26 @@ class Region:
 
 FULL = Region()
 
-_new_object = object.__new__
-_set = object.__setattr__
 
+def _unchecked(lo_x, hi_x, lo_y, hi_y, lo_d=NEG_INF, hi_d=POS_INF) -> Region:
+    """A Region built without ``__post_init__``.
 
-def _unchecked(lo_x, hi_x, lo_y, hi_y, lo_d, hi_d) -> Region:
-    """A Region built without ``__post_init__``; it and :func:`_unchecked_box`
-    each serve one caller.
-
-    :func:`_closure`, the one closure routine, which :func:`close`,
-    :func:`intersect` and :func:`subtract` call, takes this one.  Safe
-    because every bound it passes is a max, min, sum or difference of
-    bounds of validated regions, of the matching kind: a max or min of two
-    lower (upper) bounds, or a lower (upper) bound plus another lower
-    (upper) bound, or minus an upper (lower) one.  Ints stay ints, and an
-    infinity can only come from an infinity of the same sign, so lower
-    bounds stay an int or -inf and upper bounds an int or +inf.
+    :func:`_closure` passes bounds that are each a max, min, sum or
+    difference of bounds of validated regions, of the matching kind: a max
+    or min of two lower (upper) bounds, or a lower (upper) bound plus
+    another lower (upper) bound, or minus an upper (lower) one.  Ints stay
+    ints, and an infinity can only come from an infinity of the same sign,
+    so lower bounds stay an int or -inf and upper bounds an int or +inf.
     :func:`subtract` also meets a's bounds with b's int bounds plus or
     minus 1, which stay ints.
 
-    ``model._fan_entries`` takes :func:`_unchecked_box`, for the fan boxes
-    of a record, only when the vertex's coordinates and the triple's m and
-    n are all of type int: each bound is then a sum of those ints and 0/1
-    factors, or the infinity of its side, and the d-bounds are infinite.
-    Other coordinates take the validated :func:`box`, and raise as they
-    would without this path.
-
-    Both results equal, and hash like, ``Region(*bounds)``.
+    ``model._fan_entries`` builds its fan boxes here only when the vertex's
+    coordinates and the triple's m and n are all of type int: each bound is
+    then a sum of those ints and 0/1 factors, or the infinity of its side,
+    and the d-bounds are infinite.  Other coordinates take the validated
+    :func:`box`, and raise as they would without this path.
     """
-    r = _new_object(Region)
-    d = r.__dict__
-    d["lo_x"] = lo_x
-    d["hi_x"] = hi_x
-    d["lo_y"] = lo_y
-    d["hi_y"] = hi_y
-    d["lo_d"] = lo_d
-    d["hi_d"] = hi_d
-    return r
-
-
-def _unchecked_box(lo_x, hi_x, lo_y, hi_y) -> Region:
-    """:func:`box` without the validation of its bounds (see
-    :func:`_unchecked` for its one caller).
-
-    The bounds are set through ``object.__setattr__``, as the dataclass
-    ``__init__`` sets them, so the region keeps them inline.  Writing them
-    into ``r.__dict__``, as :func:`_unchecked` does, builds a region in
-    less than half the time but gives it a dict of its own: 64 more bytes,
-    and attribute reads at half the speed on CPython 3.11.  That suits a closure
-    result, which is mostly read a few times and dropped; a fan box lives in
-    the record cache and is read over and over.
-    """
-    r = _new_object(Region)
-    _set(r, "lo_x", lo_x)
-    _set(r, "hi_x", hi_x)
-    _set(r, "lo_y", lo_y)
-    _set(r, "hi_y", hi_y)
-    _set(r, "lo_d", NEG_INF)
-    _set(r, "hi_d", POS_INF)
-    return r
+    return _new(Region, (lo_x, hi_x, lo_y, hi_y, lo_d, hi_d))
 
 
 def box(lo_x, hi_x, lo_y, hi_y) -> Region:
@@ -216,7 +195,7 @@ def close(r):
     """Tightest equivalent bounds, or EMPTY if the denotation is empty."""
     if r is EMPTY:
         return EMPTY
-    return _closure(r.lo_x, r.hi_x, r.lo_y, r.hi_y, r.lo_d, r.hi_d)
+    return _closure(*r)
 
 
 def is_finite(r) -> bool:
@@ -312,9 +291,9 @@ def subtract(a, b) -> RegionSet:
         return RegionSet(())
     if b is EMPTY:
         return RegionSet((a,))
-    kept = [a.lo_x, a.hi_x, a.lo_y, a.hi_y, a.lo_d, a.hi_d]
+    kept = list(a)
     pieces = []
-    for k, v in enumerate((b.lo_x, b.hi_x, b.lo_y, b.hi_y, b.lo_d, b.hi_d)):
+    for k, v in enumerate(b):
         if v == NEG_INF or v == POS_INF:
             continue  # a vacuous bound: its complement is empty
         bounds = kept.copy()

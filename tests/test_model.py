@@ -2,7 +2,6 @@
 
 import random
 import re
-from dataclasses import replace
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -507,7 +506,7 @@ def mutated_fan_entries(family, k, bound, step, fan_entries=M._fan_entries):
         if rec is None or v.family != family:
             return rec
         e = rec.entries[k]
-        region = replace(e.region, **{bound: getattr(e.region, bound) + step})
+        region = e.region._replace(**{bound: getattr(e.region, bound) + step})
         entries = rec.entries[:k] + (e._replace(region=region),) + rec.entries[k + 1 :]
         channels = {(x.family, x.orbit, x.degree): x for x in entries}
         return rec._replace(entries=entries, channels=MappingProxyType(channels))

@@ -22,7 +22,7 @@ def test_validate_accepts_infinite_mode():
     assert t.mode() is ModelMode.INFINITE_GLDIM
 
 
-@pytest.mark.parametrize("r,n,m", [(3, 2, 0), (0, 1, 0), (1, 1, -1)])
+@pytest.mark.parametrize("r,n,m", [(3, 2, 0), (0, 1, 0), (1, 1, -1), (1.5, 2, 0), (1, 2, 0.5), (True, 2, 0)])
 def test_validate_rejects(r, n, m):
     with pytest.raises(OmegaViolation):
         validate_triple(r, n, m)

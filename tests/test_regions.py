@@ -309,6 +309,7 @@ def test_close_and_intersect_results_revalidate(a, b):
         bounds = (got.lo_x, got.hi_x, got.lo_y, got.hi_y, got.lo_d, got.hi_d)
         again = Region(*bounds)
         assert type(got) is Region
+        assert tuple(got) == bounds
         assert again == got and hash(again) == hash(got)
 
 

@@ -6,7 +6,6 @@ single-vertex breakers, whole records) and with five more that break what
 the normal forms must still see, the session's check gives the same bool,
 also in one session whose fan function is swapped."""
 
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -114,7 +113,7 @@ def _with_entry(family, k, bounds, fan_entries=M._fan_entries):
             return rec
         e = rec.entries[k]
         return mutants.with_entries(
-            rec, rec.entries[:k] + (e._replace(region=replace(e.region, **bounds(v))),) + rec.entries[k + 1:]
+            rec, rec.entries[:k] + (e._replace(region=e.region._replace(**bounds(v))),) + rec.entries[k + 1:]
         )
 
     return mutated
