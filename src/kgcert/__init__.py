@@ -10,9 +10,7 @@ global dimension) or 1 (infinite global dimension).
 
 from .presentation import (
     GentleTriple,
-    ModelMode,
     build_bound_quiver,
-    has_finite_global_dimension,
     validate_triple,
 )
 from .model import (
@@ -48,7 +46,6 @@ from .certifier import (
     certify,
     check_c2_simple,
     check_finite1,
-    check_infinite_mode,
     check_nonsimple1,
     check_simple0,
     check_simple1_tower,
@@ -56,10 +53,8 @@ from .certifier import (
 
 __all__ = [
     "GentleTriple",
-    "ModelMode",
     "validate_triple",
     "build_bound_quiver",
-    "has_finite_global_dimension",
     "VertexId",
     "ArrowMorphism",
     "IdentityMorphism",
@@ -90,7 +85,6 @@ __all__ = [
     "check_finite1",
     "check_nonsimple1",
     "check_c2_simple",
-    "check_infinite_mode",
     "certify",
 ]
 

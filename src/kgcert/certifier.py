@@ -75,7 +75,7 @@ from .model import (
     VertexId,
     ZeroMorphism,
 )
-from .presentation import GentleTriple
+from .presentation import GentleTriple, validate_triple
 from .regions import Region
 
 KIND_BP = "B'"
@@ -393,11 +393,12 @@ def instance_functor(t: GentleTriple, inst: Simple1Instance) -> FpFunctor:
 
 class _Session:
     """Shared engine, caches and record sink for one certification run: the
-    triple's mode row, the window and its region, and the depth (tower
-    length, chain depth K and the L1 bound of every chain sweep)."""
+    triple (validated, so an inadmissible one raises OmegaViolation), its
+    mode row, the window and its region, and the depth (tower length, chain
+    depth K and the L1 bound of every chain sweep)."""
 
     def __init__(self, t: GentleTriple, window: Window, depth: int):
-        self.t = t
+        self.t = t = validate_triple(*t)
         self.mode: _Mode = _MODES[t.is_finite_mode]
         self.window = window
         self.wreg = window.region()
@@ -795,12 +796,6 @@ def check_c2_simple(t: GentleTriple, v: VertexId, window: Window, depth: int = 4
     return s.c2_check(v)
 
 
-def check_infinite_mode(t: GentleTriple, window: Window, depth: int) -> bool:
-    if t.is_finite_mode:
-        raise ModeMismatch("infinite-mode replay needs r == n")
-    return certify(t, window, depth).passed
-
-
 # -- the phases of a certificate ----------------------------------------------
 
 
@@ -980,7 +975,8 @@ def certify(
 
     The claimed dimension is 2 in finite mode and 1 in infinite mode; the
     verdict is "pass" only if every recorded check passed.  A depth below 1
-    would check no tower step or chain point, so it is rejected.
+    would check no tower step or chain point, so it is rejected, and so is
+    an inadmissible triple (``OmegaViolation``).
 
     ``stats`` of the result gives, per phase, the representatives, the box
     items they cover, the representatives checked and the seconds taken,
@@ -991,7 +987,7 @@ def certify(
     s = _Session(t, window, depth)
     ok = _run_phases(s)
     return Certificate(
-        triple=t,
+        triple=s.t,
         kg=s.mode.kg,
         window=window,
         depth=depth,

@@ -224,8 +224,9 @@ _COMMANDS = (
               ("--json", dict(_PATH, help="also write the certificate here")),
               ("--stats", dict(_PATH, help="write run statistics here as JSON: per phase, the "
                                "representatives (one per translation class), the box items they cover, "
-                               "the representatives checked and the seconds taken; the sizes of the "
-                               "tower, step and finite1 memos, the engine cubes and the sink decisions"))),
+                               "the representatives checked and the seconds taken; the cache sizes "
+                               "translation_forms, tower_memo, step_memo, finite1_memo, engine_cubes "
+                               "and sink_decisions"))),
              _certify),
 )
 

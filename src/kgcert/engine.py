@@ -64,7 +64,7 @@ class WindowEngine:
 
     def __init__(self, t: GentleTriple, box: tuple):
         self.t = t
-        self.x0, self.x1, self.y0, self.y1 = (int(v) for v in box)
+        self.x0, self.x1, self.y0, self.y1 = box
         if self.x0 > self.x1 or self.y0 > self.y1:
             raise ValueError(f"degenerate window box {box}")
         self.nx = self.x1 - self.x0 + 1

@@ -44,7 +44,8 @@ from .regions import RegionSet
 
 @dataclass(frozen=True)
 class Window:
-    """Finite coordinate box [x0, x1] x [y0, y1]; the desk-scale truncation."""
+    """Finite coordinate box [x0, x1] x [y0, y1]; the desk-scale truncation.
+    Each bound is an int and not a bool, as in a region."""
 
     x0: int
     x1: int
@@ -52,6 +53,8 @@ class Window:
     y1: int
 
     def __post_init__(self):
+        if not all(map(regions._is_int, self.box)):
+            raise ValueError(f"window bounds must be integers, got {self}")
         if self.x0 > self.x1 or self.y0 > self.y1:
             raise ValueError(f"degenerate window {self}")
 

@@ -8,23 +8,19 @@ consecutively around the cycle, ending with the pair through vertex 0.
 
 The quiver presentation is informational (CLI display, documentation); all
 computation happens in the coordinate model of :mod:`kgcert.model`.  The one
-structural fact the rest of the package consumes is the mode split: global
-dimension is finite exactly when r < n.
+structural fact the rest of the package consumes is the mode split,
+:attr:`GentleTriple.is_finite_mode`: global dimension is finite exactly when
+r < n.  It is stated only for admissible triples, so every certifier session
+validates its triple with :func:`validate_triple` first.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import OmegaViolation
 from .regions import _is_int
-
-
-class ModelMode(enum.Enum):
-    FINITE_GLDIM = "finite"
-    INFINITE_GLDIM = "infinite"
 
 
 class GentleTriple(NamedTuple):
@@ -34,9 +30,6 @@ class GentleTriple(NamedTuple):
     r: int
     n: int
     m: int
-
-    def mode(self) -> ModelMode:
-        return ModelMode.FINITE_GLDIM if self.r < self.n else ModelMode.INFINITE_GLDIM
 
     @property
     def is_finite_mode(self) -> bool:
@@ -66,10 +59,6 @@ def validate_triple(r: int, n: int, m: int) -> GentleTriple:
     if m < 0:
         raise OmegaViolation(f"m must be nonnegative, got m={m}")
     return GentleTriple(r, n, m)
-
-
-def has_finite_global_dimension(t: GentleTriple) -> bool:
-    return t.is_finite_mode
 
 
 @dataclass(frozen=True)
@@ -119,7 +108,7 @@ def quiver_to_json(t: GentleTriple) -> dict:
         "r": t.r,
         "n": t.n,
         "m": t.m,
-        "mode": t.mode().value,
+        "mode": "finite" if t.is_finite_mode else "infinite",
         "vertices": list(q.vertices),
         "arrows": [
             {"name": a.name, "source": a.source, "target": a.target}

@@ -28,7 +28,6 @@ from kgcert.certifier import (
     certify,
     check_c2_simple,
     check_finite1,
-    check_infinite_mode,
     check_nonsimple1,
     check_simple0,
     check_simple1_tower,
@@ -39,12 +38,13 @@ from kgcert.errors import (
     InvalidVertex,
     KgcertError,
     ModeMismatch,
+    OmegaViolation,
     ParameterRange,
     WrongFamily,
 )
 from kgcert.functors import FpFunctor, Subfunctor, Window
 from kgcert.model import ArrowMorphism, VertexId, ZERO, ZeroMorphism
-from kgcert.presentation import validate_triple
+from kgcert.presentation import GentleTriple, validate_triple
 
 from conftest import ACCEPTANCE_TRIPLES, INFINITE_TRIPLES, ORBIT_TRIPLES
 from mutants import KIND_ROW_IDS, KIND_ROW_MUTANTS, moved_at_one_vertex
@@ -429,18 +429,26 @@ def test_c2_simple_mode_guard(t110):
 @pytest.mark.parametrize("r,n,m", INFINITE_TRIPLES)
 def test_infinite_mode_replay(r, n, m):
     t = validate_triple(r, n, m)
-    assert check_infinite_mode(t, W6, 4)
-
-
-def test_infinite_mode_guard(t120):
-    with pytest.raises(ModeMismatch):
-        check_infinite_mode(t120, W6, 4)
+    cert = certify(t, W6, 4)
+    assert cert.passed and cert.kg == 1
 
 
 @pytest.mark.parametrize("depth", [0, -1])
 def test_infinite_mode_rejects_depth_below_one(t110, depth):
     with pytest.raises(ParameterRange, match="depth"):
-        check_infinite_mode(t110, Window(-3, 3, -3, 3), depth)
+        certify(t110, Window(-3, 3, -3, 3), depth)
+
+
+@pytest.mark.parametrize("triple", [(3, 2, 0), (True, 2, 0), (2, 3, -1), (1.5, 2, 0), (0, 1, 0), (1, 1, -1)])
+def test_certify_rejects_an_inadmissible_triple(triple):
+    """The mode split is stated for admissible triples only, so a session
+    validates its triple instead of deciding the split for r > n, a bool,
+    a float or a negative m."""
+    t = GentleTriple(*triple)
+    with pytest.raises(OmegaViolation):
+        certify(t, Window(-3, 3, -3, 3), 2)
+    with pytest.raises(OmegaViolation):
+        check_simple0(t, V("X", 0, 0, 0), Window(-3, 3, -3, 3))
 
 
 # -- perturbation table --------------------------------------------------------------------

@@ -237,6 +237,14 @@ def test_is_in_c0_is_every_channel_finite():
 # -- image presentations ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("box", [(1, 0, 0, 0), (0.5, 3, 0, 3), (0, 3, 0, 3.0), (True, 3, 0, 3), (0, 3, False, 3)])
+def test_window_rejects_a_degenerate_or_non_int_box(box):
+    """A float bound would be truncated by the sweep engine to a box the
+    caller never asked for, and a bool is not a coordinate."""
+    with pytest.raises(ValueError):
+        Window(*box)
+
+
 def test_image_presentation_base_case(t120):
     f = arrow(t120, V("X", 0, 0, 0), "Z", 0, (0, 0), 1)
     Q = build_simple1(t120, KIND_CP, 0, (0, 0), 1)

@@ -4,9 +4,7 @@ import pytest
 
 from kgcert.errors import OmegaViolation
 from kgcert.presentation import (
-    ModelMode,
     build_bound_quiver,
-    has_finite_global_dimension,
     quiver_to_json,
     validate_triple,
 )
@@ -14,12 +12,12 @@ from kgcert.presentation import (
 
 def test_validate_accepts_finite_mode():
     t = validate_triple(1, 2, 0)
-    assert t.mode() is ModelMode.FINITE_GLDIM
+    assert t.is_finite_mode
 
 
 def test_validate_accepts_infinite_mode():
     t = validate_triple(1, 1, 0)
-    assert t.mode() is ModelMode.INFINITE_GLDIM
+    assert not t.is_finite_mode
 
 
 @pytest.mark.parametrize("r,n,m", [(3, 2, 0), (0, 1, 0), (1, 1, -1), (1.5, 2, 0), (1, 2, 0.5), (True, 2, 0)])
@@ -29,9 +27,9 @@ def test_validate_rejects(r, n, m):
 
 
 def test_gldim_criterion():
-    assert has_finite_global_dimension(validate_triple(1, 2, 0))
-    assert not has_finite_global_dimension(validate_triple(1, 1, 0))
-    assert not has_finite_global_dimension(validate_triple(2, 2, 5))
+    assert validate_triple(1, 2, 0).is_finite_mode
+    assert not validate_triple(1, 1, 0).is_finite_mode
+    assert not validate_triple(2, 2, 5).is_finite_mode
 
 
 def test_quiver_dual_numbers():
