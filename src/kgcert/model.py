@@ -31,17 +31,22 @@ counts or field types differ.  The zero morphism stays a dataclass, so it
 equals no tuple.
 
 Every valid vertex has one cached fan record, the ``ArrowFan`` that
-``_fan_entries`` builds: the vertex, the fan entries in a fixed order, a
+``_fan_entries`` builds: the vertex, the fan entries in degree order, a
 read-only ``{(family, orbit, degree): FanEntry}`` mapping of the same
 entries, and the pair of sink maps ``ar_sink_maps`` returns.  ``arrow_fan``
 returns that record itself, not a copy; it is never hashed (its mapping is
 not hashable).  The record is the only place that validates a source vertex;
-``_fan_entries`` gives ``None`` for a non-vertex.  ``arrow_exists`` and
-``hom_basis`` answer from the source's record by one rule, ``_has_arrow``:
-one lookup and one bound check, which does not validate ``dst``: every fan
-region of a valid source lies inside the index region of its target
-channel, so a point in it is a valid vertex, and an unknown family, orbit
-or degree misses the mapping.
+``_fan_entries`` gives ``None`` for a non-vertex.  The readers take the
+record through ``_record``, so that a warm cache answers a bool or float
+coordinate as a cold one does.  ``arrow_exists`` and ``hom_basis`` answer
+from the source's record by one rule, ``_in_entry``, applied inside one fan
+entry: ``dst`` is not a source the entry excludes, and one bound check.
+``arrow_exists`` finds the entry by one lookup of the channel
+(``_has_arrow``); ``hom_basis`` walks the record's entries whose (family,
+orbit) is ``dst``'s, which come in degree order.  Neither validates
+``dst``: every fan region of a valid source lies inside the index region
+of its target channel, so a point in it is a valid vertex, and an unknown
+family, orbit or degree misses the mapping.
 ``tests/test_model.py::test_fan_targets_are_valid_vertices`` pins that
 containment.  A model that breaks it fails certification instead of
 raising: a check that reaches a non-vertex fails its item.
@@ -203,22 +208,41 @@ def _fan_entries(t: GentleTriple, v: VertexId) -> ArrowFan | None:
     return ArrowFan(v, entries, MappingProxyType(channels), sinks)
 
 
+def _record(t: GentleTriple, v: VertexId) -> ArrowFan | None:
+    """``_fan_entries(t, v)``, the same on a warm cache as on a cold one.
+
+    The cache keys on equality, and a bool or float coordinate equals an
+    int: ``VertexId("Z", 0, (True, 0))`` hits the record of Z:0:(1,0).  A
+    vertex whose coordinates are not both of type int therefore gets its
+    record built afresh, and its fan boxes raise as on a cold cache.
+    """
+    rec = _fan_entries(t, v)
+    if rec is not None:
+        a, b = v.coord
+        if type(a) is not int or type(b) is not int:
+            return _fan_entries.__wrapped__(t, v)
+    return rec
+
+
 def arrow_fan(t: GentleTriple, v: VertexId) -> ArrowFan:
     """The cached fan record of v, shared by every caller."""
-    fan = _fan_entries(t, v)
+    fan = _record(t, v)
     if fan is None:
         raise InvalidVertex(f"not a vertex of the model: {v}")
     return fan
 
 
+def _in_entry(e: FanEntry, src: VertexId, dst: VertexId) -> bool:
+    """The existence rule inside one fan entry of src: dst is not a source
+    the entry excludes, and dst lies in the entry's region."""
+    return not (e.excludes_src and dst == src) and regions.member(e.region, dst.coord)
+
+
 def _has_arrow(rec: ArrowFan, dst: VertexId, degree: int) -> bool:
     """The existence rule on the source's fan record: the channel of dst and
-    degree is present, dst is not a source the entry excludes, and dst lies
-    in the entry's region."""
+    degree is present, and :func:`_in_entry` holds there."""
     e = rec.channels.get((dst.family, dst.orbit, degree))
-    if e is None or (e.excludes_src and dst == rec.src):
-        return False
-    return regions.member(e.region, dst.coord)
+    return e is not None and _in_entry(e, rec.src, dst)
 
 
 def arrow_exists(t: GentleTriple, src: VertexId, dst: VertexId, degree: int) -> bool:
@@ -226,7 +250,7 @@ def arrow_exists(t: GentleTriple, src: VertexId, dst: VertexId, degree: int) -> 
 
     dst is not validated: see the module docstring.
     """
-    rec = _fan_entries(t, src)
+    rec = _record(t, src)
     return rec is not None and _has_arrow(rec, dst, degree)
 
 
@@ -243,12 +267,17 @@ def arrow_or_zero(t: GentleTriple, src: VertexId, dst: VertexId, degree: int):
 
 def hom_basis(t: GentleTriple, u: VertexId, v: VertexId) -> list:
     """Basis of Hom(u, v): the identity (if u == v) then arrows by degree,
-    read from u's fan record.  u is validated before v."""
+    read from the entries of u's fan record on v's channels, which come in
+    degree order.  u is validated before v."""
     rec = arrow_fan(t, u)
     if not vertex_valid(t, v):
         raise InvalidVertex(f"not a vertex of the model: {v}")
+    family, orbit = v.family, v.orbit
     basis = [IdentityMorphism(u)] if u == v else []
-    return basis + [ArrowMorphism(u, v, d) for d in range(t.max_degree + 1) if _has_arrow(rec, v, d)]
+    for e in rec.entries:
+        if e.family == family and e.orbit == orbit and _in_entry(e, u, v):
+            basis.append(ArrowMorphism(u, v, e.degree))
+    return basis
 
 
 def source_of(k):
@@ -296,7 +325,7 @@ def ar_sink_maps(t: GentleTriple, v: VertexId):
     the family's index set; the surviving pair generates the denominator of
     the simple quotient attached to v.
     """
-    rec = _fan_entries(t, v)
+    rec = _record(t, v)
     if rec is None:
         raise InvalidVertex(f"not a vertex of the model: {v}")
     return rec.sinks

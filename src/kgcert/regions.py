@@ -22,7 +22,13 @@ point, so ``inner`` lies in ``outer`` exactly when each closed bound of
 One routine, :func:`_closure`, closes six raw bounds into one region;
 :func:`close`, :func:`intersect` and :func:`subtract` pass it a region's
 bounds, a bound-wise meet and a piece's meet with ``a``, so no intermediate
-region is built.
+region is built.  :func:`subtract` closes only pieces that can be nonempty:
+it returns no piece at once when ``b`` contains the closed ``a`` (the
+comparisons of :func:`contains`), and it stops its slot walk once the part
+of ``a`` inside ``b``'s slots so far has a crossed pair of bounds, since
+every later piece lies in that part.  Both exits skip only closures that
+would come out EMPTY, so the pieces and their order stay those of the full
+walk.
 
 A region is a ``NamedTuple`` of its six bounds in the order lo_x, hi_x,
 lo_y, hi_y, lo_d, hi_d, so building, hashing and comparing one runs in C; it
@@ -179,13 +185,14 @@ def _closure(lo_x, hi_x, lo_y, hi_y, lo_d, hi_d):
     Floyd-Warshall closure of the graph in closed form.  No inf - inf
     arises: lower bounds are never +inf and upper bounds never -inf.
     """
-    # each bound through the third node, with d = x - y: x = y + d, y = x - d
-    nlo_x = max(lo_x, lo_y + lo_d)
-    nhi_x = min(hi_x, hi_y + hi_d)
-    nlo_y = max(lo_y, lo_x - hi_d)
-    nhi_y = min(hi_y, hi_x - lo_d)
-    nlo_d = max(lo_d, lo_x - hi_y)
-    nhi_d = min(hi_d, hi_x - lo_y)
+    # each bound through the third node, with d = x - y: x = y + d, y = x - d;
+    # conditional expressions pick what max and min would, the first on a tie
+    nlo_x = lo_x if lo_x >= (v := lo_y + lo_d) else v
+    nhi_x = hi_x if hi_x <= (v := hi_y + hi_d) else v
+    nlo_y = lo_y if lo_y >= (v := lo_x - hi_d) else v
+    nhi_y = hi_y if hi_y <= (v := hi_x - lo_d) else v
+    nlo_d = lo_d if lo_d >= (v := lo_x - hi_y) else v
+    nhi_d = hi_d if hi_d <= (v := hi_x - lo_y) else v
     if nlo_x > nhi_x or nlo_y > nhi_y or nlo_d > nhi_d:
         return EMPTY
     return _unchecked(nlo_x, nhi_x, nlo_y, nhi_y, nlo_d, nhi_d)
@@ -285,12 +292,28 @@ def subtract(a, b) -> RegionSet:
     partner to v+1.  ``kept`` holds the meet of a with b's earlier slots,
     so each piece is one closure of six bounds.  The pieces are disjoint by
     construction, so cardinalities add up; each is closed and nonempty.
+
+    Two exits skip closures that could only come out EMPTY, so the pieces
+    and their order are those of the full walk.  When b contains the closed
+    a (the six comparisons of :func:`contains`), every piece is a point set
+    of a outside b, so none is left.  And once ``kept`` has a lower bound
+    above its upper partner it has no point, and every later piece is a
+    meet with it, so the walk stops there.
     """
     a = close(a)
     if a is EMPTY:
         return RegionSet(())
     if b is EMPTY:
         return RegionSet((a,))
+    if (
+        b.lo_x <= a.lo_x
+        and a.hi_x <= b.hi_x
+        and b.lo_y <= a.lo_y
+        and a.hi_y <= b.hi_y
+        and b.lo_d <= a.lo_d
+        and a.hi_d <= b.hi_d
+    ):
+        return RegionSet(())
     kept = list(a)
     pieces = []
     for k, v in enumerate(b):
@@ -298,14 +321,22 @@ def subtract(a, b) -> RegionSet:
             continue  # a vacuous bound: its complement is empty
         bounds = kept.copy()
         if k % 2 == 0:
-            bounds[k + 1] = min(bounds[k + 1], v - 1)
-            kept[k] = max(kept[k], v)
+            lo, hi = k, k + 1
+            if v - 1 < bounds[hi]:
+                bounds[hi] = v - 1
+            if v > kept[lo]:
+                kept[lo] = v
         else:
-            bounds[k - 1] = max(bounds[k - 1], v + 1)
-            kept[k] = min(kept[k], v)
+            lo, hi = k - 1, k
+            if v + 1 > bounds[lo]:
+                bounds[lo] = v + 1
+            if v < kept[hi]:
+                kept[hi] = v
         piece = _closure(*bounds)
         if piece is not EMPTY:
             pieces.append(piece)
+        if kept[lo] > kept[hi]:
+            break  # kept is empty: every later piece would close to EMPTY
     return RegionSet(tuple(pieces))
 
 

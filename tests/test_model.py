@@ -84,15 +84,25 @@ def test_arrow_fan_rejects_invalid_vertex(t120, t110):
                     assert not M.arrow_exists(t, v, dst, d)
 
 
-@pytest.mark.parametrize("coord", [(0.5, 0), (True, 0)], ids=["float", "bool"])
+@pytest.mark.parametrize("coord", [(0.5, 0), (True, 0), (1.0, 0)], ids=["float", "bool", "integral-float"])
 def test_arrow_fan_rejects_a_coordinate_that_is_no_int(t120, coord):
     """A Z-vertex lies in the full index region, whatever its coordinates,
     so the fan boxes are what reject a float or bool: with the message of
-    the region bound they would fill.  The cache is cleared first, since it
-    takes (True, 0) for the equal key (1, 0)."""
-    M._fan_entries.cache_clear()
-    with pytest.raises(ValueError, match=re.escape(f"lo_x must be an integer or -inf, got {coord[0]!r}")):
-        M.arrow_fan(t120, VertexId("Z", 0, coord))
+    the region bound they would fill.  The cache takes (True, 0) and (1.0,
+    0) for the equal key (1, 0), so that record is cached first: every
+    reader must still raise."""
+    twin = VertexId("Z", 0, tuple(int(c) for c in coord))
+    M.arrow_fan(t120, twin)
+    v = VertexId("Z", 0, coord)
+    message = re.escape(f"lo_x must be an integer or -inf, got {coord[0]!r}")
+    for read in (
+        lambda: M.arrow_fan(t120, v),
+        lambda: M.arrow_exists(t120, v, twin, 0),
+        lambda: M.ar_sink_maps(t120, v),
+        lambda: M.hom_basis(t120, v, twin),
+    ):
+        with pytest.raises(ValueError, match=message):
+            read()
 
 
 @pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES + ORBIT_TRIPLES)
@@ -108,12 +118,15 @@ def test_fan_boxes_are_valid_boxes(r, n, m):
 
 @pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
 def test_fan_record_contract(r, n, m):
-    """The channel mapping indexes exactly the fan entries and is read-only
-    (the cached record is shared by every caller)."""
+    """The channel mapping indexes exactly the fan entries, which come in
+    degree order (hom_basis relies on it), and is read-only (the cached
+    record is shared by every caller)."""
     t = validate_triple(r, n, m)
     for v in M.vertices_in_box(t, -2, 2, -2, 2):
         fan = M.arrow_fan(t, v)
         assert fan.channels == {(e.family, e.orbit, e.degree): e for e in fan.entries}
+        degrees = [e.degree for e in fan.entries]
+        assert degrees == sorted(degrees)
         with pytest.raises(TypeError):
             fan.channels[(v.family, v.orbit, 0)] = fan.entries[-1]
 
@@ -512,6 +525,45 @@ def mutated_fan_entries(family, k, bound, step, fan_entries=M._fan_entries):
         return rec._replace(entries=entries, channels=MappingProxyType(channels))
 
     return mutated
+
+
+def _hom_basis_by_degree(t, u, v):
+    """hom_basis by its definition: the identity when u == v, then the
+    arrows that arrow_exists names, by degree."""
+    return ([IdentityMorphism(u)] if u == v else []) + [
+        ArrowMorphism(u, v, d) for d in range(t.max_degree + 1) if M.arrow_exists(t, u, v, d)
+    ]
+
+
+def _hom_basis_mismatches(t):
+    box = M.vertices_in_box(t, -3, 3, -3, 3)
+    return [(u, v) for u in box for v in box if M.hom_basis(t, u, v) != _hom_basis_by_degree(t, u, v)]
+
+
+def test_hom_basis_reads_the_existence_rule_on_every_fan_bound_mutant(t120, monkeypatch):
+    """hom_basis walks the target's channels of the source's fan record, and
+    arrow_exists looks one channel up; both apply _in_entry.  On the model
+    and on each fan-bound mutant of (1, 2, 0), over every vertex pair in
+    [-3, 3]^2, they name the same arrows in the same order."""
+    assert _hom_basis_mismatches(t120) == []
+    mutants = _fan_bound_mutants(t120)
+    assert len(mutants) == 48
+    for mutant in mutants:
+        with monkeypatch.context() as mp:
+            mp.setattr(M, "_fan_entries", mutated_fan_entries(*mutant))
+            assert _hom_basis_mismatches(t120) == [], mutant
+
+
+def test_hom_basis_reads_the_existence_rule_on_every_record_mutant(monkeypatch):
+    """The same agreement under each whole-record mutant of the catalogue,
+    among them the records whose entries exclude no source."""
+    from mutants import RECORD_MUTANTS, every_record
+
+    for name, change, triple, _failed in RECORD_MUTANTS:
+        t = validate_triple(*triple)
+        with monkeypatch.context() as mp:
+            mp.setattr(M, "_fan_entries", every_record(change))
+            assert _hom_basis_mismatches(t) == [], (name, triple)
 
 
 @pytest.mark.parametrize("r,n,m,count", [(1, 2, 0, 48), (1, 1, 0, 12)])

@@ -337,7 +337,9 @@ def test_intersect_is_the_closed_meet_and_subtract_pieces_are_closed(a, b):
 
 
 def _subtract_contains(outer, inner):
-    return R.subtract(inner, outer).is_empty()
+    """The full slot walk, since subtract itself exits early by contains's
+    comparisons."""
+    return reference_subtract(inner, outer).is_empty()
 
 
 THREE_CYCLE_EMPTY = Region(lo_x=0, hi_x=1, lo_y=0, hi_y=1, lo_d=3)
@@ -411,6 +413,79 @@ def test_subtract_member_oracle_and_disjoint(a, b):
         assert diff.member(p) == (R.member(a, p) and not R.member(b, p))
     for p in pts:
         assert sum(1 for piece in diff if R.member(piece, p)) <= 1
+
+
+def reference_subtract(a, b):
+    """subtract as a full slot walk: no containment exit and no stop on an
+    empty ``kept``, so every slot's piece is closed."""
+    a = R.close(a)
+    if a is EMPTY:
+        return R.RegionSet(())
+    if b is EMPTY:
+        return R.RegionSet((a,))
+    kept = list(a)
+    pieces = []
+    for k, v in enumerate(b):
+        if v == NEG_INF or v == POS_INF:
+            continue
+        bounds = kept.copy()
+        if k % 2 == 0:
+            bounds[k + 1] = min(bounds[k + 1], v - 1)
+            kept[k] = max(kept[k], v)
+        else:
+            bounds[k - 1] = max(bounds[k - 1], v + 1)
+            kept[k] = min(kept[k], v)
+        piece = R._closure(*bounds)
+        if piece is not EMPTY:
+            pieces.append(piece)
+    return R.RegionSet(tuple(pieces))
+
+
+def _cover(a, other, mode, step):
+    """other itself ("free"); a cover of a's closure, each closed bound of a
+    loosened by step, which may be infinite ("contains"); or, for a slot
+    index k, other (or FULL for EMPTY) with slot k past a's closed partner bound by 1 + step (1
+    for an infinite step), so that the slot walk's ``kept`` is empty from
+    slot k on at the latest."""
+    c = R.close(a)
+    if mode == "free" or c is EMPTY:
+        return other
+    if mode == "contains":
+        return Region(*(v - step if k % 2 == 0 else v + step for k, v in enumerate(c)))
+    bounds = list(R.FULL if other is EMPTY else other)
+    partner = c[mode + 1] if mode % 2 == 0 else c[mode - 1]
+    if partner in (NEG_INF, POS_INF):
+        return other
+    past = 1 if step == POS_INF else step + 1
+    bounds[mode] = partner + past if mode % 2 == 0 else partner - past
+    return Region(*bounds)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(
+    st.one_of(any_regions, st.just(EMPTY)),
+    st.one_of(any_regions, st.just(EMPTY)),
+    st.sampled_from(("free", "contains") + tuple(range(6))),
+    st.one_of(st.integers(0, 3), st.just(POS_INF)),
+)
+@example(R.box(0, 4, 0, 4), R.box(-1, 5, 0, 4), "free", 0)  # b contains a
+@example(R.box(0, 4, 0, 4), R.box(0, 4, 0, 4), "free", 0)  # b is a
+@example(R.box(0, 4, 0, 4), Region(lo_x=5), "free", 0)  # kept empty at lo_x
+@example(R.box(0, 4, 0, 4), Region(lo_x=2, hi_x=1), "free", 0)  # crossed by b alone
+@example(R.box(0, 4, 0, 4), Region(hi_x=3, lo_y=1, hi_d=-5), "free", 0)  # at hi_d, after pieces
+@example(R.box(0, 4, 0, 4), Region(lo_d=1, hi_d=0), "free", 0)
+@example(R.box(0, 1, 0, 1), Region(lo_x=0, lo_d=3), "free", 0)  # empty only through a three-cycle
+def test_subtract_matches_the_full_slot_walk(a, other, mode, step):
+    """subtract's two exits leave the pieces and their order as they are:
+    covers that contain a, and covers that empty ``kept`` at each slot,
+    with finite and infinite bounds."""
+    b = _cover(a, other, mode, step)
+    got = R.subtract(a, b)
+    want = reference_subtract(a, b)
+    assert got.regions == want.regions
+    assert [tuple(map(type, r)) for r in got] == [tuple(map(type, r)) for r in want]
+    if mode == "contains" and R.close(a) is not EMPTY:
+        assert got.regions == ()
 
 
 small_boxes = st.builds(
