@@ -10,13 +10,22 @@ are exact set combinatorics.
 Two evaluation routes exist on purpose and are tested against each other:
 
 * pointwise: :func:`eval_sub` / :func:`eval_fp` compose basis morphisms one
-  vertex at a time (the reference semantics);
+  vertex at a time (the reference semantics).  A call reads the top's fan
+  record once, validates V once, and reads each generator target's record
+  once; it walks the target's entries on V's channel for the basis arrows
+  T -> V and keeps each composite degree that the basis of Hom(top, V)
+  holds.  It never reads a region difference or a cover;
 * symbolic: :func:`support_channels` / :func:`support_region` compute the
   support {V : dim F(V) != 0} as difference-bound regions, one channel per
   (target family, orbit, degree): the top's arrow-fan regions minus, per
   channel, the regions the generator images cover.  :func:`quotient_support`
   takes F's covers minus G's.  Both supports subtract by
-  :func:`regions.difference`.
+  :func:`regions.difference`, and read the top's record once per call.
+
+Every route checks that an arrow generator is a basis arrow out of the top
+(one lookup on the top's record) and raises :class:`NotASubfunctor` naming
+it otherwise: composing through a morphism the model does not have would
+make the two routes disagree.
 
 Window-quantified checks (:func:`ses_check`, :func:`image_presentation_check`)
 are delegated to the bitmask sweep engine.  :func:`ses_check` holds when, at
@@ -27,17 +36,12 @@ plus the sub's image.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import model, regions
 from .engine import get_engine
 from .errors import IncompatibleTops, NotASubfunctor
-from .model import (
-    ArrowMorphism,
-    IdentityMorphism,
-    VertexId,
-    ZERO,
-    ZeroMorphism,
-)
+from .model import ArrowMorphism, IdentityMorphism, VertexId, ZeroMorphism
 from .presentation import GentleTriple
 from .regions import RegionSet
 
@@ -91,12 +95,8 @@ class Subfunctor:
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         for g in self.generators:
-            if isinstance(g, ZeroMorphism):
-                continue
-            if model.source_of(g) != self.top:
-                raise IncompatibleTops(
-                    f"generator {g} does not start at top {self.top}"
-                )
+            if not isinstance(g, ZeroMorphism) and model.source_of(g) != self.top:
+                raise IncompatibleTops(f"generator {g} does not start at top {self.top}")
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,7 @@ class FpFunctor:
 
     def __post_init__(self):
         if self.denominators.top != self.top:
-            raise IncompatibleTops(
-                f"denominators live at {self.denominators.top}, not {self.top}"
-            )
+            raise IncompatibleTops(f"denominators live at {self.denominators.top}, not {self.top}")
 
 
 def representable(t: GentleTriple, top: VertexId) -> FpFunctor:
@@ -118,37 +116,73 @@ def representable(t: GentleTriple, top: VertexId) -> FpFunctor:
     return FpFunctor(top, Subfunctor(top, ()))
 
 
+def _target_record(t: GentleTriple, rec, f):
+    """The fan record of the target of f, an arrow generator out of the top
+    whose record is rec.  The target is read (and validated) first, then
+    NotASubfunctor is raised unless f is a basis arrow of the top."""
+    at = model.arrow_fan(t, f.dst)
+    if not model._has_arrow(rec, f.dst, f.degree):
+        raise NotASubfunctor(f"generator {f} is not a basis arrow of the model")
+    return at
+
+
+def _missing(t: GentleTriple, top: VertexId, gens, V: VertexId) -> tuple:
+    """The basis of Hom(top, V) as keys, None for the identity and d for the
+    arrow of degree d, and the set of those keys the generators do not span.
+
+    Reads top's record once (top validated, then V), then each generator
+    target's record once, in turn, and checks that an arrow generator is a
+    basis arrow.  An arrow generator f: top -> T of degree p spans f itself
+    when T == V (its composite with T's identity) and, per basis arrow
+    T -> V of degree q, the arrow top -> V of degree p + q when it exists:
+    the arrow case of :func:`model.compose`, whose zero, identity and
+    endpoint cases cannot arise here.  That arrow exists exactly when p + q
+    is a degree of the basis, whose walk of top's record has applied
+    ``model._has_arrow``'s rule to each degree of V's channel already.  An
+    identity generator spans the whole basis, and a zero generator nothing.
+    Once every key is spanned, no target's record is walked.
+    """
+    rec = model._hom_record(t, top, V)
+    basis = ([None] if top == V else []) + model._degrees(rec, V)
+    missing = set(basis)
+    for f in gens:
+        if isinstance(f, IdentityMorphism):
+            missing.clear()
+        elif isinstance(f, ArrowMorphism):
+            p, at = f.degree, _target_record(t, rec, f)
+            if missing:
+                if f.dst == V:
+                    missing.discard(p)
+                for q in model._degrees(at, V):
+                    missing.discard(p + q)
+    return basis, missing
+
+
 def eval_sub(t: GentleTriple, S: Subfunctor, V: VertexId) -> frozenset:
     """The basis subset of Hom(top, V) spanned by the subfunctor at V."""
-    out = set()
-    for f in S.generators:
-        if isinstance(f, ZeroMorphism):
-            continue
-        for g in model.hom_basis(t, model.target_of(f), V):
-            k = model.compose(t, g, f)
-            if not isinstance(k, ZeroMorphism):
-                out.add(k)
-    return frozenset(out)
+    basis, missing = _missing(t, S.top, S.generators, V)
+    return frozenset(
+        IdentityMorphism(S.top) if d is None else ArrowMorphism(S.top, V, d) for d in basis if d not in missing
+    )
 
 
 def eval_fp(t: GentleTriple, F: FpFunctor, V: VertexId) -> int:
-    """dim F(V) = |hom basis| - |denominator subset|."""
-    return len(model.hom_basis(t, F.top, V)) - len(eval_sub(t, F.denominators, V))
+    """dim F(V): the basis elements of Hom(top, V) the denominator does not span."""
+    return len(_missing(t, F.top, F.denominators.generators, V)[1])
 
 
-@dataclass(frozen=True)
-class SupportChannel:
+class SupportChannel(NamedTuple):
     family: str
     orbit: int
     degree: int
     regions: RegionSet
 
 
-def _cover_regions(t: GentleTriple, top: VertexId, gens) -> dict:
+def _cover_regions(t: GentleTriple, rec, gens) -> dict:
     """Per (family, orbit, degree) channel, the regions of V covered by the
-    generator images.  Exact: a channel's basis element at V lies in the
-    image iff V is in one of the returned regions.  Zero generators cover
-    nothing.
+    generator images, from the top's fan record rec.  Exact: a channel's
+    basis element at V lies in the image iff V is in one of the returned
+    regions.  Zero generators cover nothing.
 
     A generator f: top -> T of degree p contributes, for every fan entry of T
     of degree q landing in the channel (fam, orb, q+p), the set of V where
@@ -159,32 +193,27 @@ def _cover_regions(t: GentleTriple, top: VertexId, gens) -> dict:
     """
     covers: dict = {}
     for f in gens:
-        if isinstance(f, ZeroMorphism):
-            continue
         if isinstance(f, IdentityMorphism):
-            for e in model.arrow_fan(t, top).entries:
+            for e in rec.entries:
                 covers.setdefault((e.family, e.orbit, e.degree), []).append(e.region)
-            continue
-        T, p = f.dst, f.degree
-        top_channels = model.arrow_fan(t, top).channels
-        for eT in model.arrow_fan(t, T).entries:
-            key = (eT.family, eT.orbit, eT.degree + p)
-            base = top_channels.get(key)
-            if base is None:
-                continue
-            cover = regions.intersect(eT.region, base.region)
-            if cover is not regions.EMPTY:
-                covers.setdefault(key, []).append(cover)
+        elif isinstance(f, ArrowMorphism):
+            p = f.degree
+            for eT in _target_record(t, rec, f).entries:
+                key = (eT.family, eT.orbit, eT.degree + p)
+                base = rec.channels.get(key)
+                if base is not None and (cover := regions.intersect(eT.region, base.region)) is not regions.EMPTY:
+                    covers.setdefault(key, []).append(cover)
     return covers
 
 
 def _channels(t: GentleTriple, F: FpFunctor):
     """The channels of :func:`support_channels`, one at a time in fan order;
     the covers are computed before the first."""
-    covers = _cover_regions(t, F.top, F.denominators.generators)
-    for e in model.arrow_fan(t, F.top).entries:
+    rec = model.arrow_fan(t, F.top)
+    covers = _cover_regions(t, rec, F.denominators.generators)
+    for e in rec.entries:
         left = regions.difference((e.region,), covers.get((e.family, e.orbit, e.degree), ()))
-        yield SupportChannel(e.family, e.orbit, e.degree, RegionSet(tuple(left)))
+        yield SupportChannel(e.family, e.orbit, e.degree, RegionSet(left))
 
 
 def support_channels(t: GentleTriple, F: FpFunctor) -> list:
@@ -201,9 +230,8 @@ def support_region(t: GentleTriple, F: FpFunctor) -> dict:
     """Symbolic support merged per (family, orbit): {V : eval_fp(F, V) != 0}."""
     merged: dict = {}
     for ch in support_channels(t, F):
-        key = (ch.family, ch.orbit)
-        merged.setdefault(key, []).extend(ch.regions.regions)
-    return {key: RegionSet(tuple(parts)) for key, parts in merged.items()}
+        merged.setdefault((ch.family, ch.orbit), []).extend(ch.regions.regions)
+    return {key: RegionSet(parts) for key, parts in merged.items()}
 
 
 def is_in_c0(t: GentleTriple, F: FpFunctor) -> bool:
@@ -224,15 +252,15 @@ def quotient_support(t: GentleTriple, F: Subfunctor, G: Subfunctor) -> dict:
     """
     if F.top != G.top:
         raise IncompatibleTops(f"tops differ: {F.top} vs {G.top}")
-    cov_f = _cover_regions(t, F.top, F.generators)
-    cov_g = _cover_regions(t, G.top, G.generators)
+    rec = model.arrow_fan(t, F.top)
+    cov_f, cov_g = _cover_regions(t, rec, F.generators), _cover_regions(t, rec, G.generators)
     for key, g_parts in cov_g.items():
         if regions.difference(g_parts, cov_f.get(key, ())):
             raise NotASubfunctor(f"channel {key}: G is not contained in F")
     merged: dict = {}
     for key, f_parts in cov_f.items():
         merged.setdefault(key[:2], []).extend(regions.difference(f_parts, cov_g.get(key, ())))
-    return {key: RegionSet(tuple(parts)) for key, parts in merged.items()}
+    return {key: RegionSet(parts) for key, parts in merged.items()}
 
 
 def ses_check(

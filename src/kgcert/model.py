@@ -38,15 +38,15 @@ returns that record itself, not a copy; it is never hashed (its mapping is
 not hashable).  The record is the only place that validates a source vertex;
 ``_fan_entries`` gives ``None`` for a non-vertex.  The readers take the
 record through ``_record``, so that a warm cache answers a bool or float
-coordinate as a cold one does.  ``arrow_exists`` and ``hom_basis`` answer
-from the source's record by one rule, ``_in_entry``, applied inside one fan
-entry: ``dst`` is not a source the entry excludes, and one bound check.
-``arrow_exists`` finds the entry by one lookup of the channel
-(``_has_arrow``); ``hom_basis`` walks the record's entries whose (family,
-orbit) is ``dst``'s, which come in degree order.  Neither validates
-``dst``: every fan region of a valid source lies inside the index region
-of its target channel, so a point in it is a valid vertex, and an unknown
-family, orbit or degree misses the mapping.
+coordinate as a cold one does.  Every reader answers from the source's
+record by one rule, ``_in_entry``, applied inside one fan entry: ``dst`` is
+not a source the entry excludes, and one bound check.  ``_has_arrow`` looks
+one channel up, for ``arrow_exists``, the certifier and ``functors``;
+``_degrees`` walks the entries on ``dst``'s (family, orbit), which come in
+degree order, for ``hom_basis`` and ``functors``' pointwise route.  None of
+them validates ``dst``: every fan region of a valid source lies inside the
+index region of its target channel, so a point in it is a valid vertex, and
+an unknown family, orbit or degree misses the mapping.
 ``tests/test_model.py::test_fan_targets_are_valid_vertices`` pins that
 containment.  A model that breaks it fails certification instead of
 raising: a check that reaches a non-vertex fails its item.
@@ -260,24 +260,31 @@ def arrow_or_zero(t: GentleTriple, src: VertexId, dst: VertexId, degree: int):
     This realises the convention that a named map to an out-of-range target
     denotes the zero morphism.
     """
-    if arrow_exists(t, src, dst, degree):
-        return ArrowMorphism(src, dst, degree)
-    return ZERO
+    return ArrowMorphism(src, dst, degree) if arrow_exists(t, src, dst, degree) else ZERO
 
 
-def hom_basis(t: GentleTriple, u: VertexId, v: VertexId) -> list:
-    """Basis of Hom(u, v): the identity (if u == v) then arrows by degree,
-    read from the entries of u's fan record on v's channels, which come in
-    degree order.  u is validated before v."""
+def _hom_record(t: GentleTriple, u: VertexId, v: VertexId) -> ArrowFan:
+    """u's fan record, for Hom(u, v): u is validated before v."""
     rec = arrow_fan(t, u)
     if not vertex_valid(t, v):
         raise InvalidVertex(f"not a vertex of the model: {v}")
-    family, orbit = v.family, v.orbit
-    basis = [IdentityMorphism(u)] if u == v else []
+    return rec
+
+
+def _degrees(rec: ArrowFan, v: VertexId) -> list:
+    """Degrees of the basis arrows from rec's vertex to v, ascending."""
+    family, orbit, src = v.family, v.orbit, rec.src
+    degrees = []
     for e in rec.entries:
-        if e.family == family and e.orbit == orbit and _in_entry(e, u, v):
-            basis.append(ArrowMorphism(u, v, e.degree))
-    return basis
+        if e.family == family and e.orbit == orbit and _in_entry(e, src, v):
+            degrees.append(e.degree)
+    return degrees
+
+
+def hom_basis(t: GentleTriple, u: VertexId, v: VertexId) -> list:
+    """Basis of Hom(u, v): the identity (if u == v) then arrows by degree."""
+    rec = _hom_record(t, u, v)
+    return ([IdentityMorphism(u)] if u == v else []) + [ArrowMorphism(u, v, d) for d in _degrees(rec, v)]
 
 
 def source_of(k):
@@ -305,16 +312,12 @@ def compose(t: GentleTriple, g, f):
     """
     if isinstance(f, ZeroMorphism) or isinstance(g, ZeroMorphism):
         return ZERO
+    if source_of(g) != target_of(f):
+        raise NotComposable(f"cannot compose {g} after {f}")
     if isinstance(f, IdentityMorphism):
-        if source_of(g) != f.vertex:
-            raise NotComposable(f"cannot compose {g} after {f}")
         return g
     if isinstance(g, IdentityMorphism):
-        if target_of(f) != g.vertex:
-            raise NotComposable(f"cannot compose {g} after {f}")
         return f
-    if f.dst != g.src:
-        raise NotComposable(f"cannot compose {g} after {f}")
     return arrow_or_zero(t, f.src, g.dst, f.degree + g.degree)
 
 

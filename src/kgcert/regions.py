@@ -24,11 +24,11 @@ One routine, :func:`_closure`, closes six raw bounds into one region;
 bounds, a bound-wise meet and a piece's meet with ``a``, so no intermediate
 region is built.  :func:`subtract` closes only pieces that can be nonempty:
 it returns no piece at once when ``b`` contains the closed ``a`` (the
-comparisons of :func:`contains`), and it stops its slot walk once the part
-of ``a`` inside ``b``'s slots so far has a crossed pair of bounds, since
-every later piece lies in that part.  Both exits skip only closures that
-would come out EMPTY, so the pieces and their order stay those of the full
-walk.
+comparisons of :func:`contains`, shared through :func:`_within`), and it
+stops its slot walk once the part of ``a`` inside ``b``'s slots so far has
+a crossed pair of bounds, since every later piece lies in that part.  Both
+exits skip only closures that would come out EMPTY, so the pieces and their
+order stay those of the full walk.
 
 A region is a ``NamedTuple`` of its six bounds in the order lo_x, hi_x,
 lo_y, hi_y, lo_d, hi_d, so building, hashing and comparing one runs in C; it
@@ -41,7 +41,6 @@ docstring).  ``_make`` and ``_replace`` skip the check as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import InfiniteWindow
@@ -223,12 +222,12 @@ def intersect(a, b):
     if a is EMPTY or b is EMPTY:
         return EMPTY
     return _closure(
-        max(a.lo_x, b.lo_x),
-        min(a.hi_x, b.hi_x),
-        max(a.lo_y, b.lo_y),
-        min(a.hi_y, b.hi_y),
-        max(a.lo_d, b.lo_d),
-        min(a.hi_d, b.hi_d),
+        a.lo_x if a.lo_x >= b.lo_x else b.lo_x,
+        a.hi_x if a.hi_x <= b.hi_x else b.hi_x,
+        a.lo_y if a.lo_y >= b.lo_y else b.lo_y,
+        a.hi_y if a.hi_y <= b.hi_y else b.hi_y,
+        a.lo_d if a.lo_d >= b.lo_d else b.lo_d,
+        a.hi_d if a.hi_d <= b.hi_d else b.hi_d,
     )
 
 
@@ -242,10 +241,11 @@ def contains(outer, inner) -> bool:
     outer contains only an empty inner.
     """
     c = close(inner)
-    if c is EMPTY:
-        return True
-    if outer is EMPTY:
-        return False
+    return c is EMPTY or outer is not EMPTY and _within(outer, c)
+
+
+def _within(outer, c) -> bool:
+    """Each of the six bounds of c lies within the matching bound of outer."""
     return (
         outer.lo_x <= c.lo_x
         and c.hi_x <= outer.hi_x
@@ -256,16 +256,32 @@ def contains(outer, inner) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class RegionSet:
-    """Finite union of regions.  No canonical form; pieces may be empty-free."""
-
+class _Pieces(NamedTuple):
     regions: tuple = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "regions", tuple(r for r in self.regions if r is not EMPTY)
-        )
+
+class RegionSet(_Pieces):
+    """Finite union of regions, in no canonical form; EMPTY pieces are dropped.
+
+    A ``NamedTuple`` of one field, the tuple of pieces, as :class:`Region` is
+    of its bounds, so building, hashing and comparing one runs in C.  Its
+    repr is ``RegionSet(regions=(...))`` and its hash that of the 1-tuple
+    ``(regions,)``.  The trade-off: it also equals that plain 1-tuple, so
+    code must not compare a RegionSet with plain tuples.  ``len`` and
+    iteration run over the pieces, not over the one field, so copying and
+    pickling pass the field by ``__getnewargs__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, regions=()):
+        regions = tuple(regions)
+        if EMPTY in regions:
+            regions = tuple(r for r in regions if r is not EMPTY)
+        return _new(cls, (regions,))
+
+    def __getnewargs__(self):
+        return (self.regions,)
 
     def member(self, p: tuple) -> bool:
         return any(member(r, p) for r in self.regions)
@@ -295,7 +311,7 @@ def subtract(a, b) -> RegionSet:
 
     Two exits skip closures that could only come out EMPTY, so the pieces
     and their order are those of the full walk.  When b contains the closed
-    a (the six comparisons of :func:`contains`), every piece is a point set
+    a (:func:`_within`, as in :func:`contains`), every piece is a point set
     of a outside b, so none is left.  And once ``kept`` has a lower bound
     above its upper partner it has no point, and every later piece is a
     meet with it, so the walk stops there.
@@ -305,14 +321,7 @@ def subtract(a, b) -> RegionSet:
         return RegionSet(())
     if b is EMPTY:
         return RegionSet((a,))
-    if (
-        b.lo_x <= a.lo_x
-        and a.hi_x <= b.hi_x
-        and b.lo_y <= a.lo_y
-        and a.hi_y <= b.hi_y
-        and b.lo_d <= a.lo_d
-        and a.hi_d <= b.hi_d
-    ):
+    if _within(b, a):
         return RegionSet(())
     kept = list(a)
     pieces = []
@@ -344,7 +353,7 @@ def difference(pieces, covers) -> list:
     """The points of the pieces that lie in none of the covers, as a list of
     regions; closed and nonempty when at least one cover is given."""
     for cover in covers:
-        pieces = [p for piece in pieces for p in subtract(piece, cover)]
+        pieces = [p for piece in pieces for p in subtract(piece, cover).regions]
     return list(pieces)
 
 

@@ -129,7 +129,11 @@ def test_compose_accepts_zero_and_identity(capsys):
 
 @pytest.mark.parametrize("command", ["eval", "support", "inC0"])
 @pytest.mark.parametrize(
-    "gen", ["X:0:(0,1)->X:0:(0,1)@0", "id@Y:0:(0,1)", "X:0:(0,1)->X:0:(0,0)@0"]
+    "gen",
+    [
+        "X:0:(0,1)->X:0:(0,1)@0", "id@Y:0:(0,1)", "X:0:(0,1)->X:0:(0,0)@0",
+        "X:0:(0,1)->X:0:(5,5)@0", "X:0:(0,1)->X:0:(0,2)@7",
+    ],
 )
 def test_functor_file_rejects_morphisms_not_in_model(tmp_path, capsys, command, gen):
     path = tmp_path / "F.json"

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -11,9 +12,9 @@ from kgcert import model as M
 from kgcert import regions as R
 from kgcert.certifier import KIND_BP, KIND_CP, build_simple0, build_simple1
 from kgcert.engine import WindowEngine
-from kgcert.errors import IncompatibleTops, NotASubfunctor
+from kgcert.errors import IncompatibleTops, InvalidVertex, NotASubfunctor
 from kgcert.functors import FpFunctor, Subfunctor, Window
-from kgcert.model import ArrowMorphism, IdentityMorphism, VertexId, ZERO
+from kgcert.model import ArrowMorphism, IdentityMorphism, VertexId, ZERO, ZeroMorphism
 from kgcert.presentation import validate_triple
 
 from conftest import ACCEPTANCE_TRIPLES, ORBIT_TRIPLES
@@ -85,7 +86,160 @@ def test_subfunctor_rejects_foreign_generator(t120):
         Subfunctor(V("X", 0, 0, 1), (arrow(t120, V("X", 0, 0, 2), "X", 0, (0, 3), 0),))
 
 
+# A generator out of X:0:(0,1) on (1,2,0) that is no basis arrow: a degree-0
+# "arrow" to the vertex X:0:(5,5) outside the degree-0 fan box, and a degree-7
+# "arrow" to X:0:(0,2) in no channel.  Composing through them once gave
+# eval_fp -1 at X:0:(5,5) and 0 at X:0:(0,2), against support dimensions 0 and 1.
+NOT_BASIS_ARROWS = [
+    ArrowMorphism(V("X", 0, 0, 1), V("X", 0, 5, 5), 0),
+    ArrowMorphism(V("X", 0, 0, 1), V("X", 0, 0, 2), 7),
+]
+
+PUBLIC_CALLS = {
+    "eval_sub": lambda t, S: F.eval_sub(t, S, S.generators[-1].dst),
+    "eval_fp": lambda t, S: F.eval_fp(t, FpFunctor(S.top, S), S.generators[-1].dst),
+    "support_channels": lambda t, S: F.support_channels(t, FpFunctor(S.top, S)),
+    "support_region": lambda t, S: F.support_region(t, FpFunctor(S.top, S)),
+    "is_in_c0": lambda t, S: F.is_in_c0(t, FpFunctor(S.top, S)),
+    "quotient_support_F": lambda t, S: F.quotient_support(t, S, Subfunctor(S.top, ())),
+    "quotient_support_G": lambda t, S: F.quotient_support(t, Subfunctor(S.top, (IdentityMorphism(S.top),)), S),
+}
+
+
+@pytest.mark.parametrize("call", sorted(PUBLIC_CALLS))
+@pytest.mark.parametrize("bad", NOT_BASIS_ARROWS, ids=str)
+def test_a_generator_that_is_no_basis_arrow_is_rejected(t120, call, bad):
+    """Every public function that reads a subfunctor raises NotASubfunctor
+    naming the generator, after a zero and a basis arrow that pass."""
+    assert not M.arrow_exists(t120, bad.src, bad.dst, bad.degree)
+    S = Subfunctor(bad.src, (ZERO, arrow(t120, bad.src, "X", 0, (0, 2), 0), bad))
+    with pytest.raises(NotASubfunctor, match=f"^generator {re.escape(str(bad))} is not a basis arrow"):
+        PUBLIC_CALLS[call](t120, S)
+
+
+def reference_eval_sub(t, S, V):
+    """eval_sub by its definition: each generator f composed with every basis
+    morphism of Hom(target of f, V) through model.compose."""
+    out = set()
+    for f in S.generators:
+        if isinstance(f, ZeroMorphism):
+            continue
+        for g in M.hom_basis(t, M.target_of(f), V):
+            k = M.compose(t, g, f)
+            if not isinstance(k, ZeroMorphism):
+                out.add(k)
+    return frozenset(out)
+
+
+def reference_eval_fp(t, fp, V):
+    return len(M.hom_basis(t, fp.top, V)) - len(reference_eval_sub(t, fp.denominators, V))
+
+
+def _generators(t, top, box, rng, with_identity):
+    """Generators drawn from top's fan, as basis arrows into the box: a zero,
+    two with one target (two degrees, or one arrow twice) and one more
+    arrow; or, with_identity, an arrow beside the identity of top."""
+    arrows = [k for T in box for k in M.hom_basis(t, top, T) if isinstance(k, ArrowMorphism)]
+    if not arrows:
+        return (ZERO, IdentityMorphism(top)) if with_identity else (ZERO,)
+    if with_identity:
+        return (rng.choice(arrows), IdentityMorphism(top))
+    by_target = {}
+    for k in arrows:
+        by_target.setdefault(k.dst, []).append(k)
+    pair = (max(by_target.values(), key=len) * 2)[:2]
+    return (ZERO, *pair, rng.choice(arrows))
+
+
+def _pointwise_mismatches(t, seed):
+    """(top, generators, V) wherever eval_sub differs from the reference, or
+    eval_fp from |hom basis| minus the reference, over every vertex pair in
+    [-3, 3]^2; every other top has the identity among its generators."""
+    rng = random.Random(seed)
+    box = M.vertices_in_box(t, -3, 3, -3, 3)
+    bad = []
+    for i, top in enumerate(box):
+        S = Subfunctor(top, _generators(t, top, box, rng, with_identity=i % 2 == 1))
+        fp = FpFunctor(top, S)
+        for v in box:
+            want = reference_eval_sub(t, S, v)
+            if F.eval_sub(t, S, v) != want or F.eval_fp(t, fp, v) != len(M.hom_basis(t, top, v)) - len(want):
+                bad.append((top, S.generators, v))
+    return bad
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+def test_pointwise_route_matches_composition(r, n, m):
+    """eval_sub and eval_fp read the fan records directly; on the model they
+    agree with composing through model.compose."""
+    assert _pointwise_mismatches(validate_triple(r, n, m), f"pointwise-{r}{n}{m}") == []
+
+
+def _pointwise_mutants():
+    from mutants import RECORD_MUTANTS, every_record
+    from test_model import _fan_bound_mutants, mutated_fan_entries
+
+    t120 = validate_triple(1, 2, 0)
+    fan_bound = [pytest.param(t120, mutated_fan_entries(*m), id="120-{}{}-{}{:+d}".format(*m)) for m in _fan_bound_mutants(t120)]
+    assert len(fan_bound) == 48
+    return fan_bound + [
+        pytest.param(validate_triple(*triple), every_record(change), id="{}{}{}-{}".format(*triple, name))
+        for name, change, triple, _ in RECORD_MUTANTS
+    ]
+
+
+@pytest.mark.parametrize("t,fan_entries", _pointwise_mutants())
+def test_pointwise_route_matches_composition_on_every_mutant(t, fan_entries, monkeypatch, request):
+    """The same agreement on each fan-bound mutant of (1, 2, 0) and each
+    whole-record mutant, generators drawn from the mutated fans."""
+    monkeypatch.setattr(M, "_fan_entries", fan_entries)
+    assert _pointwise_mismatches(t, request.node.callspec.id) == []
+
+
+def _raised(call, *args):
+    with pytest.raises(InvalidVertex) as info:
+        call(*args)
+    return str(info.value)
+
+
+def test_pointwise_route_raises_as_the_reference(t120):
+    """An invalid top, evaluation vertex or generator target raises
+    InvalidVertex naming the same vertex as the reference.  When several are
+    invalid, eval_fp names the first of the top, V and the generators'
+    targets in turn, as the reference does."""
+    top, bad, worse = V("X", 0, 0, 1), V("X", 0, 5, 0), V("X", 0, 6, 0)
+    assert not (M.vertex_valid(t120, bad) or M.vertex_valid(t120, worse))
+    good = arrow(t120, top, "X", 0, (0, 2), 0)
+    one_invalid = [
+        (Subfunctor(bad, (IdentityMorphism(bad),)), top),  # the top
+        (Subfunctor(top, (good,)), bad),  # V
+        (Subfunctor(top, (good, ArrowMorphism(top, bad, 0), ArrowMorphism(top, worse, 0))), top),  # targets
+    ]
+    for S, v in one_invalid:
+        assert _raised(F.eval_sub, t120, S, v) == _raised(reference_eval_sub, t120, S, v)
+    several_invalid = [
+        (Subfunctor(bad, (IdentityMorphism(bad),)), worse),
+        (Subfunctor(top, (ArrowMorphism(top, worse, 0),)), bad),
+    ]
+    for S, v in one_invalid + several_invalid:
+        fp = FpFunctor(S.top, S)
+        assert _raised(F.eval_fp, t120, fp, v) == _raised(reference_eval_fp, t120, fp, v)
+        assert _raised(F.eval_fp, t120, fp, v) == f"not a vertex of the model: {bad}"
+
+
 # -- symbolic support -------------------------------------------------------------
+
+
+def test_support_channel_is_a_value():
+    """A SupportChannel keeps the repr and hash it had as a frozen dataclass
+    (the hash of the tuple of its fields)."""
+    rs = R.RegionSet((R.box(0, 1, 2, 3),))
+    ch = F.SupportChannel("X", 0, 2, rs)
+    assert repr(ch) == (
+        "SupportChannel(family='X', orbit=0, degree=2,"
+        " regions=RegionSet(regions=(Region(x=[0,1], y=[2,3], d=[-inf,inf]),)))"
+    )
+    assert hash(ch) == hash(("X", 0, 2, rs)) and ch == F.SupportChannel("X", 0, 2, R.RegionSet((R.box(0, 1, 2, 3),)))
 
 
 def test_support_representable_channels(t120):

@@ -125,6 +125,32 @@ def test_subtract_empty_gives_whole():
     assert len(out) == 1 and out.regions[0] == R.close(a)
 
 
+def test_region_set_is_a_value():
+    """A RegionSet drops EMPTY pieces and keeps the others in order; its repr
+    and hash are those it had as a frozen dataclass (the hash of the 1-tuple
+    of its pieces); two sets are equal exactly when their pieces are, in
+    order; it copies and pickles as itself; and, as a NamedTuple, it equals
+    the plain 1-tuple of its pieces."""
+    import copy
+    import pickle
+
+    a, b = R.box(0, 1, 0, 1), Region(lo_x=2, hi_d=0)
+    rs = R.RegionSet([EMPTY, a, EMPTY, b])
+    assert rs.regions == (a, b) and list(rs) == [a, b] and len(rs) == 2
+    assert repr(rs) == (
+        "RegionSet(regions=(Region(x=[0,1], y=[0,1], d=[-inf,inf]),"
+        " Region(x=[2,inf], y=[-inf,inf], d=[-inf,0])))"
+    )
+    assert repr(R.RegionSet()) == "RegionSet(regions=())" and R.RegionSet(regions=(EMPTY,)) == R.RegionSet()
+    assert hash(rs) == hash(((a, b),)) and hash(R.RegionSet()) == hash(((),))
+    assert rs == R.RegionSet((a, b)) and hash(rs) == hash(R.RegionSet((a, EMPTY, b)))
+    assert rs != R.RegionSet((b, a)) and rs != R.RegionSet((a,))
+    assert copy.copy(rs) == rs and copy.deepcopy(rs) == rs
+    assert type(pickle.loads(pickle.dumps(rs))) is R.RegionSet and pickle.loads(pickle.dumps(rs)) == rs
+    assert rs == ((a, b),)
+    assert R.subtract(a, a) == R.RegionSet() and R.subtract(a, EMPTY) == R.RegionSet((R.close(a),))
+
+
 # -- enumeration -----------------------------------------------------------------
 
 
