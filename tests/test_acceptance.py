@@ -70,6 +70,22 @@ def test_theorem_values():
     assert report("theorem-values kg certification", ok, " ".join(times))
 
 
+# SHA-256 of the to_json_text() of the wider windows, depth 8: (triple, h) for
+# the window [-h,h]^2.
+WIDE_SHA256 = {
+    ((1, 2, 0), 10): "7313761e6507a26b3ef5501ac312e1ae4e463929be36a868efc1d08411651a1c",
+    ((2, 2, 1), 20): "a977166fdf602fc967950d5b854a01db4601bf8abdc8668b79eb1a69962ec1ca",
+}
+
+
+def test_theorem_values_on_wide_windows():
+    ok = True
+    for (triple, h), want in WIDE_SHA256.items():
+        cert = certify(validate_triple(*triple), Window(-h, h, -h, h), 8)
+        ok &= cert.verdict == "pass" and hashlib.sha256(cert.to_json_text().encode()).hexdigest() == want
+    assert report("theorem-values wide windows", ok)
+
+
 # SHA-256 of the concatenated to_json_text() of the small grid below, in n, r,
 # m order, at [-4,4]^2, depth 4.
 GRID_SHA256 = "f90b1d2aced74a5f684e59acffd64189db4895e46555c6625d5b71ef99b90715"

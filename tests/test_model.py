@@ -17,6 +17,7 @@ from kgcert.errors import InvalidVertex, NotComposable
 from kgcert.model import ArrowMorphism, FanEntry, IdentityMorphism, VertexId, ZERO
 from kgcert.presentation import GentleTriple, validate_triple
 
+import fan_reference
 from conftest import ACCEPTANCE_TRIPLES, ORBIT_TRIPLES
 from numpy_ref import associativity_scan
 
@@ -52,6 +53,52 @@ def test_infinite_mode_has_only_x(t110):
 
 
 # -- arrow fans -------------------------------------------------------------------
+
+
+def _outcome(build):
+    """build()'s value, or the type and message of what it raised."""
+    try:
+        return build()
+    except (InvalidVertex, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES + ORBIT_TRIPLES)
+def test_fan_table_matches_the_reference_branches(r, n, m):
+    """Index regions, vertex validity and fan records equal those of the
+    hand-written branches in fan_reference at every channel point of
+    [-6,6]^2, a vertex or not: entries in order with their excludes_src
+    flags, channels in order, and sinks.  A bool or float coordinate raises
+    the same error, and an unknown family or orbit gets the same answer."""
+    t = validate_triple(r, n, m)
+    for family in ("X", "Y", "Z", "W"):
+        for orbit in range(-1, t.orbit_count + 1):
+            assert _outcome(lambda: M.index_region(t, family, orbit)) == _outcome(
+                lambda: fan_reference.index_region(t, family, orbit)
+            ), (family, orbit)
+    vertices = 0
+    for family in ("X", "Y", "Z"):
+        for orbit in range(t.orbit_count + 1):
+            for a in range(-6, 7):
+                for b in range(-6, 7):
+                    v = V(family, orbit, a, b)
+                    assert M.vertex_valid(t, v) == fan_reference.vertex_valid(t, v), v
+                    rec, ref = M._fan_entries(t, v), fan_reference.fan_record(t, v)
+                    if ref is None:
+                        assert rec is None, v
+                        continue
+                    vertices += 1
+                    assert rec.src == ref.src
+                    assert rec.entries == ref.entries, v
+                    assert [e.excludes_src for e in rec.entries] == [e.excludes_src for e in ref.entries], v
+                    assert list(rec.channels.items()) == list(ref.channels.items()), v
+                    assert rec.sinks == ref.sinks, v
+        for coord in [(True, 0), (0, False), (1.0, 0), (0.5, -1)]:
+            v = VertexId(family, 0, coord)
+            assert _outcome(lambda: M._fan_entries.__wrapped__(t, v)) == _outcome(
+                lambda: fan_reference.fan_record(t, v)
+            ), v
+    assert vertices > 80
 
 
 def test_arrow_fan_x_vertex(t120):
