@@ -69,11 +69,7 @@ class WindowEngine:
             raise ValueError(f"degenerate window box {box}")
         self.nx = self.x1 - self.x0 + 1
         self.ny = self.y1 - self.y0 + 1
-        self.channels = [
-            (fam, orb)
-            for fam in model.families(t)
-            for orb in range(t.orbit_count)
-        ]
+        self.channels = list(model.index_regions(t))  # family-then-orbit order
         self.chan_index = {c: i for i, c in enumerate(self.channels)}
         self.nchan = len(self.channels)
         self.max_degree = t.max_degree

@@ -9,12 +9,14 @@ the composed endpoints when that arrow exists, and zero otherwise.  No scalar
 arithmetic is needed anywhere: all relations are monomial with coefficient 1,
 so images and dimensions are basis-subset combinatorics.
 
-Two modes share this module.  When r < n there are three families and degrees
-{0, 1, 2}; degree-1 arrows connect X/Y to Z within an orbit, degree-1 arrows
-out of Z and all degree-2 arrows raise the orbit by one (mod r).  When r == n
-only the X family exists, with degrees {0, 1}, and degree-1 arrows raise the
-orbit (mod n): its fan is the r < n X fan without the Z entry, with the
-orbit-raising arrow at the top degree.
+Two modes share this module: r < n, with the families X, Y and Z and
+degrees {0, 1, 2}, and r == n, with the X family alone and degrees {0, 1}.
+Each mode's fans and index sets are one table, ``_FANS[t.is_finite_mode]``:
+per source family of a vertex (a, b) on orbit i, the index set's hi_d term,
+a bound on a - b, and the fan rows in degree order.  A row is (target family,
+orbit step, degree, excludes_src, lo_x, hi_x, lo_y, hi_y), and a bound term
+None, the infinity of its side, or (A or B, offset): a or b plus an offset
+that ``_offsets`` resolves, once per triple in ``_fan_rows``.
 
 Vertices, identities, arrows, fan entries, fan records and their regions
 (``regions.Region``) are ``typing.NamedTuple`` values: building, hashing and
@@ -31,22 +33,18 @@ counts or field types differ.  The zero morphism stays a dataclass, so it
 equals no tuple.
 
 Every valid vertex has one cached fan record, the ``ArrowFan`` that
-``_fan_entries`` builds: the vertex, the fan entries in degree order, a
-read-only ``{(family, orbit, degree): FanEntry}`` mapping of the same
-entries, and the pair of sink maps ``ar_sink_maps`` returns.  ``arrow_fan``
-returns that record itself, not a copy; it is never hashed (its mapping is
-not hashable).  The record is the only place that validates a source vertex;
-``_fan_entries`` gives ``None`` for a non-vertex.  The readers take the
-record through ``_record``, so that a warm cache answers a bool or float
-coordinate as a cold one does.  Every reader answers from the source's
-record by one rule, ``_in_entry``, applied inside one fan entry: ``dst`` is
-not a source the entry excludes, and one bound check.  ``_has_arrow`` looks
-one channel up, for ``arrow_exists``, the certifier and ``functors``;
-``_degrees`` walks the entries on ``dst``'s (family, orbit), which come in
-degree order, for ``hom_basis`` and ``functors``' pointwise route.  None of
-them validates ``dst``: every fan region of a valid source lies inside the
-index region of its target channel, so a point in it is a valid vertex, and
-an unknown family, orbit or degree misses the mapping.
+``_fan_entries`` builds from its rows: the vertex, the fan entries in degree
+order, a read-only ``{(family, orbit, degree): FanEntry}`` mapping of them,
+and the sink pair of ``ar_sink_maps``.  ``arrow_fan`` returns the record
+itself, which is never hashed (its mapping is not hashable).  Only the record
+validates a source vertex: ``_fan_entries`` gives ``None`` for a non-vertex,
+and the readers take it through ``_record``.  Every reader answers by one
+rule inside one fan entry, ``_in_entry``: ``_has_arrow`` looks one channel
+up, for ``arrow_exists``, the certifier and ``functors``; ``_degrees`` walks
+the entries in degree order, for ``hom_basis`` and ``functors``' pointwise
+route.  None of them validates ``dst``: every fan region of a valid source
+lies inside the index region of its target channel, so a point in it is a
+valid vertex, and an unknown family, orbit or degree misses the mapping.
 ``tests/test_model.py::test_fan_targets_are_valid_vertices`` pins that
 containment.  A model that breaks it fails certification instead of
 raising: a check that reaches a non-vertex fails its item.
@@ -67,13 +65,6 @@ from .regions import Region
 FAMILY_X = "X"
 FAMILY_Y = "Y"
 FAMILY_Z = "Z"
-
-_FINITE_FAMILIES = (FAMILY_X, FAMILY_Y, FAMILY_Z)
-_INFINITE_FAMILIES = (FAMILY_X,)
-
-
-def families(t: GentleTriple) -> tuple:
-    return _FINITE_FAMILIES if t.is_finite_mode else _INFINITE_FAMILIES
 
 
 class VertexId(NamedTuple):
@@ -130,31 +121,66 @@ class ArrowFan(NamedTuple):
     sinks: tuple  # the pair ar_sink_maps returns
 
 
+A, B, TOP = 0, 1, "top"  # a bound term's coordinate, the source's a or b; the mode's top degree
+_M0, _ML, _N0, _NL = 1, 2, 3, 4  # the offsets [i=0]m, [i=last]m, -[i=0]n, -[i=last]n; 0 is 0
+_X_SAME = (FAMILY_X, 0, 0, True, (A, 0), (B, _M0), (B, 0), None)
+_X_NEXT = (FAMILY_X, 1, TOP, False, None, (A, _ML), (A, 0), (B, _M0))
+_FANS = {
+    True: {
+        FAMILY_X: (_M0, (_X_SAME, (FAMILY_Z, 0, 1, False, (A, 0), (B, _M0), None, None), _X_NEXT)),
+        FAMILY_Y: (_N0, ((FAMILY_Y, 0, 0, True, (A, 0), (B, _N0), (B, 0), None),
+                         (FAMILY_Z, 0, 1, False, None, None, (A, 0), (B, _N0)),
+                         (FAMILY_Y, 1, TOP, False, None, (A, _NL), (A, 0), (B, _N0)))),
+        FAMILY_Z: (None, ((FAMILY_Z, 0, 0, True, (A, 0), None, (B, 0), None),
+                          (FAMILY_X, 1, 1, False, None, (A, _ML), (A, 0), None),
+                          (FAMILY_Y, 1, 1, False, None, (B, _NL), (B, 0), None),
+                          (FAMILY_Z, 1, TOP, False, None, (A, _ML), None, (B, _NL)))),
+    },
+    False: {FAMILY_X: (_M0, (_X_SAME, _X_NEXT))},  # the r < n X rows without the Z entry
+}
+_NO_FAMILY = {True: "unknown family {!r}", False: "family {} does not exist when r == n"}
+
+
+def families(t: GentleTriple) -> tuple:
+    return tuple(_FANS[t.is_finite_mode])
+
+
+def _offsets(t: GentleTriple, i: int) -> tuple:
+    """The offsets at orbit i, indexed as the table's terms name them."""
+    d0 = 1 if i == 0 else 0
+    dr = 1 if i == t.orbit_count - 1 else 0
+    return (0, d0 * t.m, dr * t.m, -d0 * t.n, -dr * t.n)
+
+
+@lru_cache(maxsize=64)
+def _fan_rows(t: GentleTriple) -> dict:
+    """{(family, orbit): the family's rows at that orbit, with the target orbit and degree
+    resolved and each bound a pair (index into (a, b, -inf, inf), offset), where a lower
+    bound's None is -inf and an upper one's inf}, over the channels in family-then-orbit order."""
+    R = t.orbit_count
+    return {
+        (family, i): tuple(
+            (fam, (i + step) % R, t.max_degree if degree is TOP else degree, excludes, *[
+                (2 + j % 2, 0) if term is None else (term[0], _offsets(t, i)[term[1]])
+                for j, term in enumerate(bounds)])  # lo_x, hi_x, lo_y, hi_y
+            for fam, step, degree, excludes, *bounds in rows)
+        for family, (_, rows) in _FANS[t.is_finite_mode].items() for i in range(R)
+    }
+
+
 def index_region(t: GentleTriple, family: str, orbit: int) -> Region:
     """The coordinate constraint a vertex of this family and orbit satisfies."""
-    d0 = 1 if orbit == 0 else 0
-    if family == FAMILY_X:
-        return Region(hi_d=d0 * t.m)  # a <= b + [i=0] m
-    if not t.is_finite_mode:
-        raise InvalidVertex(f"family {family} does not exist when r == n")
-    if family == FAMILY_Y:
-        return Region(hi_d=-d0 * t.n)  # a + [i=0] n <= b
-    if family == FAMILY_Z:
-        return regions.FULL
-    raise InvalidVertex(f"unknown family {family!r}")
+    spec = _FANS[t.is_finite_mode].get(family)
+    if spec is None:
+        raise InvalidVertex(_NO_FAMILY[t.is_finite_mode].format(family))
+    return regions.FULL if spec[0] is None else Region(hi_d=_offsets(t, orbit)[spec[0]])
 
 
 @lru_cache(maxsize=64)
 def index_regions(t: GentleTriple) -> MappingProxyType:
     """Read-only {(family, orbit): index_region} over every channel of the
-    model, in family-then-orbit order; built once per triple."""
-    return MappingProxyType(
-        {
-            (family, orbit): index_region(t, family, orbit)
-            for family in families(t)
-            for orbit in range(t.orbit_count)
-        }
-    )
+    model, the keys of ``_fan_rows``; built once per triple."""
+    return MappingProxyType({channel: index_region(t, *channel) for channel in _fan_rows(t)})
 
 
 def vertex_valid(t: GentleTriple, v: VertexId) -> bool:
@@ -168,42 +194,23 @@ def _fan_entries(t: GentleTriple, v: VertexId) -> ArrowFan | None:
     if not vertex_valid(t, v):
         return None
     a, b = v.coord
-    i = v.orbit
     m, n = t.m, t.n
-    d0 = 1 if i == 0 else 0
-    R = t.orbit_count
-    dr = 1 if i == R - 1 else 0
-    nxt = (i + 1) % R
-    # With int coordinates and parameters every bound below is an int or an
-    # infinity of its side, so the boxes skip Region's validation; anything
-    # else goes through regions.box, which raises as it always has.
+    # With int coordinates and parameters every bound is an int or an infinity of its side, so the
+    # boxes skip Region's validation; anything else goes through regions.box, which raises as it
+    # always has.  A zero offset is never added: True + 0 would turn a bool coordinate into an int.
     box = regions._unchecked if type(a) is type(b) is type(m) is type(n) is int else regions.box
-    if v.family == FAMILY_X:  # when r == n: no Z entry, and the orbit-raising arrow has degree 1
-        entries = (
-            FanEntry(FAMILY_X, i, 0, box(a, b + d0 * m, b, regions.POS_INF), True),
-            FanEntry(FAMILY_Z, i, 1, box(a, b + d0 * m, regions.NEG_INF, regions.POS_INF)),
-            FanEntry(FAMILY_X, nxt, t.max_degree, box(regions.NEG_INF, a + dr * m, a, b + d0 * m)),
-        )
-        entries = tuple(e for e in entries if e.family in families(t))
-    elif v.family == FAMILY_Y:
-        entries = (
-            FanEntry(FAMILY_Y, i, 0, box(a, b - d0 * n, b, regions.POS_INF), True),
-            FanEntry(FAMILY_Z, i, 1, box(regions.NEG_INF, regions.POS_INF, a, b - d0 * n)),
-            FanEntry(FAMILY_Y, nxt, 2, box(regions.NEG_INF, a - dr * n, a, b - d0 * n)),
-        )
-    else:  # Z family
-        entries = (
-            FanEntry(FAMILY_Z, i, 0, box(a, regions.POS_INF, b, regions.POS_INF), True),
-            FanEntry(FAMILY_X, nxt, 1, box(regions.NEG_INF, a + dr * m, a, regions.POS_INF)),
-            FanEntry(FAMILY_Y, nxt, 1, box(regions.NEG_INF, b - dr * n, b, regions.POS_INF)),
-            FanEntry(FAMILY_Z, nxt, 2, box(regions.NEG_INF, a + dr * m, regions.NEG_INF, b - dr * n)),
-        )
+    p = (a, b, regions.NEG_INF, regions.POS_INF)
+    entries = tuple([
+        FanEntry(fam, orbit, degree, box(p[k0] + o0 if o0 else p[k0], p[k1] + o1 if o1 else p[k1],
+                                         p[k2] + o2 if o2 else p[k2], p[k3] + o3 if o3 else p[k3]), excludes)
+        for fam, orbit, degree, excludes, (k0, o0), (k1, o1), (k2, o2), (k3, o3) in _fan_rows(t)[v.family, v.orbit]
+    ])
     channels = {(e.family, e.orbit, e.degree): e for e in entries}
     # The sink targets are never v itself, so excludes_src cannot apply.
     same = channels[(v.family, v.orbit, 0)].region
     sinks = tuple(
         ArrowMorphism(v, w, 0) if regions.member(same, w.coord) else ZERO
-        for w in (VertexId(v.family, i, (a + 1, b)), VertexId(v.family, i, (a, b + 1)))
+        for w in (VertexId(v.family, v.orbit, (a + 1, b)), VertexId(v.family, v.orbit, (a, b + 1)))
     )
     return ArrowFan(v, entries, MappingProxyType(channels), sinks)
 
@@ -274,11 +281,7 @@ def _hom_record(t: GentleTriple, u: VertexId, v: VertexId) -> ArrowFan:
 def _degrees(rec: ArrowFan, v: VertexId) -> list:
     """Degrees of the basis arrows from rec's vertex to v, ascending."""
     family, orbit, src = v.family, v.orbit, rec.src
-    degrees = []
-    for e in rec.entries:
-        if e.family == family and e.orbit == orbit and _in_entry(e, src, v):
-            degrees.append(e.degree)
-    return degrees
+    return [e.degree for e in rec.entries if e.family == family and e.orbit == orbit and _in_entry(e, src, v)]
 
 
 def hom_basis(t: GentleTriple, u: VertexId, v: VertexId) -> list:
@@ -328,10 +331,7 @@ def ar_sink_maps(t: GentleTriple, v: VertexId):
     the family's index set; the surviving pair generates the denominator of
     the simple quotient attached to v.
     """
-    rec = _record(t, v)
-    if rec is None:
-        raise InvalidVertex(f"not a vertex of the model: {v}")
-    return rec.sinks
+    return arrow_fan(t, v).sinks
 
 
 def vertices_in_box(t: GentleTriple, x0: int, x1: int, y0: int, y1: int) -> list:

@@ -141,11 +141,12 @@ def _unchecked(lo_x, hi_x, lo_y, hi_y, lo_d=NEG_INF, hi_d=POS_INF) -> Region:
     :func:`subtract` also meets a's bounds with b's int bounds plus or
     minus 1, which stay ints.
 
-    ``model._fan_entries`` builds its fan boxes here only when the vertex's
-    coordinates and the triple's m and n are all of type int: each bound is
-    then a sum of those ints and 0/1 factors, or the infinity of its side,
-    and the d-bounds are infinite.  Other coordinates take the validated
-    :func:`box`, and raise as they would without this path.
+    ``model._fan_entries`` builds the fan boxes of its per-mode table here
+    only when the vertex's coordinates and the triple's m and n are all of
+    type int: each bound is then a coordinate plus an offset of m or n, or
+    the infinity of its side, and the d-bounds are infinite.  Other
+    coordinates take the validated :func:`box`, and raise as they would
+    without this path.
     """
     return _new(Region, (lo_x, hi_x, lo_y, hi_y, lo_d, hi_d))
 

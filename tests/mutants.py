@@ -209,16 +209,21 @@ def _kind_row_rows():
 
 # -- orbit-wrap fans ------------------------------------------------------------------
 
-_WRAP = "dr = 1 if i == R - 1 else 0"
+# The [i=last] selector of model._offsets, and the edit that moves it to orbit 1.
+_WRAP = "dr = 1 if i == t.orbit_count - 1 else 0"
+_WRONG_WRAP = "dr = 1 if i == 1 else 0"
 
 
-def _wrong_orbit_wrap(mp):
+def wrong_orbit_wrap(mp):
     """model._fan_entries with the coordinate shift on orbit 1 instead of
-    the last orbit."""
-    source = textwrap.dedent(inspect.getsource(M._fan_entries))
-    assert _WRAP in source
+    the last orbit.  _offsets with the edited selector, _fan_rows and
+    _fan_entries run in a namespace of their own, so the module's caches
+    never hold a broken record; only model._fan_entries is patched."""
     namespace = dict(vars(M))
-    exec(source.replace(_WRAP, "dr = 1 if i == 1 else 0"), namespace)
+    for f in (M._offsets, M._fan_rows, M._fan_entries):
+        source = textwrap.dedent(inspect.getsource(f))
+        assert (_WRAP in source) == (f is M._offsets)
+        exec(source.replace(_WRAP, _WRONG_WRAP), namespace)
     mp.setattr(M, "_fan_entries", namespace["_fan_entries"])
 
 
@@ -230,7 +235,7 @@ ORBIT_WRAP_FAILED = {
 
 def _orbit_wrap_rows():
     return [
-        Mutant(f"{_tag(triple)}-orbit-wrap", _wrong_orbit_wrap, triple, 4, 4, failed)
+        Mutant(f"{_tag(triple)}-orbit-wrap", wrong_orbit_wrap, triple, 4, 4, failed)
         for triple, failed in ORBIT_WRAP_FAILED.items()
     ]
 

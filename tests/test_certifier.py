@@ -2,12 +2,10 @@
 
 import contextlib
 import hashlib
-import inspect
 import io
 import json
 import os
 import random
-import textwrap
 import threading
 
 import pytest
@@ -46,8 +44,9 @@ from kgcert.functors import FpFunctor, Subfunctor, Window
 from kgcert.model import ArrowMorphism, VertexId, ZERO, ZeroMorphism
 from kgcert.presentation import GentleTriple, validate_triple
 
+import fan_reference
 from conftest import ACCEPTANCE_TRIPLES, INFINITE_TRIPLES, ORBIT_TRIPLES
-from mutants import KIND_ROW_IDS, KIND_ROW_MUTANTS, moved_at_one_vertex
+from mutants import KIND_ROW_IDS, KIND_ROW_MUTANTS, ORBIT_WRAP_FAILED, moved_at_one_vertex, wrong_orbit_wrap
 from test_equivariance import translate_item
 
 
@@ -1001,30 +1000,25 @@ def test_a_mutated_kind_row_fails(monkeypatch, triple, kind, field, value, faile
 
 
 @pytest.mark.parametrize(
-    "triple,failed",
-    [
-        ((1, 2, 0), ["simple1", "finite1", "c2simple"]),
-        ((3, 4, 1), ["simple1", "finite1", "nonsimple1", "c2simple"]),
-    ],
-    ids=["1-2-0", "3-4-1"],
+    "triple,failed", ORBIT_WRAP_FAILED.items(), ids=["-".join(map(str, t)) for t in ORBIT_WRAP_FAILED]
 )
 def test_a_fan_with_the_wrong_orbit_wrap_fails(monkeypatch, triple, failed):
     """Fans that shift the coordinate on the wrong orbit step break the fan
     containment: a check then reaches a non-vertex, and its item fails
-    instead of certify raising InvalidVertex."""
-    source = textwrap.dedent(inspect.getsource(M._fan_entries))
-    assert "dr = 1 if i == R - 1 else 0" in source
-    namespace = dict(vars(M))
-    exec(source.replace("dr = 1 if i == R - 1 else 0", "dr = 1 if i == 1 else 0"), namespace)
+    instead of certify raising InvalidVertex.  The module's own caches keep
+    the model's records."""
+    t = validate_triple(*triple)
     get_engine.cache_clear()
     try:
         with monkeypatch.context() as m:
-            m.setattr(M, "_fan_entries", namespace["_fan_entries"])
-            cert = certify(validate_triple(*triple), Window(-4, 4, -4, 4), 4)
+            wrong_orbit_wrap(m)
+            cert = certify(t, Window(-4, 4, -4, 4), 4)
     finally:
         get_engine.cache_clear()  # the engines read the broken fans
     assert cert.verdict == "fail"
-    assert [c.lemma for c in cert.checks if not c.passed] == failed + ["collapse_layers"]
+    assert [c.lemma for c in cert.checks if not c.passed] == [*failed, "collapse_layers"]
+    for v in M.vertices_in_box(t, -4, 4, -4, 4):
+        assert M.arrow_fan(t, v).entries == fan_reference.fan_record(t, v).entries, v
 
 
 # -- the sweeps against the formulas they replaced ------------------------------------

@@ -74,6 +74,41 @@ def _points(t, half=HALF):
     ]
 
 
+def table_sigma_mismatches(fans):
+    """(mode, source family, row index or "hi_d", bound, g) for every finite
+    term of the fan table fans (shaped as model._FANS) that moves under
+    sigma_g otherwise than what it bounds: a bound term's coordinate of the
+    source must move as the target family's axis it bounds, and a finite
+    index-set term needs a source family whose a - b stays.  Offsets depend
+    on the orbit alone, so the terms decide it, row by row."""
+    out = []
+    for mode, table in fans.items():
+        for family, (hi_d, rows) in table.items():
+            for g, shift in SHIFTS.items():
+                if hi_d is not None and shift[family][0] != shift[family][1]:
+                    out.append((mode, family, "hi_d", None, g))
+                for k, (target, _step, _degree, _excludes, *bounds) in enumerate(rows):
+                    for bound, axis, term in zip(("lo_x", "hi_x", "lo_y", "hi_y"), (0, 0, 1, 1), bounds):
+                        if term is not None and shift[family][term[0]] != shift[target][axis]:
+                            out.append((mode, family, k, bound, g))
+    return out
+
+
+def test_the_fan_table_commutes_with_the_translations():
+    assert table_sigma_mismatches(M._FANS) == []
+
+
+def test_the_table_check_rejects_a_bound_on_the_wrong_coordinate():
+    """The X fan's Z entry with lo_y = b, the table form of the translation
+    check's mutant 120-X-Z-entry-lo_y, reads a coordinate that moves under
+    both translations where the Z entry's y-axis moves under sigma_y only."""
+    hi_d, rows = M._FANS[True]["X"]
+    k = [row[0] for row in rows].index("Z")
+    moved = rows[k][:6] + ((M.B, 0),) + rows[k][7:]
+    fans = {True: {**M._FANS[True], "X": (hi_d, rows[:k] + (moved,) + rows[k + 1:])}}
+    assert table_sigma_mismatches(fans) == [(True, "X", k, "lo_y", "x"), (True, "X", k, "lo_y", "y")]
+
+
 @pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES + ORBIT_TRIPLES)
 def test_fan_records_and_sink_pairs_commute_with_the_translations(r, n, m):
     t = validate_triple(r, n, m)
