@@ -9,14 +9,13 @@ the composed endpoints when that arrow exists, and zero otherwise.  No scalar
 arithmetic is needed anywhere: all relations are monomial with coefficient 1,
 so images and dimensions are basis-subset combinatorics.
 
-Two modes share this module: r < n, with the families X, Y and Z and
-degrees {0, 1, 2}, and r == n, with the X family alone and degrees {0, 1}.
-Each mode's fans and index sets are one table, ``_FANS[t.is_finite_mode]``:
-per source family of a vertex (a, b) on orbit i, the index set's hi_d term,
-a bound on a - b, and the fan rows in degree order.  A row is (target family,
-orbit step, degree, excludes_src, lo_x, hi_x, lo_y, hi_y), and a bound term
-None, the infinity of its side, or (A or B, offset): a or b plus an offset
-that ``_offsets`` resolves, once per triple in ``_fan_rows``.
+Two modes share this module: r < n, with families X, Y and Z and degrees
+{0, 1, 2}, and r == n, with X alone and degrees {0, 1}.  Each mode's fans
+and index sets are one table, ``_FANS[t.is_finite_mode]``: per source family
+of a vertex (a, b) on orbit i, the index set's hi_d term (a bound on a - b)
+and the fan rows in degree order, each (target family, orbit step, degree,
+excludes_src, lo_x, hi_x, lo_y, hi_y).  A bound term is None, the infinity
+of its side, or (A or B, offset): a or b plus an offset of ``_offsets``.
 
 Vertices, identities, arrows, fan entries, fan records and their regions
 (``regions.Region``) are ``typing.NamedTuple`` values: building, hashing and
@@ -154,17 +153,15 @@ def _offsets(t: GentleTriple, i: int) -> tuple:
 
 @lru_cache(maxsize=64)
 def _fan_rows(t: GentleTriple) -> dict:
-    """{(family, orbit): the family's rows at that orbit, with the target orbit and degree
-    resolved and each bound a pair (index into (a, b, -inf, inf), offset), where a lower
-    bound's None is -inf and an upper one's inf}, over the channels in family-then-orbit order."""
-    R = t.orbit_count
+    """{(family, orbit): its rows there, target orbit and degree resolved, each bound a pair (index into
+    (a, b, -inf, inf), offset), a lower None -inf and an upper one inf}, family then orbit."""
     return {
         (family, i): tuple(
-            (fam, (i + step) % R, t.max_degree if degree is TOP else degree, excludes, *[
+            (fam, (i + step) % t.orbit_count, t.max_degree if degree is TOP else degree, excludes, *[
                 (2 + j % 2, 0) if term is None else (term[0], _offsets(t, i)[term[1]])
                 for j, term in enumerate(bounds)])  # lo_x, hi_x, lo_y, hi_y
             for fam, step, degree, excludes, *bounds in rows)
-        for family, (_, rows) in _FANS[t.is_finite_mode].items() for i in range(R)
+        for family, (_, rows) in _FANS[t.is_finite_mode].items() for i in range(t.orbit_count)
     }
 
 
@@ -178,8 +175,7 @@ def index_region(t: GentleTriple, family: str, orbit: int) -> Region:
 
 @lru_cache(maxsize=64)
 def index_regions(t: GentleTriple) -> MappingProxyType:
-    """Read-only {(family, orbit): index_region} over every channel of the
-    model, the keys of ``_fan_rows``; built once per triple."""
+    """Read-only {(family, orbit): index_region} over the channels, the keys of ``_fan_rows``."""
     return MappingProxyType({channel: index_region(t, *channel) for channel in _fan_rows(t)})
 
 
@@ -281,7 +277,11 @@ def _hom_record(t: GentleTriple, u: VertexId, v: VertexId) -> ArrowFan:
 def _degrees(rec: ArrowFan, v: VertexId) -> list:
     """Degrees of the basis arrows from rec's vertex to v, ascending."""
     family, orbit, src = v.family, v.orbit, rec.src
-    return [e.degree for e in rec.entries if e.family == family and e.orbit == orbit and _in_entry(e, src, v)]
+    degrees = []
+    for e in rec.entries:
+        if e.family == family and e.orbit == orbit and _in_entry(e, src, v):
+            degrees.append(e.degree)
+    return degrees
 
 
 def hom_basis(t: GentleTriple, u: VertexId, v: VertexId) -> list:
