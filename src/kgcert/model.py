@@ -153,8 +153,8 @@ def _offsets(t: GentleTriple, i: int) -> tuple:
 
 @lru_cache(maxsize=64)
 def _fan_rows(t: GentleTriple) -> dict:
-    """{(family, orbit): its rows there, target orbit and degree resolved, each bound a pair (index into
-    (a, b, -inf, inf), offset), a lower None -inf and an upper one inf}, family then orbit."""
+    """{(family, orbit): the family's rows at that orbit, with target orbit and degree resolved and each
+    bound as (index into (a, b, -inf, inf), offset), None as the infinity of its side}, in channel order."""
     return {
         (family, i): tuple(
             (fam, (i + step) % t.orbit_count, t.max_degree if degree is TOP else degree, excludes, *[
