@@ -591,7 +591,7 @@ class _Session:
             w = VertexId(v.family, v.orbit, (a + dx, b + dy))
             if not window.contains(w.coord):
                 continue
-            image = model._fan_entries(t, w)
+            image = model._record(t, w)
             if image is None:
                 return False
             _, image_form, image_sinks_ok = self._normal_form(w, image)

@@ -20,7 +20,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import functors, model, regions
-from .certifier import certify
+from .certifier import _CACHES, certify
 from .errors import KgcertError
 from .functors import FpFunctor, Subfunctor, Window
 from .model import ArrowMorphism, IdentityMorphism, VertexId, ZERO
@@ -73,7 +73,8 @@ def check_morphism(t: GentleTriple, k):
     return k
 
 
-def load_functor(t: GentleTriple, path: str) -> FpFunctor:
+def load_functor(path: str) -> FpFunctor:
+    """The functor a JSON file presents, parsed only: ``functors`` checks it against the model."""
     try:
         with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8
             data = json.load(fh)
@@ -93,7 +94,7 @@ def load_functor(t: GentleTriple, path: str) -> FpFunctor:
     if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
         raise UsageError(f"functor file {path}: 'generators' must be a list of strings")
     top = parse_vertex(top)
-    gens = tuple(check_morphism(t, parse_morphism(g)) for g in gens)
+    gens = tuple(parse_morphism(g) for g in gens)
     return FpFunctor(top, Subfunctor(top, gens))
 
 
@@ -146,7 +147,7 @@ def _fan(t: GentleTriple, args) -> dict:
 
 
 def _support(t: GentleTriple, args) -> dict:
-    F = load_functor(t, args.functor)
+    F = load_functor(args.functor)
     return {"top": str(F.top), "channels": [
         _channel_json(ch, regions=[regions.region_to_json(r) for r in ch.regions])
         for ch in functors.support_channels(t, F)
@@ -207,11 +208,11 @@ _COMMANDS = (
     _Command("fan", "outgoing-arrow regions of a vertex", (("--vertex", _REQUIRED),),
              _prints(_fan, indent=2)),
     _Command("eval", "dimension of a functor at a vertex", (_FUNCTOR, ("--at", _REQUIRED)),
-             _prints(lambda t, a: functors.eval_fp(t, load_functor(t, a.functor), parse_vertex(a.at)))),
+             _prints(lambda t, a: functors.eval_fp(t, load_functor(a.functor), parse_vertex(a.at)))),
     _Command("support", "symbolic support of a functor", (_FUNCTOR,),
              _prints(_support, indent=2)),
     _Command("inC0", "finite-total-dimension test for a functor", (_FUNCTOR,),
-             _prints(lambda t, a: functors.is_in_c0(t, load_functor(t, a.functor)))),
+             _prints(lambda t, a: functors.is_in_c0(t, load_functor(a.functor)))),
     _Command("ar", "the two sink maps of a vertex", (("--vertex", _REQUIRED),),
              _prints(lambda t, a: [str(f) for f in model.ar_sink_maps(t, parse_vertex(a.vertex))])),
     _Command("ar-export", "DOT digraph of a window's sink mesh",
@@ -225,8 +226,7 @@ _COMMANDS = (
               ("--stats", dict(_PATH, help="write run statistics here as JSON: per phase, the "
                                "representatives (one per translation class), the box items they cover, "
                                "the representatives checked and the seconds taken; the cache sizes "
-                               "translation_forms, tower_memo, step_memo, finite1_memo, engine_cubes "
-                               "and sink_decisions"))),
+                               f"{', '.join(_CACHES[:-1])} and {_CACHES[-1]}"))),
              _certify),
 )
 

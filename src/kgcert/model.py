@@ -31,19 +31,26 @@ Values of two different classes among these, ``GentleTriple`` and
 counts or field types differ.  The zero morphism stays a dataclass, so it
 equals no tuple.
 
-Every valid vertex has one cached fan record, the ``ArrowFan`` that
+A vertex is a ``VertexId`` that ``vertex_valid`` accepts, by the one rule:
+its (family, orbit) is a channel, a key of ``index_regions(t)``, and both
+its coordinates are of type int (a bool, float or int subclass is not) and
+lie in that channel's index region.  ``index_region`` raises
+``InvalidVertex`` for a pair that is no channel.
+
+Every vertex has one cached fan record, the ``ArrowFan`` that
 ``_fan_entries`` builds from its rows: the vertex, the fan entries in degree
 order, a read-only ``{(family, orbit, degree): FanEntry}`` mapping of them,
 and the sink pair of ``ar_sink_maps``.  ``arrow_fan`` returns the record
-itself, which is never hashed (its mapping is not hashable).  Only the record
-validates a source vertex: ``_fan_entries`` gives ``None`` for a non-vertex,
-and the readers take it through ``_record``.  Every reader answers by one
-rule inside one fan entry, ``_in_entry``: ``_has_arrow`` looks one channel
-up, for ``arrow_exists``, the certifier and ``functors``; ``_degrees`` walks
-the entries in degree order, for ``hom_basis`` and ``functors``' pointwise
-route.  None of them validates ``dst``: every fan region of a valid source
-lies inside the index region of its target channel, so a point in it is a
-valid vertex, and an unknown family, orbit or degree misses the mapping.
+itself, which is never hashed (its mapping is not hashable).  The readers
+take it through ``_record``, which gives ``None`` for a non-vertex.  Every
+reader answers by one rule inside one fan entry, ``_in_entry``:
+``_has_arrow`` looks one channel up, for ``arrow_exists``, the certifier
+and ``functors``; ``_degrees`` walks the entries in degree order, for
+``hom_basis`` and ``functors``' pointwise route, once ``_hom_record`` has
+validated both ends.  ``_has_arrow`` alone does not validate ``dst``: every
+fan region of a valid source lies inside the index region of its target
+channel, so an int point in it is a vertex, and an unknown family, orbit
+or degree misses the mapping.
 ``tests/test_model.py::test_fan_targets_are_valid_vertices`` pins that
 containment.  A model that breaks it fails certification instead of
 raising: a check that reaches a non-vertex fails its item.
@@ -140,10 +147,6 @@ _FANS = {
 _NO_FAMILY = {True: "unknown family {!r}", False: "family {} does not exist when r == n"}
 
 
-def families(t: GentleTriple) -> tuple:
-    return tuple(_FANS[t.is_finite_mode])
-
-
 def _offsets(t: GentleTriple, i: int) -> tuple:
     """The offsets at orbit i, indexed as the table's terms name them."""
     d0 = 1 if i == 0 else 0
@@ -165,40 +168,47 @@ def _fan_rows(t: GentleTriple) -> dict:
     }
 
 
-def index_region(t: GentleTriple, family: str, orbit: int) -> Region:
-    """The coordinate constraint a vertex of this family and orbit satisfies."""
-    spec = _FANS[t.is_finite_mode].get(family)
-    if spec is None:
-        raise InvalidVertex(_NO_FAMILY[t.is_finite_mode].format(family))
-    return regions.FULL if spec[0] is None else Region(hi_d=_offsets(t, orbit)[spec[0]])
-
-
 @lru_cache(maxsize=64)
 def index_regions(t: GentleTriple) -> MappingProxyType:
-    """Read-only {(family, orbit): index_region} over the channels, the keys of ``_fan_rows``."""
-    return MappingProxyType({channel: index_region(t, *channel) for channel in _fan_rows(t)})
+    """Read-only {channel (family, orbit): its index region}, the keys of ``_fan_rows`` in order."""
+    return MappingProxyType({
+        (family, i): regions.FULL if hi_d is None else Region(hi_d=_offsets(t, i)[hi_d])
+        for family, (hi_d, _) in _FANS[t.is_finite_mode].items() for i in range(t.orbit_count)
+    })
+
+
+def index_region(t: GentleTriple, family: str, orbit: int) -> Region:
+    """The index region of the channel (family, orbit); InvalidVertex when it is no channel."""
+    reg = index_regions(t).get((family, orbit))
+    if reg is None:
+        if family not in _FANS[t.is_finite_mode]:
+            raise InvalidVertex(_NO_FAMILY[t.is_finite_mode].format(family))
+        raise InvalidVertex(f"family {family} has no orbit {orbit!r}; orbits are 0 to {t.orbit_count - 1}")
+    return reg
 
 
 def vertex_valid(t: GentleTriple, v: VertexId) -> bool:
+    """True iff v is a vertex, by the rule the module docstring states."""
     reg = index_regions(t).get((v.family, v.orbit))
-    return reg is not None and regions.member(reg, v.coord)
+    if reg is None:
+        return False
+    a, b = v.coord
+    return type(a) is int and type(b) is int and regions.member(reg, v.coord)
 
 
 @lru_cache(maxsize=65536)
 def _fan_entries(t: GentleTriple, v: VertexId) -> ArrowFan | None:
-    """The fan record of v, or None when v is not a vertex of the model."""
+    """The fan record of v, or None when v is not a vertex of the model; read through ``_record``."""
     if not vertex_valid(t, v):
         return None
     a, b = v.coord
-    m, n = t.m, t.n
-    # With int coordinates and parameters every bound is an int or an infinity of its side, so the
-    # boxes skip Region's validation; anything else goes through regions.box, which raises as it
-    # always has.  A zero offset is never added: True + 0 would turn a bool coordinate into an int.
-    box = regions._unchecked if type(a) is type(b) is type(m) is type(n) is int else regions.box
+    # A vertex's coordinates and an admissible triple's m and n are ints, so every bound is an int or
+    # the infinity of its side, and the boxes skip Region's validation.  A zero offset is never added:
+    # an infinity plus 0 is a new float, one per infinite bound of every cached record.
     p = (a, b, regions.NEG_INF, regions.POS_INF)
     entries = tuple([
-        FanEntry(fam, orbit, degree, box(p[k0] + o0 if o0 else p[k0], p[k1] + o1 if o1 else p[k1],
-                                         p[k2] + o2 if o2 else p[k2], p[k3] + o3 if o3 else p[k3]), excludes)
+        FanEntry(fam, orbit, degree, regions._unchecked(p[k0] + o0 if o0 else p[k0], p[k1] + o1 if o1 else p[k1],
+                                                        p[k2] + o2 if o2 else p[k2], p[k3] + o3 if o3 else p[k3]), excludes)
         for fam, orbit, degree, excludes, (k0, o0), (k1, o1), (k2, o2), (k3, o3) in _fan_rows(t)[v.family, v.orbit]
     ])
     channels = {(e.family, e.orbit, e.degree): e for e in entries}
@@ -212,19 +222,11 @@ def _fan_entries(t: GentleTriple, v: VertexId) -> ArrowFan | None:
 
 
 def _record(t: GentleTriple, v: VertexId) -> ArrowFan | None:
-    """``_fan_entries(t, v)``, the same on a warm cache as on a cold one.
-
-    The cache keys on equality, and a bool or float coordinate equals an
-    int: ``VertexId("Z", 0, (True, 0))`` hits the record of Z:0:(1,0).  A
-    vertex whose coordinates are not both of type int therefore gets its
-    record built afresh, and its fan boxes raise as on a cold cache.
-    """
-    rec = _fan_entries(t, v)
-    if rec is not None:
-        a, b = v.coord
-        if type(a) is not int or type(b) is not int:
-            return _fan_entries.__wrapped__(t, v)
-    return rec
+    """The fan record of v, or None when v is not a vertex.  The type test of
+    :func:`vertex_valid` comes first: the cache keys on equality, so
+    Z:0:(True,0) or Z:0:(1.0,0) would hit the record of Z:0:(1,0)."""
+    a, b = v.coord
+    return _fan_entries(t, v) if type(a) is int and type(b) is int else None
 
 
 def arrow_fan(t: GentleTriple, v: VertexId) -> ArrowFan:
@@ -249,12 +251,10 @@ def _has_arrow(rec: ArrowFan, dst: VertexId, degree: int) -> bool:
 
 
 def arrow_exists(t: GentleTriple, src: VertexId, dst: VertexId, degree: int) -> bool:
-    """True iff there is a (unique) basis arrow src -> dst of this degree.
-
-    dst is not validated: see the module docstring.
-    """
+    """True iff src and dst are vertices and there is a (unique) basis arrow
+    src -> dst of this degree."""
     rec = _record(t, src)
-    return rec is not None and _has_arrow(rec, dst, degree)
+    return rec is not None and vertex_valid(t, dst) and _has_arrow(rec, dst, degree)
 
 
 def arrow_or_zero(t: GentleTriple, src: VertexId, dst: VertexId, degree: int):

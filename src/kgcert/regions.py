@@ -34,9 +34,9 @@ A region is a ``NamedTuple`` of its six bounds in the order lo_x, hi_x,
 lo_y, hi_y, lo_d, hi_d, so building, hashing and comparing one runs in C; it
 equals the plain 6-tuple of its bounds.  ``Region(...)`` validates the
 bounds.  One constructor, :func:`_unchecked`, builds the tuple without that
-check; it serves the results of :func:`_closure` and the model's fan boxes
-with int coordinates, whose bounds are valid by construction (see its
-docstring).  ``_make`` and ``_replace`` skip the check as well.
+check; it serves the results of :func:`_closure` and the model's fan boxes,
+whose bounds are valid by construction (see its docstring).  ``_make`` and
+``_replace`` skip the check as well.
 """
 
 from __future__ import annotations
@@ -141,12 +141,10 @@ def _unchecked(lo_x, hi_x, lo_y, hi_y, lo_d=NEG_INF, hi_d=POS_INF) -> Region:
     :func:`subtract` also meets a's bounds with b's int bounds plus or
     minus 1, which stay ints.
 
-    ``model._fan_entries`` builds the fan boxes of its per-mode table here
-    only when the vertex's coordinates and the triple's m and n are all of
-    type int: each bound is then a coordinate plus an offset of m or n, or
-    the infinity of its side, and the d-bounds are infinite.  Other
-    coordinates take the validated :func:`box`, and raise as they would
-    without this path.
+    ``model._fan_entries`` builds every fan box here.  It builds a record
+    for a vertex only, whose coordinates are ints, as are an admissible
+    triple's m and n: each bound is a coordinate plus an offset of m or n,
+    or the infinity of its side, and the d-bounds are infinite.
     """
     return _new(Region, (lo_x, hi_x, lo_y, hi_y, lo_d, hi_d))
 

@@ -26,7 +26,7 @@ HALF = 5
 def translate(t, g, v):
     """sigma_g v, for g "x" or "y" and v a vertex id of one of t's families
     (a vertex or not)."""
-    assert v.family in M.families(t)
+    assert v.family in {family for family, _ in M.index_regions(t)}
     (dx, dy), (a, b) = SHIFTS[g][v.family], v.coord
     return VertexId(v.family, v.orbit, (a + dx, b + dy))
 
@@ -67,8 +67,7 @@ def _points(t, half=HALF):
     """Every channel point of [-half, half]^2, a vertex or not."""
     return [
         VertexId(family, orbit, (x, y))
-        for family in M.families(t)
-        for orbit in range(t.orbit_count)
+        for family, orbit in M.index_regions(t)
         for x in range(-half, half + 1)
         for y in range(-half, half + 1)
     ]

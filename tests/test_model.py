@@ -14,6 +14,7 @@ from kgcert import regions as R
 from kgcert.engine import WindowEngine
 from kgcert.certifier import Simple1Instance
 from kgcert.errors import InvalidVertex, NotComposable
+from kgcert.functors import eval_fp, eval_sub, representable
 from kgcert.model import ArrowMorphism, FanEntry, IdentityMorphism, VertexId, ZERO
 from kgcert.presentation import GentleTriple, validate_triple
 
@@ -59,7 +60,7 @@ def _outcome(build):
     """build()'s value, or the type and message of what it raised."""
     try:
         return build()
-    except (InvalidVertex, ValueError) as exc:
+    except InvalidVertex as exc:
         return type(exc), str(exc)
 
 
@@ -68,14 +69,19 @@ def test_fan_table_matches_the_reference_branches(r, n, m):
     """Index regions, vertex validity and fan records equal those of the
     hand-written branches in fan_reference at every channel point of
     [-6,6]^2, a vertex or not: entries in order with their excludes_src
-    flags, channels in order, and sinks.  A bool or float coordinate raises
-    the same error, and an unknown family or orbit gets the same answer."""
+    flags, channels in order, and sinks.  An unknown family gets the same
+    answer.  An orbit out of range is no channel, and a bool or float
+    coordinate is no vertex, where the branches answer for both."""
     t = validate_triple(r, n, m)
     for family in ("X", "Y", "Z", "W"):
         for orbit in range(-1, t.orbit_count + 1):
-            assert _outcome(lambda: M.index_region(t, family, orbit)) == _outcome(
-                lambda: fan_reference.index_region(t, family, orbit)
-            ), (family, orbit)
+            if orbit in range(t.orbit_count) or family == "W":
+                assert _outcome(lambda: M.index_region(t, family, orbit)) == _outcome(
+                    lambda: fan_reference.index_region(t, family, orbit)
+                ), (family, orbit)
+                continue
+            with pytest.raises(InvalidVertex, match=f"^family {family} (has no orbit {orbit};|does not exist)"):
+                M.index_region(t, family, orbit)
     vertices = 0
     for family in ("X", "Y", "Z"):
         for orbit in range(t.orbit_count + 1):
@@ -95,9 +101,7 @@ def test_fan_table_matches_the_reference_branches(r, n, m):
                     assert rec.sinks == ref.sinks, v
         for coord in [(True, 0), (0, False), (1.0, 0), (0.5, -1)]:
             v = VertexId(family, 0, coord)
-            assert _outcome(lambda: M._fan_entries.__wrapped__(t, v)) == _outcome(
-                lambda: fan_reference.fan_record(t, v)
-            ), v
+            assert not M.vertex_valid(t, v) and M._record(t, v) is None, v
     assert vertices > 80
 
 
@@ -131,24 +135,48 @@ def test_arrow_fan_rejects_invalid_vertex(t120, t110):
                     assert not M.arrow_exists(t, v, dst, d)
 
 
-@pytest.mark.parametrize("coord", [(0.5, 0), (True, 0), (1.0, 0)], ids=["float", "bool", "integral-float"])
+NO_INT_COORDS = pytest.mark.parametrize(
+    "coord", [(0.5, 0), (True, 0), (1.0, 0)], ids=["float", "bool", "integral-float"]
+)
+
+
+@NO_INT_COORDS
 def test_arrow_fan_rejects_a_coordinate_that_is_no_int(t120, coord):
-    """A Z-vertex lies in the full index region, whatever its coordinates,
-    so the fan boxes are what reject a float or bool: with the message of
-    the region bound they would fill.  The cache takes (True, 0) and (1.0,
-    0) for the equal key (1, 0), so that record is cached first: every
-    reader must still raise."""
+    """A Z-point lies in the full index region, whatever its coordinates,
+    but a coordinate that is not of type int makes it no vertex.  The cache
+    takes (True, 0) and (1.0, 0) for the equal key (1, 0), so that record is
+    cached first: every reader must still reject the point."""
     twin = VertexId("Z", 0, tuple(int(c) for c in coord))
     M.arrow_fan(t120, twin)
     v = VertexId("Z", 0, coord)
-    message = re.escape(f"lo_x must be an integer or -inf, got {coord[0]!r}")
+    assert not M.arrow_exists(t120, v, twin, 0)
+    message = re.escape(f"not a vertex of the model: {v}")
     for read in (
         lambda: M.arrow_fan(t120, v),
-        lambda: M.arrow_exists(t120, v, twin, 0),
         lambda: M.ar_sink_maps(t120, v),
         lambda: M.hom_basis(t120, v, twin),
     ):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(InvalidVertex, match=message):
+            read()
+
+
+@NO_INT_COORDS
+def test_a_target_coordinate_that_is_no_int_is_no_vertex(t120, coord):
+    """The vertex rule holds for a target as for a source: from Z:0:(0,0)
+    there is no arrow, no hom space and no functor value at a Z-point whose
+    coordinate is not an int, though the point lies in Z's index region and
+    in the degree-0 fan region of Z:0:(0,0)."""
+    src, dst = V("Z", 0, 0, 0), VertexId("Z", 0, coord)
+    assert not M.vertex_valid(t120, dst)
+    assert not any(M.arrow_exists(t120, src, dst, d) for d in range(t120.max_degree + 1))
+    F = representable(t120, src)
+    message = re.escape(f"not a vertex of the model: {dst}")
+    for read in (
+        lambda: M.hom_basis(t120, src, dst),
+        lambda: eval_fp(t120, F, dst),
+        lambda: eval_sub(t120, F.denominators, dst),
+    ):
+        with pytest.raises(InvalidVertex, match=message):
             read()
 
 
@@ -315,8 +343,7 @@ def test_model_is_invariant_under_translation(r, n, m):
     t = validate_triple(r, n, m)
     ids = [
         V(family, orbit, a, b)
-        for family in M.families(t)
-        for orbit in range(t.orbit_count)
+        for family, orbit in M.index_regions(t)
         for a in range(-3, 4)
         for b in range(-3, 4)
     ]
