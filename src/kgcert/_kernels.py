@@ -9,7 +9,7 @@ shape (nchan, nx, ny) (see :mod:`kgcert.engine`).
 Each row is ``(channel, bit, region, exclude)``: the fan entry's channel
 index, its degree bit, its region of target coordinates, and the source
 coordinate when the entry excludes its source (else None).  Fan regions are
-boxes: a region with a finite difference bound raises ``ValueError``,
+boxes: a region with a finite difference bound raises ``MalformedModel``,
 because a box rasteriser would cover it wrongly.
 
 A box clipped to the window is ``k`` consecutive x-rows of the same y-run.
@@ -28,6 +28,7 @@ and name, and counts the bytes each call builds with ``.nbytes``.
 
 from __future__ import annotations
 
+from .errors import MalformedModel
 from .regions import NEG_INF, POS_INF
 
 
@@ -39,7 +40,7 @@ def fan_cube(x0: int, nx: int, y0: int, ny: int, nchan: int, rows) -> memoryview
     cube = 0
     for c, bit, reg, exclude in rows:
         if reg.lo_d != NEG_INF or reg.hi_d != POS_INF:
-            raise ValueError(f"fan region {reg!r} is not a box")
+            raise MalformedModel(f"fan region {reg!r} is not a box")
         ix0 = max(reg.lo_x - x0, 0)
         ix1 = min(reg.hi_x - x0, nx - 1)
         iy0 = max(reg.lo_y - y0, 0)

@@ -61,6 +61,7 @@ from .engine import WindowEngine, get_engine
 from .errors import (
     InvalidVertex,
     KgcertError,
+    MalformedModel,
     ModeMismatch,
     ParameterRange,
     WrongFamily,
@@ -313,6 +314,8 @@ def _moved_record(rec: model.ArrowFan, p: int, q: int) -> tuple:
     shift = {FAMILY_X: (p, p), FAMILY_Y: (q, q), FAMILY_Z: (p, q)}  # the shifts of _SIGMAS, p and q times
     out = []
     for e in rec.entries:
+        if e.family not in shift:
+            raise MalformedModel(f"{rec.src} has a fan entry into family {e.family!r}, which no translation moves")
         (dx, dy), r = shift[e.family], e.region
         out += (
             e.family, e.orbit, e.degree, e.excludes_src, r.lo_x + dx, r.hi_x + dx,
@@ -667,8 +670,9 @@ class _Session:
         if sub_kind is None:
             gap = functors.quotient_support(t, Subfunctor(w, (f, g)), Subfunctor(w, (f,)))
             return all(rs.is_finite() for rs in gap.values())
-        sub = instance_functor(t, _largest_aux(t, sub_kind, g.dst))
-        return self.eng.kernel_matches(w, g, (f,), sub.denominators.generators)
+        den = self._instance(_largest_aux(t, sub_kind, g.dst))[3]
+        mod = 0 if f is ZERO else self.eng._image(w, f.dst, f.degree)
+        return self.eng._kernel(w, g.dst, g.degree, mod) == den
 
     # -- the Z-vertex lemmas ------------------------------------------------------
 

@@ -16,20 +16,23 @@ little-endian form (:meth:`WindowEngine.cell`) holds the cell of channel ci
 at window point (ix, iy), so the cell sits at bit offset
 ``8*((ci*nx + ix)*ny + iy)``: the layout of a C-ordered uint8 array of shape
 (nchan, nx, ny).  Masks, shifts and equality are then single int
-operations.  No shift can move a bit into a neighbouring
-cell's low bits: cell bits are at most bit ``max_degree + 1 <= 3`` and shifts
-are at most ``max_degree <= 2`` places, so a left shift stays below bit 6 of
-its own cell, and a right shift can only push bits into bits 6-7 of the cell
-below, which the AND with a cube (bits 0-3 only) that follows every right
-shift clears.  Generators and arrows of any other degree are rejected before
-they are shifted.  ``a AND NOT b`` is written ``a ^ (a & b)``: on
-non-negative ints it equals ``a & ~b`` without forming the negative ``~b``,
-whose AND costs several times more.
+operations.  No shift can move a bit into a neighbouring cell's low bits:
+cell bits are at most bit ``max_degree + 1 <= 3`` and shifts are at most
+``max_degree <= 2`` places, so a left shift stays below bit 6 of its own
+cell, and a right shift can only push bits into bits 6-7 of the cell below,
+which the AND with a cube (bits 0-3 only) that follows every right shift
+clears.  ``_entry`` and ``_endpoint`` raise ``MalformedModel`` for a fan
+entry off the window's channels or of any other degree, a fan region that
+is not a box, and a morphism that is no basis morphism of such a degree,
+before anything is rastered or shifted.  ``a AND NOT b`` is written
+``a ^ (a & b)``: on non-negative ints it equals ``a & ~b`` without forming
+the negative ``~b``, whose AND costs several times more.
 
 Every window decision of ``certify`` is a cube identity (an equality, or an
-AND then an equality); ``certify`` never counts bits.  ``dims_cube``,
-``cells``, ``_POPCOUNT``, ``vertices``, ``dims_at_vertices`` and
-``ses_foreign`` remain only as test references and tracer-patched names.
+AND then an equality), every kernel is ``_kernel``; it never counts bits.
+``kernel_matches`` serves ``functors.image_presentation_check``.
+``dims_cube``, ``cells``, ``_POPCOUNT``, ``vertices``, ``dims_at_vertices``
+and ``ses_foreign`` remain only as test references and tracer-patched names.
 
 Cubes are cached per source vertex, so a certification run touching the same
 tops repeatedly costs one fan rasterisation per vertex (the hot kernel,
@@ -51,7 +54,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import _kernels, model
-from .model import IdentityMorphism, VertexId, ZeroMorphism
+from .errors import MalformedModel
+from .model import ArrowMorphism, IdentityMorphism, VertexId, ZeroMorphism
 from .presentation import GentleTriple
 
 _POPCOUNT = bytes(bin(i).count("1") for i in range(256))
@@ -102,15 +106,12 @@ class WindowEngine:
         built on first use."""
         entry = self._entries.get(v)
         if entry is None:
-            rows = [
-                (
-                    self.chan_index[(e.family, e.orbit)],
-                    1 << (e.degree + 1),
-                    e.region,
-                    v.coord if e.excludes_src else None,
-                )
-                for e in model.arrow_fan(self.t, v).entries
-            ]
+            rows = []
+            for e in model.arrow_fan(self.t, v).entries:
+                ci = self.chan_index.get((e.family, e.orbit))
+                if ci is None or not 0 <= e.degree <= self.max_degree:
+                    raise MalformedModel(f"{v}: fan entry {e.family, e.orbit, e.degree} is off the channels or degrees")
+                rows.append((ci, 1 << (e.degree + 1), e.region, v.coord if e.excludes_src else None))
             cube = _kernels.fan_cube(self.x0, self.nx, self.y0, self.ny, self.nchan, rows)
             offset = 8 * self.cell(v) if self.in_window(v.coord) else None
             entry = self._entries[v] = (int.from_bytes(cube, "little"), offset, None)
@@ -125,13 +126,18 @@ class WindowEngine:
         c, off, _ = self._entry(v)
         return c if off is None else c | ID_BIT << off
 
-    def _degree(self, f) -> int:
-        p = f.degree
-        if not 0 <= p <= self.max_degree:
-            raise ValueError(
-                f"{f} has degree {p}; degrees of {self.t} lie in 0..{self.max_degree}"
-            )
-        return p
+    def _endpoint(self, u) -> tuple:
+        """(S, p) for a basis morphism u: top -> S, the one endpoint rule of
+        the engine: (its vertex, 0) for an identity, (its target, its
+        degree) for an arrow of a degree in 0..max_degree; anything else
+        raises MalformedModel."""
+        if isinstance(u, IdentityMorphism):
+            return u.vertex, 0
+        if not isinstance(u, ArrowMorphism):
+            raise MalformedModel(f"{u} is no basis morphism")
+        if not 0 <= u.degree <= self.max_degree:
+            raise MalformedModel(f"{u} has degree {u.degree}; degrees of {self.t} lie in 0..{self.max_degree}")
+        return u.dst, u.degree
 
     def _image(self, top: VertexId, T: VertexId, p: int) -> int:
         """The image of f: top -> T, the identity when T is top at p == 0,
@@ -146,10 +152,8 @@ class WindowEngine:
         """Bitmask of eval_sub(<gens>, V) for every window vertex V."""
         out = 0
         for f in gens:
-            if isinstance(f, IdentityMorphism):
-                out |= self.basis_cube(top)
-            elif not isinstance(f, ZeroMorphism):
-                out |= self._image(top, f.dst, self._degree(f))
+            if not isinstance(f, ZeroMorphism):
+                out |= self._image(top, *self._endpoint(f))
         return out
 
     def _sink_image(self, v: VertexId) -> int:
@@ -172,19 +176,11 @@ class WindowEngine:
 
     # -- kernels and exactness checks ---------------------------------------
 
-    def kernel_cube(self, top: VertexId, u, modulo: int) -> int:
-        """Bitmask of {h in basis(S, V) : h o u in <modulo> or h o u = 0}.
-
-        u is a basis morphism top -> S (arrow or identity); modulo is an
-        image cube over top.
-        """
-        if isinstance(u, IdentityMorphism):
-            return self._kernel(top, top, 0, modulo)
-        return self._kernel(top, u.dst, self._degree(u), modulo)
-
     def _kernel(self, top: VertexId, S: VertexId, p: int, modulo: int) -> int:
-        """kernel_cube for u: top -> S, the identity when S is top at p == 0,
-        else the basis arrow of degree p.  The one kernel of the engine."""
+        """Bitmask of {h in basis(S, V) : h o u in <modulo> or h o u = 0},
+        for u: top -> S the identity when S is top at p == 0, else the basis
+        arrow of degree p, and modulo an image cube over top.  The one
+        kernel of the engine."""
         if p == 0 and S == top:
             return self.basis_cube(top) & modulo
         cS, offS, _ = self._entry(S)
@@ -200,18 +196,18 @@ class WindowEngine:
     def kernel_matches(self, top: VertexId, u, mid_gens, expected_gens) -> bool:
         """ker(- o u  mod <mid_gens>) == <expected_gens> at every window V.
 
-        expected_gens generate a subfunctor at the target of u.
+        u is a basis morphism top -> S (:meth:`_endpoint`), and expected_gens
+        generate a subfunctor at S.
         """
-        kern = self.kernel_cube(top, u, self.image_cube(top, mid_gens))
-        return kern == self.image_cube(model.target_of(u), expected_gens)
+        S, p = self._endpoint(u)
+        return self._kernel(top, S, p, self.image_cube(top, mid_gens)) == self.image_cube(S, expected_gens)
 
     def ses_foreign(self, top: VertexId, u, sub_top, sub_gens, mid_gens, quot_gens) -> bool:
         """Exactness of 0 -> (H_S/<sub_gens>) -> H_top/<mid_gens> -> H_top/<quot_gens> -> 0
         with the left map induced by precomposition with u: top -> S."""
-        S = model.target_of(u)
+        S, p = self._endpoint(u)
         if S != sub_top:
             raise ValueError(f"u targets {S} but the sub lives at {sub_top}")
-        p = 0 if isinstance(u, IdentityMorphism) else self._degree(u)
         return self._ses(
             top, S, p,
             self.image_cube(S, sub_gens), self.image_cube(top, mid_gens), self.image_cube(top, quot_gens),
@@ -229,13 +225,6 @@ class WindowEngine:
         are tested.
         """
         return self._kernel(top, S, p, mid) == sub and quot == mid | self._image(top, S, p)
-
-    def ses_dimension_check(self, top: VertexId, sub_gens, mid_gens, quot_gens) -> bool:
-        """Exactness of 0 -> <sub_gens> -> H_top/<mid_gens> -> H_top/<quot_gens> -> 0:
-        at every window V the quotient's denominator is exactly the middle
-        denominator plus the sub's image."""
-        mid = self.image_cube(top, mid_gens)
-        return self.image_cube(top, quot_gens) == mid | self.image_cube(top, sub_gens)
 
     # -- whole-window enumeration -------------------------------------------
 

@@ -33,6 +33,11 @@ class ParameterRange(KgcertError, ValueError):
     """Lemma-instance parameters outside the stated range; also a ValueError."""
 
 
+class MalformedModel(KgcertError, ValueError):
+    """A fan entry or morphism the window engine cannot use (off its channels or degrees, a region
+    that is not a box, no basis morphism); certify fails the item that meets one.  Also a ValueError."""
+
+
 class WrongFamily(KgcertError):
     """Operation applied to a vertex family it does not accept."""
 

@@ -279,9 +279,8 @@ def ses_check(
     if mid_denoms.top != top or quot.top != top:
         raise IncompatibleTops("sub, mid and quot must share the top vertex")
     eng = get_engine(t, window.box)
-    return eng.ses_dimension_check(
-        top, sub.generators, mid_denoms.generators, quot.denominators.generators
-    )
+    mid = eng.image_cube(top, mid_denoms.generators)
+    return eng.image_cube(top, quot.denominators.generators) == mid | eng.image_cube(top, sub.generators)
 
 
 def image_presentation_check(

@@ -32,10 +32,10 @@ counts or field types differ.  The zero morphism stays a dataclass, so it
 equals no tuple.
 
 A vertex is a ``VertexId`` that ``vertex_valid`` accepts, by the one rule:
-its (family, orbit) is a channel, a key of ``index_regions(t)``, and both
-its coordinates are of type int (a bool, float or int subclass is not) and
-lie in that channel's index region.  ``index_region`` raises
-``InvalidVertex`` for a pair that is no channel.
+its (family, orbit) is a channel, a key of ``index_regions(t)``, its orbit
+and coordinates are of type int (a bool, float or int subclass is not), and
+its coordinates lie in that channel's index region.  ``index_region``
+raises ``InvalidVertex`` for a pair that is no channel.
 
 Every vertex has one cached fan record, the ``ArrowFan`` that
 ``_fan_entries`` builds from its rows: the vertex, the fan entries in degree
@@ -178,8 +178,8 @@ def index_regions(t: GentleTriple) -> MappingProxyType:
 
 
 def index_region(t: GentleTriple, family: str, orbit: int) -> Region:
-    """The index region of the channel (family, orbit); InvalidVertex when it is no channel."""
-    reg = index_regions(t).get((family, orbit))
+    """The index region of the channel (family, orbit); InvalidVertex when it is no channel or a non-int orbit."""
+    reg = index_regions(t).get((family, orbit)) if type(orbit) is int else None
     if reg is None:
         if family not in _FANS[t.is_finite_mode]:
             raise InvalidVertex(_NO_FAMILY[t.is_finite_mode].format(family))
@@ -193,7 +193,7 @@ def vertex_valid(t: GentleTriple, v: VertexId) -> bool:
     if reg is None:
         return False
     a, b = v.coord
-    return type(a) is int and type(b) is int and regions.member(reg, v.coord)
+    return type(v.orbit) is int and type(a) is int and type(b) is int and regions.member(reg, v.coord)
 
 
 @lru_cache(maxsize=65536)
@@ -222,11 +222,11 @@ def _fan_entries(t: GentleTriple, v: VertexId) -> ArrowFan | None:
 
 
 def _record(t: GentleTriple, v: VertexId) -> ArrowFan | None:
-    """The fan record of v, or None when v is not a vertex.  The type test of
-    :func:`vertex_valid` comes first: the cache keys on equality, so
-    Z:0:(True,0) or Z:0:(1.0,0) would hit the record of Z:0:(1,0)."""
+    """The fan record of v, or None when v is not a vertex.  The type tests of
+    :func:`vertex_valid` come first: the cache keys on equality, so
+    Z:True:(1,0) or Z:1:(1.0,0) would hit the record of Z:1:(1,0)."""
     a, b = v.coord
-    return _fan_entries(t, v) if type(a) is int and type(b) is int else None
+    return _fan_entries(t, v) if type(v.orbit) is int and type(a) is int and type(b) is int else None
 
 
 def arrow_fan(t: GentleTriple, v: VertexId) -> ArrowFan:

@@ -27,7 +27,9 @@ The rows:
   arrows at degree 1, its entries without their excludes_src flags, or its
   sink pair swapped.  The degree-1 sinks fail ``translation`` among their
   pinned lemmas, since that phase reads a translate's sink arrows.  The
-  swapped pair is an equivalent mutant (``EQUIVALENT``), asserted to pass.
+  swapped pair is an equivalent mutant (``EQUIVALENT``), asserted to pass;
+* malformed fans ``MALFORMED_FANS``: records that the window engine or the
+  translation phase cannot use, which fail certify instead of crashing it.
 
 Budget: 15 s for the whole catalogue under ``pytest --durations=0``; it
 took about 5 s on a shared 2-CPU VM.
@@ -281,8 +283,11 @@ def _breaker_rows():
 # -- whole-record mutants ----------------------------------------------------------------
 
 
-def _sinks_at_degree_1(rec):
-    return rec._replace(sinks=tuple(f if f is M.ZERO else f._replace(degree=1) for f in rec.sinks))
+def _sinks_at_degree(degree):
+    def change(rec):
+        return rec._replace(sinks=tuple(f if f is M.ZERO else f._replace(degree=degree) for f in rec.sinks))
+
+    return change
 
 
 def with_entries(rec, entries):
@@ -313,7 +318,7 @@ def every_record(change, fan_entries=M._fan_entries):
 # (name, change, triple, the lemmas that fail): every sink arrow at degree 1,
 # every entry without its excludes_src flag, and the sink pair swapped.
 RECORD_MUTANTS = [
-    ("sinks-degree-1", _sinks_at_degree_1, (1, 2, 0),
+    ("sinks-degree-1", _sinks_at_degree(1), (1, 2, 0),
      ("translation", "simple0", "simple1", "nonsimple1", "c2simple")),
     ("excludes-src-dropped", _excludes_src_dropped, (1, 2, 0), ("simple0",)),
     ("excludes-src-dropped", _excludes_src_dropped, (1, 1, 0), ("inf_simple0",)),
@@ -335,5 +340,49 @@ def _record_rows():
     ]
 
 
+# -- malformed fans -------------------------------------------------------------------
+
+
+def _z_entry(k, change):
+    """A record change that replaces entry k of every Z record e by change(v, e), v the record's vertex."""
+
+    def apply(rec):
+        if rec.src.family != M.FAMILY_Z:
+            return rec
+        e = rec.entries[k]
+        return with_entries(rec, rec.entries[:k] + (change(rec.src, e),) + rec.entries[k + 1:])
+
+    return apply
+
+
+# (name, change, the lemmas that fail) on (1,2,0): fan records that the
+# window engine or the translation phase cannot use.  Z's degree-0 entry with
+# the finite x - y bound a - b is no box; Z's degree-1 X entry on orbit 7 is
+# on no channel, at degree 5 it would sit at bit 6 of its cells (a shift of 2
+# carries that into the next cell's identity bit), and in family W no
+# translation moves it; every sink map at degree 3 is of no degree of the
+# triple.  A check that meets one raises MalformedModel and fails its item.
+MALFORMED_FANS = [
+    ("Z0-not-a-box", _z_entry(0, lambda v, e: e._replace(region=e.region._replace(lo_d=v.coord[0] - v.coord[1]))),
+     ("simple0", "simple1", "finite1", "nonsimple1", "c2simple")),
+    ("Z1-orbit-7", _z_entry(1, lambda v, e: e._replace(orbit=7)),
+     ("simple0", "simple1", "finite1", "nonsimple1", "c2simple")),
+    ("sinks-degree-3", _sinks_at_degree(3), ("translation", "simple0", "simple1", "nonsimple1", "c2simple")),
+    ("Z1-degree-5", _z_entry(1, lambda v, e: e._replace(degree=5)),
+     ("simple0", "simple1", "finite1", "nonsimple1", "c2simple")),
+    ("Z1-family-W", _z_entry(1, lambda v, e: e._replace(family="W")),
+     ("translation", "simple0", "simple1", "finite1", "nonsimple1", "c2simple")),
+]
+
+
+def _malformed_rows():
+    return [
+        Mutant(f"120-{name}", lambda mp, change=change: mp.setattr(M, "_fan_entries", every_record(change)),
+               (1, 2, 0), 4, 4, failed)
+        for name, change, failed in MALFORMED_FANS
+    ]
+
+
 def catalogue() -> list:
-    return _fan_bound_rows() + _kind_row_rows() + _orbit_wrap_rows() + _breaker_rows() + _record_rows()
+    return (_fan_bound_rows() + _kind_row_rows() + _orbit_wrap_rows() + _breaker_rows() + _record_rows()
+            + _malformed_rows())

@@ -307,6 +307,39 @@ def _spy_on_finite1_steps(monkeypatch, fails):
     return taken
 
 
+@pytest.mark.parametrize(
+    "triple,mutant",
+    [((1, 2, 0), None), ((2, 3, 0), None), ((1, 3, 2), None), ((3, 4, 1), None), ((1, 2, 0), "C'-aux")],
+    ids=["120", "230", "132", "341", "120-C'-aux"],
+)
+def test_finite1_step_agrees_with_kernel_matches(triple, mutant, monkeypatch):
+    """r < n: at every finite1 step that certify takes at [-6,6]^2, the
+    session's step (_kernel on its own reads) gives the verdict of
+    kernel_matches(w, g, (f,), C-object generators) on the quotient's (f, g)
+    and the C-object at g's target, both from instance_functor.  On the
+    model every step passes; with the C' aux range one short (a kind-row
+    mutant of the catalogue) the first fails, and so does the phase."""
+    if mutant is not None:
+        (_, kind, field, value, _), = [row for row, name in zip(KIND_ROW_MUTANTS, KIND_ROW_IDS) if name == mutant]
+        monkeypatch.setitem(C._KINDS, kind, C._KINDS[kind]._replace(**{field: value}))
+    t = validate_triple(*triple)
+    real, verdicts = C._Session._finite1_step, []
+
+    def step(self, w, at_border):
+        got = real(self, w, at_border)
+        quot_kind, sub_kind = self.mode.finite1[w.family]
+        f, g = C.instance_functor(t, C._largest_aux(t, quot_kind, w)).denominators.generators
+        if at_border == isinstance(f, ZeroMorphism) and not isinstance(g, ZeroMorphism):
+            sub = C.instance_functor(t, C._largest_aux(t, sub_kind, g.dst))
+            assert got == self.eng.kernel_matches(w, g, (f,), sub.denominators.generators), w
+            verdicts.append(got)
+        return got
+
+    monkeypatch.setattr(C._Session, "_finite1_step", step)
+    certify(t, W6, 2)
+    assert verdicts and (False in verdicts) == (mutant is not None)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_a_failing_finite1_class_fails_every_walk_through_it(monkeypatch, seed):
     """r == n: a finite1 step reads fan records only, so the memo is per

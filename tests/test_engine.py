@@ -17,12 +17,14 @@ from kgcert import functors as F
 from kgcert import model as M
 from kgcert import regions as R
 from kgcert.engine import WindowEngine, get_engine
-from kgcert.functors import Subfunctor
+from kgcert.errors import MalformedModel
+from kgcert.functors import FpFunctor, Subfunctor
 from kgcert.engine import ID_BIT
 from kgcert.functors import Window
 from kgcert.model import ArrowMorphism, IdentityMorphism, VertexId, ZERO, ZeroMorphism
 from kgcert.presentation import validate_triple
 
+import mutants
 from conftest import ACCEPTANCE_TRIPLES, ORBIT_TRIPLES
 from numpy_ref import grid, point_index
 from test_certifier import _non_sink_pair_quotient
@@ -44,7 +46,8 @@ def test_dims_match_pointwise_eval(r, n, m):
 
 
 def test_kernel_cube_matches_bruteforce(t120):
-    """Engine kernels agree with composing basis morphisms one at a time."""
+    """The engine's kernel (_kernel, with u's endpoint by _endpoint) agrees
+    with composing basis morphisms one at a time."""
     t = t120
     eng = WindowEngine(t, (-3, 3, -3, 3))
     verts = eng.vertices()
@@ -63,7 +66,7 @@ def test_kernel_cube_matches_bruteforce(t120):
         mod_gens = tuple(rng.sample(fanout, min(2, len(fanout))))
         S = u.dst
         mod_cube = eng.image_cube(top, mod_gens)
-        kern = eng.kernel_cube(top, u, mod_cube)
+        kern = eng._kernel(top, *eng._endpoint(u), mod_cube)
         got = eng.dims_at_vertices(eng.cells(kern))
         for v in rng.sample(verts, 20):
             modulo = F.eval_sub(t, Subfunctor(top, mod_gens), v)
@@ -208,8 +211,9 @@ def test_bitset_engine_matches_uint8_reference(triple, half, tops):
 
 
 def assert_matches_reference(t, box, reach, rng, tops):
-    """Cubes, basis cubes, images and kernels of the engine on box equal the
-    uint8 reference, for random tops and generators in [-reach, reach]^2."""
+    """Cubes, basis cubes, images and kernels (_kernel, with u's endpoint by
+    _endpoint) of the engine on box equal the uint8 reference, for random
+    tops and generators in [-reach, reach]^2."""
     eng = WindowEngine(t, box)
     candidates = M.vertices_in_box(t, -reach, reach, -reach, reach)
     for top in rng.sample(candidates, tops):
@@ -221,7 +225,7 @@ def assert_matches_reference(t, box, reach, rng, tops):
             ref_image = ref_image_cube(eng, top, gens)
             assert np.array_equal(grid(eng, image), ref_image), (top, gens)
             for u in random_fan_arrows(t, rng, top, reach, 2) + [IdentityMorphism(top)]:
-                got = grid(eng, eng.kernel_cube(top, u, image))
+                got = grid(eng, eng._kernel(top, *eng._endpoint(u), image))
                 assert np.array_equal(got, ref_kernel_cube(eng, top, u, ref_image)), (top, u, gens)
 
 
@@ -345,7 +349,7 @@ def test_valid_mask_and_vertices_match_reference(r, n, m, box):
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int32)
 
 
-def ref_ses_dimension_check(eng, top, sub_gens, mid_gens, quot_gens):
+def ref_ses_check(eng, top, sub_gens, mid_gens, quot_gens):
     sub = ref_image_cube(eng, top, sub_gens)
     mid = ref_image_cube(eng, top, mid_gens)
     quot = ref_image_cube(eng, top, quot_gens)
@@ -359,10 +363,16 @@ def ref_ses_dimension_check(eng, top, sub_gens, mid_gens, quot_gens):
 
 @pytest.mark.parametrize("box", SKEWED_BOXES, ids=SKEWED_IDS)
 def test_ses_dimension_check_matches_reference(t120, box):
-    """Tower steps of the (1,2,0) B' quotients (exact) and the same steps
-    skipping one index (not exact while that index is in the window); then
-    random generator triples at tops of every family, on the acceptance and
-    orbit triples."""
+    """functors.ses_check, one image_cube equation, against the uint8
+    dimension count: tower steps of the (1,2,0) B' quotients (exact) and the
+    same steps skipping one index (not exact while that index is in the
+    window); then random generator triples at tops of every family, on the
+    acceptance and orbit triples."""
+    window = Window(*box)
+
+    def ses_check(t, top, sub, mid, quot):
+        return F.ses_check(t, Subfunctor(top, sub), Subfunctor(top, mid), FpFunctor(top, Subfunctor(top, quot)), window)
+
     eng = WindowEngine(t120, box)
     for top in eng.vertices():
         if top.family != "X":
@@ -372,8 +382,8 @@ def test_ses_dimension_check_matches_reference(t120, box):
         quot = C.build_simple0(t120, top).denominators.generators
         for step in (1, 2):
             sub = (M.arrow_or_zero(t120, top, VertexId("X", 0, (a, b + step)), 0),)
-            got = eng.ses_dimension_check(top, sub, mid, quot)
-            assert got == ref_ses_dimension_check(eng, top, sub, mid, quot), (top, step)
+            got = ses_check(t120, top, sub, mid, quot)
+            assert got == ref_ses_check(eng, top, sub, mid, quot), (top, step)
     rng = random.Random(hash(box))
     for triple in ACCEPTANCE_TRIPLES + ORBIT_TRIPLES:
         t = validate_triple(*triple)
@@ -384,8 +394,8 @@ def test_ses_dimension_check_matches_reference(t120, box):
             for top in rng.sample(tops, min(6, len(tops))):
                 for _ in range(3):
                     gens = [random_gens(t, rng, top, SKEWED_REACH) for _ in range(3)]
-                    got = eng.ses_dimension_check(top, *gens)
-                    assert got == ref_ses_dimension_check(eng, top, *gens), (t, top, gens)
+                    got = ses_check(t, top, *gens)
+                    assert got == ref_ses_check(eng, top, *gens), (t, top, gens)
                     verdicts.append(got)
         assert True in verdicts and False in verdicts, t
 
@@ -529,7 +539,7 @@ def test_out_of_range_degree_is_rejected(triple, degree):
     with pytest.raises(ValueError, match="degree"):
         eng.image_cube(top, (good, bad))
     with pytest.raises(ValueError, match="degree"):
-        eng.kernel_cube(top, bad, eng.image_cube(top, (good,)))
+        eng.kernel_matches(top, bad, (good,), ())
     W = Window(-4, 4, -4, 4)
     rep = F.representable(t, top)
     with pytest.raises(ValueError, match="degree"):
@@ -538,6 +548,38 @@ def test_out_of_range_degree_is_rejected(triple, degree):
         F.ses_check(t, Subfunctor(top, (good,)), Subfunctor(top, (bad,)), rep, W)
     with pytest.raises(ValueError, match="degree"):
         F.image_presentation_check(t, bad, F.representable(t, bad.dst), W)
+
+
+@pytest.mark.parametrize(
+    "name,match",
+    [("Z0-not-a-box", "not a box"), ("Z1-orbit-7", "off the channels"), ("Z1-degree-5", "off the channels"),
+     ("Z1-family-W", "off the channels")],
+)
+def test_a_malformed_fan_entry_is_rejected(t120, name, match, monkeypatch):
+    """The engine rasters a fan entry only on a window channel, at a degree
+    in 0..max_degree (a degree-5 entry would sit at bit 6 of its cells, and
+    a shift of 2 would carry it into the next cell's identity bit) and with
+    a box region; a Z record of the catalogue's malformed fans raises
+    MalformedModel, and the X records, left as they are, do not."""
+    (change,) = [change for row, change, _ in mutants.MALFORMED_FANS if row == name]
+    monkeypatch.setattr(M, "_fan_entries", mutants.every_record(change))
+    eng = WindowEngine(t120, (-4, 4, -4, 4))
+    assert eng.cube(VertexId("X", 0, (0, 1)))
+    with pytest.raises(MalformedModel, match=match):
+        eng.cube(VertexId("Z", 0, (0, 0)))
+
+
+@pytest.mark.parametrize("u", [ZERO, VertexId("X", 0, (0, 2)), None], ids=["zero", "vertex", "none"])
+def test_a_u_that_is_no_basis_morphism_is_rejected(t120, u):
+    """kernel_matches and ses_foreign read u's endpoint by one rule,
+    _endpoint: a zero u, or anything else that is no identity or arrow,
+    raises MalformedModel from both."""
+    top = VertexId("X", 0, (0, 1))
+    eng = WindowEngine(t120, (-4, 4, -4, 4))
+    with pytest.raises(MalformedModel, match="no basis morphism"):
+        eng.kernel_matches(top, u, (), ())
+    with pytest.raises(MalformedModel, match="no basis morphism"):
+        eng.ses_foreign(top, u, top, (), (), ())
 
 
 # -- a stdlib-only package --------------------------------------------------------------

@@ -160,6 +160,31 @@ def test_arrow_fan_rejects_a_coordinate_that_is_no_int(t120, coord):
             read()
 
 
+@pytest.mark.parametrize("orbit", [True, 1.0], ids=["bool", "float"])
+def test_an_orbit_that_is_no_int_is_no_vertex(orbit):
+    """On (2,3,0), X:True:(0,1) and X:1.0:(0,1) equal the vertex X:1:(0,1)
+    and hash alike, but an orbit that is not of type int makes them no
+    vertex: no reader answers for them, index_region raises for the orbit,
+    and the record cached for X:1:(0,1) afterwards is its own."""
+    t = validate_triple(2, 3, 0)
+    twin, below = V("X", 1, 0, 1), V("X", 1, 0, 0)
+    v = VertexId("X", orbit, (0, 1))
+    assert v == twin and M.vertex_valid(t, twin) and M.arrow_exists(t, below, twin, 0)
+    M._fan_entries.cache_clear()  # so that nothing but v's own reads could cache twin's record
+    assert not M.vertex_valid(t, v)
+    assert not M.arrow_exists(t, below, v, 0) and not M.arrow_exists(t, v, V("X", 1, 0, 2), 0)
+    for read in (
+        lambda: M.arrow_fan(t, v),
+        lambda: M.hom_basis(t, v, twin),
+        lambda: M.hom_basis(t, below, v),
+        lambda: M.ar_sink_maps(t, v),
+        lambda: M.index_region(t, "X", orbit),
+    ):
+        with pytest.raises(InvalidVertex):
+            read()
+    assert type(M.arrow_fan(t, twin).src.orbit) is int
+
+
 @NO_INT_COORDS
 def test_a_target_coordinate_that_is_no_int_is_no_vertex(t120, coord):
     """The vertex rule holds for a target as for a source: from Z:0:(0,0)
