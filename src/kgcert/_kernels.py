@@ -12,12 +12,17 @@ coordinate when the entry excludes its source (else None).  Fan regions are
 boxes: a region with a finite difference bound raises ``MalformedModel``,
 because a box rasteriser would cover it wrongly.
 
-A box clipped to the window is ``k`` consecutive x-rows of the same y-run.
-One run of ``len`` cells of ``bit`` is ``bit * ((1 << 8*len) - 1) // 255``;
-repeating it every ``8*ny`` bits is one more multiplication by the
-geometric series ``((1 << 8*ny*k) - 1) // ((1 << 8*ny) - 1)``, free of
-carries because the run is below ``2**(8*ny)``.  An exclusion clears the
-bit at the source cell when that cell lies in the clipped box.
+A box clipped to the window is ``k`` consecutive x-rows of the same y-run
+of ``len`` cells.  Both repetitions are built without division, by
+``_repeat``: the run is ``bit`` repeated ``len`` times every 8 bits, and the
+block is the run repeated ``k`` times every ``8*ny`` bits.  ``_repeat``
+doubles its copies while they fit, then ORs in one copy of them shifted to
+end at the ``k``-th place; the two overlap only in equal copies, and no
+copy carries into the next because each is below ``2**stride``.  That is
+about ``log2(k)`` shifts and ORs, where the geometric-series form
+``run * ((1 << 8*ny*k) - 1) // ((1 << 8*ny) - 1)`` divides a ``k*ny``-byte
+int, several times the cost at the benchmark's windows.  An exclusion
+clears the bit at the source cell when that cell lies in the clipped box.
 
 The result is the cube's little-endian bytes as a read-only ``memoryview``
 with ``nbytes == nchan*nx*ny``; the engine reads it back with
@@ -32,11 +37,21 @@ from .errors import MalformedModel
 from .regions import NEG_INF, POS_INF
 
 
+def _repeat(unit: int, stride: int, k: int) -> int:
+    """unit repeated k >= 1 times, every stride bits, for 0 <= unit < 2**stride."""
+    block, n = unit, 1
+    while 2 * n <= k:
+        block |= block << stride * n
+        n *= 2
+    if n < k:
+        block |= block << stride * (k - n)  # copies k-n..k-1; k - n <= n, so no gap
+    return block
+
+
 def fan_cube(x0: int, nx: int, y0: int, ny: int, nchan: int, rows) -> memoryview:
     """OR the rows' bits over their regions, clipped to the window
     [x0, x0+nx-1] x [y0, y0+ny-1], into a cube of nchan channels."""
     row_bits = 8 * ny
-    row_unit = (1 << row_bits) - 1
     cube = 0
     for c, bit, reg, exclude in rows:
         if reg.lo_d != NEG_INF or reg.hi_d != POS_INF:
@@ -47,8 +62,7 @@ def fan_cube(x0: int, nx: int, y0: int, ny: int, nchan: int, rows) -> memoryview
         iy1 = min(reg.hi_y - y0, ny - 1)
         if ix0 > ix1 or iy0 > iy1:
             continue
-        run = bit * ((1 << 8 * (iy1 - iy0 + 1)) - 1) // 255
-        block = run * ((1 << row_bits * (ix1 - ix0 + 1)) - 1) // row_unit
+        block = _repeat(_repeat(bit, 8, iy1 - iy0 + 1), row_bits, ix1 - ix0 + 1)
         if exclude is not None:
             ex, ey = exclude[0] - x0, exclude[1] - y0
             if ix0 <= ex <= ix1 and iy0 <= ey <= iy1:

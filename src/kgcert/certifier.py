@@ -18,8 +18,12 @@ It replays each proof step as window-quantified evidence:
 The geometry of each kind is one row of the table ``_KINDS``, read without a
 branch on the kind.  Each mode is one ``_Mode`` row of ``_MODES``: its
 claimed dimension, its kinds, the kinds of its finite-length steps and its
-phase list.  Infinite constructions are verified to a configurable depth,
-which also bounds every swept chain point's L1 distance from its top.  The
+phase list.  Infinite constructions are verified to a configurable depth
+K, which also bounds every swept chain point's L1 distance from its top: a
+case analysis at top (a, b) clips each chain line to the window met with
+the depth box [a-K, a+K] x [b-K, b+K] before it enumerates the line's
+points, then skips the box's points beyond L1 distance K, so the points
+checked and their order are those of the whole window's line.  The
 certificate records window, depth and every check outcome.
 
 The model has a rank-2 translation group: sigma_x moves X-vertices by
@@ -31,8 +35,11 @@ record once, as a normal form: the record moved back to its class base by
 the group element that carries the base to the vertex.  A record is the
 moved record of its neighbour exactly when their normal forms are equal,
 and the session interns the forms (``Certificate.stats["caches"]
-["translation_forms"]`` counts them: one per class on the model).  Every
-later phase then checks one representative per translation class of its
+["translation_forms"]`` counts them: one per class on the model).  Each
+vertex's form is built once and memoised with the record it was read from;
+the translates' coordinates are tested against the window before any
+VertexId is built for them.  Every translation item is its own class.
+Every later phase then checks one representative per translation class of its
 items, the item nearest the window centre (L1, ties by item order), with
 the classes keyed by:
 
@@ -304,29 +311,25 @@ def _exponents(v: VertexId) -> tuple:
 
 
 def _moved_record(rec: model.ArrowFan, p: int, q: int) -> tuple:
-    """The fan record rec moved by sigma_x^p sigma_y^q, as one flat tuple:
-    per entry its channel, excludes_src flag and six bounds, then per sink
-    map None when it is zero, else its target's family, orbit and
-    coordinate.  Each family moves by its own shift, and a shift (dx, dy)
-    moves the bounds of x - y by dx - dy.  The tuple splits back into
-    entries and sink maps one way only: the fifth item of an entry is a
-    bound, where a sink map's run would have a family or None."""
+    """The fan record rec moved by sigma_x^p sigma_y^q, as one tuple: per
+    entry the tuple of its channel, excludes_src flag and six bounds, then
+    per sink map None when it is zero, else the tuple of its target's
+    family, orbit and coordinate.  Each family moves by its own shift, and
+    a shift (dx, dy) moves the bounds of x - y by dx - dy."""
     shift = {FAMILY_X: (p, p), FAMILY_Y: (q, q), FAMILY_Z: (p, q)}  # the shifts of _SIGMAS, p and q times
     out = []
-    for e in rec.entries:
-        if e.family not in shift:
-            raise MalformedModel(f"{rec.src} has a fan entry into family {e.family!r}, which no translation moves")
-        (dx, dy), r = shift[e.family], e.region
-        out += (
-            e.family, e.orbit, e.degree, e.excludes_src, r.lo_x + dx, r.hi_x + dx,
-            r.lo_y + dy, r.hi_y + dy, r.lo_d + dx - dy, r.hi_d + dx - dy,
-        )
+    for family, orbit, degree, (lo_x, hi_x, lo_y, hi_y, lo_d, hi_d), excludes_src in rec.entries:
+        if family not in shift:
+            raise MalformedModel(f"{rec.src} has a fan entry into family {family!r}, which no translation moves")
+        dx, dy = shift[family]
+        dd = dx - dy
+        out.append((family, orbit, degree, excludes_src, lo_x + dx, hi_x + dx, lo_y + dy, hi_y + dy, lo_d + dd, hi_d + dd))
     for f in rec.sinks:
         if f is ZERO:
             out.append(None)
         else:
             (dx, dy), (x, y) = shift[f.dst.family], f.dst.coord
-            out += (f.dst.family, f.dst.orbit, x + dx, y + dy)
+            out.append((f.dst.family, f.dst.orbit, x + dx, y + dy))
     return tuple(out)
 
 
@@ -417,7 +420,7 @@ class _Session:
         self._tower_step_cache: dict = {}
         self._finite1_cache: dict = {}
         self._forms: dict = {}  # the interned normal forms of fan records
-        self._form_at: dict = {}  # vertex -> (its fan record, the record's normal form, sinks_ok)
+        self._form_at: dict = {}  # vertex -> (its fan record, (the record's normal form, sinks_ok))
         self._fixed_by: dict = {}  # (sigma index, normal form) -> whether sigma fixes the form
         self._read: tuple = (None, None)  # (inst, self._instance(inst)) for the last instance read
 
@@ -505,10 +508,15 @@ class _Session:
         Chains are swept inside the window, at points within the session's
         depth (L1) of the top.  Each chain point ORs the image of its own
         extra arrow into the instance's denominator image, and reads the
-        sink-map image at u's target from the engine's sink decision."""
-        t, eng = self.t, self.eng
+        sink-map image at u's target from the engine's sink decision.  Each
+        chain line is clipped to the window met with the depth box around
+        the top before its points are enumerated (see the module
+        docstring)."""
+        t, eng, K, w = self.t, self.eng, self.depth, self.window
         top, rec, gens, den = self._instance(inst)
         a, b = top.coord
+        # the window met with the depth box, which holds every point within L1 depth K of the top
+        sweep = regions.box(max(w.x0, a - K), min(w.x1, a + K), max(w.y0, b - K), min(w.y1, b + K))
         for row in _KINDS[inst.kind].rows:
             e = rec.channels.get(_channel(t, inst.orbit, row.key))
             if e is None:
@@ -523,8 +531,8 @@ class _Session:
             line = regions.intersect(e.region, row.line(a, b, inst.aux))
             (ux, uy), (mx, my) = row.u, row.mod
             p = e.degree
-            for x, y in regions.enumerate_points(line, self.wreg):
-                if abs(x - a) + abs(y - b) > self.depth:
+            for x, y in regions.enumerate_points(line, sweep):
+                if abs(x - a) + abs(y - b) > K:
                     continue
                 S = VertexId(e.family, e.orbit, (x + ux, y + uy))
                 if not _exists(rec, S, p):
@@ -538,20 +546,25 @@ class _Session:
     # -- the translation group --------------------------------------------------
 
     def _normal_form(self, v: VertexId, rec: model.ArrowFan) -> tuple:
-        """(rec, the normal form of rec, sinks_ok) for v's fan record rec.
-        The normal form is rec moved back by the sigma_x^p sigma_y^q that
-        carries the base of v's class to v (_exponents), interned, so every
-        vertex of a class of the model shares one.  sinks_ok: each sink map
-        of rec is zero or an arrow out of v at degree 0.  Memoised per
-        vertex with the record it was read from, so a record that changes
-        is read again."""
+        """(the normal form of v's fan record rec, sinks_ok).  The normal
+        form is rec moved back by the sigma_x^p sigma_y^q that carries the
+        base of v's class to v (_exponents), interned, so every vertex of a
+        class of the model shares one.  sinks_ok: each sink map of rec is
+        zero or an arrow out of v at degree 0.  Memoised per vertex with the
+        record it was read from, so a record that changes is read again."""
         hit = self._form_at.get(v)
-        if hit is None or hit[0] is not rec:
-            p, q = _exponents(v)
-            form = _moved_record(rec, -p, -q)
-            sinks_ok = all(f is ZERO or f.src == v and f.degree == 0 for f in rec.sinks)
-            hit = self._form_at[v] = rec, self._forms.setdefault(form, form), sinks_ok
-        return hit
+        if hit is not None and hit[0] is rec:
+            return hit[1]
+        p, q = _exponents(v)
+        form = _moved_record(rec, -p, -q)
+        sinks_ok = True
+        for f in rec.sinks:
+            if f is not ZERO and (f.src != v or f.degree != 0):
+                sinks_ok = False
+                break
+        out = self._forms.setdefault(form, form), sinks_ok
+        self._form_at[v] = rec, out
+        return out
 
     def translation_check(self, v: VertexId) -> bool:
         """For sigma_x and sigma_y, at a vertex v: wherever sigma v lies in
@@ -569,15 +582,18 @@ class _Session:
         v's, and the record at sigma v is v's moved by sigma exactly when
         the two normal forms are equal.  When sigma fixes it (sigma_y on X,
         sigma_x on Y), sigma v and sigma^-1 v are v, and v's record must be
-        fixed by sigma, which is decided once per normal form."""
-        t, window = self.t, self.window
+        fixed by sigma, which is decided once per normal form.  A
+        translate's coordinates are tested against the window before its
+        VertexId is built."""
+        t = self.t
+        x0, x1, y0, y1 = self.window.box
         rec = model.arrow_fan(t, v)
-        _, form, sinks_ok = self._normal_form(v, rec)
-        a, b = v.coord
+        form, sinks_ok = self._normal_form(v, rec)
+        family, orbit, (a, b) = v
         for k, sigma in enumerate(_SIGMAS):
-            dx, dy = sigma[v.family]
+            dx, dy = sigma[family]
             if dx == dy == 0:
-                if not window.contains(v.coord):
+                if not (x0 <= a <= x1 and y0 <= b <= y1):
                     continue
                 if not (model.vertex_valid(t, v) and sinks_ok):
                     return False
@@ -588,16 +604,17 @@ class _Session:
                 if not fixed:
                     return False
                 continue
-            back = VertexId(v.family, v.orbit, (a - dx, b - dy))
-            if window.contains(back.coord) and not model.vertex_valid(t, back):
+            x, y = a - dx, b - dy
+            if x0 <= x <= x1 and y0 <= y <= y1 and not model.vertex_valid(t, VertexId(family, orbit, (x, y))):
                 return False
-            w = VertexId(v.family, v.orbit, (a + dx, b + dy))
-            if not window.contains(w.coord):
+            x, y = a + dx, b + dy
+            if not (x0 <= x <= x1 and y0 <= y <= y1):
                 continue
-            image = model._record(t, w)
+            u = VertexId(family, orbit, (x, y))
+            image = model._record(t, u)
             if image is None:
                 return False
-            _, image_form, image_sinks_ok = self._normal_form(w, image)
+            image_form, image_sinks_ok = self._normal_form(u, image)
             if not image_sinks_ok or image_form is not form:
                 return False
         return True
@@ -899,7 +916,10 @@ _MODES = {
 def _representatives(window: Window, items: list, key: Callable) -> list:
     """Per translation class of the items (by key), the item nearest the
     window centre in L1 distance, the earliest of those at one distance;
-    in item order."""
+    in item order.  Under the key _same each item is its own class, so the
+    representatives are the items, the first of any equal ones."""
+    if key is _same:
+        return list(dict.fromkeys(items))
     cx, cy = window.x0 + window.x1, window.y0 + window.y1  # twice the centre
     best = {}
     for k, item in enumerate(items):

@@ -23,10 +23,10 @@ cell, and a right shift can only push bits into bits 6-7 of the cell below,
 which the AND with a cube (bits 0-3 only) that follows every right shift
 clears.  ``_entry`` and ``_endpoint`` raise ``MalformedModel`` for a fan
 entry off the window's channels or of any other degree, a fan region that
-is not a box, and a morphism that is no basis morphism of such a degree,
-before anything is rastered or shifted.  ``a AND NOT b`` is written
-``a ^ (a & b)``: on non-negative ints it equals ``a & ~b`` without forming
-the negative ``~b``, whose AND costs several times more.
+is not a box, and a morphism that is no basis morphism out of the top of
+such a degree, before anything is rastered or shifted.  ``a AND NOT b`` is
+written ``a ^ (a & b)``: on non-negative ints it equals ``a & ~b`` without
+forming the negative ``~b``, whose AND costs several times more.
 
 Every window decision of ``certify`` is a cube identity (an equality, or an
 AND then an equality), every kernel is ``_kernel``; it never counts bits.
@@ -39,7 +39,14 @@ tops repeatedly costs one fan rasterisation per vertex (the hot kernel,
 :func:`kgcert._kernels.fan_cube`) plus a handful of int operations per
 check.  The cache ``_entries`` is keyed by the
 :class:`~kgcert.model.VertexId` itself, a NamedTuple that hashes and
-compares in C.
+compares in C.  It keys on equality, and X:True:(0,1) equals X:1:(0,1), so
+the public entry points (``cube``, ``basis_cube``, ``image_cube`` and,
+through ``_endpoint``, ``kernel_matches`` and ``ses_foreign``) pass every
+top and target through :meth:`WindowEngine._vertex`, model._record's rule,
+before the cache is read.  The hot paths skip it: ``_image``, ``_kernel``
+and ``_basis``, which ``certify`` calls with vertices built from int
+coordinates, and ``_entry`` under them, read about 55k times per
+acceptance pass.
 
 The sink memo: the image of v's two sink maps (the denominator of the
 simple object at v) is needed at every chain point and tower step that
@@ -54,7 +61,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import _kernels, model
-from .errors import MalformedModel
+from .errors import InvalidVertex, MalformedModel
 from .model import ArrowMorphism, IdentityMorphism, VertexId, ZeroMorphism
 from .presentation import GentleTriple
 
@@ -117,43 +124,61 @@ class WindowEngine:
             entry = self._entries[v] = (int.from_bytes(cube, "little"), offset, None)
         return entry
 
+    def _vertex(self, v: VertexId) -> VertexId:
+        """v, once model._record admits it, else InvalidVertex.  The public
+        entry points apply this before ``_entries`` is read: the cache keys
+        on equality, so X:True:(0,1) would hit the entry of X:1:(0,1)."""
+        if model._record(self.t, v) is None:
+            raise InvalidVertex(f"not a vertex of the model: {v}")
+        return v
+
     def cube(self, v: VertexId) -> int:
         """Arrow-existence bitmask for all arrows out of v (no identity)."""
-        return self._entry(v)[0]
+        return self._entry(self._vertex(v))[0]
 
     def basis_cube(self, v: VertexId) -> int:
         """cube(v) plus the identity bit at the point of v (when in window)."""
+        return self._basis(self._vertex(v))
+
+    def _basis(self, v: VertexId) -> int:
+        """basis_cube without the vertex rule, for the hot paths."""
         c, off, _ = self._entry(v)
         return c if off is None else c | ID_BIT << off
 
-    def _endpoint(self, u) -> tuple:
+    def _endpoint(self, top: VertexId, u) -> tuple:
         """(S, p) for a basis morphism u: top -> S, the one endpoint rule of
-        the engine: (its vertex, 0) for an identity, (its target, its
-        degree) for an arrow of a degree in 0..max_degree; anything else
-        raises MalformedModel."""
+        the engine: (top, 0) for the identity of top, (its target, its
+        degree) for an arrow out of top of a degree in 0..max_degree whose
+        target :meth:`_vertex` admits.  A morphism that does not start at
+        top, or that is no identity or arrow, raises MalformedModel."""
         if isinstance(u, IdentityMorphism):
-            return u.vertex, 0
+            if u.vertex != top:
+                raise MalformedModel(f"{u} does not start at {top}")
+            return top, 0
         if not isinstance(u, ArrowMorphism):
             raise MalformedModel(f"{u} is no basis morphism")
+        if u.src != top:
+            raise MalformedModel(f"{u} does not start at {top}")
         if not 0 <= u.degree <= self.max_degree:
             raise MalformedModel(f"{u} has degree {u.degree}; degrees of {self.t} lie in 0..{self.max_degree}")
-        return u.dst, u.degree
+        return self._vertex(u.dst), u.degree
 
     def _image(self, top: VertexId, T: VertexId, p: int) -> int:
         """The image of f: top -> T, the identity when T is top at p == 0,
         else the basis arrow of degree p, which must exist."""
         if p == 0 and T == top:
-            return self.basis_cube(top)
+            return self._basis(top)
         cT, offT, _ = self._entry(T)
         out = ((cT << p) if p else cT) & self._entry(top)[0]
         return out if offT is None else out | 2 << (offT + p)  # bit p + 1 of T's cell: f itself
 
     def image_cube(self, top: VertexId, gens) -> int:
         """Bitmask of eval_sub(<gens>, V) for every window vertex V."""
+        self._vertex(top)
         out = 0
         for f in gens:
             if not isinstance(f, ZeroMorphism):
-                out |= self._image(top, *self._endpoint(f))
+                out |= self._image(top, *self._endpoint(top, f))
         return out
 
     def _sink_image(self, v: VertexId) -> int:
@@ -182,7 +207,7 @@ class WindowEngine:
         arrow of degree p, and modulo an image cube over top.  The one
         kernel of the engine."""
         if p == 0 and S == top:
-            return self.basis_cube(top) & modulo
+            return self._basis(top) & modulo
         cS, offS, _ = self._entry(S)
         ctop = self._entry(top)[0]
         alive = ctop ^ (ctop & modulo)
@@ -199,13 +224,13 @@ class WindowEngine:
         u is a basis morphism top -> S (:meth:`_endpoint`), and expected_gens
         generate a subfunctor at S.
         """
-        S, p = self._endpoint(u)
+        S, p = self._endpoint(top, u)
         return self._kernel(top, S, p, self.image_cube(top, mid_gens)) == self.image_cube(S, expected_gens)
 
     def ses_foreign(self, top: VertexId, u, sub_top, sub_gens, mid_gens, quot_gens) -> bool:
         """Exactness of 0 -> (H_S/<sub_gens>) -> H_top/<mid_gens> -> H_top/<quot_gens> -> 0
         with the left map induced by precomposition with u: top -> S."""
-        S, p = self._endpoint(u)
+        S, p = self._endpoint(top, u)
         if S != sub_top:
             raise ValueError(f"u targets {S} but the sub lives at {sub_top}")
         return self._ses(

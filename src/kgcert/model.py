@@ -68,6 +68,8 @@ from .errors import InvalidVertex, NotComposable
 from .presentation import GentleTriple
 from .regions import Region
 
+_new = tuple.__new__
+
 FAMILY_X = "X"
 FAMILY_Y = "Y"
 FAMILY_Z = "Z"
@@ -201,24 +203,26 @@ def _fan_entries(t: GentleTriple, v: VertexId) -> ArrowFan | None:
     """The fan record of v, or None when v is not a vertex of the model; read through ``_record``."""
     if not vertex_valid(t, v):
         return None
-    a, b = v.coord
+    family, orbit, (a, b) = v
     # A vertex's coordinates and an admissible triple's m and n are ints, so every bound is an int or
     # the infinity of its side, and the boxes skip Region's validation.  A zero offset is never added:
-    # an infinity plus 0 is a new float, one per infinite bound of every cached record.
+    # an infinity plus 0 is a new float, one per infinite bound of every cached record.  The record's
+    # NamedTuples are built by tuple.__new__ with every field given, which is what their classes'
+    # __new__ does, without its Python call.
     p = (a, b, regions.NEG_INF, regions.POS_INF)
+    unchecked = regions._unchecked
     entries = tuple([
-        FanEntry(fam, orbit, degree, regions._unchecked(p[k0] + o0 if o0 else p[k0], p[k1] + o1 if o1 else p[k1],
-                                                        p[k2] + o2 if o2 else p[k2], p[k3] + o3 if o3 else p[k3]), excludes)
-        for fam, orbit, degree, excludes, (k0, o0), (k1, o1), (k2, o2), (k3, o3) in _fan_rows(t)[v.family, v.orbit]
+        _new(FanEntry, (fam, i, degree, unchecked(p[k0] + o0 if o0 else p[k0], p[k1] + o1 if o1 else p[k1],
+                                                  p[k2] + o2 if o2 else p[k2], p[k3] + o3 if o3 else p[k3]), excludes))
+        for fam, i, degree, excludes, (k0, o0), (k1, o1), (k2, o2), (k3, o3) in _fan_rows(t)[family, orbit]
     ])
-    channels = {(e.family, e.orbit, e.degree): e for e in entries}
+    channels = {e[:3]: e for e in entries}  # (family, orbit, degree)
     # The sink targets are never v itself, so excludes_src cannot apply.
-    same = channels[(v.family, v.orbit, 0)].region
-    sinks = tuple(
-        ArrowMorphism(v, w, 0) if regions.member(same, w.coord) else ZERO
-        for w in (VertexId(v.family, v.orbit, (a + 1, b)), VertexId(v.family, v.orbit, (a, b + 1)))
-    )
-    return ArrowFan(v, entries, MappingProxyType(channels), sinks)
+    same = channels[(family, orbit, 0)].region
+    sinks = []
+    for w in ((a + 1, b), (a, b + 1)):
+        sinks.append(_new(ArrowMorphism, (v, _new(VertexId, (family, orbit, w)), 0)) if regions.member(same, w) else ZERO)
+    return _new(ArrowFan, (v, entries, MappingProxyType(channels), tuple(sinks)))
 
 
 def _record(t: GentleTriple, v: VertexId) -> ArrowFan | None:

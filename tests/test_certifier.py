@@ -256,6 +256,80 @@ def test_chains_are_swept_within_the_session_depth(t120, monkeypatch, depth):
         assert all(distance(i, p) <= depth for i, points in swept.items() for p in points)
 
 
+def sweep_whole_window(s, inst):
+    """The case analysis as it swept before its chain lines were clipped to
+    the depth box: every window point of a chain line, with the points
+    beyond the session's depth (L1) of the top skipped.  Returns its verdict
+    and the (top, S, p) of each kernel it compares, in order."""
+    t, eng, calls = s.t, s.eng, []
+    top, rec, gens, den = s._instance(inst)
+    a, b = top.coord
+    for row in C._KINDS[inst.kind].rows:
+        e = rec.channels.get(C._channel(t, inst.orbit, row.key))
+        if e is None:
+            return False, calls
+        if isinstance(row, C._Factor):
+            split = e.region if row.split is None else R.intersect(e.region, row.split(a, b, inst.aux))
+            if not s._factors_region(split, gens[row.gen], e):
+                return False, calls
+            continue
+        line = R.intersect(e.region, row.line(a, b, inst.aux))
+        (ux, uy), (mx, my), p = row.u, row.mod, e.degree
+        for x, y in R.enumerate_points(line, s.wreg):
+            if abs(x - a) + abs(y - b) > s.depth:
+                continue
+            S = VertexId(e.family, e.orbit, (x + ux, y + uy))
+            if not C._exists(rec, S, p):
+                return False, calls
+            extra = VertexId(e.family, e.orbit, (x + mx, y + my))
+            mod = den | eng._image(top, extra, p) if C._exists(rec, extra, p) else den
+            calls.append((top, S, p))
+            if eng._kernel(top, S, p, mod) != eng._sink_image(S):
+                return False, calls
+    return True, calls
+
+
+@pytest.mark.parametrize(
+    "triple,window",
+    [((1, 2, 0), Window(-10, 10, -10, 10)), ((2, 2, 1), Window(-20, 20, -20, 20)),
+     ((1, 2, 0), Window(-1, 9, -1, 9)), ((2, 2, 1), Window(-1, 9, -1, 9))],
+    ids=["120-w21", "221-w41", "120-off-centre", "221-off-centre"],
+)
+def test_the_depth_clipped_sweep_checks_what_the_window_sweep_checked(triple, window, monkeypatch):
+    """A spy on WindowEngine._kernel, inside _case_analysis, records the
+    same (top, S, p) sequence and the same verdict as the sweep over every
+    window point within the depth (8) of the top, for tops far from the
+    window's edge and tops within the depth of it."""
+    t = validate_triple(*triple)
+    s = C._Session(t, window, 8)
+    insts = C._tower_instances(s, M.vertices_in_box(t, *window.box))
+
+    def edge_distance(inst):
+        a, b = inst.coord
+        return min(a - window.x0, window.x1 - a, b - window.y0, window.y1 - b)
+
+    rng = random.Random(36)
+    near = [inst for inst in insts if edge_distance(inst) < s.depth]
+    far = [inst for inst in insts if edge_distance(inst) >= s.depth]
+    assert near and (far or window.x1 - window.x0 < 2 * s.depth)
+    calls, real_kernel = [], WindowEngine._kernel
+
+    def kernel(self, top, S, p, modulo):
+        calls.append((top, S, p))
+        return real_kernel(self, top, S, p, modulo)
+
+    swept = 0
+    for inst in rng.sample(near, min(40, len(near))) + rng.sample(far, min(40, len(far))):
+        expected = sweep_whole_window(s, inst)
+        del calls[:]
+        with monkeypatch.context() as m:
+            m.setattr(WindowEngine, "_kernel", kernel)
+            ok = s._case_analysis(inst)
+        assert (ok, calls) == expected, inst
+        swept += len(calls)
+    assert swept > 0
+
+
 # -- finite-length chains ---------------------------------------------------------------
 
 
@@ -1262,6 +1336,40 @@ def test_representatives_are_the_class_members_nearest_the_centre(r, n, m, windo
         for members in classes.values():
             assert all(phase.key(translate_item(t, g, item)) == phase.key(item)
                        for item in members for g in ("x", "y"))
+
+
+def representatives_by_distance(window, items, key):
+    """_representatives as it was before its shortcut for the key _same:
+    per class, the item nearest the window centre, the earliest of those;
+    in item order."""
+    cx, cy = window.x0 + window.x1, window.y0 + window.y1
+    best = {}
+    for k, item in enumerate(items):
+        x, y = item.coord
+        d = abs(2 * x - cx) + abs(2 * y - cy)
+        cls = key(item)
+        if cls not in best or d < best[cls][0]:
+            best[cls] = (d, k)
+    return [items[k] for k in sorted(k for _, k in best.values())]
+
+
+@pytest.mark.parametrize(
+    "triple,half", [(triple, 8) for triple in ACCEPTANCE_TRIPLES] + [((1, 2, 0), 10), ((2, 2, 1), 20)],
+    ids=[f"{r}{n}{m}-w17" for r, n, m in ACCEPTANCE_TRIPLES] + ["120-w21", "221-w41"],
+)
+def test_representatives_match_the_distance_walk(triple, half):
+    """On every phase's items of the acceptance and wide inputs, and on
+    those items with some repeated, _representatives returns what the walk
+    over every item's distance and key returns."""
+    t = validate_triple(*triple)
+    window = Window(-half, half, -half, half)
+    s = C._Session(t, window, 8)
+    inner = window.inner_half()
+    boxes = {"window": window, "inner": inner, "quarter": inner.inner_half()}
+    for _, phase in s.mode.phases:
+        items = phase.items(s, M.vertices_in_box(t, *boxes[phase.box].box))
+        for case in (items, items + items[::3]):
+            assert C._representatives(window, case, phase.key) == representatives_by_distance(window, case, phase.key)
 
 
 def test_a_failing_representative_is_named(t120, monkeypatch):

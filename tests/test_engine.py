@@ -17,7 +17,7 @@ from kgcert import functors as F
 from kgcert import model as M
 from kgcert import regions as R
 from kgcert.engine import WindowEngine, get_engine
-from kgcert.errors import MalformedModel
+from kgcert.errors import InvalidVertex, MalformedModel
 from kgcert.functors import FpFunctor, Subfunctor
 from kgcert.engine import ID_BIT
 from kgcert.functors import Window
@@ -66,7 +66,7 @@ def test_kernel_cube_matches_bruteforce(t120):
         mod_gens = tuple(rng.sample(fanout, min(2, len(fanout))))
         S = u.dst
         mod_cube = eng.image_cube(top, mod_gens)
-        kern = eng._kernel(top, *eng._endpoint(u), mod_cube)
+        kern = eng._kernel(top, *eng._endpoint(top, u), mod_cube)
         got = eng.dims_at_vertices(eng.cells(kern))
         for v in rng.sample(verts, 20):
             modulo = F.eval_sub(t, Subfunctor(top, mod_gens), v)
@@ -225,7 +225,7 @@ def assert_matches_reference(t, box, reach, rng, tops):
             ref_image = ref_image_cube(eng, top, gens)
             assert np.array_equal(grid(eng, image), ref_image), (top, gens)
             for u in random_fan_arrows(t, rng, top, reach, 2) + [IdentityMorphism(top)]:
-                got = grid(eng, eng._kernel(top, *eng._endpoint(u), image))
+                got = grid(eng, eng._kernel(top, *eng._endpoint(top, u), image))
                 assert np.array_equal(got, ref_kernel_cube(eng, top, u, ref_image)), (top, u, gens)
 
 
@@ -309,6 +309,53 @@ def test_fan_cube_matches_reference_on_random_rows(box):
             rows.append((rng.randrange(3), 1 << rng.randint(1, 3), reg, ex))
         got, ref = fan_cube_grid(box, 3, rows)
         assert np.array_equal(got, ref), rows
+
+
+# -- the rasteriser at the benchmark's sizes ------------------------------------------
+#
+# The wide workload rasters 41x41 windows of 2 channels and 21x21 windows of 3;
+# a one-column and a one-row window of 41 cells put every box in one x-row or
+# in 41 x-rows of one cell.  Bounds over +-25 clip boxes on every side.
+
+BENCH_BOXES = [((-20, 20, -20, 20), 2), ((-10, 10, -10, 10), 3), ((3, 3, -20, 20), 2), ((-20, 20, 3, 3), 2)]
+BENCH_IDS = ["41x41-2ch", "21x21-3ch", "1x41", "41x1"]
+
+
+@pytest.mark.parametrize("stride", [8, 8 * 21, 8 * 41])
+def test_repeat_is_the_geometric_series(stride):
+    """_repeat(unit, stride, k) is unit times the series of k powers of
+    2**stride, the product the rasteriser divided out before, for every k
+    up to 70 (each power of two and its neighbours)."""
+    unit = (1 << stride) - 3
+    for k in range(1, 71):
+        assert _kernels._repeat(unit, stride, k) == unit * ((1 << stride * k) - 1) // ((1 << stride) - 1), k
+
+
+@pytest.mark.parametrize("box,nchan", BENCH_BOXES, ids=BENCH_IDS)
+def test_fan_cube_matches_reference_at_benchmark_sizes(box, nchan):
+    """Random boxes with bounds in [-25, 25] or infinite, each with no
+    exclusion or one at a corner of its part inside the window, and the
+    window's own corners excluded from a box that covers it."""
+    x0, x1, y0, y1 = box
+    rng = random.Random(hash(box))
+
+    def bound(inf):
+        return inf if rng.random() < 0.2 else rng.randint(-25, 25)
+
+    for _ in range(40):
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            reg = R.box(bound(R.NEG_INF), bound(R.POS_INF), bound(R.NEG_INF), bound(R.POS_INF))
+            xs = (max(reg.lo_x, x0), min(reg.hi_x, x1))
+            ys = (max(reg.lo_y, y0), min(reg.hi_y, y1))
+            corners = [(x, y) for x in xs for y in ys] if xs[0] <= xs[1] and ys[0] <= ys[1] else []
+            rows.append((rng.randrange(nchan), 1 << rng.randint(1, 3), reg, rng.choice(corners + [None])))
+        got, ref = fan_cube_grid(box, nchan, rows)
+        assert np.array_equal(got, ref), rows
+    cover = R.box(x0 - 25, x1 + 25, y0 - 25, y1 + 25)
+    for corner in [(x, y) for x in (x0, x1) for y in (y0, y1)]:
+        got, ref = fan_cube_grid(box, nchan, [(nchan - 1, 8, cover, corner), (0, 2, cover, None)])
+        assert np.array_equal(got, ref) and (ref[nchan - 1] == 0).sum() == 1, corner
 
 
 def ref_valid(eng):
@@ -580,6 +627,49 @@ def test_a_u_that_is_no_basis_morphism_is_rejected(t120, u):
         eng.kernel_matches(top, u, (), ())
     with pytest.raises(MalformedModel, match="no basis morphism"):
         eng.ses_foreign(top, u, top, (), (), ())
+
+
+@pytest.mark.parametrize("twin", [VertexId("X", True, (0, 1)), VertexId("X", 1, (0.0, 1))], ids=["bool-orbit", "float-a"])
+def test_the_cube_cache_keeps_the_vertex_rule(twin):
+    """On (2,3,0) X:True:(0,1) and X:1:(0.0,1) are no vertices, though they
+    equal X:1:(0,1) and hash like it.  cube, basis_cube and image_cube
+    refuse them, as top or as a generator's target, on a fresh engine and
+    after X:1:(0,1)'s cube is cached."""
+    t = validate_triple(2, 3, 0)
+    real = VertexId("X", 1, (0, 1))
+    top = VertexId("X", 1, (-1, 0))
+    arrow = ArrowMorphism(top, twin, 0)
+    assert M.arrow_exists(t, top, real, 0) and not M.vertex_valid(t, twin)
+    for warm in (False, True):
+        eng = WindowEngine(t, (-4, 4, -4, 4))
+        if warm:
+            assert eng.cube(real) and eng.image_cube(top, (ArrowMorphism(top, real, 0),))
+        for call in (lambda: eng.cube(twin), lambda: eng.basis_cube(twin), lambda: eng.image_cube(twin, ()),
+                     lambda: eng.image_cube(top, (arrow,))):
+            with pytest.raises(InvalidVertex):
+                call()
+
+
+@pytest.mark.parametrize(
+    "u", [ArrowMorphism(VertexId("Z", 0, (3, -3)), VertexId("Z", 0, (4, -3)), 0), IdentityMorphism(VertexId("X", 0, (0, 2)))],
+    ids=["arrow", "identity"],
+)
+def test_a_u_that_does_not_start_at_the_top_is_rejected(t120, u):
+    """_endpoint reads u as a morphism out of the top: an arrow out of
+    another vertex, or the identity of another vertex, raises
+    MalformedModel from kernel_matches, ses_foreign and image_cube.  Read
+    by its target and degree, the arrow would stand for an arrow out of the
+    top that the model does not have, and the identity for the degree-0
+    arrow to its vertex."""
+    top = VertexId("X", 0, (0, 1))
+    assert isinstance(u, IdentityMorphism) or not M.arrow_exists(t120, top, u.dst, u.degree)
+    eng = WindowEngine(t120, (-4, 4, -4, 4))
+    with pytest.raises(MalformedModel, match="does not start at"):
+        eng.kernel_matches(top, u, (), ())
+    with pytest.raises(MalformedModel, match="does not start at"):
+        eng.ses_foreign(top, u, M.target_of(u), (), (), ())
+    with pytest.raises(MalformedModel, match="does not start at"):
+        eng.image_cube(top, (u,))
 
 
 # -- a stdlib-only package --------------------------------------------------------------
