@@ -12,16 +12,19 @@ coordinate when the entry excludes its source (else None).  Fan regions are
 boxes: a region with a finite difference bound raises ``MalformedModel``,
 because a box rasteriser would cover it wrongly.
 
-A box clipped to the window is ``k`` consecutive x-rows of the same y-run
-of ``len`` cells.  Both repetitions are built without division, by
-``_repeat``: the run is ``bit`` repeated ``len`` times every 8 bits, and the
-block is the run repeated ``k`` times every ``8*ny`` bits.  ``_repeat``
-doubles its copies while they fit, then ORs in one copy of them shifted to
-end at the ``k``-th place; the two overlap only in equal copies, and no
-copy carries into the next because each is below ``2**stride``.  That is
-about ``log2(k)`` shifts and ORs, where the geometric-series form
-``run * ((1 << 8*ny*k) - 1) // ((1 << 8*ny) - 1)`` divides a ``k*ny``-byte
-int, several times the cost at the benchmark's windows.  An exclusion
+A box clipped to the window is the cells of ``k`` consecutive x-rows and
+one y-run of ``len`` cells.  Its y-run picks a column mask from a table that
+the caller owns (the engine keeps one per window): the mask of the y-run
+``[iy0, iy1]`` over all ``nx`` x-rows, bit 0 of each cell, built once by
+``_repeat``.  The box is then that mask ANDed with its contiguous x-range
+``(1 << 8*ny*(ix1+1)) - (1 << 8*ny*ix0)``, times its bit (a power of two
+below 256, so no product leaves its cell), shifted to its channel: a
+subtraction, an AND, a product and a shift, where building the
+box itself costs about ``log2(len) + log2(k)`` shifts and ORs.  The table
+holds at most ``ny*(ny+1)/2`` masks, one per y-run.  ``_repeat`` doubles
+its copies while they fit, then ORs in one copy of them shifted to end at
+the ``k``-th place; the two overlap only in equal copies, and no copy
+carries into the next because each is below ``2**stride``.  An exclusion
 clears the bit at the source cell when that cell lies in the clipped box.
 
 The result is the cube's little-endian bytes as a read-only ``memoryview``
@@ -48,24 +51,33 @@ def _repeat(unit: int, stride: int, k: int) -> int:
     return block
 
 
-def fan_cube(x0: int, nx: int, y0: int, ny: int, nchan: int, rows) -> memoryview:
+def fan_cube(x0: int, nx: int, y0: int, ny: int, nchan: int, rows, columns: dict) -> memoryview:
     """OR the rows' bits over their regions, clipped to the window
-    [x0, x0+nx-1] x [y0, y0+ny-1], into a cube of nchan channels."""
+    [x0, x0+nx-1] x [y0, y0+ny-1], into a cube of nchan channels.  columns
+    is the window's table of column masks, keyed by (iy0, iy1); masks that
+    a row needs and the table lacks are added to it."""
     row_bits = 8 * ny
     cube = 0
+    x1, y1 = x0 + nx - 1, y0 + ny - 1
     for c, bit, reg, exclude in rows:
-        if reg.lo_d != NEG_INF or reg.hi_d != POS_INF:
+        lo_x, hi_x, lo_y, hi_y, lo_d, hi_d = reg
+        if lo_d != NEG_INF or hi_d != POS_INF:
             raise MalformedModel(f"fan region {reg!r} is not a box")
-        ix0 = max(reg.lo_x - x0, 0)
-        ix1 = min(reg.hi_x - x0, nx - 1)
-        iy0 = max(reg.lo_y - y0, 0)
-        iy1 = min(reg.hi_y - y0, ny - 1)
+        # the box clipped to the window, in window indices; conditional
+        # expressions pick what max and min would, without their calls
+        ix0 = lo_x - x0 if lo_x > x0 else 0
+        ix1 = hi_x - x0 if hi_x < x1 else nx - 1
+        iy0 = lo_y - y0 if lo_y > y0 else 0
+        iy1 = hi_y - y0 if hi_y < y1 else ny - 1
         if ix0 > ix1 or iy0 > iy1:
             continue
-        block = _repeat(_repeat(bit, 8, iy1 - iy0 + 1), row_bits, ix1 - ix0 + 1)
+        column = columns.get((iy0, iy1))
+        if column is None:
+            column = columns[iy0, iy1] = _repeat(_repeat(1, 8, iy1 - iy0 + 1) << 8 * iy0, row_bits, nx)
+        block = (column & ((1 << row_bits * (ix1 + 1)) - (1 << row_bits * ix0))) * bit
         if exclude is not None:
             ex, ey = exclude[0] - x0, exclude[1] - y0
             if ix0 <= ex <= ix1 and iy0 <= ey <= iy1:
-                block ^= bit << 8 * ((ex - ix0) * ny + ey - iy0)
-        cube |= block << 8 * ((c * nx + ix0) * ny + iy0)
+                block ^= bit << 8 * (ex * ny + ey)
+        cube |= block << 8 * c * nx * ny
     return memoryview(cube.to_bytes(nchan * nx * ny, "little")).toreadonly()

@@ -84,7 +84,7 @@ from .model import (
     ZeroMorphism,
 )
 from .presentation import GentleTriple, validate_triple
-from .regions import Region
+from .regions import NEG_INF, POS_INF, Region
 
 KIND_BP = "B'"
 KIND_BPP = "B''"
@@ -175,6 +175,13 @@ class Certificate:
 _F, _G = 0, 1  # the two denominator generators, in the order build_simple1 gives them
 
 
+def _box(lo_x=NEG_INF, hi_x=POS_INF, lo_y=NEG_INF, hi_y=POS_INF) -> Region:
+    """A case row's region, built unchecked: the rows build it only from an
+    instance's a, b and aux, which its read (_Session._instance) has found
+    to be ints."""
+    return regions._unchecked(lo_x, hi_x, lo_y, hi_y)
+
+
 class _Factor(NamedTuple):
     key: tuple
     split: Optional[Callable]  # (a, b, aux) -> Region, or None for the whole channel
@@ -205,11 +212,11 @@ _KINDS = {
         FAMILY_X, (1, 0), (FAMILY_Z, 0, 1), lambda a, b, aux: (a, aux),
         None, lambda a, top: (0, a), lambda a, b, aux: (a - b,),
         (
-            _Factor((FAMILY_X, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
-            _Chain((FAMILY_X, 0, 0), lambda a, b, aux: Region(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
-            _Factor((FAMILY_Z, 0, 1), lambda a, b, aux: Region(lo_x=a + 1), _F),
-            _Factor((FAMILY_Z, 0, 1), lambda a, b, aux: Region(lo_x=a, hi_x=a, lo_y=aux), _G),
-            _Chain((FAMILY_Z, 0, 1), lambda a, b, aux: Region(lo_x=a, hi_x=a, hi_y=aux - 1), (0, 0), (0, 1)),
+            _Factor((FAMILY_X, 0, 0), lambda a, b, aux: _box(lo_x=a + 1), _F),
+            _Chain((FAMILY_X, 0, 0), lambda a, b, aux: _box(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
+            _Factor((FAMILY_Z, 0, 1), lambda a, b, aux: _box(lo_x=a + 1), _F),
+            _Factor((FAMILY_Z, 0, 1), lambda a, b, aux: _box(lo_x=a, hi_x=a, lo_y=aux), _G),
+            _Chain((FAMILY_Z, 0, 1), lambda a, b, aux: _box(lo_x=a, hi_x=a, hi_y=aux - 1), (0, 0), (0, 1)),
             _Factor((FAMILY_X, 1, 2), None, _G),
         ),
     ),
@@ -217,11 +224,11 @@ _KINDS = {
         FAMILY_Y, (1, 0), (FAMILY_Z, 0, 1), lambda a, b, aux: (aux, a),
         None, lambda a, top: (0, a), lambda a, b, aux: (a - b,),
         (
-            _Factor((FAMILY_Y, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
-            _Chain((FAMILY_Y, 0, 0), lambda a, b, aux: Region(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
-            _Factor((FAMILY_Z, 0, 1), lambda a, b, aux: Region(lo_y=a + 1), _F),
-            _Factor((FAMILY_Z, 0, 1), lambda a, b, aux: Region(lo_y=a, hi_y=a, lo_x=aux), _G),
-            _Chain((FAMILY_Z, 0, 1), lambda a, b, aux: Region(lo_y=a, hi_y=a, hi_x=aux - 1), (0, 0), (1, 0)),
+            _Factor((FAMILY_Y, 0, 0), lambda a, b, aux: _box(lo_x=a + 1), _F),
+            _Chain((FAMILY_Y, 0, 0), lambda a, b, aux: _box(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
+            _Factor((FAMILY_Z, 0, 1), lambda a, b, aux: _box(lo_y=a + 1), _F),
+            _Factor((FAMILY_Z, 0, 1), lambda a, b, aux: _box(lo_y=a, hi_y=a, lo_x=aux), _G),
+            _Chain((FAMILY_Z, 0, 1), lambda a, b, aux: _box(lo_y=a, hi_y=a, hi_x=aux - 1), (0, 0), (1, 0)),
             _Factor((FAMILY_Y, 1, 2), None, _G),
         ),
     ),
@@ -229,11 +236,11 @@ _KINDS = {
         FAMILY_Z, (1, 0), (FAMILY_X, 1, 1), lambda a, b, aux: (aux, a),
         lambda a, b, m, n: a + m + 1, lambda a, top: (top, top - 3), lambda a, b, aux: (aux - a,),
         (
-            _Factor((FAMILY_Z, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
-            _Chain((FAMILY_Z, 0, 0), lambda a, b, aux: Region(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
-            _Factor((FAMILY_X, 1, 1), lambda a, b, aux: Region(lo_y=a + 1), _F),
-            _Factor((FAMILY_X, 1, 1), lambda a, b, aux: Region(lo_y=a, hi_y=a, lo_x=aux), _G),
-            _Chain((FAMILY_X, 1, 1), lambda a, b, aux: Region(lo_y=a, hi_y=a, hi_x=aux - 1), (0, 0), (1, 0)),
+            _Factor((FAMILY_Z, 0, 0), lambda a, b, aux: _box(lo_x=a + 1), _F),
+            _Chain((FAMILY_Z, 0, 0), lambda a, b, aux: _box(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
+            _Factor((FAMILY_X, 1, 1), lambda a, b, aux: _box(lo_y=a + 1), _F),
+            _Factor((FAMILY_X, 1, 1), lambda a, b, aux: _box(lo_y=a, hi_y=a, lo_x=aux), _G),
+            _Chain((FAMILY_X, 1, 1), lambda a, b, aux: _box(lo_y=a, hi_y=a, hi_x=aux - 1), (0, 0), (1, 0)),
             _Factor((FAMILY_Y, 1, 1), None, _F),
             _Factor((FAMILY_Z, 1, 2), None, _F),
         ),
@@ -242,12 +249,12 @@ _KINDS = {
         FAMILY_Z, (0, 1), (FAMILY_Y, 1, 1), lambda a, b, aux: (aux, b),
         lambda a, b, m, n: b - n + 1, lambda a, top: (top, top - 3), lambda a, b, aux: (aux - b,),
         (
-            _Factor((FAMILY_Z, 0, 0), lambda a, b, aux: Region(lo_y=b + 1), _F),
-            _Chain((FAMILY_Z, 0, 0), lambda a, b, aux: Region(lo_y=b, hi_y=b, lo_x=a + 1), (-1, 0), (0, 0)),
+            _Factor((FAMILY_Z, 0, 0), lambda a, b, aux: _box(lo_y=b + 1), _F),
+            _Chain((FAMILY_Z, 0, 0), lambda a, b, aux: _box(lo_y=b, hi_y=b, lo_x=a + 1), (-1, 0), (0, 0)),
             _Factor((FAMILY_X, 1, 1), None, _F),
-            _Factor((FAMILY_Y, 1, 1), lambda a, b, aux: Region(lo_y=b + 1), _F),
-            _Factor((FAMILY_Y, 1, 1), lambda a, b, aux: Region(lo_y=b, hi_y=b, lo_x=aux), _G),
-            _Chain((FAMILY_Y, 1, 1), lambda a, b, aux: Region(lo_y=b, hi_y=b, hi_x=aux - 1), (0, 0), (1, 0)),
+            _Factor((FAMILY_Y, 1, 1), lambda a, b, aux: _box(lo_y=b + 1), _F),
+            _Factor((FAMILY_Y, 1, 1), lambda a, b, aux: _box(lo_y=b, hi_y=b, lo_x=aux), _G),
+            _Chain((FAMILY_Y, 1, 1), lambda a, b, aux: _box(lo_y=b, hi_y=b, hi_x=aux - 1), (0, 0), (1, 0)),
             _Factor((FAMILY_Z, 1, 2), None, _F),
         ),
     ),
@@ -255,11 +262,11 @@ _KINDS = {
         FAMILY_X, (1, 0), (FAMILY_X, 1, 1), lambda a, b, aux: (aux, a),
         lambda a, b, m, n: a + m, lambda a, top: (top, top - 2), lambda a, b, aux: (a - b, aux - a),
         (
-            _Factor((FAMILY_X, 0, 0), lambda a, b, aux: Region(lo_x=a + 1), _F),
-            _Chain((FAMILY_X, 0, 0), lambda a, b, aux: Region(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
-            _Factor((FAMILY_X, 1, 1), lambda a, b, aux: Region(lo_y=a + 1), _F),
-            _Factor((FAMILY_X, 1, 1), lambda a, b, aux: Region(lo_y=a, hi_y=a, lo_x=aux), _G),
-            _Chain((FAMILY_X, 1, 1), lambda a, b, aux: Region(lo_y=a, hi_y=a, hi_x=aux - 1), (0, 0), (1, 0)),
+            _Factor((FAMILY_X, 0, 0), lambda a, b, aux: _box(lo_x=a + 1), _F),
+            _Chain((FAMILY_X, 0, 0), lambda a, b, aux: _box(lo_x=a, hi_x=a, lo_y=b + 1), (0, -1), (0, 0)),
+            _Factor((FAMILY_X, 1, 1), lambda a, b, aux: _box(lo_y=a + 1), _F),
+            _Factor((FAMILY_X, 1, 1), lambda a, b, aux: _box(lo_y=a, hi_y=a, lo_x=aux), _G),
+            _Chain((FAMILY_X, 1, 1), lambda a, b, aux: _box(lo_y=a, hi_y=a, hi_x=aux - 1), (0, 0), (1, 0)),
         ),
     ),
 }
@@ -283,6 +290,21 @@ def _exists(rec: model.ArrowFan, dst: VertexId, deg: int) -> bool:
     """Whether the source of the fan record rec has the identity (deg 0, dst
     the source itself) or a basis arrow to dst at degree deg."""
     return deg == 0 and dst == rec.src or model._has_arrow(rec, dst, deg)
+
+
+def _in_row_entry(e: model.FanEntry, src: VertexId, x: int, y: int) -> bool:
+    """_exists(rec, VertexId(e.family, e.orbit, (x, y)), e.degree) for e the
+    entry of its channel and degree in src's fan record rec, on coordinates:
+    the identity at src itself when e has degree 0, else model._in_entry's
+    rule in e (src excluded when e excludes it, then e's region).  A chain
+    point's u and extra arrow lie in its row's channel at the row entry's
+    degree, so the case analysis builds no VertexId to test them."""
+    if src.coord == (x, y) and e.family == src.family and e.orbit == src.orbit:
+        if e.degree == 0:
+            return True
+        if e.excludes_src:
+            return False
+    return regions.member(e.region, (x, y))
 
 
 def _largest_aux(t: GentleTriple, kind: str, top: VertexId) -> Simple1Instance:
@@ -364,7 +386,8 @@ def build_simple1(
     C' at a Z-vertex (aux <= a + [i=last] m + 1), C'' at a Z-vertex
     (aux <= b - [i=last] n + 1).  Infinite mode: B at an X-vertex
     (aux <= a + [i=last] m).  Out-of-region second generators degenerate to
-    the zero morphism, per the zero-map convention.
+    the zero morphism, per the zero-map convention.  An aux of another type
+    than int (a bool, float or int subclass) raises ParameterRange.
     """
     top, _, gens = _simple1_parts(t, kind, orbit, coord, aux)
     return FpFunctor(top, Subfunctor(top, gens))
@@ -378,6 +401,8 @@ def _simple1_parts(t: GentleTriple, kind: str, orbit: int, coord: tuple, aux: in
         raise ValueError(f"unknown kind {kind!r}")
     if kind not in _MODES[t.is_finite_mode].kinds:
         raise ModeMismatch(f"kind {kind} exists only when {'r == n' if t.is_finite_mode else 'r < n'}")
+    if type(aux) is not int:  # a bool, float or int subclass would name a generator target that is no vertex
+        raise ParameterRange(f"aux must be an int, got {aux!r}")
     a, b = coord
     top = VertexId(spec.family, orbit, coord)
     rec = model.arrow_fan(t, top)  # InvalidVertex when top is not a vertex
@@ -386,11 +411,11 @@ def _simple1_parts(t: GentleTriple, kind: str, orbit: int, coord: tuple, aux: in
         raise ParameterRange(f"aux must be <= {hi} for {kind} at {top}, got {aux}")
     sx, sy = spec.shift
     family, g_orbit, degree = _channel(t, orbit, spec.gen)
-    ends = (
-        (VertexId(spec.family, orbit, (a + sx, b + sy)), 0),
-        (VertexId(family, g_orbit, spec.gen_coord(a, b, aux)), degree),
-    )
-    return top, rec, tuple(ArrowMorphism(top, dst, d) if model._has_arrow(rec, dst, d) else ZERO for dst, d in ends)
+    f_dst = VertexId(spec.family, orbit, (a + sx, b + sy))
+    g_dst = VertexId(family, g_orbit, spec.gen_coord(a, b, aux))
+    f = ArrowMorphism(top, f_dst, 0) if model._has_arrow(rec, f_dst, 0) else ZERO
+    g = ArrowMorphism(top, g_dst, degree) if model._has_arrow(rec, g_dst, degree) else ZERO
+    return top, rec, (f, g)
 
 
 def instance_functor(t: GentleTriple, inst: Simple1Instance) -> FpFunctor:
@@ -422,7 +447,8 @@ class _Session:
         self._forms: dict = {}  # the interned normal forms of fan records
         self._form_at: dict = {}  # vertex -> (its fan record, (the record's normal form, sinks_ok))
         self._fixed_by: dict = {}  # (sigma index, normal form) -> whether sigma fixes the form
-        self._read: tuple = (None, None)  # (inst, self._instance(inst)) for the last instance read
+        self._parts: dict = {}  # Simple1Instance -> _simple1_parts of it, successes only
+        self._read: tuple = (None, None)  # (the parts, self._instance(inst)) of the last instance read
 
     def record(self, lemma: str, params: dict, passed: bool, detail: str = "") -> bool:
         self.records.append(CheckRecord(lemma, params, passed, detail))
@@ -430,22 +456,43 @@ class _Session:
 
     # -- small helpers ------------------------------------------------------
 
+    def _instance_parts(self, inst: Simple1Instance) -> tuple:
+        """(top, the top's fan record, the generators (f, g)) of a simple1
+        instance, as _simple1_parts gives them, raising where it raises.
+        Memoised per instance for the session, parts that raise excepted.
+        The memo is read only once the orbit, coordinates and aux are of
+        type int, as the engine's _vertex rule does before its cube cache:
+        the memo keys on equality, and an instance on orbit True equals its
+        twin on orbit 1.  _simple1_parts raises for any other type."""
+        _, orbit, (a, b), aux = inst
+        if not (type(orbit) is int and type(a) is int and type(b) is int and type(aux) is int):
+            return _simple1_parts(self.t, *inst)
+        parts = self._parts.get(inst)
+        if parts is None:
+            parts = self._parts[inst] = _simple1_parts(self.t, *inst)
+        return parts
+
     def _instance(self, inst: Simple1Instance) -> tuple:
         """(top, the top's fan record, the generators (f, g), the denominator
-        image) of a simple1 instance: the top and generators that
-        instance_functor gives, raising where it raises.  Only the last read
-        is kept (a memo of every read raises peak memory by half or more):
-        a case analysis reads the instance that its layer step just read, a
-        tower's first step the one its case analysis read, and each later
-        step the one the step below read as its sub."""
-        if self._read[0] != inst:
-            top, rec, gens = _simple1_parts(self.t, *inst)
+        image) of a simple1 instance: the parts of _instance_parts, which
+        instance_functor gives, raising where it raises, and the image of
+        the generators.  The parts are kept for the session; the image only
+        for the last read (an image per instance raises peak memory by half
+        or more): a case analysis reads the instance that its layer step
+        just read, a tower's first step the one its case analysis read, and
+        each later step the one the step below read as its sub.  The last
+        read is known by its parts object, one per memoised instance, so it
+        is found only after _instance_parts has applied the int rule."""
+        parts = self._instance_parts(inst)
+        read = self._read
+        if read[0] is not parts:
+            top, rec, gens = parts
             den = 0
             for f in gens:
                 if f is not ZERO:
                     den |= self.eng._image(top, f.dst, f.degree)
-            self._read = inst, (top, rec, gens, den)
-        return self._read[1]
+            read = self._read = parts, (top, rec, gens, den)
+        return read[1]
 
     def _factors_region(self, split_region, gen, entry) -> bool:
         """True iff every basis arrow from the top into split_region (within
@@ -506,7 +553,10 @@ class _Session:
         generator, hence lands in the denominator) or sits in a chain whose
         steps are sink-map simples, by the case rows of the instance's kind.
         Chains are swept inside the window, at points within the session's
-        depth (L1) of the top.  Each chain point ORs the image of its own
+        depth (L1) of the top.  u and the extra arrow of a chain point lie in
+        the row's channel at its entry's degree, so their existence is that
+        entry's rule on coordinates (_in_row_entry), and a VertexId is built
+        only for the engine.  Each chain point ORs the image of its own
         extra arrow into the instance's denominator image, and reads the
         sink-map image at u's target from the engine's sink decision.  Each
         chain line is clipped to the window met with the depth box around
@@ -515,6 +565,7 @@ class _Session:
         t, eng, K, w = self.t, self.eng, self.depth, self.window
         top, rec, gens, den = self._instance(inst)
         a, b = top.coord
+        aux = inst.aux
         # the window met with the depth box, which holds every point within L1 depth K of the top
         sweep = regions.box(max(w.x0, a - K), min(w.x1, a + K), max(w.y0, b - K), min(w.y1, b + K))
         for row in _KINDS[inst.kind].rows:
@@ -524,21 +575,22 @@ class _Session:
             if isinstance(row, _Factor):
                 split = e.region
                 if row.split is not None:
-                    split = regions.intersect(split, row.split(a, b, inst.aux))
+                    split = regions.intersect(split, row.split(a, b, aux))
                 if not self._factors_region(split, gens[row.gen], e):
                     return False
                 continue
-            line = regions.intersect(e.region, row.line(a, b, inst.aux))
+            line = regions.intersect(e.region, row.line(a, b, aux))
             (ux, uy), (mx, my) = row.u, row.mod
-            p = e.degree
+            family, orbit, p = e.family, e.orbit, e.degree
             for x, y in regions.enumerate_points(line, sweep):
                 if abs(x - a) + abs(y - b) > K:
                     continue
-                S = VertexId(e.family, e.orbit, (x + ux, y + uy))
-                if not _exists(rec, S, p):
+                if not _in_row_entry(e, top, x + ux, y + uy):
                     return False
-                extra = VertexId(e.family, e.orbit, (x + mx, y + my))
-                mod = den | eng._image(top, extra, p) if _exists(rec, extra, p) else den
+                S = VertexId(family, orbit, (x + ux, y + uy))
+                mod = den
+                if _in_row_entry(e, top, x + mx, y + my):
+                    mod |= eng._image(top, VertexId(family, orbit, (x + mx, y + my)), p)
                 if eng._kernel(top, S, p, mod) != eng._sink_image(S):
                     return False
         return True
@@ -678,10 +730,16 @@ class _Session:
         C-object at g's target.  <f, g> contains <f> and is <f> plus the
         image of g by construction, so comparing the kernel of (- o g) modulo
         f with the C-object's denominator is the whole exactness check.
-        r == n: the gap between <f, g> and <f> has finite symbolic support."""
+        r == n: the gap between <f, g> and <f> has finite symbolic support.
+        The r < n step takes f and g from the session's memo of instance
+        parts; the r == n step builds the quotient by instance_functor."""
         t = self.t
         quot_kind, sub_kind = self.mode.finite1[w.family]
-        f, g = instance_functor(t, _largest_aux(t, quot_kind, w)).denominators.generators
+        quot = _largest_aux(t, quot_kind, w)
+        if sub_kind is None:
+            f, g = instance_functor(t, quot).denominators.generators
+        else:
+            f, g = self._instance_parts(quot)[2]
         if at_border != isinstance(f, ZeroMorphism) or isinstance(g, ZeroMorphism):
             return False
         if sub_kind is None:
@@ -940,14 +998,17 @@ def _passes(s: _Session, phase: _Phase, item) -> bool:
 
 
 # The caches that Certificate.stats sizes, in the order _cache_sizes reads them.
-_CACHES = ("translation_forms", "tower_memo", "step_memo", "finite1_memo", "engine_cubes", "sink_decisions")
+_CACHES = (
+    "translation_forms", "tower_memo", "step_memo", "finite1_memo", "instance_parts",
+    "engine_cubes", "sink_decisions", "box_masks",
+)
 
 
 def _cache_sizes(s: _Session) -> dict:
     entries = s.eng._entries.values()
     sizes = (
-        len(s._forms), len(s._tower_cache), len(s._tower_step_cache), len(s._finite1_cache),
-        len(entries), sum(entry[2] is not None for entry in entries),
+        len(s._forms), len(s._tower_cache), len(s._tower_step_cache), len(s._finite1_cache), len(s._parts),
+        len(entries), sum(entry[2] is not None for entry in entries), len(s.eng._columns),
     )
     return dict(zip(_CACHES, sizes))
 

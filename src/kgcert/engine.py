@@ -37,7 +37,12 @@ and ``ses_foreign`` remain only as test references and tracer-patched names.
 Cubes are cached per source vertex, so a certification run touching the same
 tops repeatedly costs one fan rasterisation per vertex (the hot kernel,
 :func:`kgcert._kernels.fan_cube`) plus a handful of int operations per
-check.  The cache ``_entries`` is keyed by the
+check.  The rasteriser cuts each fan box out of a column mask, one y-run of
+cells repeated on every x-row of the window; the engine keeps those masks
+in ``_columns``, keyed by the run's (iy0, iy1), so each is built once per
+window and the table holds at most ny*(ny+1)/2 of them.
+
+The cube cache ``_entries`` is keyed by the
 :class:`~kgcert.model.VertexId` itself, a NamedTuple that hashes and
 compares in C.  It keys on equality, and X:True:(0,1) equals X:1:(0,1), so
 the public entry points (``cube``, ``basis_cube``, ``image_cube`` and,
@@ -88,6 +93,8 @@ class WindowEngine:
         # VertexId -> (cube, bit offset of the vertex's own cell or None,
         # the sink image or None before it is computed)
         self._entries: dict = {}
+        # (iy0, iy1) -> the column mask of that y-run, which fan_cube reads and fills
+        self._columns: dict = {}
 
     # -- grid plumbing ----------------------------------------------------
 
@@ -119,7 +126,7 @@ class WindowEngine:
                 if ci is None or not 0 <= e.degree <= self.max_degree:
                     raise MalformedModel(f"{v}: fan entry {e.family, e.orbit, e.degree} is off the channels or degrees")
                 rows.append((ci, 1 << (e.degree + 1), e.region, v.coord if e.excludes_src else None))
-            cube = _kernels.fan_cube(self.x0, self.nx, self.y0, self.ny, self.nchan, rows)
+            cube = _kernels.fan_cube(self.x0, self.nx, self.y0, self.ny, self.nchan, rows, self._columns)
             offset = 8 * self.cell(v) if self.in_window(v.coord) else None
             entry = self._entries[v] = (int.from_bytes(cube, "little"), offset, None)
         return entry

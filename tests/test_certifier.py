@@ -7,6 +7,7 @@ import json
 import os
 import random
 import threading
+from types import MappingProxyType
 
 import pytest
 
@@ -768,6 +769,173 @@ def test_the_kept_read_reads_no_instance_more_often(r, n, m, monkeypatch):
     monkeypatch.setattr(C, "_simple1_parts", spy)
     assert certify(validate_triple(r, n, m), Window(-4, 4, -4, 4), 4).passed
     assert len(calls) <= SIMPLE1_READS[(r, n, m)]
+
+
+# The benchmark's eight certify inputs: the acceptance triples at [-8,8]^2 and
+# the two wide windows, each at depth 8.
+BENCH_INPUTS = [(triple, 8) for triple in ACCEPTANCE_TRIPLES] + [((1, 2, 0), 10), ((2, 2, 1), 20)]
+BENCH_IDS = [f"{r}{n}{m}-w17" for r, n, m in ACCEPTANCE_TRIPLES] + ["120-w21", "221-w41"]
+
+
+@pytest.mark.parametrize("triple,half", BENCH_INPUTS, ids=BENCH_IDS)
+def test_the_instance_memo_holds_what_simple1_parts_gives(triple, half, monkeypatch):
+    """Every instance that certify reads on a benchmark input is memoised
+    with the parts a fresh _simple1_parts gives it; an instance whose parts
+    raise has no entry."""
+    t = validate_triple(*triple)
+    sessions, read = [], set()
+    real = C._Session._instance_parts
+
+    def spy(self, inst):
+        sessions.append(self)
+        read.add(inst)
+        return real(self, inst)
+
+    monkeypatch.setattr(C._Session, "_instance_parts", spy)
+    assert certify(t, Window(-half, half, -half, half), 8).passed
+    monkeypatch.undo()
+    (s,) = set(sessions)
+    parts = {}
+    for inst in read:
+        with contextlib.suppress(KgcertError):
+            parts[inst] = C._simple1_parts(t, *inst)
+    assert parts and s._parts == parts
+
+
+def test_an_instance_whose_parts_raise_raises_on_every_read(t120, t110):
+    """A read that raises leaves no memo entry and no last read behind: it
+    raises again on each later read, with the memo warm around it, and the
+    read of a good instance between two is still its own."""
+    cases = [
+        (t120, Simple1Instance(KIND_CP, 0, (0, 0), 1), [
+            (Simple1Instance(KIND_CP, 0, (0, 0), 2), ParameterRange),  # aux above its top, a + m + 1 = 1
+            (Simple1Instance(KIND_B_INF, 0, (0, 0), 0), ModeMismatch),  # kind B needs r == n
+            (Simple1Instance(KIND_BP, 0, (5, 0), 0), InvalidVertex),  # a - b > m: no X-vertex
+        ]),
+        (t110, Simple1Instance(KIND_B_INF, 0, (0, 0), 0), [
+            (Simple1Instance(KIND_B_INF, 0, (0, 0), 1), ParameterRange),  # aux above a + m = 0
+            (Simple1Instance(KIND_BP, 0, (0, 0), 0), ModeMismatch),  # kind B' needs r < n
+            (Simple1Instance(KIND_B_INF, 1, (0, 0), 0), InvalidVertex),  # r = 1: no orbit 1
+        ]),
+    ]
+    for t, good, bad in cases:
+        s = C._Session(t, W6, 4)
+        want = C._Session(t, W6, 4)._instance(good)
+        for _ in range(3):
+            for wrong, error in bad:
+                for read in (s._instance, s._instance_parts):
+                    with pytest.raises(error):
+                        read(wrong)
+                assert s._instance(good) == want
+        assert list(s._parts) == [good]
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "field,value,error",
+    [("orbit", True, InvalidVertex), ("coord", (0.0, 1), InvalidVertex), ("coord", (0, True), InvalidVertex),
+     ("aux", False, ParameterRange), ("aux", 0.0, ParameterRange), ("aux", _Int(0), ParameterRange)],
+    ids=["bool-orbit", "float-a", "bool-b", "bool-aux", "float-aux", "int-subclass-aux"],
+)
+def test_an_instance_with_a_non_int_field_raises_after_its_int_twin(field, value, error):
+    """The memo and the last read key on equality, and B' on orbit True
+    equals its twin on orbit 1; read right after that twin, and again with
+    the twin memoised, the instance still raises what build_simple1 raises."""
+    t = validate_triple(2, 3, 0)
+    twin = Simple1Instance(KIND_BP, 1, (0, 1), 0)
+    wrong = twin._replace(**{field: value})
+    assert wrong == twin
+    s = C._Session(t, W6, 4)
+    for _ in range(2):
+        s._instance(twin)
+        for read in (s._instance, s._instance_parts, lambda inst: build_simple1(t, *inst)):
+            with pytest.raises(error):
+                read(wrong)
+    assert list(s._parts) == [twin]
+
+
+@pytest.mark.parametrize(
+    "triple,kind,coord", [((1, 2, 0), KIND_BP, (0, 0)), ((1, 2, 0), KIND_CP, (0, 0)), ((1, 1, 0), KIND_B_INF, (0, 0))],
+    ids=["B'", "C'", "B"],
+)
+@pytest.mark.parametrize("aux", [0.5, True, 0.0, _Int(0)], ids=["half", "bool", "float", "int-subclass"])
+def test_an_aux_that_is_no_int_is_out_of_range(triple, kind, coord, aux):
+    """An aux of another type than int would name a generator target that
+    is no vertex (B' with aux 0.5 on (1,2,0) has g to Z:0:(0,0.5)); both
+    build_simple1 and a tower check refuse it, as out of range, before
+    anything is built.  The int aux of the same instance is fine."""
+    t = validate_triple(*triple)
+    assert build_simple1(t, kind, 0, coord, 0).top == VertexId(C._KINDS[kind].family, 0, coord)
+    with pytest.raises(ParameterRange):
+        build_simple1(t, kind, 0, coord, aux)
+    with pytest.raises(ParameterRange):
+        check_simple1_tower(t, Simple1Instance(kind, 0, coord, aux), 2, W5)
+
+
+def test_stats_size_the_instance_memo_and_the_column_masks(t120, monkeypatch):
+    """stats["caches"] gives the session's memo of instance parts and the
+    engine's table of column masks, which holds at most one mask per y-run
+    of the window."""
+    sessions = []
+    real = C._run_phases
+
+    def spy(s):
+        sessions.append(s)
+        return real(s)
+
+    monkeypatch.setattr(C, "_run_phases", spy)
+    get_engine.cache_clear()
+    sizes = certify(t120, W4, 2).stats["caches"]
+    (s,) = sessions
+    ny = W4.y1 - W4.y0 + 1
+    assert sizes["instance_parts"] == len(s._parts) > 0
+    assert sizes["box_masks"] == len(s.eng._columns) and 0 < sizes["box_masks"] <= ny * (ny + 1) // 2
+
+
+# -- the chain-point rule -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
+def test_the_row_entry_rule_is_exists(r, n, m):
+    """_in_row_entry answers as _exists on the VertexId of its point, for
+    every fan entry of every vertex in [-2,2]^2 and every point of
+    [-6,6]^2 (the vertex itself among them)."""
+    t = validate_triple(r, n, m)
+    points = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+    for src in M.vertices_in_box(t, -2, 2, -2, 2):
+        rec = M.arrow_fan(t, src)
+        for e in rec.entries:
+            for x, y in points:
+                want = C._exists(rec, VertexId(e.family, e.orbit, (x, y)), e.degree)
+                assert C._in_row_entry(e, src, x, y) == want, (src, e, x, y)
+
+
+def test_the_row_entry_rule_on_the_top_itself():
+    """At the source's own point: the identity at degree 0, whatever the
+    entry's region and flag; at a higher degree nothing when the entry
+    excludes its source, else its region's answer, an EMPTY region
+    included.  An entry of another channel at that point is no identity."""
+    src = V("Z", 0, 0, 0)
+    regs = [R.box(-1, 1, -1, 1), R.box(1, 3, 1, 3), R.EMPTY]
+    for family, orbit in [("Z", 0), ("X", 0), ("Z", 1)]:
+        for degree in (0, 1, 2):
+            for excludes in (False, True):
+                for reg in regs:
+                    e = M.FanEntry(family, orbit, degree, reg, excludes)
+                    rec = M.ArrowFan(src, (e,), MappingProxyType({e[:3]: e}), (ZERO, ZERO))
+                    for x, y in [(0, 0), (1, 1), (-1, 0), (4, 4)]:
+                        got = C._in_row_entry(e, src, x, y)
+                        assert got == C._exists(rec, VertexId(family, orbit, (x, y)), degree), (e, x, y)
+                    at_src = C._in_row_entry(e, src, 0, 0)
+                    if (family, orbit) == ("Z", 0) and degree == 0:
+                        assert at_src
+                    elif (family, orbit) == ("Z", 0) and excludes:
+                        assert not at_src
+                    else:
+                        assert at_src == R.member(reg, (0, 0))
 
 
 # -- factorisation through a generator -----------------------------------------------

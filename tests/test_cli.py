@@ -366,7 +366,8 @@ def test_certify_stats_leave_the_certificate_bytes_alone(tmp_path, capsys):
         assert set(p) == {"lemma", "items", "covers", "checked", "seconds"}
         assert 0 < p["checked"] == p["items"] <= p["covers"] and p["seconds"] >= 0
     assert set(stats["caches"]) == {
-        "translation_forms", "tower_memo", "step_memo", "finite1_memo", "engine_cubes", "sink_decisions",
+        "translation_forms", "tower_memo", "step_memo", "finite1_memo", "instance_parts",
+        "engine_cubes", "sink_decisions", "box_masks",
     }
 
 

@@ -247,12 +247,14 @@ def test_bitset_engine_matches_uint8_reference_on_skewed_windows(r, n, m, box):
     assert_matches_reference(t, box, SKEWED_REACH, rng, 8)
 
 
-def fan_cube_grid(box, nchan, rows):
+def fan_cube_grid(box, nchan, rows, columns=None):
     """fan_cube on box as a uint8 grid, and the reference grid of the same
-    rows, each row being (channel, bit, region, excluded coordinate or None)."""
+    rows, each row being (channel, bit, region, excluded coordinate or None).
+    fan_cube reads and fills the table of column masks columns, a fresh one
+    when None."""
     x0, x1, y0, y1 = box
     nx, ny = x1 - x0 + 1, y1 - y0 + 1
-    got = _kernels.fan_cube(x0, nx, y0, ny, nchan, rows)
+    got = _kernels.fan_cube(x0, nx, y0, ny, nchan, rows, {} if columns is None else columns)
     assert got.readonly and got.nbytes == nchan * nx * ny
     ref_rows = [
         (c, bit, _clip(reg.lo_x), _clip(reg.hi_x), _clip(reg.lo_y), _clip(reg.hi_y))
@@ -356,6 +358,52 @@ def test_fan_cube_matches_reference_at_benchmark_sizes(box, nchan):
     for corner in [(x, y) for x in (x0, x1) for y in (y0, y1)]:
         got, ref = fan_cube_grid(box, nchan, [(nchan - 1, 8, cover, corner), (0, 2, cover, None)])
         assert np.array_equal(got, ref) and (ref[nchan - 1] == 0).sum() == 1, corner
+
+
+# One engine per window, whose table of column masks fan_cube reads and
+# fills: 17x17 with 6 channels ((2,3,0) at the acceptance window), 41x41
+# with 2 ((2,2,1) at the wide window), and one column and one row of 41.
+MASK_ENGINES = [((2, 3, 0), (-8, 8, -8, 8)), ((2, 2, 1), (-20, 20, -20, 20)),
+                ((2, 2, 1), (3, 3, -20, 20)), ((2, 2, 1), (-20, 20, 3, 3))]
+MASK_IDS = ["17x17-6ch", "41x41-2ch", "1x41", "41x1"]
+
+
+@pytest.mark.parametrize("triple,box", MASK_ENGINES, ids=MASK_IDS)
+def test_fan_cube_cuts_boxes_from_the_engines_column_masks(triple, box):
+    """Once the engine's own cubes have warmed its table, at least 1000
+    random boxes rasterised through that table, each with no exclusion or
+    one at a corner of its part inside the window, match the uint8
+    reference; the table then holds at most one mask per y-run, each the
+    run's cells on every x-row in bit 0."""
+    t = validate_triple(*triple)
+    eng = WindowEngine(t, box)
+    for v in eng.vertices():
+        assert np.array_equal(grid(eng, eng.cube(v)), ref_cube(eng, v)), v
+    assert eng._columns
+    x0, x1, y0, y1 = box
+    rng = random.Random(hash(box))
+
+    def bound(lo, hi, inf):
+        return inf if rng.random() < 0.15 else rng.randint(lo - 3, hi + 3)
+
+    boxes = 0
+    while boxes < 1000:
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            reg = R.box(bound(x0, x1, R.NEG_INF), bound(x0, x1, R.POS_INF), bound(y0, y1, R.NEG_INF),
+                        bound(y0, y1, R.POS_INF))
+            xs = (max(reg.lo_x, x0), min(reg.hi_x, x1))
+            ys = (max(reg.lo_y, y0), min(reg.hi_y, y1))
+            corners = [(x, y) for x in xs for y in ys] if xs[0] <= xs[1] and ys[0] <= ys[1] else []
+            rows.append((rng.randrange(eng.nchan), 1 << rng.randint(1, 3), reg, rng.choice(corners + [None])))
+        got, ref = fan_cube_grid(box, eng.nchan, rows, eng._columns)
+        assert np.array_equal(got, ref), rows
+        boxes += len(rows)
+    assert len(eng._columns) <= eng.ny * (eng.ny + 1) // 2
+    for (iy0, iy1), mask in eng._columns.items():
+        want = np.zeros((eng.nchan, eng.nx, eng.ny), dtype=np.uint8)
+        want[0, :, iy0:iy1 + 1] = 1
+        assert np.array_equal(grid(eng, mask), want), (iy0, iy1)
 
 
 def ref_valid(eng):
@@ -711,4 +759,4 @@ def test_fan_cube_rejects_difference_bounds(bounds):
     rasterised wrongly, so it is refused."""
     reg = R.Region(lo_x=0, hi_x=3, lo_y=0, hi_y=3, **bounds)
     with pytest.raises(ValueError, match="not a box"):
-        _kernels.fan_cube(0, 4, 0, 4, 1, [(0, 2, reg, None)])
+        _kernels.fan_cube(0, 4, 0, 4, 1, [(0, 2, reg, None)], {})
