@@ -82,6 +82,7 @@ from .model import (
     ArrowMorphism,
     VertexId,
     ZeroMorphism,
+    _new,
 )
 from .presentation import GentleTriple, validate_triple
 from .regions import NEG_INF, POS_INF, Region
@@ -311,7 +312,7 @@ def _largest_aux(t: GentleTriple, kind: str, top: VertexId) -> Simple1Instance:
     """The instance of kind at top with its largest aux, or aux 0 when every
     aux is allowed."""
     aux = _aux_top(t, _KINDS[kind], top.orbit, top.coord)
-    return Simple1Instance(kind, top.orbit, top.coord, 0 if aux is None else aux)
+    return _new(Simple1Instance, (kind, top.orbit, top.coord, 0 if aux is None else aux))
 
 
 # -- the translation group --------------------------------------------------
@@ -404,17 +405,17 @@ def _simple1_parts(t: GentleTriple, kind: str, orbit: int, coord: tuple, aux: in
     if type(aux) is not int:  # a bool, float or int subclass would name a generator target that is no vertex
         raise ParameterRange(f"aux must be an int, got {aux!r}")
     a, b = coord
-    top = VertexId(spec.family, orbit, coord)
+    top = _new(VertexId, (spec.family, orbit, coord))
     rec = model.arrow_fan(t, top)  # InvalidVertex when top is not a vertex
     hi = _aux_top(t, spec, orbit, coord)
     if hi is not None and aux > hi:
         raise ParameterRange(f"aux must be <= {hi} for {kind} at {top}, got {aux}")
     sx, sy = spec.shift
     family, g_orbit, degree = _channel(t, orbit, spec.gen)
-    f_dst = VertexId(spec.family, orbit, (a + sx, b + sy))
-    g_dst = VertexId(family, g_orbit, spec.gen_coord(a, b, aux))
-    f = ArrowMorphism(top, f_dst, 0) if model._has_arrow(rec, f_dst, 0) else ZERO
-    g = ArrowMorphism(top, g_dst, degree) if model._has_arrow(rec, g_dst, degree) else ZERO
+    f_dst = _new(VertexId, (spec.family, orbit, (a + sx, b + sy)))
+    g_dst = _new(VertexId, (family, g_orbit, spec.gen_coord(a, b, aux)))
+    f = _new(ArrowMorphism, (top, f_dst, 0)) if model._has_arrow(rec, f_dst, 0) else ZERO
+    g = _new(ArrowMorphism, (top, g_dst, degree)) if model._has_arrow(rec, g_dst, degree) else ZERO
     return top, rec, (f, g)
 
 
@@ -514,7 +515,14 @@ class _Session:
     # -- tower + case analysis ----------------------------------------------
 
     def tower_check(self, inst: Simple1Instance) -> bool:
-        """The instance's case analysis and tower, memoised per instance."""
+        """The instance's case analysis and tower, memoised per instance.
+        Both memos key on equality, so _instance_parts's int rule comes
+        first: an instance on orbit True raises as on a fresh session rather
+        than read its twin's verdict on orbit 1.  The rule covers every
+        tower step read from _tower_step_cache too, since a step has the
+        instance's orbit and aux and its coordinates plus int multiples of
+        the kind's shift."""
+        self._instance_parts(inst)
         hit = self._tower_cache.get(inst)
         if hit is not None:
             return hit
@@ -526,7 +534,7 @@ class _Session:
         """Exact sequences 0 -> inst@(coord+(l+1)s) -> inst@(coord+l s) -> A -> 0, l <= depth."""
         sy, sx = _KINDS[inst.kind].shift  # the tower ascends along the swapped shift
         kind, orbit, (a, b), aux = inst
-        steps = [Simple1Instance(kind, orbit, (a + l * sx, b + l * sy), aux) for l in range(self.depth + 2)]
+        steps = [_new(Simple1Instance, (kind, orbit, (a + l * sx, b + l * sy), aux)) for l in range(self.depth + 2)]
         # Towers at neighbouring coordinates share all but one of their steps.
         memo = self._tower_step_cache
         for here, nxt in zip(steps, steps[1:]):
@@ -587,10 +595,10 @@ class _Session:
                     continue
                 if not _in_row_entry(e, top, x + ux, y + uy):
                     return False
-                S = VertexId(family, orbit, (x + ux, y + uy))
+                S = _new(VertexId, (family, orbit, (x + ux, y + uy)))
                 mod = den
                 if _in_row_entry(e, top, x + mx, y + my):
-                    mod |= eng._image(top, VertexId(family, orbit, (x + mx, y + my)), p)
+                    mod |= eng._image(top, _new(VertexId, (family, orbit, (x + mx, y + my))), p)
                 if eng._kernel(top, S, p, mod) != eng._sink_image(S):
                     return False
         return True
@@ -657,12 +665,12 @@ class _Session:
                     return False
                 continue
             x, y = a - dx, b - dy
-            if x0 <= x <= x1 and y0 <= y <= y1 and not model.vertex_valid(t, VertexId(family, orbit, (x, y))):
+            if x0 <= x <= x1 and y0 <= y <= y1 and not model.vertex_valid(t, _new(VertexId, (family, orbit, (x, y)))):
                 return False
             x, y = a + dx, b + dy
             if not (x0 <= x <= x1 and y0 <= y <= y1):
                 continue
-            u = VertexId(family, orbit, (x, y))
+            u = _new(VertexId, (family, orbit, (x, y)))
             image = model._record(t, u)
             if image is None:
                 return False
@@ -713,7 +721,7 @@ class _Session:
         border = b + model.index_regions(t)[(v.family, i)].hi_d  # the largest a at this b
         ok = True
         for c in range(border, a - 1, -1):
-            w = VertexId(v.family, i, (c, b))
+            w = _new(VertexId, (v.family, i, (c, b)))
             k = key(w)
             cached = self._finite1_cache.get(k)
             if cached is not None:
@@ -766,8 +774,8 @@ class _Session:
         _, _, gens, den = self._instance(inst)
         (a, b), (sx, sy) = inst.coord, _KINDS[inst.kind].shift
         rec = model.arrow_fan(self.t, v)
-        u = VertexId(v.family, v.orbit, inst.coord)
-        extra = VertexId(v.family, v.orbit, (a + sx, b + sy))
+        u = _new(VertexId, (v.family, v.orbit, inst.coord))
+        extra = _new(VertexId, (v.family, v.orbit, (a + sx, b + sy)))
         if not (_exists(rec, u, 0) and _exists(rec, extra, 0)) or gens[_F] is ZERO:
             return False
         eng = self.eng
@@ -818,12 +826,12 @@ class _Session:
                         continue
                     kind = KIND_CP if c > a else KIND_CPP
                     sx, sy = _KINDS[kind].shift
-                    inst = Simple1Instance(kind, i, (c - sx, d - sy), aux[kind])
+                    inst = _new(Simple1Instance, (kind, i, (c - sx, d - sy), aux[kind]))
                     ok = self._layer_step(v, inst)
                 elif e.degree == 1:
                     # The tautological epi from the target representable,
                     # which has a finite-length chain.
-                    ok = self.finite1_check(VertexId(e.family, e.orbit, (c, d)))
+                    ok = self.finite1_check(_new(VertexId, (e.family, e.orbit, (c, d))))
                 else:
                     # Factor through the degree-1 map h1 to the X-intermediate
                     # at (c, a), whose representable has a finite chain.
@@ -832,10 +840,10 @@ class _Session:
                     # exists or f does not: a zero phi gives zero, and an
                     # arrow phi gives the arrow of the summed degree or zero,
                     # which is f by definition.
-                    inter = VertexId(FAMILY_X, e.orbit, (c, a))
+                    inter = _new(VertexId, (FAMILY_X, e.orbit, (c, a)))
                     if not model._has_arrow(rec, inter, 1):
                         return False
-                    dst = VertexId(e.family, e.orbit, (c, d))
+                    dst = _new(VertexId, (e.family, e.orbit, (c, d)))
                     phi = model.arrow_exists(t, inter, dst, e.degree - 1)
                     ok = (phi or not model._has_arrow(rec, dst, e.degree)) and self.finite1_check(inter)
                 if not ok:
@@ -896,7 +904,7 @@ def _tower_instances(s: _Session, verts: list) -> list:
     """Per kind of the mode, each vertex of the kind's family with both
     sample aux values."""
     return [
-        Simple1Instance(kind, v.orbit, v.coord, aux)
+        _new(Simple1Instance, (kind, v.orbit, v.coord, aux))
         for kind in s.mode.kinds
         for spec in (_KINDS[kind],)
         for v in verts

@@ -11,20 +11,35 @@ bit d+1 a degree-d arrow).  Monomial composition shifts degree bits:
 * kernel of (- o f) against a modulus M is
   ``cube(T) & ~((cube(top) & ~M) >> p)`` plus an identity-bit test at T.
 
-A cube is one Python int.  Byte ``(ci*nx + ix)*ny + iy`` of its
-little-endian form (:meth:`WindowEngine.cell`) holds the cell of channel ci
-at window point (ix, iy), so the cell sits at bit offset
-``8*((ci*nx + ix)*ny + iy)``: the layout of a C-ordered uint8 array of shape
-(nchan, nx, ny).  Masks, shifts and equality are then single int
-operations.  No shift can move a bit into a neighbouring cell's low bits:
-cell bits are at most bit ``max_degree + 1 <= 3`` and shifts are at most
-``max_degree <= 2`` places, so a left shift stays below bit 6 of its own
-cell, and a right shift can only push bits into bits 6-7 of the cell below,
-which the AND with a cube (bits 0-3 only) that follows every right shift
-clears.  ``_entry`` and ``_endpoint`` raise ``MalformedModel`` for a fan
-entry off the window's channels or of any other degree, a fan region that
-is not a box, and a morphism that is no basis morphism out of the top of
-such a degree, before anything is rastered or shifted.  ``a AND NOT b`` is
+A cube is one Python int of ``w = 2*max_degree + 1`` bits per window cell:
+5 when r < n and 3 when r == n, fixed by the triple.  Cell
+``(ci*nx + ix)*ny + iy`` (:meth:`WindowEngine.cell`) holds channel ci at
+window point (ix, iy) and sits at bit offset ``w*((ci*nx + ix)*ny + iy)``:
+the cells of a C-ordered array of shape (nchan, nx, ny), packed.  Masks,
+shifts and equality are then single int operations, on ints of
+``w*nchan*nx*ny`` bits.  :meth:`WindowEngine.cells` unpacks a cube to one
+byte per cell for the references; ``certify`` never unpacks.
+
+``w`` is the least safe width; three facts keep every cell's data bits
+(0 to max_degree + 1) apart from its neighbours':
+
+* a cube (``_entry``'s, from ``fan_cube``) never sets bit 0 and holds only
+  bits 1..max_degree+1 of each cell;
+* ``_image`` shifts a cube left by p <= max_degree, which reaches at most
+  bit 2*max_degree + 1 = w, bit 0 of the next cell; the AND with ``ctop``
+  (bits 1..max_degree+1 only) clears it and every bit above max_degree + 1;
+* ``_kernel`` shifts a subset of ``ctop`` right by p <= max_degree.  A bit
+  that this moves below bit 1 of its cell lands either in bit 0 of its own
+  cell or in bits >= w - max_degree + 1 = max_degree + 2 of the cell below;
+  the AND with ``cS`` (bits 1..max_degree+1 only) clears both.
+
+At ``w = 2*max_degree`` a left shift by max_degree carries bit max_degree+1
+into bit 1 of the next cell, past the AND with ``ctop``.
+
+``_entry`` and ``_endpoint`` raise ``MalformedModel`` for a fan entry off
+the window's channels or of any other degree, a fan region that is not a
+box, and a morphism that is no basis morphism out of the top of such a
+degree, before anything is rastered or shifted.  ``a AND NOT b`` is
 written ``a ^ (a & b)``: on non-negative ints it equals ``a & ~b`` without
 forming the negative ``~b``, whose AND costs several times more.
 
@@ -71,6 +86,7 @@ from .model import ArrowMorphism, IdentityMorphism, VertexId, ZeroMorphism
 from .presentation import GentleTriple
 
 _POPCOUNT = bytes(bin(i).count("1") for i in range(256))
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 ID_BIT = 1
 
@@ -89,7 +105,8 @@ class WindowEngine:
         self.chan_index = {c: i for i, c in enumerate(self.channels)}
         self.nchan = len(self.channels)
         self.max_degree = t.max_degree
-        self.nbytes = self.nchan * self.nx * self.ny
+        self.width = 2 * t.max_degree + 1  # bits per cell, the least safe width (module docstring)
+        self.ncells = self.nchan * self.nx * self.ny
         # VertexId -> (cube, bit offset of the vertex's own cell or None,
         # the sink image or None before it is computed)
         self._entries: dict = {}
@@ -103,14 +120,23 @@ class WindowEngine:
         return self.x0 <= x <= self.x1 and self.y0 <= y <= self.y1
 
     def cell(self, v: VertexId) -> int:
-        """Byte index of the cell of an in-window vertex v."""
+        """Index of the cell of an in-window vertex v; the cell sits at bit
+        offset ``width * cell(v)`` of a cube."""
         x, y = v.coord
         ci = self.chan_index[(v.family, v.orbit)]
         return (ci * self.nx + x - self.x0) * self.ny + y - self.y0
 
     def cells(self, bits: int) -> bytes:
-        """The cube ``bits`` as bytes, one cell per byte (see :meth:`cell`)."""
-        return bits.to_bytes(self.nbytes, "little")
+        """The cube ``bits`` unpacked, one byte per cell in :meth:`cell`'s
+        order, in time linear in its length: byte i of the binary digits
+        (least significant first) is bit i of the cube, and bit j of every
+        cell is one stride-``width`` slice of them."""
+        w = self.width
+        digits = format(bits, "b").encode().translate(_DIGIT_BYTES)[::-1].ljust(w * self.ncells, b"\0")
+        out = 0
+        for j in range(w):
+            out |= int.from_bytes(digits[j::w], "little") << j
+        return out.to_bytes(self.ncells, "little")
 
     # -- cubes -------------------------------------------------------------
 
@@ -126,8 +152,8 @@ class WindowEngine:
                 if ci is None or not 0 <= e.degree <= self.max_degree:
                     raise MalformedModel(f"{v}: fan entry {e.family, e.orbit, e.degree} is off the channels or degrees")
                 rows.append((ci, 1 << (e.degree + 1), e.region, v.coord if e.excludes_src else None))
-            cube = _kernels.fan_cube(self.x0, self.nx, self.y0, self.ny, self.nchan, rows, self._columns)
-            offset = 8 * self.cell(v) if self.in_window(v.coord) else None
+            cube = _kernels.fan_cube(self.x0, self.nx, self.y0, self.ny, self.nchan, self.width, rows, self._columns)
+            offset = self.width * self.cell(v) if self.in_window(v.coord) else None
             entry = self._entries[v] = (int.from_bytes(cube, "little"), offset, None)
         return entry
 

@@ -343,7 +343,7 @@ def vertices_in_box(t: GentleTriple, x0: int, x1: int, y0: int, y1: int) -> list
     orbit, x, y order."""
     window = regions.box(x0, x1, y0, y1)
     return [
-        VertexId(family, orbit, p)
+        _new(VertexId, (family, orbit, p))
         for (family, orbit), reg in index_regions(t).items()
         for p in regions.enumerate_points(reg, window)
     ]

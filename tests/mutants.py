@@ -358,10 +358,10 @@ def _z_entry(k, change):
 # (name, change, the lemmas that fail) on (1,2,0): fan records that the
 # window engine or the translation phase cannot use.  Z's degree-0 entry with
 # the finite x - y bound a - b is no box; Z's degree-1 X entry on orbit 7 is
-# on no channel, at degree 5 it would sit at bit 6 of its cells (a shift of 2
-# carries that into the next cell's identity bit), and in family W no
-# translation moves it; every sink map at degree 3 is of no degree of the
-# triple.  A check that meets one raises MalformedModel and fails its item.
+# on no channel, at degree 5 its bit 6 would lie in the next 5-bit cell, and
+# in family W no translation moves it; every sink map at degree 3 is of no
+# degree of the triple.  A check that meets one raises MalformedModel and
+# fails its item.
 MALFORMED_FANS = [
     ("Z0-not-a-box", _z_entry(0, lambda v, e: e._replace(region=e.region._replace(lo_d=v.coord[0] - v.coord[1]))),
      ("simple0", "simple1", "finite1", "nonsimple1", "c2simple")),

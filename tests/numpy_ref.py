@@ -1,9 +1,9 @@
 """Numpy helpers for the tests: cubes as uint8 grids and the window
 associativity scan.
 
-The package itself is stdlib-only; these helpers read its int cubes as
-arrays of shape (nchan, nx, ny), the layout described in
-:mod:`kgcert.engine`.
+The package itself is stdlib-only; these helpers read its int cubes, whose
+cells are packed at the engine's width, as uint8 arrays of shape
+(nchan, nx, ny), one byte per cell (see :mod:`kgcert.engine`).
 """
 
 import numpy as np
@@ -14,6 +14,17 @@ from kgcert.model import ArrowMorphism
 def grid(eng, bits: int):
     """The cube ``bits`` as a read-only uint8 array of shape (nchan, nx, ny)."""
     return np.frombuffer(eng.cells(bits), dtype=np.uint8).reshape(eng.nchan, eng.nx, eng.ny)
+
+
+def unpack(buf, width: int, shape: tuple):
+    """A little-endian buffer of width-bit cells (the engine's packed
+    layout) as a uint8 array of the given shape, by numpy's bit unpacking:
+    a reference for ``WindowEngine.cells`` that shares none of its code.
+    Bits past the last cell must be zero."""
+    n = int(np.prod(shape))
+    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
+    assert not bits[width * n:].any(), "bits set past the last cell"
+    return np.packbits(bits[: width * n].reshape(n, width), axis=1, bitorder="little")[:, 0].reshape(shape)
 
 
 def point_index(eng, coord) -> tuple:

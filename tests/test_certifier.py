@@ -834,12 +834,15 @@ class _Int(int):
     pass
 
 
-@pytest.mark.parametrize(
+_NON_INT_FIELDS = pytest.mark.parametrize(
     "field,value,error",
     [("orbit", True, InvalidVertex), ("coord", (0.0, 1), InvalidVertex), ("coord", (0, True), InvalidVertex),
      ("aux", False, ParameterRange), ("aux", 0.0, ParameterRange), ("aux", _Int(0), ParameterRange)],
     ids=["bool-orbit", "float-a", "bool-b", "bool-aux", "float-aux", "int-subclass-aux"],
 )
+
+
+@_NON_INT_FIELDS
 def test_an_instance_with_a_non_int_field_raises_after_its_int_twin(field, value, error):
     """The memo and the last read key on equality, and B' on orbit True
     equals its twin on orbit 1; read right after that twin, and again with
@@ -855,6 +858,25 @@ def test_an_instance_with_a_non_int_field_raises_after_its_int_twin(field, value
             with pytest.raises(error):
                 read(wrong)
     assert list(s._parts) == [twin]
+
+
+@_NON_INT_FIELDS
+def test_a_tower_check_with_a_non_int_field_raises_after_its_int_twin(field, value, error):
+    """tower_check's memos key on equality too: on (2,3,0) at [-8,8]^2 the
+    instance raises the same error on a fresh session and on one where its
+    twin's tower (its own verdict and every step's) is memoised."""
+    t = validate_triple(2, 3, 0)
+    twin = Simple1Instance(KIND_BP, 1, (0, 1), 0)
+    wrong = twin._replace(**{field: value})
+    errors = []
+    for warm in (False, True):
+        s = C._Session(t, Window(-8, 8, -8, 8), 8)
+        if warm:
+            assert s.tower_check(twin) is True and twin in s._tower_cache and s._tower_step_cache
+        with pytest.raises(error) as caught:
+            s.tower_check(wrong)
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize(

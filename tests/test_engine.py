@@ -26,7 +26,7 @@ from kgcert.presentation import validate_triple
 
 import mutants
 from conftest import ACCEPTANCE_TRIPLES, ORBIT_TRIPLES
-from numpy_ref import grid, point_index
+from numpy_ref import grid, point_index, unpack
 from test_certifier import _non_sink_pair_quotient
 from test_functors import random_fp
 from test_model import _fan_bound_mutants, mutated_fan_entries
@@ -247,15 +247,15 @@ def test_bitset_engine_matches_uint8_reference_on_skewed_windows(r, n, m, box):
     assert_matches_reference(t, box, SKEWED_REACH, rng, 8)
 
 
-def fan_cube_grid(box, nchan, rows, columns=None):
-    """fan_cube on box as a uint8 grid, and the reference grid of the same
-    rows, each row being (channel, bit, region, excluded coordinate or None).
-    fan_cube reads and fills the table of column masks columns, a fresh one
-    when None."""
+def fan_cube_grid(box, nchan, width, rows, columns=None):
+    """fan_cube on box at width bits per cell, unpacked to a uint8 grid, and
+    the reference grid of the same rows, each row being (channel, bit,
+    region, excluded coordinate or None).  fan_cube reads and fills the
+    table of column masks columns, a fresh one when None."""
     x0, x1, y0, y1 = box
     nx, ny = x1 - x0 + 1, y1 - y0 + 1
-    got = _kernels.fan_cube(x0, nx, y0, ny, nchan, rows, {} if columns is None else columns)
-    assert got.readonly and got.nbytes == nchan * nx * ny
+    got = _kernels.fan_cube(x0, nx, y0, ny, nchan, width, rows, {} if columns is None else columns)
+    assert got.readonly and got.nbytes == (width * nchan * nx * ny + 7) // 8
     ref_rows = [
         (c, bit, _clip(reg.lo_x), _clip(reg.hi_x), _clip(reg.lo_y), _clip(reg.hi_y))
         + ((0, 0, 0) if ex is None else (1, *ex))
@@ -263,7 +263,13 @@ def fan_cube_grid(box, nchan, rows, columns=None):
     ]
     ref_rows = np.asarray(ref_rows, dtype=np.int64).reshape(len(rows), 9)
     ref = ref_fan_cube(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1), ref_rows, nchan)
-    return np.frombuffer(got, dtype=np.uint8).reshape(nchan, nx, ny), ref
+    return unpack(got, width, (nchan, nx, ny)), ref
+
+
+# The two widths of the engine: 2*max_degree + 1 for max_degree 1 (r == n)
+# and 2 (r < n); a row's bit is 1 << (degree + 1) for a degree up to
+# max_degree, so at most 1 << (width + 1) // 2.
+WIDTHS = [3, 5]
 
 
 @pytest.mark.parametrize("box", SKEWED_BOXES, ids=SKEWED_IDS)
@@ -280,7 +286,7 @@ def test_fan_cube_clips_rows_and_exclusions(box):
         R.box(x1 + 1, x1 + 3, y0, y1),
     ]
     rows = [(c % 2, 1 << (c % 3 + 1), reg, None) for c, reg in enumerate(outside)]
-    got, ref = fan_cube_grid(box, 2, rows)
+    got, ref = fan_cube_grid(box, 2, 5, rows)
     assert not ref.any() and np.array_equal(got, ref)
     # each excluded cell lies just outside one side or corner of the window
     full = R.box(x0 - 3, x1 + 3, y0 - 3, y1 + 3)
@@ -288,29 +294,31 @@ def test_fan_cube_clips_rows_and_exclusions(box):
         (x0 - 1, y0), (x1 + 1, y1), (x0, y0 - 1), (x1, y1 + 1),
         (x0 + 1, y1 + 1), (x1 - 1, y0 - 1), (x0 - 1, y0 - 1), (x1 + 1, y1 + 1),
     ]:
-        got, ref = fan_cube_grid(box, 3, [(1, 4, full, ex), (2, 2, full, None)])
+        got, ref = fan_cube_grid(box, 3, 5, [(1, 4, full, ex), (2, 2, full, None)])
         assert ref[1].all() and np.array_equal(got, ref), ex
     # and inside: exactly that cell is cleared
-    got, ref = fan_cube_grid(box, 3, [(1, 4, full, (x1, y0)), (2, 2, full, (x0, y1))])
+    got, ref = fan_cube_grid(box, 3, 5, [(1, 4, full, (x1, y0)), (2, 2, full, (x0, y1))])
     assert np.array_equal(got, ref)
     assert (ref[1] == 0).sum() == 1 and (ref[2] == 0).sum() == 1
 
 
 @pytest.mark.parametrize("box", SKEWED_BOXES, ids=SKEWED_IDS)
 def test_fan_cube_matches_reference_on_random_rows(box):
+    """At both widths."""
     rng = random.Random(hash(box))
 
     def bound(inf):
         return inf if rng.random() < 0.25 else rng.randint(-9, 9)
 
-    for _ in range(60):
-        rows = []
-        for _ in range(rng.randint(1, 6)):
-            reg = R.box(bound(R.NEG_INF), bound(R.POS_INF), bound(R.NEG_INF), bound(R.POS_INF))
-            ex = (rng.randint(-9, 9), rng.randint(-9, 9)) if rng.random() < 0.5 else None
-            rows.append((rng.randrange(3), 1 << rng.randint(1, 3), reg, ex))
-        got, ref = fan_cube_grid(box, 3, rows)
-        assert np.array_equal(got, ref), rows
+    for width in WIDTHS:
+        for _ in range(60):
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                reg = R.box(bound(R.NEG_INF), bound(R.POS_INF), bound(R.NEG_INF), bound(R.POS_INF))
+                ex = (rng.randint(-9, 9), rng.randint(-9, 9)) if rng.random() < 0.5 else None
+                rows.append((rng.randrange(3), 1 << rng.randint(1, (width + 1) // 2), reg, ex))
+            got, ref = fan_cube_grid(box, 3, width, rows)
+            assert np.array_equal(got, ref), (width, rows)
 
 
 # -- the rasteriser at the benchmark's sizes ------------------------------------------
@@ -323,7 +331,7 @@ BENCH_BOXES = [((-20, 20, -20, 20), 2), ((-10, 10, -10, 10), 3), ((3, 3, -20, 20
 BENCH_IDS = ["41x41-2ch", "21x21-3ch", "1x41", "41x1"]
 
 
-@pytest.mark.parametrize("stride", [8, 8 * 21, 8 * 41])
+@pytest.mark.parametrize("stride", [8, 8 * 21, 8 * 41, 3, 5, 3 * 41, 5 * 21])
 def test_repeat_is_the_geometric_series(stride):
     """_repeat(unit, stride, k) is unit times the series of k powers of
     2**stride, the product the rasteriser divided out before, for every k
@@ -335,29 +343,33 @@ def test_repeat_is_the_geometric_series(stride):
 
 @pytest.mark.parametrize("box,nchan", BENCH_BOXES, ids=BENCH_IDS)
 def test_fan_cube_matches_reference_at_benchmark_sizes(box, nchan):
-    """Random boxes with bounds in [-25, 25] or infinite, each with no
-    exclusion or one at a corner of its part inside the window, and the
-    window's own corners excluded from a box that covers it."""
+    """At both widths: random boxes with bounds in [-25, 25] or infinite,
+    each with no exclusion or one at a corner of its part inside the
+    window, and the window's own corners excluded from a box that covers
+    it, at the top degree's bit, the highest bit a fan sets in a cell."""
     x0, x1, y0, y1 = box
     rng = random.Random(hash(box))
 
     def bound(inf):
         return inf if rng.random() < 0.2 else rng.randint(-25, 25)
 
-    for _ in range(40):
-        rows = []
-        for _ in range(rng.randint(1, 6)):
-            reg = R.box(bound(R.NEG_INF), bound(R.POS_INF), bound(R.NEG_INF), bound(R.POS_INF))
-            xs = (max(reg.lo_x, x0), min(reg.hi_x, x1))
-            ys = (max(reg.lo_y, y0), min(reg.hi_y, y1))
-            corners = [(x, y) for x in xs for y in ys] if xs[0] <= xs[1] and ys[0] <= ys[1] else []
-            rows.append((rng.randrange(nchan), 1 << rng.randint(1, 3), reg, rng.choice(corners + [None])))
-        got, ref = fan_cube_grid(box, nchan, rows)
-        assert np.array_equal(got, ref), rows
-    cover = R.box(x0 - 25, x1 + 25, y0 - 25, y1 + 25)
-    for corner in [(x, y) for x in (x0, x1) for y in (y0, y1)]:
-        got, ref = fan_cube_grid(box, nchan, [(nchan - 1, 8, cover, corner), (0, 2, cover, None)])
-        assert np.array_equal(got, ref) and (ref[nchan - 1] == 0).sum() == 1, corner
+    for width in WIDTHS:
+        for _ in range(40):
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                reg = R.box(bound(R.NEG_INF), bound(R.POS_INF), bound(R.NEG_INF), bound(R.POS_INF))
+                xs = (max(reg.lo_x, x0), min(reg.hi_x, x1))
+                ys = (max(reg.lo_y, y0), min(reg.hi_y, y1))
+                corners = [(x, y) for x in xs for y in ys] if xs[0] <= xs[1] and ys[0] <= ys[1] else []
+                rows.append((rng.randrange(nchan), 1 << rng.randint(1, (width + 1) // 2), reg,
+                             rng.choice(corners + [None])))
+            got, ref = fan_cube_grid(box, nchan, width, rows)
+            assert np.array_equal(got, ref), (width, rows)
+        cover = R.box(x0 - 25, x1 + 25, y0 - 25, y1 + 25)
+        for corner in [(x, y) for x in (x0, x1) for y in (y0, y1)]:
+            rows = [(nchan - 1, 1 << (width + 1) // 2, cover, corner), (0, 2, cover, None)]
+            got, ref = fan_cube_grid(box, nchan, width, rows)
+            assert np.array_equal(got, ref) and (ref[nchan - 1] == 0).sum() == 1, (width, corner)
 
 
 # One engine per window, whose table of column masks fan_cube reads and
@@ -395,8 +407,9 @@ def test_fan_cube_cuts_boxes_from_the_engines_column_masks(triple, box):
             xs = (max(reg.lo_x, x0), min(reg.hi_x, x1))
             ys = (max(reg.lo_y, y0), min(reg.hi_y, y1))
             corners = [(x, y) for x in xs for y in ys] if xs[0] <= xs[1] and ys[0] <= ys[1] else []
-            rows.append((rng.randrange(eng.nchan), 1 << rng.randint(1, 3), reg, rng.choice(corners + [None])))
-        got, ref = fan_cube_grid(box, eng.nchan, rows, eng._columns)
+            rows.append((rng.randrange(eng.nchan), 1 << rng.randint(1, eng.max_degree + 1), reg,
+                         rng.choice(corners + [None])))
+        got, ref = fan_cube_grid(box, eng.nchan, eng.width, rows, eng._columns)
         assert np.array_equal(got, ref), rows
         boxes += len(rows)
     assert len(eng._columns) <= eng.ny * (eng.ny + 1) // 2
@@ -536,7 +549,7 @@ def test_simple0_check_fails_on_a_count_in_an_invalid_cell(t120, monkeypatch):
 
     def leaky_entry(self, v):
         c, off, image = real(self, v)
-        return (c | 2 << 8 * self.cell(leak), off, image) if v in (inside, outside) else (c, off, image)
+        return (c | 2 << self.width * self.cell(leak), off, image) if v in (inside, outside) else (c, off, image)
 
     assert s.simple0_check(inside) is True
     assert s.simple0_check(outside) is True
@@ -614,6 +627,98 @@ def test_sink_image_is_exact_on_every_fan_bound_mutant(monkeypatch):
     assert smaller > 0
 
 
+# -- the packed layout ---------------------------------------------------------------
+#
+# A cube packs its cells at 2*max_degree + 1 bits (see kgcert.engine).  The
+# cells where a shift can cross into a neighbour are those holding the top
+# data bit, max_degree + 1; the neighbour is the next cell of the x-row, or
+# the first cell of the next x-row, of the next channel, or past the window.
+
+PACKED = [((1, 2, 0), (-5, 6, -4, 7)), ((2, 2, 1), (-5, 6, -4, 7))]
+PACKED_IDS = ["120-r<n", "221-r==n"]
+
+
+def packed_tops(eng, rng):
+    """Per group, up to four tops: vertices in [-SKEWED_REACH, SKEWED_REACH]^2
+    whose reference cube sets the top data bit on the last cell of an x-row
+    (not of a channel), of a channel (not the last) or of the window, and
+    vertices of each channel inside the window."""
+    top = 1 << (eng.max_degree + 1)
+    out = {"x-row": [], "channel": [], "window": []}
+    out.update({chan: [] for chan in eng.channels})
+    for v in M.vertices_in_box(eng.t, -SKEWED_REACH, SKEWED_REACH, -SKEWED_REACH, SKEWED_REACH):
+        hit = (ref_cube(eng, v) & top) != 0
+        for edge, cells in (("x-row", hit[:, :-1, -1]), ("channel", hit[:-1, -1, -1]), ("window", hit[-1, -1, -1])):
+            if cells.any():
+                out[edge].append(v)
+        if eng.in_window(v.coord):
+            out[v.family, v.orbit].append(v)
+    for group, tops in out.items():
+        assert tops, group
+        out[group] = rng.sample(tops, min(4, len(tops)))
+    return out
+
+
+def packed_mismatches(t, box, width, groups, rng):
+    """The checks, on an engine whose cells are width bits wide, where the
+    engine's cube, basis cube, sink image, images or kernels differ from the
+    uint8 reference, or where a cube overflows its buffer; at the tops of
+    groups (packed_tops) and, per top, every arrow of degree max_degree (a
+    shift by max_degree) and two of each lower degree, with targets in the
+    window grown by 2."""
+    eng = WindowEngine(t, box)
+    eng.width = width
+    x0, x1, y0, y1 = box
+    grown = R.box(x0 - 2, x1 + 2, y0 - 2, y1 + 2)
+    wrong = []
+    for group, tops in groups.items():
+        for top in tops:
+            arrows = {d: [] for d in range(t.max_degree + 1)}
+            for e in M.arrow_fan(t, top).entries:
+                for p in R.enumerate_points(e.region, grown):
+                    if not (e.excludes_src and p == top.coord):
+                        arrows[e.degree].append(ArrowMorphism(top, VertexId(e.family, e.orbit, p), e.degree))
+            us = arrows.pop(t.max_degree) + [u for lower in arrows.values() for u in rng.sample(lower, min(2, len(lower)))]
+            try:
+                checks = [
+                    ("cube", eng.cube(top), ref_cube(eng, top)),
+                    ("basis", eng.basis_cube(top), ref_basis_cube(eng, top)),
+                    ("sink", eng._sink_image(top), ref_image_cube(eng, top, M.ar_sink_maps(t, top))),
+                ]
+                for u in us:
+                    checks.append(("image", eng._image(top, u.dst, u.degree), ref_image_cube(eng, top, (u,))))
+                    mod = rng.sample(us, min(2, len(us)))
+                    got = eng._kernel(top, u.dst, u.degree, eng.image_cube(top, mod))
+                    checks.append(("kernel", got, ref_kernel_cube(eng, top, u, ref_image_cube(eng, top, mod))))
+            except OverflowError:  # a cell's bits ran past the cube's last byte
+                wrong.append(("overflow", group, top))
+                continue
+            wrong += [(name, group, top) for name, got, ref in checks if not np.array_equal(grid(eng, got), ref)]
+    return wrong
+
+
+@pytest.mark.parametrize("triple,box", PACKED, ids=PACKED_IDS)
+def test_the_packed_layout_is_exact_and_its_width_is_tight(triple, box, monkeypatch):
+    """At 2*max_degree + 1 bits per cell the engine's cubes, sink images,
+    images and kernels equal the uint8 reference at tops whose top data bit
+    sits on the last cell of an x-row, of a channel and of the window, under
+    shifts by max_degree; cells() unpacks like numpy.  One bit narrower,
+    some of them differ, on r < n and on r == n."""
+    # the reference cube of each vertex once per engine (the arrays are not written to)
+    monkeypatch.setattr(sys.modules[__name__], "ref_cube", lru_cache(maxsize=None)(ref_cube))
+    t = validate_triple(*triple)
+    eng = WindowEngine(t, box)
+    width = eng.width
+    assert width == 2 * t.max_degree + 1
+    groups = packed_tops(eng, random.Random(1))
+    assert packed_mismatches(t, box, width, groups, random.Random(2)) == []
+    assert packed_mismatches(t, box, width - 1, groups, random.Random(2))
+    rng = random.Random(3)
+    for bits in [0, (1 << width * eng.ncells) - 1] + [rng.getrandbits(width * eng.ncells) for _ in range(20)]:
+        packed = bits.to_bytes((width * eng.ncells + 7) // 8, "little")
+        assert eng.cells(bits) == unpack(packed, width, (eng.nchan, eng.nx, eng.ny)).tobytes()
+
+
 # -- degrees outside 0..max_degree ----------------------------------------------------
 
 
@@ -652,10 +757,10 @@ def test_out_of_range_degree_is_rejected(triple, degree):
 )
 def test_a_malformed_fan_entry_is_rejected(t120, name, match, monkeypatch):
     """The engine rasters a fan entry only on a window channel, at a degree
-    in 0..max_degree (a degree-5 entry would sit at bit 6 of its cells, and
-    a shift of 2 would carry it into the next cell's identity bit) and with
-    a box region; a Z record of the catalogue's malformed fans raises
-    MalformedModel, and the X records, left as they are, do not."""
+    in 0..max_degree (a degree-5 entry's bit 6 would lie in the next 5-bit
+    cell) and with a box region; a Z record of the catalogue's malformed
+    fans raises MalformedModel, and the X records, left as they are, do
+    not."""
     (change,) = [change for row, change, _ in mutants.MALFORMED_FANS if row == name]
     monkeypatch.setattr(M, "_fan_entries", mutants.every_record(change))
     eng = WindowEngine(t120, (-4, 4, -4, 4))
@@ -759,4 +864,4 @@ def test_fan_cube_rejects_difference_bounds(bounds):
     rasterised wrongly, so it is refused."""
     reg = R.Region(lo_x=0, hi_x=3, lo_y=0, hi_y=3, **bounds)
     with pytest.raises(ValueError, match="not a box"):
-        _kernels.fan_cube(0, 4, 0, 4, 1, [(0, 2, reg, None)], {})
+        _kernels.fan_cube(0, 4, 0, 4, 1, 5, [(0, 2, reg, None)], {})
