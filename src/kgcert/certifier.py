@@ -54,6 +54,13 @@ decides a symbolic gap from fan records alone, so the finite1 memo is kept
 per class and each class is stepped once per session.  When r < n each step
 compares kernels clipped to the window, whose evidence depends on where the
 step sits, so the memo is kept per vertex.
+
+A certification's whole state lives in its ``_Session``: the engine it
+builds for its window (cubes, sink images and column masks), the interned
+translation forms, the tower-step and finite1 memos, and one memo of the
+simple1 instances read, each with its denominator image.  None of it
+outlives the call, so a certificate and its stats do not depend on what the
+process certified before.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from . import functors, model, regions
-from .engine import WindowEngine, get_engine
+from .engine import WindowEngine
 from .errors import (
     InvalidVertex,
     KgcertError,
@@ -96,8 +103,8 @@ KIND_B_INF = "B"
 
 class Simple1Instance(NamedTuple):
     """One instance of a simple-modulo-finite quotient lemma; a NamedTuple
-    value like those of :mod:`kgcert.model`, since the tower memo is keyed
-    by it."""
+    value like those of :mod:`kgcert.model`, since the session's memos are
+    keyed by it."""
 
     kind: str
     orbit: int
@@ -424,32 +431,37 @@ def instance_functor(t: GentleTriple, inst: Simple1Instance) -> FpFunctor:
 
 
 class _Session:
-    """Shared engine, caches and record sink for one certification run: the
-    triple (validated, so an inadmissible one raises OmegaViolation), its
-    mode row, the window and its region, and the depth (tower length, chain
-    depth K and the L1 bound of every chain sweep)."""
+    """The whole state of one certification run: the triple (validated, so
+    an inadmissible one raises OmegaViolation), its mode row, the window and
+    its region, the depth (tower length, chain depth K and the L1 bound of
+    every chain sweep), the session's own window engine, its memos and its
+    record sink.  The window must be a Window and the depth an int (not a
+    bool) >= 0; anything else raises ParameterRange, since a negative depth
+    clips every sweep and tower to nothing."""
 
     def __init__(self, t: GentleTriple, window: Window, depth: int):
+        if not isinstance(window, Window):
+            raise ParameterRange(f"window must be a Window, got {window!r}")
+        if type(depth) is not int or depth < 0:
+            raise ParameterRange(f"depth must be an int >= 0, got {depth!r}")
         self.t = t = validate_triple(*t)
         self.mode: _Mode = _MODES[t.is_finite_mode]
         self.window = window
         self.wreg = window.region()
         self.depth = depth
-        self.eng: WindowEngine = get_engine(t, window.box)
+        self.eng = WindowEngine(t, window.box)
         self.records: list = []
         # "phases": per phase in record order, its representatives ("items"),
         # the box items they cover, the representatives checked and the
         # seconds taken; "caches": the sizes of the caches below and of the
         # engine's after the last phase (see _cache_sizes).
         self.stats: dict = {"phases": [], "caches": {}}
-        self._tower_cache: dict = {}
         self._tower_step_cache: dict = {}
         self._finite1_cache: dict = {}
         self._forms: dict = {}  # the interned normal forms of fan records
         self._form_at: dict = {}  # vertex -> (its fan record, (the record's normal form, sinks_ok))
         self._fixed_by: dict = {}  # (sigma index, normal form) -> whether sigma fixes the form
-        self._parts: dict = {}  # Simple1Instance -> _simple1_parts of it, successes only
-        self._read: tuple = (None, None)  # (the parts, self._instance(inst)) of the last instance read
+        self._parts: dict = {}  # Simple1Instance -> self._instance(inst), successes only
 
     def record(self, lemma: str, params: dict, passed: bool, detail: str = "") -> bool:
         self.records.append(CheckRecord(lemma, params, passed, detail))
@@ -457,43 +469,28 @@ class _Session:
 
     # -- small helpers ------------------------------------------------------
 
-    def _instance_parts(self, inst: Simple1Instance) -> tuple:
-        """(top, the top's fan record, the generators (f, g)) of a simple1
-        instance, as _simple1_parts gives them, raising where it raises.
-        Memoised per instance for the session, parts that raise excepted.
-        The memo is read only once the orbit, coordinates and aux are of
-        type int, as the engine's _vertex rule does before its cube cache:
-        the memo keys on equality, and an instance on orbit True equals its
-        twin on orbit 1.  _simple1_parts raises for any other type."""
-        _, orbit, (a, b), aux = inst
-        if not (type(orbit) is int and type(a) is int and type(b) is int and type(aux) is int):
-            return _simple1_parts(self.t, *inst)
-        parts = self._parts.get(inst)
-        if parts is None:
-            parts = self._parts[inst] = _simple1_parts(self.t, *inst)
-        return parts
-
     def _instance(self, inst: Simple1Instance) -> tuple:
         """(top, the top's fan record, the generators (f, g), the denominator
-        image) of a simple1 instance: the parts of _instance_parts, which
-        instance_functor gives, raising where it raises, and the image of
-        the generators.  The parts are kept for the session; the image only
-        for the last read (an image per instance raises peak memory by half
-        or more): a case analysis reads the instance that its layer step
-        just read, a tower's first step the one its case analysis read, and
-        each later step the one the step below read as its sub.  The last
-        read is known by its parts object, one per memoised instance, so it
-        is found only after _instance_parts has applied the int rule."""
-        parts = self._instance_parts(inst)
-        read = self._read
-        if read[0] is not parts:
-            top, rec, gens = parts
+        image) of a simple1 instance: the parts that _simple1_parts gives,
+        raising where it raises, and the image of the generators.  Memoised
+        per instance for the session, instances that raise excepted.  The
+        memo is read only once the orbit, coordinates and aux are of type
+        int, as the engine's _vertex rule does before its cube cache: the
+        memo keys on equality, and an instance on orbit True equals its twin
+        on orbit 1.  _simple1_parts raises for any other type."""
+        _, orbit, (a, b), aux = inst
+        memo = type(orbit) is int and type(a) is int and type(b) is int and type(aux) is int
+        hit = self._parts.get(inst) if memo else None
+        if hit is None:
+            top, rec, gens = _simple1_parts(self.t, *inst)
             den = 0
             for f in gens:
                 if f is not ZERO:
                     den |= self.eng._image(top, f.dst, f.degree)
-            read = self._read = parts, (top, rec, gens, den)
-        return read[1]
+            hit = top, rec, gens, den
+            if memo:
+                self._parts[inst] = hit
+        return hit
 
     def _factors_region(self, split_region, gen, entry) -> bool:
         """True iff every basis arrow from the top into split_region (within
@@ -515,20 +512,14 @@ class _Session:
     # -- tower + case analysis ----------------------------------------------
 
     def tower_check(self, inst: Simple1Instance) -> bool:
-        """The instance's case analysis and tower, memoised per instance.
-        Both memos key on equality, so _instance_parts's int rule comes
-        first: an instance on orbit True raises as on a fresh session rather
-        than read its twin's verdict on orbit 1.  The rule covers every
-        tower step read from _tower_step_cache too, since a step has the
-        instance's orbit and aux and its coordinates plus int multiples of
-        the kind's shift."""
-        self._instance_parts(inst)
-        hit = self._tower_cache.get(inst)
-        if hit is not None:
-            return hit
-        ok = self._case_analysis(inst) and self._tower_sequences(inst)
-        self._tower_cache[inst] = ok
-        return ok
+        """The instance's case analysis, then its tower.  The case analysis
+        first reads the instance, so _instance's int rule comes before the
+        step memo, which keys on equality: an instance on orbit True raises
+        as on a fresh session rather than read its twin's steps on orbit 1.
+        The rule covers every step, since a step has the instance's orbit
+        and aux and its coordinates plus int multiples of the kind's
+        shift."""
+        return self._case_analysis(inst) and self._tower_sequences(inst)
 
     def _tower_sequences(self, inst: Simple1Instance) -> bool:
         """Exact sequences 0 -> inst@(coord+(l+1)s) -> inst@(coord+l s) -> A -> 0, l <= depth."""
@@ -547,8 +538,7 @@ class _Session:
 
     def _tower_step(self, here: Simple1Instance, nxt: Simple1Instance) -> bool:
         """The exact sequence 0 -> nxt -> here -> A -> 0, for nxt one step up
-        here's tower and A the sink-map simple at here's top.  here is read
-        before nxt, so the step above reuses this step's read of nxt."""
+        here's tower and A the sink-map simple at here's top."""
         eng = self.eng
         top, rec, _, mid_image = self._instance(here)
         sub_top, _, _, sub_image = self._instance(nxt)
@@ -739,15 +729,15 @@ class _Session:
         image of g by construction, so comparing the kernel of (- o g) modulo
         f with the C-object's denominator is the whole exactness check.
         r == n: the gap between <f, g> and <f> has finite symbolic support.
-        The r < n step takes f and g from the session's memo of instance
-        parts; the r == n step builds the quotient by instance_functor."""
+        The r < n step takes f and g from the session's memo of instances;
+        the r == n step builds the quotient by instance_functor."""
         t = self.t
         quot_kind, sub_kind = self.mode.finite1[w.family]
         quot = _largest_aux(t, quot_kind, w)
         if sub_kind is None:
             f, g = instance_functor(t, quot).denominators.generators
         else:
-            f, g = self._instance_parts(quot)[2]
+            f, g = self._instance(quot)[2]
         if at_border != isinstance(f, ZeroMorphism) or isinstance(g, ZeroMorphism):
             return False
         if sub_kind is None:
@@ -1007,7 +997,7 @@ def _passes(s: _Session, phase: _Phase, item) -> bool:
 
 # The caches that Certificate.stats sizes, in the order _cache_sizes reads them.
 _CACHES = (
-    "translation_forms", "tower_memo", "step_memo", "finite1_memo", "instance_parts",
+    "translation_forms", "step_memo", "finite1_memo", "instance_parts",
     "engine_cubes", "sink_decisions", "box_masks",
 )
 
@@ -1015,7 +1005,7 @@ _CACHES = (
 def _cache_sizes(s: _Session) -> dict:
     entries = s.eng._entries.values()
     sizes = (
-        len(s._forms), len(s._tower_cache), len(s._tower_step_cache), len(s._finite1_cache), len(s._parts),
+        len(s._forms), len(s._tower_step_cache), len(s._finite1_cache), len(s._parts),
         len(entries), sum(entry[2] is not None for entry in entries), len(s.eng._columns),
     )
     return dict(zip(_CACHES, sizes))
@@ -1073,7 +1063,8 @@ def certify(
 
     ``stats`` of the result gives, per phase, the representatives, the box
     items they cover, the representatives checked and the seconds taken,
-    and the sizes of the session's memos and of the engine's caches.
+    and the sizes of the session's memos and of the engine's caches, all of
+    this call alone.
     """
     if depth < 1:
         raise ParameterRange(f"depth must be >= 1, got {depth}")

@@ -57,6 +57,10 @@ cells repeated on every x-row of the window; the engine keeps those masks
 in ``_columns``, keyed by the run's (iy0, iy1), so each is built once per
 window and the table holds at most ny*(ny+1)/2 of them.
 
+Each ``certify`` session builds its own engine, whose caches live as long
+as the call.  :func:`get_engine` keeps up to 32 engines across calls, for
+``functors.ses_check`` and ``functors.image_presentation_check``.
+
 The cube cache ``_entries`` is keyed by the
 :class:`~kgcert.model.VertexId` itself, a NamedTuple that hashes and
 compares in C.  It keys on equality, and X:True:(0,1) equals X:1:(0,1), so

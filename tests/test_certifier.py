@@ -6,6 +6,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import threading
 from types import MappingProxyType
 
@@ -32,7 +34,7 @@ from kgcert.certifier import (
     check_simple1_tower,
 )
 from kgcert.cli import main as cli_main
-from kgcert.engine import WindowEngine, get_engine
+from kgcert.engine import WindowEngine
 from kgcert.errors import (
     InvalidVertex,
     KgcertError,
@@ -518,6 +520,41 @@ def test_lemma_depth_errors_are_parameter_range(t120):
     assert issubclass(ParameterRange, ValueError)
 
 
+W3 = Window(-3, 3, -3, 3)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda t: certify(t, W3, True),
+        lambda t: certify(t, W3, 2.0),
+        lambda t: check_nonsimple1(t, V("Z", 0, 0, 0), 1.5, W3),
+        lambda t: certify(t, (-3, 3, -3, 3), 2),
+        lambda t: check_simple0(t, V("Z", 0, 0, 0), (-3, 3, -3, 3)),
+    ],
+    ids=["bool depth", "float depth", "fractional depth", "tuple window", "tuple window, simple0"],
+)
+def test_a_session_takes_only_a_window_and_an_int_depth(t120, run):
+    """Every certify and check_* session takes a Window and a depth of type
+    int, not a bool, that is >= 0; anything else is a ParameterRange, not
+    a certificate with "depth": true or a bare ValueError, TypeError or
+    AttributeError from deeper down (a negative depth: the next test)."""
+    with pytest.raises(ParameterRange):
+        run(t120)
+
+
+def test_a_negative_depth_gathers_no_evidence_and_is_refused(t120, monkeypatch):
+    """Under the catalogue's C'-chain4-u kind-row mutant the layer-two case
+    analysis at Z:0:(0,0) fails at depths 0, 1 and 4.  Depth -1 would clip
+    every sweep and tower to nothing and pass; it is refused instead."""
+    (_, kind, field, value, _), = [row for row, name in zip(KIND_ROW_MUTANTS, KIND_ROW_IDS) if name == "C'-chain4-u"]
+    monkeypatch.setitem(C._KINDS, kind, C._KINDS[kind]._replace(**{field: value}))
+    v = V("Z", 0, 0, 0)
+    assert [check_c2_simple(t120, v, Window(-4, 4, -4, 4), depth) for depth in (0, 1, 4)] == [False] * 3
+    with pytest.raises(ParameterRange):
+        check_c2_simple(t120, v, Window(-4, 4, -4, 4), -1)
+
+
 # -- the layer-two case analysis ------------------------------------------------------------
 
 
@@ -780,32 +817,36 @@ BENCH_IDS = [f"{r}{n}{m}-w17" for r, n, m in ACCEPTANCE_TRIPLES] + ["120-w21", "
 @pytest.mark.parametrize("triple,half", BENCH_INPUTS, ids=BENCH_IDS)
 def test_the_instance_memo_holds_what_simple1_parts_gives(triple, half, monkeypatch):
     """Every instance that certify reads on a benchmark input is memoised
-    with the parts a fresh _simple1_parts gives it; an instance whose parts
-    raise has no entry."""
+    with the parts a fresh _simple1_parts gives it and the image of its
+    generators on a fresh engine; an instance whose parts raise has no
+    entry."""
     t = validate_triple(*triple)
     sessions, read = [], set()
-    real = C._Session._instance_parts
+    real = C._Session._instance
 
     def spy(self, inst):
         sessions.append(self)
         read.add(inst)
         return real(self, inst)
 
-    monkeypatch.setattr(C._Session, "_instance_parts", spy)
+    monkeypatch.setattr(C._Session, "_instance", spy)
     assert certify(t, Window(-half, half, -half, half), 8).passed
     monkeypatch.undo()
     (s,) = set(sessions)
+    eng = WindowEngine(t, s.window.box)
     parts = {}
     for inst in read:
         with contextlib.suppress(KgcertError):
-            parts[inst] = C._simple1_parts(t, *inst)
+            top, rec, gens = C._simple1_parts(t, *inst)
+            parts[inst] = (top, rec, gens, eng.image_cube(top, gens))
     assert parts and s._parts == parts
 
 
 def test_an_instance_whose_parts_raise_raises_on_every_read(t120, t110):
-    """A read that raises leaves no memo entry and no last read behind: it
-    raises again on each later read, with the memo warm around it, and the
-    read of a good instance between two is still its own."""
+    """A read that raises leaves no memo entry behind: it raises again on
+    each later read, by _instance or by a tower check, with the memo warm
+    around it, and the read of a good instance between two is still its
+    own."""
     cases = [
         (t120, Simple1Instance(KIND_CP, 0, (0, 0), 1), [
             (Simple1Instance(KIND_CP, 0, (0, 0), 2), ParameterRange),  # aux above its top, a + m + 1 = 1
@@ -823,7 +864,7 @@ def test_an_instance_whose_parts_raise_raises_on_every_read(t120, t110):
         want = C._Session(t, W6, 4)._instance(good)
         for _ in range(3):
             for wrong, error in bad:
-                for read in (s._instance, s._instance_parts):
+                for read in (s._instance, s.tower_check):
                     with pytest.raises(error):
                         read(wrong)
                 assert s._instance(good) == want
@@ -844,9 +885,10 @@ _NON_INT_FIELDS = pytest.mark.parametrize(
 
 @_NON_INT_FIELDS
 def test_an_instance_with_a_non_int_field_raises_after_its_int_twin(field, value, error):
-    """The memo and the last read key on equality, and B' on orbit True
-    equals its twin on orbit 1; read right after that twin, and again with
-    the twin memoised, the instance still raises what build_simple1 raises."""
+    """The memo keys on equality, and B' on orbit True equals its twin on
+    orbit 1; read right after that twin, and again with the twin memoised,
+    the instance still raises what build_simple1 raises, by _instance and
+    by a tower check."""
     t = validate_triple(2, 3, 0)
     twin = Simple1Instance(KIND_BP, 1, (0, 1), 0)
     wrong = twin._replace(**{field: value})
@@ -854,7 +896,7 @@ def test_an_instance_with_a_non_int_field_raises_after_its_int_twin(field, value
     s = C._Session(t, W6, 4)
     for _ in range(2):
         s._instance(twin)
-        for read in (s._instance, s._instance_parts, lambda inst: build_simple1(t, *inst)):
+        for read in (s._instance, s.tower_check, lambda inst: build_simple1(t, *inst)):
             with pytest.raises(error):
                 read(wrong)
     assert list(s._parts) == [twin]
@@ -864,7 +906,7 @@ def test_an_instance_with_a_non_int_field_raises_after_its_int_twin(field, value
 def test_a_tower_check_with_a_non_int_field_raises_after_its_int_twin(field, value, error):
     """tower_check's memos key on equality too: on (2,3,0) at [-8,8]^2 the
     instance raises the same error on a fresh session and on one where its
-    twin's tower (its own verdict and every step's) is memoised."""
+    twin's read and every step of its tower are memoised."""
     t = validate_triple(2, 3, 0)
     twin = Simple1Instance(KIND_BP, 1, (0, 1), 0)
     wrong = twin._replace(**{field: value})
@@ -872,7 +914,7 @@ def test_a_tower_check_with_a_non_int_field_raises_after_its_int_twin(field, val
     for warm in (False, True):
         s = C._Session(t, Window(-8, 8, -8, 8), 8)
         if warm:
-            assert s.tower_check(twin) is True and twin in s._tower_cache and s._tower_step_cache
+            assert s.tower_check(twin) is True and twin in s._parts and s._tower_step_cache
         with pytest.raises(error) as caught:
             s.tower_check(wrong)
         errors.append((type(caught.value), str(caught.value)))
@@ -909,7 +951,6 @@ def test_stats_size_the_instance_memo_and_the_column_masks(t120, monkeypatch):
         return real(s)
 
     monkeypatch.setattr(C, "_run_phases", spy)
-    get_engine.cache_clear()
     sizes = certify(t120, W4, 2).stats["caches"]
     (s,) = sessions
     ny = W4.y1 - W4.y0 + 1
@@ -1305,13 +1346,9 @@ def test_a_fan_with_the_wrong_orbit_wrap_fails(monkeypatch, triple, failed):
     instead of certify raising InvalidVertex.  The module's own caches keep
     the model's records."""
     t = validate_triple(*triple)
-    get_engine.cache_clear()
-    try:
-        with monkeypatch.context() as m:
-            wrong_orbit_wrap(m)
-            cert = certify(t, Window(-4, 4, -4, 4), 4)
-    finally:
-        get_engine.cache_clear()  # the engines read the broken fans
+    with monkeypatch.context() as m:
+        wrong_orbit_wrap(m)
+        cert = certify(t, Window(-4, 4, -4, 4), 4)
     assert cert.verdict == "fail"
     assert [c.lemma for c in cert.checks if not c.passed] == [*failed, "collapse_layers"]
     for v in M.vertices_in_box(t, -4, 4, -4, 4):
@@ -1630,12 +1667,8 @@ def test_a_vertex_moved_off_the_translation_fails_translation(t120, monkeypatch)
     the moved one."""
     v = VertexId("X", 0, (3, 3))
     monkeypatch.setattr(M, "_fan_entries", moved_at_one_vertex(v, 0, "hi_x", -1))
-    get_engine.cache_clear()
-    try:
-        cert = certify(t120, W4, 2)
-    finally:
-        monkeypatch.undo()
-        get_engine.cache_clear()
+    cert = certify(t120, W4, 2)
+    monkeypatch.undo()
     translation = cert.checks[0]
     assert translation.lemma == "translation" and not translation.passed
     assert translation.detail == "failed at X:0:(2,2)"
@@ -1707,24 +1740,28 @@ def test_stats_count_every_item_once(t120):
     assert "stats" not in cert.to_json()
 
 
-def _cache_sizes_of_a_fresh_run(t):
-    """stats["caches"] of certify(t, W4, 2) on a fresh engine, as a new
-    kgcert process has, with the engine's own counts of its cubes and sink
-    decisions."""
-    get_engine.cache_clear()
-    sizes = certify(t, W4, 2).stats["caches"]
-    eng = get_engine(t, W4.box)
+def _cache_sizes_of_a_run(t):
+    """stats["caches"] of certify(t, W4, 2), with the counts of the cubes
+    and sink decisions of the engine that its session built."""
+    sessions = []
+    real = C._run_phases
+    C._run_phases = lambda s: sessions.append(s) or real(s)
+    try:
+        sizes = certify(t, W4, 2).stats["caches"]
+    finally:
+        C._run_phases = real
+    (s,) = sessions
+    eng = s.eng
     return sizes, len(eng._entries), sum(image is not None for _, _, image in eng._entries.values())
 
 
 # -- the same certificate in a fresh process ----------------------------------------
 #
-# certify runs in one process, but get_engine and model._fan_entries outlive
-# a call, so a certificate made here may start from caches that earlier
-# tests warmed.  The tests below also certify in a forked child that clears
-# them first, as a new kgcert process starts, and compare its reply with
-# this process's run.  Checks patched on the class are inherited by the
-# child.
+# certify runs in one process, but model._fan_entries outlives a call, so a
+# certificate made here may start from a cache that earlier tests warmed.
+# The tests below also certify in a forked child that clears it first, as a
+# new kgcert process starts, and compare its reply with this process's run.
+# Checks patched on the class are inherited by the child.
 
 
 def _in_a_child(run):
@@ -1736,7 +1773,6 @@ def _in_a_child(run):
         code = 1
         try:
             os.close(r)
-            get_engine.cache_clear()
             getattr(M._fan_entries, "cache_clear", lambda: None)()
             try:
                 reply = ["ok", run()]
@@ -1975,19 +2011,39 @@ def test_a_running_thread_keeps_certify_in_one_process(t110, monkeypatch):
 
 @pytest.mark.parametrize("split", [False, True], ids=["one process", "two"])
 def test_stats_give_the_cache_sizes_of_each_process(t120, split):
-    """The sizes of the four session caches and the engine's two caches, one
-    set for the one process that certifies; every one is in use on a
-    passing run.  A fresh child reports the same sizes as a fresh engine
-    here."""
-    sizes, cubes, decisions = _cache_sizes_of_a_fresh_run(t120)
+    """The sizes of the four session caches and the engine's three caches,
+    one set for the one process that certifies; every one is in use on a
+    passing run.  A fresh child reports the same sizes as a run here,
+    whatever this process certified before."""
+    sizes, cubes, decisions = _cache_sizes_of_a_run(t120)
     if split:
-        reply = _in_a_child(lambda: _cache_sizes_of_a_fresh_run(t120))
+        reply = _in_a_child(lambda: _cache_sizes_of_a_run(t120))
         assert reply == ["ok", [sizes, cubes, decisions]]
     assert list(sizes) == list(C._CACHES)
     assert all(type(n) is int and n > 0 for n in sizes.values()), sizes
     assert sizes["engine_cubes"] == cubes
     assert sizes["sink_decisions"] == decisions
     assert sizes["sink_decisions"] <= sizes["engine_cubes"]
+
+
+_FRESH_STATS = """
+import json
+from kgcert import Window, certify, validate_triple
+print(json.dumps(certify(validate_triple(1, 2, 0), Window(-8, 8, -8, 8), 2).stats["caches"]))
+"""
+
+
+def test_stats_after_a_deeper_run_are_those_of_a_new_interpreter(t120):
+    """certify(t120, [-8,8]^2, 2) right after a depth-8 run at the same
+    window reports the cache sizes that a new interpreter reports: the
+    deeper run leaves no cube behind for the next call to count."""
+    window = Window(-8, 8, -8, 8)
+    certify(t120, window, 8)
+    here = certify(t120, window, 2).stats["caches"]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(C.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_STATS], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == here
 
 
 def _cache_sizes_ok(caches):
@@ -2018,7 +2074,7 @@ _SIZES = dict.fromkeys(C._CACHES, 3)
         [3, 3, 3, 3, 3],
         {k: 3 for k in C._CACHES[1:]},
         {**_SIZES, "extra": 3},
-        {**_SIZES, "tower_memo": -1},
+        {**_SIZES, "finite1_memo": -1},
         {**_SIZES, "step_memo": True},
         {**_SIZES, "sink_decisions": 3.0},
         {**_SIZES, "engine_cubes": "3"},
@@ -2030,7 +2086,6 @@ def test_helper_reply_with_bad_cache_sizes_is_rejected(t110, tmp_path, caches):
     with the stats it wrote: the same as this process writes, with cache
     sizes that pass the rule above.  The same reply with the named defect
     in its cache sizes fails the rule."""
-    get_engine.cache_clear()  # an engine as fresh as the child's
     stats = _stats_of_the_command(t110, tmp_path / "here.json")
     reply = _in_a_child(lambda: _stats_of_the_command(t110, tmp_path / "child.json"))
     assert reply[0] == "ok"

@@ -16,7 +16,7 @@ from kgcert import certifier as C
 from kgcert import functors as F
 from kgcert import model as M
 from kgcert import regions as R
-from kgcert.engine import WindowEngine, get_engine
+from kgcert.engine import WindowEngine
 from kgcert.errors import InvalidVertex, MalformedModel
 from kgcert.functors import FpFunctor, Subfunctor
 from kgcert.engine import ID_BIT
@@ -568,7 +568,6 @@ def test_simple0_check_matches_reference_on_every_fan_bound_mutant(r, n, m, monk
     for mutant in _fan_bound_mutants(t):
         with monkeypatch.context() as mp:
             mp.setattr(M, "_fan_entries", mutated_fan_entries(*mutant))
-            get_engine.cache_clear()  # an engine keeps the cubes of the fan it was built on
             # the reference cube of each vertex once per mutant (the arrays are not written to)
             mp.setattr(sys.modules[__name__], "ref_cube", lru_cache(maxsize=None)(ref_cube))
             s = C._Session(t, Window(-4, 4, -4, 4), 1)
@@ -577,7 +576,6 @@ def test_simple0_check_matches_reference_on_every_fan_bound_mutant(r, n, m, monk
                 gens = C.build_simple0(t, v).denominators.generators
                 assert passed == ref_simple0_check(s.eng, v, gens), (mutant, v)
                 failed += not passed
-    get_engine.cache_clear()
     assert failed > 0
 
 

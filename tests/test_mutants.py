@@ -3,34 +3,49 @@
 import pytest
 
 from kgcert.certifier import certify
-from kgcert.engine import get_engine
 from kgcert.functors import Window
 from kgcert.presentation import validate_triple
 
 import mutants
 
 ROWS = mutants.catalogue()
+IDS = [row.name for row in ROWS]
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
-def test_certify_fails_each_mutant_at_its_pinned_lemmas(row, monkeypatch):
+def _certify(row, patch=lambda m: None):
+    """certify at the row's triple, window and depth, with patch applied:
+    row.patch for the mutant, none for the valid model."""
+    h = row.half
+    with pytest.MonkeyPatch.context() as m:
+        patch(m)
+        return certify(validate_triple(*row.triple), Window(-h, h, -h, h), row.depth)
+
+
+def _assert_pinned(row, cert):
     """A mutant outside SURVIVORS fails certify at exactly its pinned
     lemmas; a single-vertex breaker may instead fail translation first and
     then a subset of them.  A survivor or an equivalent mutant passes."""
-    get_engine.cache_clear()  # an engine keeps the cubes of the fan it was built on
-    try:
-        row.patch(monkeypatch)
-        h = row.half
-        cert = certify(validate_triple(*row.triple), Window(-h, h, -h, h), row.depth)
-    finally:
-        monkeypatch.undo()
-        get_engine.cache_clear()
     failed = [c.lemma for c in cert.checks if not c.passed and c.lemma != "collapse_layers"]
     assert cert.passed == (row.name in mutants.SURVIVORS + mutants.EQUIVALENT) == (not row.failed)
     if row.local and failed[:1] == ["translation"]:
         assert set(failed[1:]) <= set(row.failed)
     else:
         assert failed == list(row.failed)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=IDS)
+def test_certify_fails_each_mutant_at_its_pinned_lemmas(row):
+    _assert_pinned(row, _certify(row, row.patch))
+
+
+@pytest.mark.parametrize("row", ROWS, ids=IDS)
+def test_the_pins_hold_after_the_valid_model_was_certified(row):
+    """Certifying the valid model at the row's window and depth first, in
+    the same process, leaves the mutant's verdict and failed lemmas as
+    they are: each certify call keeps its state, window engine included,
+    to itself."""
+    assert _certify(row).passed
+    _assert_pinned(row, _certify(row, row.patch))
 
 
 def test_the_catalogue_and_its_survivors_are_pinned():
