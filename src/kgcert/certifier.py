@@ -290,29 +290,14 @@ def _aux_top(t: GentleTriple, spec: _Kind, orbit: int, coord: tuple):
     """The largest aux of an instance, or None when every aux is allowed."""
     if spec.aux_top is None:
         return None
-    last = orbit == t.orbit_count - 1
-    return spec.aux_top(coord[0], coord[1], last * t.m, last * t.n)
+    off = model._offsets(t, orbit)
+    return spec.aux_top(coord[0], coord[1], off[model._ML], -off[model._NL])
 
 
 def _exists(rec: model.ArrowFan, dst: VertexId, deg: int) -> bool:
     """Whether the source of the fan record rec has the identity (deg 0, dst
     the source itself) or a basis arrow to dst at degree deg."""
     return deg == 0 and dst == rec.src or model._has_arrow(rec, dst, deg)
-
-
-def _in_row_entry(e: model.FanEntry, src: VertexId, x: int, y: int) -> bool:
-    """_exists(rec, VertexId(e.family, e.orbit, (x, y)), e.degree) for e the
-    entry of its channel and degree in src's fan record rec, on coordinates:
-    the identity at src itself when e has degree 0, else model._in_entry's
-    rule in e (src excluded when e excludes it, then e's region).  A chain
-    point's u and extra arrow lie in its row's channel at the row entry's
-    degree, so the case analysis builds no VertexId to test them."""
-    if src.coord == (x, y) and e.family == src.family and e.orbit == src.orbit:
-        if e.degree == 0:
-            return True
-        if e.excludes_src:
-            return False
-    return regions.member(e.region, (x, y))
 
 
 def _largest_aux(t: GentleTriple, kind: str, top: VertexId) -> Simple1Instance:
@@ -552,14 +537,13 @@ class _Session:
         steps are sink-map simples, by the case rows of the instance's kind.
         Chains are swept inside the window, at points within the session's
         depth (L1) of the top.  u and the extra arrow of a chain point lie in
-        the row's channel at its entry's degree, so their existence is that
-        entry's rule on coordinates (_in_row_entry), and a VertexId is built
-        only for the engine.  Each chain point ORs the image of its own
-        extra arrow into the instance's denominator image, and reads the
-        sink-map image at u's target from the engine's sink decision.  Each
-        chain line is clipped to the window met with the depth box around
-        the top before its points are enumerated (see the module
-        docstring)."""
+        the row's channel at its entry's degree, and _exists on the top's fan
+        record decides whether each is an arrow.  Each chain point ORs the
+        image of its own extra arrow into the instance's denominator image,
+        and reads the sink-map image at u's target from the engine's sink
+        decision.  Each chain line is clipped to the window met with the
+        depth box around the top before its points are enumerated (see the
+        module docstring)."""
         t, eng, K, w = self.t, self.eng, self.depth, self.window
         top, rec, gens, den = self._instance(inst)
         a, b = top.coord
@@ -583,12 +567,13 @@ class _Session:
             for x, y in regions.enumerate_points(line, sweep):
                 if abs(x - a) + abs(y - b) > K:
                     continue
-                if not _in_row_entry(e, top, x + ux, y + uy):
-                    return False
                 S = _new(VertexId, (family, orbit, (x + ux, y + uy)))
+                if not _exists(rec, S, p):
+                    return False
                 mod = den
-                if _in_row_entry(e, top, x + mx, y + my):
-                    mod |= eng._image(top, _new(VertexId, (family, orbit, (x + mx, y + my))), p)
+                M = _new(VertexId, (family, orbit, (x + mx, y + my)))
+                if _exists(rec, M, p):
+                    mod |= eng._image(top, M, p)
                 if eng._kernel(top, S, p, mod) != eng._sink_image(S):
                     return False
         return True
@@ -729,15 +714,12 @@ class _Session:
         image of g by construction, so comparing the kernel of (- o g) modulo
         f with the C-object's denominator is the whole exactness check.
         r == n: the gap between <f, g> and <f> has finite symbolic support.
-        The r < n step takes f and g from the session's memo of instances;
-        the r == n step builds the quotient by instance_functor."""
+        Both steps read f and g once, from the quotient built by
+        instance_functor; only the r < n step reads an instance's
+        denominator image, the C-object's, from the session's memo."""
         t = self.t
         quot_kind, sub_kind = self.mode.finite1[w.family]
-        quot = _largest_aux(t, quot_kind, w)
-        if sub_kind is None:
-            f, g = instance_functor(t, quot).denominators.generators
-        else:
-            f, g = self._instance(quot)[2]
+        f, g = instance_functor(t, _largest_aux(t, quot_kind, w)).denominators.generators
         if at_border != isinstance(f, ZeroMorphism) or isinstance(g, ZeroMorphism):
             return False
         if sub_kind is None:
@@ -852,7 +834,7 @@ def check_simple0(t: GentleTriple, v: VertexId, window: Window) -> bool:
 def check_simple1_tower(
     t: GentleTriple, instance: Simple1Instance, length: int, window: Window
 ) -> bool:
-    if length < 0:
+    if type(length) is int and length < 0:  # the session refuses any other type
         raise ParameterRange("tower length must be >= 0")
     s = _Session(t, window, depth=length)
     return s.tower_check(instance)
@@ -972,10 +954,9 @@ _MODES = {
 def _representatives(window: Window, items: list, key: Callable) -> list:
     """Per translation class of the items (by key), the item nearest the
     window centre in L1 distance, the earliest of those at one distance;
-    in item order.  Under the key _same each item is its own class, so the
-    representatives are the items, the first of any equal ones."""
-    if key is _same:
-        return list(dict.fromkeys(items))
+    in item order.  Under the key _same each item is its own class, and
+    equal items share one, so the representatives are the items, the first
+    of any equal ones."""
     cx, cy = window.x0 + window.x1, window.y0 + window.y1  # twice the centre
     best = {}
     for k, item in enumerate(items):
@@ -1058,15 +1039,16 @@ def certify(
 
     The claimed dimension is 2 in finite mode and 1 in infinite mode; the
     verdict is "pass" only if every recorded check passed.  A depth below 1
-    would check no tower step or chain point, so it is rejected, and so is
-    an inadmissible triple (``OmegaViolation``).
+    would check no tower step or chain point, so it is rejected, as is a
+    depth that is no int (``ParameterRange`` both) and an inadmissible
+    triple (``OmegaViolation``).
 
     ``stats`` of the result gives, per phase, the representatives, the box
     items they cover, the representatives checked and the seconds taken,
     and the sizes of the session's memos and of the engine's caches, all of
     this call alone.
     """
-    if depth < 1:
+    if type(depth) is int and depth < 1:  # the session refuses any other type
         raise ParameterRange(f"depth must be >= 1, got {depth}")
     s = _Session(t, window, depth)
     ok = _run_phases(s)

@@ -417,6 +417,35 @@ def test_finite1_step_agrees_with_kernel_matches(triple, mutant, monkeypatch):
     assert verdicts and (False in verdicts) == (mutant is not None)
 
 
+@pytest.mark.parametrize("triple", [(1, 2, 0), (2, 3, 0)], ids=["120", "230"])
+def test_a_finite1_step_reads_its_quotient_once(triple, monkeypatch):
+    """r < n: a finite1 step reads the quotient's (f, g) once, through
+    instance_functor, so every session instance read inside a step that
+    certify takes at [-6,6]^2, depth 2, is of the step's sub kind (the
+    C-object, for its denominator image), never of its quotient kind."""
+    t = validate_triple(*triple)
+    real_step, real_instance = C._Session._finite1_step, C._Session._instance
+    in_step, reads = [], []
+
+    def step(self, w, at_border):
+        in_step.append(self.mode.finite1[w.family])
+        try:
+            return real_step(self, w, at_border)
+        finally:
+            in_step.pop()
+
+    def instance(self, inst):
+        if in_step:
+            reads.append((inst.kind, in_step[-1]))
+        return real_instance(self, inst)
+
+    monkeypatch.setattr(C._Session, "_finite1_step", step)
+    monkeypatch.setattr(C._Session, "_instance", instance)
+    assert certify(t, W6, 2).passed
+    assert {kind for kind, _ in reads} == {KIND_CP, KIND_CPP}
+    assert all(kind == sub for kind, (_, sub) in reads), sorted(set(reads))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_a_failing_finite1_class_fails_every_walk_through_it(monkeypatch, seed):
     """r == n: a finite1 step reads fan records only, so the memo is per
@@ -531,14 +560,20 @@ W3 = Window(-3, 3, -3, 3)
         lambda t: check_nonsimple1(t, V("Z", 0, 0, 0), 1.5, W3),
         lambda t: certify(t, (-3, 3, -3, 3), 2),
         lambda t: check_simple0(t, V("Z", 0, 0, 0), (-3, 3, -3, 3)),
+        lambda t: certify(t, W3, None),
+        lambda t: certify(t, W3, "8"),
+        lambda t: check_simple1_tower(t, Simple1Instance(KIND_BP, 0, (0, 1), 0), "3", W3),
     ],
-    ids=["bool depth", "float depth", "fractional depth", "tuple window", "tuple window, simple0"],
+    ids=["bool depth", "float depth", "fractional depth", "tuple window", "tuple window, simple0",
+         "None depth", "str depth", "str tower length"],
 )
 def test_a_session_takes_only_a_window_and_an_int_depth(t120, run):
     """Every certify and check_* session takes a Window and a depth of type
     int, not a bool, that is >= 0; anything else is a ParameterRange, not
     a certificate with "depth": true or a bare ValueError, TypeError or
-    AttributeError from deeper down (a negative depth: the next test)."""
+    AttributeError from deeper down (a negative depth: the next test).
+    certify's and check_simple1_tower's own range checks compare only an
+    int, so a depth that does not compare with one reaches the session."""
     with pytest.raises(ParameterRange):
         run(t120)
 
@@ -961,26 +996,12 @@ def test_stats_size_the_instance_memo_and_the_column_masks(t120, monkeypatch):
 # -- the chain-point rule -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("r,n,m", ACCEPTANCE_TRIPLES)
-def test_the_row_entry_rule_is_exists(r, n, m):
-    """_in_row_entry answers as _exists on the VertexId of its point, for
-    every fan entry of every vertex in [-2,2]^2 and every point of
-    [-6,6]^2 (the vertex itself among them)."""
-    t = validate_triple(r, n, m)
-    points = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
-    for src in M.vertices_in_box(t, -2, 2, -2, 2):
-        rec = M.arrow_fan(t, src)
-        for e in rec.entries:
-            for x, y in points:
-                want = C._exists(rec, VertexId(e.family, e.orbit, (x, y)), e.degree)
-                assert C._in_row_entry(e, src, x, y) == want, (src, e, x, y)
-
-
 def test_the_row_entry_rule_on_the_top_itself():
-    """At the source's own point: the identity at degree 0, whatever the
-    entry's region and flag; at a higher degree nothing when the entry
-    excludes its source, else its region's answer, an EMPTY region
-    included.  An entry of another channel at that point is no identity."""
+    """_exists, which decides a chain point's u and extra arrow, at the
+    source's own point: the identity at degree 0, whatever the entry's
+    region and flag; at a higher degree nothing when the entry excludes its
+    source, else its region's answer, an EMPTY region included.  An entry
+    of another channel at that point is no identity."""
     src = V("Z", 0, 0, 0)
     regs = [R.box(-1, 1, -1, 1), R.box(1, 3, 1, 3), R.EMPTY]
     for family, orbit in [("Z", 0), ("X", 0), ("Z", 1)]:
@@ -989,10 +1010,7 @@ def test_the_row_entry_rule_on_the_top_itself():
                 for reg in regs:
                     e = M.FanEntry(family, orbit, degree, reg, excludes)
                     rec = M.ArrowFan(src, (e,), MappingProxyType({e[:3]: e}), (ZERO, ZERO))
-                    for x, y in [(0, 0), (1, 1), (-1, 0), (4, 4)]:
-                        got = C._in_row_entry(e, src, x, y)
-                        assert got == C._exists(rec, VertexId(family, orbit, (x, y)), degree), (e, x, y)
-                    at_src = C._in_row_entry(e, src, 0, 0)
+                    at_src = C._exists(rec, VertexId(family, orbit, (0, 0)), degree)
                     if (family, orbit) == ("Z", 0) and degree == 0:
                         assert at_src
                     elif (family, orbit) == ("Z", 0) and excludes:
@@ -1566,9 +1584,9 @@ def test_representatives_are_the_class_members_nearest_the_centre(r, n, m, windo
 
 
 def representatives_by_distance(window, items, key):
-    """_representatives as it was before its shortcut for the key _same:
-    per class, the item nearest the window centre, the earliest of those;
-    in item order."""
+    """The reference walk over every item's distance and key: per class,
+    the item nearest the window centre, the earliest of those; in item
+    order."""
     cx, cy = window.x0 + window.x1, window.y0 + window.y1
     best = {}
     for k, item in enumerate(items):
